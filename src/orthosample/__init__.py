@@ -41,6 +41,8 @@ from .spectral import (
     OrthogonalSample,
     ShiftRangeError,
     WeightFunction,
+    ar_spectral_density,
+    ar_transfer,
     circular_autocov,
     constant_weight,
     dft,
@@ -67,10 +69,10 @@ from .variance import (
     variance_estimate_at,
 )
 from .whittle import (
+    ARModel,
     SpectralModel,
     WhittleFit,
-    ar1_model,
-    ar2_model,
+    ar_model,
     score_weight,
     whittle_fit,
     whittle_objective,
@@ -89,7 +91,8 @@ __all__ = [
     "MODEL_REGISTRY", "ModelSpec", "generate", "generate_bivariate",
     "SelectionResult", "criterion", "select_M", "feasible_search_set",
     "DftGrid", "InvalidInputError", "ShiftRangeError", "WeightFunction",
-    "OrthogonalSample", "dft", "grid_frequencies", "weighted_average",
+    "OrthogonalSample", "dft", "grid_frequencies", "ar_transfer",
+    "ar_spectral_density", "weighted_average",
     "weighted_average_run", "orthogonal_sample", "quadratic_form_oracle",
     "circular_autocov", "lag_weight", "constant_weight", "kernel_weight",
     "model_reciprocal_weight",
@@ -97,7 +100,7 @@ __all__ = [
     "HotellingReport", "DegenerateVarianceError", "variance_estimate",
     "variance_estimate_at", "studentize", "covariance_matrix_estimate",
     "hotelling_test", "composite_variance",
-    "SpectralModel", "WhittleFit", "ar1_model", "ar2_model",
+    "SpectralModel", "ARModel", "WhittleFit", "ar_model",
     "whittle_objective", "whittle_fit", "score_weight",
     "whittle_score_variance",
     "__version__",

@@ -25,6 +25,7 @@ from .experiments import ConfigError, emit, parse_config, run_experiment
 from .htests import TestReport, box_pierce, goodness_of_fit_test, portmanteau_test, robust_portmanteau
 from .selection import DEFAULT_P, feasible_search_set, select_M
 from .spectral import InvalidInputError, ShiftRangeError, dft, lag_weight
+from .whittle import ar_model, whittle_fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +99,7 @@ def report_to_dict(report: TestReport) -> dict:
 
 
 def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
-                    beta="estimate", seed=None) -> dict:
+                    beta="estimate") -> dict:
     if kind == "equality":
         x, y = load_series(path, columns=2)
         report = equality_test(x, y, b=b, M=M, beta=beta)
@@ -113,8 +114,7 @@ def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
     elif kind == "robust":
         report = robust_portmanteau(x, L=L)
     elif kind == "gof_ar1":
-        from .whittle import ar1_model, whittle_fit
-        model = ar1_model()
+        model = ar_model(1)
         fit = whittle_fit(dft(x), model)
 
         def g(om, theta=fit.theta_hat, model=model):
@@ -123,6 +123,7 @@ def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
         report = goodness_of_fit_test(x, g, L=L, M=M)
         out = report_to_dict(report)
         out["fitted_theta"] = [float(v) for v in np.atleast_1d(fit.theta_hat)]
+        out["on_boundary"] = fit.on_boundary
         return out
     else:
         raise ConfigError(f"unknown test kind {kind!r}; choose from {TEST_KINDS}")
@@ -148,7 +149,6 @@ def main(argv=None) -> int:
     p_test.add_argument("--L", type=int, default=5)
     p_test.add_argument("--b", type=float, default=None)
     p_test.add_argument("--beta", default="estimate")
-    p_test.add_argument("--seed", type=int, default=None)
 
     p_sel = sub.add_parser("selectM", help="choose the number of shifts")
     p_sel.add_argument("datafile")
@@ -180,8 +180,7 @@ def main(argv=None) -> int:
         if args.verb == "test":
             beta = args.beta if args.beta == "estimate" else float(args.beta)
             result = run_single_test(args.kind, args.datafile, M=args.M,
-                                     L=args.L, b=args.b, beta=beta,
-                                     seed=args.seed)
+                                     L=args.L, b=args.b, beta=beta)
             print(json.dumps(result, indent=1))
             return EXIT_OK
         if args.verb == "selectM":

@@ -132,39 +132,48 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class Dist:
-    """A calibration reference law with a cdf and a quantile function."""
+    """A calibration reference law with a cdf, survival function and quantile function."""
 
     family: str
     params: tuple
 
     def cdf(self, x: float) -> float:
+        return self._tail(x, upper=False)
+
+    def sf(self, x: float) -> float:
+        return self._tail(x, upper=True)
+
+    def _tail(self, x: float, upper: bool) -> float:
+        """P(X > x) if ``upper`` else P(X <= x), with the smaller of the two
+        evaluated directly so that far tails keep their relative precision."""
         x = float(x)
         if self.family == "normal":
-            return 0.5 * math.erfc(-x / math.sqrt(2.0))
+            return 0.5 * math.erfc((x if upper else -x) / math.sqrt(2.0))
         if self.family == "t":
             (nu,) = self.params
             if x == 0.0:
                 return 0.5
-            p = 0.5 * reg_inc_beta(nu / 2.0, 0.5, nu / (nu + x * x))
-            return p if x < 0 else 1.0 - p
+            p = 0.5 * reg_inc_beta(nu / 2.0, 0.5, nu / (nu + x * x))  # beyond |x|
+            return p if (x > 0) == upper else 1.0 - p
+        if x <= 0.0 and self.family in ("chi2", "F"):
+            return float(upper)
         if self.family == "chi2":
-            (k,) = self.params
-            if x <= 0.0:
-                return 0.0
-            return reg_inc_gamma(k / 2.0, x / 2.0)
+            a, y = self.params[0] / 2.0, x / 2.0
+            if y < a + 1.0:
+                lower = _gamma_series(a, y)
+                return 1.0 - lower if upper else lower
+            q = _gamma_cf(a, y)
+            return q if upper else 1.0 - q
         if self.family == "F":
             d1, d2 = self.params
-            if x <= 0.0:
-                return 0.0
+            if upper:  # 1 - I_y(a, b) = I_{1-y}(b, a)
+                return reg_inc_beta(d2 / 2.0, d1 / 2.0, d2 / (d1 * x + d2))
             return reg_inc_beta(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
         if self.family == "hotelling":
             p, m = self.params
             scale = (m - p + 1.0) / (p * m)
-            return f_dist(p, m - p + 1).cdf(x * scale)
+            return f_dist(p, m - p + 1)._tail(x * scale, upper)
         raise ValueError(f"unknown family {self.family!r}")
-
-    def sf(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
 
     def quantile(self, q: float) -> float:
         if not 0.0 < q < 1.0:

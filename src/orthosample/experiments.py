@@ -26,7 +26,13 @@ from .htests import (
 )
 from .models import MODEL_REGISTRY, generate, generate_bivariate
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
-from .spectral import InvalidInputError, dft, lag_weight, weighted_average_run
+from .spectral import (
+    InvalidInputError,
+    ar_spectral_density,
+    dft,
+    lag_weight,
+    weighted_average_run,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -48,7 +54,6 @@ EXPERIMENTS = (
     "table_uncorrelated_power",
     "table_gof_null",
     "table_gof_power",
-    "custom_test",
 )
 
 
@@ -87,7 +92,7 @@ class ExperimentConfig:
                               f"choose from {EXPERIMENTS}")
         if self.nrep < 1:
             raise ConfigError("nrep must be >= 1")
-        if self.experiment not in ("table_equality", "custom_test"):
+        if self.experiment != "table_equality":
             for m in self.models:
                 if m not in MODEL_REGISTRY:
                     raise ConfigError(f"unknown model tag {m!r}")
@@ -216,9 +221,7 @@ def _test_rep(cfg: ExperimentConfig, model: str, T: int, method: str,
                 raise ConfigError("table_gof experiments need gof_phi and gof_sigma")
 
             def g(om, phi=phi, sigma=sigma):
-                om = np.asarray(om, dtype=float)
-                return (sigma**2 / (2 * np.pi)
-                        / np.abs(1 - phi * np.exp(1j * om)) ** 2)
+                return ar_spectral_density(om, [phi], sigma)
 
             report = goodness_of_fit_test(x, g, L=cfg.L, M=cfg.M,
                                           search_set=cfg.search_set, p=cfg.p)
@@ -302,10 +305,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
         "experiment": cfg.experiment, "seed": cfg.seed, "nrep": cfg.nrep,
         "config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
     })
-
-    if cfg.experiment == "custom_test":
-        raise ConfigError("custom_test runs through run_single_test, not "
-                          "run_experiment")
 
     if cfg.experiment == "qq_t10":
         cells = [("qq", (m, T)) for m in cfg.models for T in cfg.T]

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import ar_spectral_density
+
 __all__ = [
     "ModelSpec",
     "SimOutput",
@@ -311,10 +313,5 @@ def model_spectral_density(spec: ModelSpec, omega) -> np.ndarray:
     """
     if spec.tag != "ar":
         raise ValueError(f"no closed-form spectral density for tag {spec.tag!r}")
-    omega = np.asarray(omega, dtype=float)
-    coeffs = np.asarray(spec.params["coeffs"], dtype=float)
-    sigma2 = 2.0 if spec.params["innovation"] == "chi2_1" else 1.0
-    z = np.ones_like(omega, dtype=complex)
-    for m, c in enumerate(coeffs, start=1):
-        z = z - c * np.exp(1j * m * omega)
-    return sigma2 / (2.0 * np.pi) / np.abs(z) ** 2
+    sigma = math.sqrt(2.0) if spec.params["innovation"] == "chi2_1" else 1.0
+    return ar_spectral_density(omega, spec.params["coeffs"], sigma)

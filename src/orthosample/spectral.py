@@ -24,6 +24,8 @@ __all__ = [
     "OrthogonalSample",
     "as_series",
     "grid_frequencies",
+    "ar_transfer",
+    "ar_spectral_density",
     "dft",
     "weighted_average",
     "weighted_average_run",
@@ -53,11 +55,11 @@ TimeSeries = np.ndarray
 def as_series(values) -> TimeSeries:
     """Validate and return a real observation record x_1..x_T.
 
-    Requires T >= 2 and all values finite.
+    Requires a 1-D array with T >= 2 and all values finite.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
-        x = x.reshape(-1)
+        raise InvalidInputError(f"need a 1-D series, got an array of shape {x.shape}")
     if x.size < 2:
         raise InvalidInputError(f"need at least 2 observations, got {x.size}")
     if not np.all(np.isfinite(x)):
@@ -68,6 +70,21 @@ def as_series(values) -> TimeSeries:
 def grid_frequencies(T: int) -> np.ndarray:
     """Frequencies 2*pi*k/T for k = 1..T."""
     return 2.0 * np.pi * np.arange(1, T + 1) / T
+
+
+def ar_transfer(omega, coeffs) -> np.ndarray:
+    """A(omega) = 1 - sum_{m=1..p} phi_m e^{i m omega}, the AR(p) polynomial
+    on the unit circle."""
+    omega = np.asarray(omega, dtype=float)
+    z = np.ones_like(omega, dtype=complex)
+    for m, c in enumerate(np.asarray(coeffs, dtype=float), start=1):
+        z = z - c * np.exp(1j * m * omega)
+    return z
+
+
+def ar_spectral_density(omega, coeffs, sigma: float) -> np.ndarray:
+    """AR(p) spectral density sigma^2 / (2 pi) * |A(omega)|^{-2}."""
+    return sigma**2 / (2 * np.pi) / np.abs(ar_transfer(omega, coeffs)) ** 2
 
 
 @dataclass(frozen=True)

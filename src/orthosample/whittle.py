@@ -4,6 +4,7 @@ score-variance orthogonal-sample estimator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -12,7 +13,10 @@ from .spectral import (
     DftGrid,
     InvalidInputError,
     WeightFunction,
+    ar_spectral_density,
+    ar_transfer,
     grid_frequencies,
+    orthogonal_sample,
 )
 from .variance import (
     CovMatrixEstimate,
@@ -20,13 +24,12 @@ from .variance import (
     covariance_matrix_estimate,
     variance_estimate,
 )
-from .spectral import orthogonal_sample
 
 __all__ = [
     "SpectralModel",
+    "ARModel",
     "WhittleFit",
-    "ar1_model",
-    "ar2_model",
+    "ar_model",
     "whittle_objective",
     "whittle_fit",
     "score_weight",
@@ -39,8 +42,8 @@ class SpectralModel:
     """A parametric spectral density f(omega; theta) with its theta-gradient.
 
     ``density(omega, theta)`` returns positive values; ``gradient`` returns an
-    array of shape (param_dim, len(omega)).  ``bounds`` is the compact search
-    box, one (lo, hi) pair per coordinate.
+    array of shape (param_dim, len(omega)).  ``bounds`` holds one (lo, hi)
+    pair per coordinate.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -58,91 +61,48 @@ class SpectralModel:
         return f
 
 
-def _ar_transfer_sq(omega: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """|1 - sum_m phi_m e^{i m omega}|^2."""
-    z = np.ones_like(omega, dtype=complex)
-    for m, c in enumerate(coeffs, start=1):
-        z = z - c * np.exp(1j * m * omega)
-    return np.abs(z) ** 2
+@dataclass(frozen=True)
+class ARModel(SpectralModel):
+    """An AR(p) spectral model built by :func:`ar_model`; ``sigma`` is the
+    fixed innovation scale, or None when it is fitted."""
+
+    p: int = 1
+    sigma: float | None = None
 
 
-def ar1_model(sigma: float | None = None,
-              phi_bounds: tuple = (-0.95, 0.95),
-              sigma_bounds: tuple = (0.1, 5.0)) -> SpectralModel:
-    """AR(1) spectral density sigma^2 / (2 pi) * |1 - phi e^{i omega}|^{-2}.
+def ar_model(p: int, sigma: float | None = None) -> ARModel:
+    """AR(p) density sigma^2 / (2 pi) * |1 - sum_m phi_m e^{i m omega}|^{-2}.
 
-    With ``sigma`` given, theta = (phi,); otherwise theta = (phi, sigma) and
-    both are fitted jointly on the box.
+    theta = (phi_1..phi_p, sigma), or (phi_1..phi_p) when ``sigma`` is given.
+    phi_m lies in the box |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.
     """
-    if sigma is None:
-        def density(w, th):
-            phi, s = th
-            return s**2 / (2 * np.pi) / _ar_transfer_sq(w, np.array([phi]))
+    p = int(p)
+    if p < 1:
+        raise ValueError("AR order must be >= 1")
+    s0 = None if sigma is None else float(sigma)
 
-        def gradient(w, th):
-            phi, s = th
-            denom = _ar_transfer_sq(w, np.array([phi]))
-            f = s**2 / (2 * np.pi) / denom
-            dphi = f * (2 * np.cos(w) - 2 * phi) / denom
-            dsig = 2 * f / s
-            return np.stack([dphi, dsig])
-
-        return SpectralModel(density, gradient, 2, (phi_bounds, sigma_bounds), "ar1")
-
-    s0 = float(sigma)
+    def split(th):
+        th = np.asarray(th, dtype=float)
+        return (th[:p], th[p]) if s0 is None else (th, s0)
 
     def density(w, th):
-        (phi,) = th
-        return s0**2 / (2 * np.pi) / _ar_transfer_sq(w, np.array([phi]))
+        phi, s = split(th)
+        return ar_spectral_density(w, phi, s)
 
     def gradient(w, th):
-        (phi,) = th
-        denom = _ar_transfer_sq(w, np.array([phi]))
-        f = s0**2 / (2 * np.pi) / denom
-        return (f * (2 * np.cos(w) - 2 * phi) / denom)[None, :]
+        phi, s = split(th)
+        A = ar_transfer(w, phi)
+        f = ar_spectral_density(w, phi, s)
+        rows = [2 * f * np.real(np.conj(A) * np.exp(1j * m * w)) / np.abs(A) ** 2
+                for m in range(1, p + 1)]
+        if s0 is None:
+            rows.append(2 * f / s)
+        return np.stack(rows)
 
-    return SpectralModel(density, gradient, 1, (phi_bounds,), f"ar1[sigma={s0}]")
-
-
-def ar2_model(sigma: float | None = None,
-              bounds: tuple = ((-1.9, 1.9), (-0.95, 0.95)),
-              sigma_bounds: tuple = (0.1, 5.0)) -> SpectralModel:
-    """AR(2) analogue, theta = (phi1, phi2[, sigma])."""
-    def transfer(w, phi1, phi2):
-        return _ar_transfer_sq(w, np.array([phi1, phi2]))
-
-    if sigma is None:
-        def density(w, th):
-            phi1, phi2, s = th
-            return s**2 / (2 * np.pi) / transfer(w, phi1, phi2)
-
-        def gradient(w, th):
-            phi1, phi2, s = th
-            denom = transfer(w, phi1, phi2)
-            f = s**2 / (2 * np.pi) / denom
-            z = 1 - phi1 * np.exp(1j * w) - phi2 * np.exp(2j * w)
-            d1 = f * 2 * np.real(np.conj(z) * np.exp(1j * w)) / denom
-            d2 = f * 2 * np.real(np.conj(z) * np.exp(2j * w)) / denom
-            return np.stack([d1, d2, 2 * f / s])
-
-        return SpectralModel(density, gradient, 3, (*bounds, sigma_bounds), "ar2")
-
-    s0 = float(sigma)
-
-    def density(w, th):
-        phi1, phi2 = th
-        return s0**2 / (2 * np.pi) / transfer(w, phi1, phi2)
-
-    def gradient(w, th):
-        phi1, phi2 = th
-        denom = transfer(w, phi1, phi2)
-        f = s0**2 / (2 * np.pi) / denom
-        z = 1 - phi1 * np.exp(1j * w) - phi2 * np.exp(2j * w)
-        d1 = f * 2 * np.real(np.conj(z) * np.exp(1j * w)) / denom
-        d2 = f * 2 * np.real(np.conj(z) * np.exp(2j * w)) / denom
-        return np.stack([d1, d2])
-
-    return SpectralModel(density, gradient, 2, bounds, f"ar2[sigma={s0}]")
+    bounds = tuple((-0.95 * comb(p, m), 0.95 * comb(p, m)) for m in range(1, p + 1))
+    if s0 is None:
+        return ARModel(density, gradient, p + 1, bounds + ((0.0, np.inf),), f"ar{p}", p)
+    return ARModel(density, gradient, p, bounds, f"ar{p}[sigma={s0}]", p, s0)
 
 
 def whittle_objective(grid: DftGrid, model: SpectralModel, theta) -> float:
@@ -154,6 +114,8 @@ def whittle_objective(grid: DftGrid, model: SpectralModel, theta) -> float:
 
 @dataclass(frozen=True)
 class WhittleFit:
+    """A Whittle fit; ``iterations`` counts the Newton steps taken."""
+
     theta_hat: np.ndarray
     objective_at_min: float
     iterations: int
@@ -163,76 +125,73 @@ class WhittleFit:
         self.theta_hat.setflags(write=False)
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
+    """Minimise the Whittle objective of an AR(p) model on its box.
 
-
-def _golden_section(fun, lo, hi, tol=1e-6, max_iter=200):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    it = 0
-    while b - a > tol and it < max_iter:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-        it += 1
-    x = c if fc < fd else d
-    return x, min(fc, fd), it
-
-
-def whittle_fit(grid: DftGrid, model: SpectralModel,
-                seeds_per_dim: int = 25, tol: float = 1e-6) -> WhittleFit:
-    """Minimize the Whittle objective on the parameter box.
-
-    Coarse grid seeding (25 points per coordinate) followed by cyclic
-    coordinate descent with golden-section line searches.
+    With I_k = |J_k|^2, A = A_phi(omega_k) and Q(phi) = mean(I |A|^2), the
+    objective is 2 pi Q / sigma^2 + log sigma^2 - mean(log |A|^2) - log 2 pi.
+    A free sigma is profiled out in closed form, sigma^2 = 2 pi Q(phi),
+    leaving log Q - mean(log |A|^2) to minimise over phi.  Q is quadratic in
+    phi, and its minimiser, the Yule-Walker solve on the circular periodogram
+    autocovariances c_j = mean(I_k cos(j omega_k)), seeds Newton steps that
+    are clipped into the box and halved until the objective does not rise.
+    Iteration stops once a step moves phi by less than ``tol`` (Whittle 1953;
+    Brockwell & Davis, Time Series: Theory and Methods, section 10.8).
     """
-    if model.param_dim > 3:
-        raise ValueError("fitting supports param_dim <= 3")
-    bounds = [tuple(map(float, b)) for b in model.bounds]
+    if not isinstance(model, ARModel):
+        raise TypeError(f"whittle_fit fits ar_model models, not {model.name!r}")
+    p = model.p
+    omega = grid.frequencies
+    pgram = np.abs(grid.coeffs) ** 2
+    lags = np.arange(1, p + 1)
+    E = np.exp(1j * lags[:, None] * omega)  # e^{i m omega_k}, m = 1..p
+    acov = np.array([np.mean(pgram * np.cos(j * omega)) for j in range(p + 1)])
+    if not acov[0] > 0:
+        raise InvalidInputError("periodogram is zero on the whole grid; nothing to fit")
+    hess_q = 2 * acov[np.abs(lags[:, None] - lags[None, :])]
+    lo, hi = np.array(model.bounds[:p]).T
+    scale = None if model.sigma is None else 2 * np.pi / model.sigma**2
 
-    def objective(theta):
-        return whittle_objective(grid, model, theta)
+    def profiled(phi):
+        A = ar_transfer(omega, phi)
+        q = np.mean(pgram * np.abs(A) ** 2)
+        h = np.mean(np.log(np.abs(A) ** 2))
+        return (np.log(q) if scale is None else scale * q) - h, A, q
 
-    axes = [np.linspace(lo, hi, seeds_per_dim) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    seeds = np.stack([m.ravel() for m in mesh], axis=1)
-    seed_vals = np.array([objective(th) for th in seeds])
-    theta = seeds[int(np.argmin(seed_vals))].copy()
-    best = float(seed_vals.min())
+    def newton_step(A, q):
+        grad_q = -2 * np.mean(pgram * np.real(np.conj(A) * E), axis=1)
+        grad_h = -2 * np.mean(np.real(E / A), axis=1)
+        hess_h = -2 * np.mean(np.real(E[:, None] * E[None, :] / A**2), axis=2)
+        if scale is None:
+            grad = grad_q / q - grad_h
+            hess = hess_q / q - np.outer(grad_q, grad_q) / q**2 - hess_h
+        else:
+            grad = scale * grad_q - grad_h
+            hess = scale * hess_q - hess_h
+        return -np.linalg.solve(hess, grad)
 
+    phi = np.clip(np.linalg.solve(hess_q, 2 * acov[1:]), lo, hi)
+    value, A, q = profiled(phi)
     iterations = 0
-    for _ in range(60):
-        moved = 0.0
-        for c in range(model.param_dim):
-            lo, hi = bounds[c]
-            span = (hi - lo) / (seeds_per_dim - 1)
-            a = max(lo, theta[c] - span)
-            b = min(hi, theta[c] + span)
-
-            def line(v, c=c):
-                trial = theta.copy()
-                trial[c] = v
-                return objective(trial)
-
-            x, fx, it = _golden_section(line, a, b, tol=tol)
-            iterations += it
-            if fx < best:
-                moved = max(moved, abs(x - theta[c]))
-                theta[c], best = x, fx
+    for _ in range(50):
+        step = newton_step(A, q)
+        for _ in range(30):
+            trial = np.clip(phi + step, lo, hi)
+            trial_value, trial_A, trial_q = profiled(trial)
+            if trial_value <= value:
+                break
+            step = step / 2
+        else:
+            break
+        moved = np.max(np.abs(trial - phi))
+        phi, value, A, q = trial, trial_value, trial_A, trial_q
+        iterations += 1
         if moved < tol:
             break
 
-    on_boundary = any(
-        min(theta[c] - lo, hi - theta[c]) < 10 * tol for c, (lo, hi) in enumerate(bounds)
-    )
-    return WhittleFit(theta_hat=theta, objective_at_min=best,
+    theta = np.append(phi, np.sqrt(2 * np.pi * q)) if model.sigma is None else phi
+    on_boundary = bool(np.any(np.minimum(phi - lo, hi - phi) < 10 * tol))
+    return WhittleFit(theta_hat=theta, objective_at_min=whittle_objective(grid, model, theta),
                       iterations=iterations, on_boundary=on_boundary)
 
 

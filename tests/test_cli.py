@@ -94,6 +94,7 @@ class TestTestVerb:
         out = json.loads(capsys.readouterr().out)
         assert len(out["fitted_theta"]) == 2
         assert abs(out["fitted_theta"][0]) < 0.95
+        assert out["on_boundary"] is False
 
     def test_equality_needs_two_columns(self, bivariate_csv, series_csv, capsys):
         assert main(["test", "equality", bivariate_csv]) == EXIT_OK
@@ -110,6 +111,9 @@ class TestTestVerb:
 
     def test_unknown_kind_is_usage_error(self, series_csv):
         assert main(["test", "nonsense", series_csv]) == EXIT_CONFIG
+
+    def test_seed_flag_is_not_accepted(self, series_csv):
+        assert main(["test", "portmanteau", series_csv, "--seed", "1"]) == EXIT_CONFIG
 
 
 class TestSelectMVerb:

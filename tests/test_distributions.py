@@ -35,6 +35,18 @@ class TestCdfs:
         for x in POS_GRID:
             assert law.cdf(x) == pytest.approx(stats.f.cdf(x, d1, d2), abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "law,x,want",
+        [
+            (dist.chi_square(5), 200.0, stats.chi2.sf(200.0, 5)),
+            (dist.student_t(10), 40.0, stats.t.sf(40.0, 10)),
+            (dist.f_dist(3, 20), 60.0, stats.f.sf(60.0, 3, 20)),
+        ],
+        ids=str,
+    )
+    def test_sf_keeps_far_tail_precision(self, law, x, want):
+        assert law.sf(x) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_sf_complements_cdf(self):
         law = dist.student_t(7)
         for x in GRID:

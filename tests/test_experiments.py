@@ -121,9 +121,8 @@ class TestRunExperiment:
         assert "T128" in table.metadata["beta_hat_mean"] or table.metadata
 
     def test_custom_test_rejected(self):
-        cfg = ExperimentConfig(experiment="custom_test")
         with pytest.raises(ConfigError):
-            run_experiment(cfg, progress=quiet)
+            ExperimentConfig(experiment="custom_test")
 
 
 class TestEmit:

@@ -71,6 +71,8 @@ class TestDft:
             as_series([1.0])
         with pytest.raises(InvalidInputError):
             as_series([1.0, np.nan, 2.0])
+        with pytest.raises(InvalidInputError, match=r"\(50, 2\)"):
+            as_series(np.zeros((50, 2)))
         with pytest.raises(InvalidInputError):
             dft([np.inf, 0.0, 1.0])
 
