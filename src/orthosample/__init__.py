@@ -33,7 +33,14 @@ from .htests import (
     portmanteau_test,
     robust_portmanteau,
 )
-from .models import MODEL_REGISTRY, ModelSpec, generate, generate_bivariate
+from .models import (
+    MODEL_REGISTRY,
+    ModelSpec,
+    generate,
+    generate_batch,
+    generate_bivariate,
+    generate_bivariate_batch,
+)
 from .selection import SelectionResult, criterion, feasible_search_set, select_M
 from .spectral import (
     DftGrid,
@@ -88,7 +95,8 @@ __all__ = [
     "EmpiricalNull", "TestReport", "l2_stat", "portmanteau_test",
     "goodness_of_fit_test", "box_pierce", "robust_portmanteau",
     "block_bootstrap_null", "bootstrap_portmanteau_test", "empirical_pvalue",
-    "MODEL_REGISTRY", "ModelSpec", "generate", "generate_bivariate",
+    "MODEL_REGISTRY", "ModelSpec", "generate", "generate_batch", "generate_bivariate",
+    "generate_bivariate_batch",
     "SelectionResult", "criterion", "select_M", "feasible_search_set",
     "DftGrid", "InvalidInputError", "ShiftRangeError", "WeightFunction",
     "OrthogonalSample", "dft", "grid_frequencies", "ar_transfer",

@@ -83,6 +83,18 @@ def _parse_set(spec: str):
     return tuple(int(s) for s in spec.split(","))
 
 
+def _workers(value: str) -> int:
+    """The worker count from ORTHOSAMPLE_WORKERS: an integer >= 1."""
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(
+            f"ORTHOSAMPLE_WORKERS must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ConfigError(f"ORTHOSAMPLE_WORKERS must be >= 1, got {workers}")
+    return workers
+
+
 def report_to_dict(report: TestReport) -> dict:
     ref = report.null_ref
     ref_desc = (f"{ref.kind} draws (n={ref.draws.size})"
@@ -172,7 +184,7 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, nrep=args.nrep)
             workers_env = os.environ.get("ORTHOSAMPLE_WORKERS")
             if workers_env:
-                cfg = replace(cfg, workers=max(1, int(workers_env)))
+                cfg = replace(cfg, workers=_workers(workers_env))
             table = run_experiment(cfg)
             for path in emit(table, args.out, json_too=args.json):
                 print(path)

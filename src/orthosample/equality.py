@@ -15,7 +15,7 @@ import numpy as np
 
 from . import distributions as dist
 from .htests import TestReport
-from .spectral import DftGrid, InvalidInputError, ShiftRangeError, dft
+from .spectral import SHIFT_BLOCK_POINTS, DftGrid, InvalidInputError, ShiftRangeError, dft
 
 __all__ = [
     "KernelSpec",
@@ -80,9 +80,36 @@ def kernel_spectral_estimate(grid: DftGrid, kernel: KernelSpec, r: int = 0) -> n
     if r < 0 or r >= T / 2:
         raise ShiftRangeError(f"shift r={r} out of range for T={T}")
     u = grid.coeffs * np.conj(grid.shifted(r))
-    w = kernel.weights(T)
-    # circular convolution over the cyclic frequency grid
-    return np.fft.ifft(np.fft.fft(u) * np.fft.fft(w))
+    return _smooth(u, np.fft.fft(kernel.weights(T)))
+
+
+def _smooth(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """Circular convolution over the cyclic frequency grid of each row of u
+    with the kernel weights whose FFT is ``fw``; transforms u in place."""
+    np.fft.fft(u, axis=-1, out=u)
+    u *= fw
+    return np.fft.ifft(u, axis=-1, out=u)
+
+
+def _shifted_differences(gx: DftGrid, gy: DftGrid, fw: np.ndarray,
+                         rs: range) -> np.ndarray:
+    """f_hat_x(.; r) - f_hat_y(.; r) for each shift r in ``rs``, one row per
+    shift.  The smoothing is linear, so one transform pair per row serves
+    both series."""
+    u = np.empty((len(rs), gx.T), dtype=complex)
+    for row, r in zip(u, rs):
+        np.multiply(gx.coeffs, np.conj(gx.shifted(r)), out=row)
+        row -= gy.coeffs * np.conj(gy.shifted(r))
+    return _smooth(u, fw)
+
+
+def _half_range(diff: np.ndarray, T: int) -> float:
+    return float(2.0 / T * np.sum(np.abs(diff[:T // 2]) ** 2))
+
+
+def _full_period(diff: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    return (2.0 / T * np.sum(diff.real**2, axis=-1),
+            2.0 / T * np.sum(diff.imag**2, axis=-1))
 
 
 def l2_distance_stat(fx: np.ndarray, fy: np.ndarray, T: int,
@@ -103,9 +130,9 @@ def l2_distance_stat(fx: np.ndarray, fy: np.ndarray, T: int,
     """
     diff = np.asarray(fx) - np.asarray(fy)
     if r == 0:
-        return float(2.0 / T * np.sum(np.abs(diff[:T // 2]) ** 2)), 0.0
-    return (float(2.0 / T * np.sum(diff.real**2)),
-            float(2.0 / T * np.sum(diff.imag**2)))
+        return _half_range(diff, T), 0.0
+    s_r, s_i = _full_period(diff, T)
+    return float(s_r), float(s_i)
 
 
 def moment_estimates(draws: np.ndarray) -> tuple[float, float, float]:
@@ -163,13 +190,19 @@ def equality_test(x, y, b: float | None = None, M: int | None = None,
         raise ShiftRangeError(f"M={M} out of range for T={T}")
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)
 
-    stat, _ = l2_distance_stat(kernel_spectral_estimate(gx, kernel),
-                               kernel_spectral_estimate(gy, kernel), T, r=0)
+    # the statistic and its null draws, as in ``l2_distance_stat``, from
+    # blocks of shifts r = 0..M, each block at most SHIFT_BLOCK_POINTS points
+    fw = np.fft.fft(kernel.weights(T))
+    step = max(1, SHIFT_BLOCK_POINTS // T)
+    s_r, s_i = np.empty(M + 1), np.empty(M + 1)
+    for lo in range(0, M + 1, step):
+        rs = range(lo, min(lo + step, M + 1))
+        diff = _shifted_differences(gx, gy, fw, rs)
+        if lo == 0:
+            stat = _half_range(diff[0], T)
+        s_r[rs.start:rs.stop], s_i[rs.start:rs.stop] = _full_period(diff, T)
     draws = np.empty(2 * M)
-    for r in range(1, M + 1):
-        sr, si = l2_distance_stat(kernel_spectral_estimate(gx, kernel, r),
-                                  kernel_spectral_estimate(gy, kernel, r), T, r=r)
-        draws[2 * r - 2], draws[2 * r - 1] = sr, si
+    draws[0::2], draws[1::2] = s_r[1:], s_i[1:]
 
     mu, var, mu3 = moment_estimates(draws)
     if beta == "estimate":

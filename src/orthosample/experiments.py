@@ -1,8 +1,9 @@
 """Configuration-driven Monte Carlo experiment runner.
 
 Each experiment cell is a (model, T, method) triple run over many
-replications; replication r of cell c is seeded from (base_seed, c, r), so
-results do not depend on how replications are scheduled across workers.
+replications, generated a block at a time; replication r of cell c is seeded
+from (base_seed, c, r), so results do not depend on how replications are
+grouped into blocks or scheduled across workers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .htests import (
     portmanteau_test,
     robust_portmanteau,
 )
-from .models import MODEL_REGISTRY, generate, generate_bivariate
+from .models import BURN_IN, MODEL_REGISTRY, generate_batch, generate_bivariate_batch
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
 from .spectral import (
     InvalidInputError,
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 CSV_HEADER = "model,T,method,alpha,rate,se,time_ms"
+# Points in each array of a block of replications generated together: the
+# recursions of a block run once per time step for all of its replications,
+# and each of its time-major arrays stays within 512 KB (59 replications at
+# T = 100, 32 at T = 1024).
+BLOCK_POINTS = 2**16
 
 EXPERIMENTS = (
     "qq_t10",
@@ -101,6 +107,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.experiment.startswith("table_gof"):
+            missing = [k for k in ("gof_phi", "gof_sigma") if getattr(self, k) is None]
+            if missing:
+                raise ConfigError(f"{self.experiment} needs {' and '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -203,24 +213,13 @@ def _t10_statistic(x: np.ndarray, M: int) -> float:
     return float(run[0].real / denom)
 
 
-def _qq_rep(cfg: ExperimentConfig, model: str, T: int, cell: int, rep: int) -> float:
-    out = generate(MODEL_REGISTRY[model], T, seed=_rep_seed(cfg.seed, cell, rep))
-    return _t10_statistic(out.series, cfg.M if cfg.M is not None else 5)
-
-
-def _test_rep(cfg: ExperimentConfig, model: str, T: int, method: str,
-              cell: int, rep: int) -> float:
-    """One replication of a level/power cell; returns the p-value."""
-    seed = _rep_seed(cfg.seed, cell, rep)
-    out = generate(MODEL_REGISTRY[model], T, seed=seed)
-    x = out.series
+def _test_pvalue(cfg: ExperimentConfig, method: str, x: np.ndarray,
+                 seed: list) -> float:
+    """One replication of a level/power cell on the series x drawn from
+    ``seed``; returns the p-value."""
     if method == "orthogonal":
         if cfg.experiment.startswith("table_gof"):
-            phi, sigma = cfg.gof_phi, cfg.gof_sigma
-            if phi is None or sigma is None:
-                raise ConfigError("table_gof experiments need gof_phi and gof_sigma")
-
-            def g(om, phi=phi, sigma=sigma):
+            def g(om, phi=cfg.gof_phi, sigma=cfg.gof_sigma):
                 return ar_spectral_density(om, [phi], sigma)
 
             report = goodness_of_fit_test(x, g, L=cfg.L, M=cfg.M,
@@ -233,7 +232,7 @@ def _test_rep(cfg: ExperimentConfig, model: str, T: int, method: str,
     elif method == "robust":
         report = robust_portmanteau(x, L=cfg.L)
     elif method == "bootstrap":
-        rng = np.random.default_rng(_rep_seed(cfg.seed, cell, rep) + [1])
+        rng = np.random.default_rng(seed + [1])
         report = bootstrap_portmanteau_test(x, L=cfg.L, B=cfg.B,
                                             n_boot=cfg.n_boot, rng=rng)
     else:
@@ -241,28 +240,42 @@ def _test_rep(cfg: ExperimentConfig, model: str, T: int, method: str,
     return report.p_value
 
 
-def _equality_rep(cfg: ExperimentConfig, T: int, cell: int, rep: int
-                  ) -> tuple[float, float]:
-    xo, yo = generate_bivariate(cfg.delta, cfg.rho, T,
-                                seed=_rep_seed(cfg.seed, cell, rep))
-    report = equality_test(xo.series, yo.series, b=cfg.b, M=cfg.M, beta=cfg.beta)
-    return report.p_value, report.tuning["beta"]
+def _block_values(cfg: ExperimentConfig, kind: str, payload, seeds: list) -> list:
+    """The values of the replications drawn from ``seeds``, generated as one
+    block; each series is a contiguous row, as a single draw would be."""
+    if kind == "equality":
+        (T,) = payload
+        xs, ys = (np.ascontiguousarray(out.series.T) for out in
+                  generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds))
+        values = []
+        for x, y in zip(xs, ys):
+            report = equality_test(x, y, b=cfg.b, M=cfg.M, beta=cfg.beta)
+            values.append((report.p_value, report.tuning["beta"]))
+        return values
+    model, T = payload[:2]
+    series = np.ascontiguousarray(generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
+    if kind == "qq":
+        M = cfg.M if cfg.M is not None else 5
+        return [_t10_statistic(x, M) for x in series]
+    if kind == "test":
+        method = payload[2]
+        return [_test_pvalue(cfg, method, x, seed) for x, seed in zip(series, seeds)]
+    raise ValueError(kind)
 
 
 def _run_reps(args):
-    """Run the listed replications of one cell; ordering is irrelevant
-    because each replication is seeded by its own index."""
+    """Run the listed replications of one cell in blocks of at most
+    ``BLOCK_POINTS`` points; ordering is irrelevant because each
+    replication is seeded by its own index."""
     cfg, kind, payload, cell, reps = args
-    if kind == "qq":
-        model, T = payload
-        return [(r, _qq_rep(cfg, model, T, cell, r)) for r in reps]
-    if kind == "test":
-        model, T, method = payload
-        return [(r, _test_rep(cfg, model, T, method, cell, r)) for r in reps]
-    if kind == "equality":
-        (T,) = payload
-        return [(r, _equality_rep(cfg, T, cell, r)) for r in reps]
-    raise ValueError(kind)
+    T = payload[0] if kind == "equality" else payload[1]
+    size = max(1, BLOCK_POINTS // (T + BURN_IN))
+    pairs = []
+    for i in range(0, len(reps), size):
+        block = reps[i:i + size]
+        seeds = [_rep_seed(cfg.seed, cell, r) for r in block]
+        pairs += zip(block, _block_values(cfg, kind, payload, seeds))
+    return pairs
 
 
 def _run_cell(cfg: ExperimentConfig, kind: str, payload, cell: int) -> list:
@@ -330,6 +343,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
                         (time.perf_counter() - start) * 1000.0))
 
     ref_t10 = dist.student_t(10)
+    qq_refs = {}  # nrep -> (reference quantiles, 0.975 critical value)
     for kind, payload, out, err, ms in outputs:
         if kind == "qq":
             model, T = payload
@@ -338,11 +352,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
                                             float("nan"), float("nan"), ms))
                 continue
             stats = np.sort(np.asarray(out))
-            probs = (np.arange(1, stats.size + 1) - 0.5) / stats.size
-            ref = np.array([ref_t10.quantile(q) for q in probs])
+            if stats.size not in qq_refs:
+                probs = (np.arange(1, stats.size + 1) - 0.5) / stats.size
+                qq_refs[stats.size] = (np.array([ref_t10.quantile(q) for q in probs]),
+                                       ref_t10.quantile(0.975))
+            ref, crit = qq_refs[stats.size]
             table.quantile_pairs[f"{model}_T{T}"] = (stats, ref)
             # tail agreement summary: fraction beyond the reference 5% critical value
-            crit = ref_t10.quantile(0.975)
             rate = 100.0 * np.count_nonzero(np.abs(stats) > crit) / stats.size
             se = 100.0 * np.sqrt((rate / 100) * (1 - rate / 100) / stats.size)
             table.rows.append(ResultRow(model, T, "qq_t10", 0.05, rate, se, ms))

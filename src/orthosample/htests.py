@@ -12,6 +12,7 @@ import numpy as np
 from . import distributions as dist
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
 from .spectral import (
+    SHIFT_BLOCK_POINTS,
     DftGrid,
     ShiftRangeError,
     WeightFunction,
@@ -19,7 +20,7 @@ from .spectral import (
     dft,
     lag_weight,
     model_reciprocal_weight,
-    weighted_average_run,
+    _shift_runs,
 )
 
 __all__ = [
@@ -77,16 +78,31 @@ def empirical_pvalue(stat: float, null: EmpiricalNull) -> float:
 
 
 def _shift_table(grid: DftGrid, phis: Sequence[WeightFunction], max_r: int) -> np.ndarray:
-    """A(phi_j; r) for j = 1..L (rows) and r = 0..max_r (columns)."""
-    return np.stack([weighted_average_run(grid, phi, max_r) for phi in phis])
+    """A(phi_j; r) for j = 1..L (rows) and r = 0..max_r (columns), from 2-D
+    FFTs of the weighted rows, as many rows at a time as a block holds."""
+    T = grid.T
+    step = max(1, SHIFT_BLOCK_POINTS // T)
+    table = np.empty((len(phis), max_r + 1), dtype=complex)
+    for lo in range(0, len(phis), step):
+        w = np.stack([phi.on_grid(T) for phi in phis[lo:lo + step]])
+        w *= grid.coeffs
+        table[lo:lo + step] = _shift_runs(grid, w, max_r)
+    return table
 
 
-def _l2_from_table(table: np.ndarray, T: int, r: int) -> tuple[float, float]:
-    if r == 0:
-        return float(T * np.sum(np.abs(table[:, 0]) ** 2)), 0.0
-    col = table[:, r]
-    return (float(2 * T * np.sum(col.real**2)),
-            float(2 * T * np.sum(col.imag**2)))
+def _statistic(table: np.ndarray, T: int) -> float:
+    """S = T sum_j |A(phi_j; 0)|^2 from the first column of a shift table."""
+    return float(T * np.sum(np.abs(table[:, 0]) ** 2))
+
+
+def _draws(table: np.ndarray, T: int) -> np.ndarray:
+    """S_R(r), S_I(r) for r = 1..max_r, interleaved, with S_R(r) =
+    2T sum_j (Re A(phi_j; r))^2 and S_I(r) the imaginary analogue."""
+    cols = np.ascontiguousarray(table[:, 1:].T)  # row r - 1: A(phi_j; r), j = 1..L
+    draws = np.empty(2 * cols.shape[0])
+    draws[0::2] = 2 * T * np.sum(cols.real**2, axis=1)
+    draws[1::2] = 2 * T * np.sum(cols.imag**2, axis=1)
+    return draws
 
 
 def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
@@ -100,7 +116,10 @@ def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
     if r < 0 or r >= grid.T / 2:
         raise ShiftRangeError(f"shift r={r} out of range for T={grid.T}")
     table = _shift_table(grid, phis, r)
-    return _l2_from_table(table, grid.T, r)
+    if r == 0:
+        return _statistic(table, grid.T), 0.0
+    s_r, s_i = _draws(table, grid.T)[-2:]
+    return float(s_r), float(s_i)
 
 
 def _resolve_M(grid: DftGrid, selection_phi: WeightFunction, M, search_set, p):
@@ -117,11 +136,8 @@ def _orthogonal_l2_test(grid: DftGrid, phis: Sequence[WeightFunction], M: int,
     if M < 1 or M >= T / 2:
         raise ShiftRangeError(f"M={M} out of range for T={T}")
     table = _shift_table(grid, phis, M)
-    stat, _ = _l2_from_table(table, T, 0)
-    draws = np.empty(2 * M)
-    for r in range(1, M + 1):
-        draws[2 * r - 2], draws[2 * r - 1] = _l2_from_table(table, T, r)
-    null = EmpiricalNull(draws=draws, kind="orthogonal")
+    stat = _statistic(table, T)
+    null = EmpiricalNull(draws=_draws(table, T), kind="orthogonal")
     return TestReport(statistic=stat, p_value=empirical_pvalue(stat, null),
                       null_ref=null, method=method, tuning=dict(tuning, M=M))
 

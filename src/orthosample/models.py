@@ -1,10 +1,16 @@
 """Seedable generators for the data-generating processes used in the
 simulation studies.
 
-Every generator is a pure function of (spec, T, seed): the same triple always
-produces bit-identical output.  Recursive models discard a 1000-sample burn-in;
-non-causal moving averages are truncated where the coefficients drop below
-1e-10.
+The generators work on blocks of replications: ``generate_batch(spec, T,
+seeds)`` returns a time-major (T, R) block whose column j depends only on
+(spec, T, seeds[j]).  Each replication draws its innovations from its own
+``default_rng(seeds[j])``, in a fixed order, into the column of a time-major
+array; the AR, ARCH and bivariate recursions then run once per time step
+across the whole block, in place, with the same floating-point operations for
+every column.  So column j is bit-identical whatever the other seeds of the
+block, and ``generate(spec, T, seed)`` is the block of one.  Recursive models
+discard a 1000-sample burn-in; non-causal moving averages are truncated where
+the coefficients drop below 1e-10.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ __all__ = [
     "ModelSpec",
     "SimOutput",
     "generate",
+    "generate_batch",
     "generate_bivariate",
+    "generate_bivariate_batch",
     "model_spectral_density",
     "MODEL_REGISTRY",
     "iid_normal",
@@ -61,8 +69,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SimOutput:
+    """A length-T series and its seed, or from the batch generators a
+    time-major (T, R) block and its list of R seeds."""
+
     series: np.ndarray
-    seed: int
+    seed: object
     burn_in_used: int = 0
     truncation_used: int = 0
 
@@ -161,149 +172,209 @@ def _truncation_length(a: float) -> int:
     return max(1, math.ceil(math.log(TRUNCATION_TOL) / math.log(abs(a))))
 
 
-def _arch_path(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
-    z = rng.standard_normal(n + BURN_IN)
-    x = np.empty(n + BURN_IN)
-    var = 1.0 / (1.0 - alpha)  # stationary mean of sigma^2
-    for t in range(n + BURN_IN):
-        x[t] = math.sqrt(var) * z[t]
-        var = 1.0 + alpha * x[t] * x[t]
-    return x[BURN_IN:]
+def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal(n)
+
+
+def _t5(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_t(5, n)
+
+
+def _chi2_1(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.chisquare(1, n)  # used raw (mean 1); statistics demean
+
+
+def _innovation(name: str, allowed):
+    draws = {"normal": _normal, "t5": _t5, "chi2_1": _chi2_1}
+    if name not in allowed:
+        raise ValueError(f"unknown innovation {name!r}")
+    return draws[name]
+
+
+def _draw(rngs, *parts) -> list:
+    """One time-major (n, R) array per (draw, n) part; column j holds what
+    rngs[j] draws, the parts drawn in the listed order."""
+    out = [np.empty((n, len(rngs))) for _, n in parts]
+    for j, rng in enumerate(rngs):
+        for arr, (draw, n) in zip(out, parts):
+            arr[:, j] = draw(rng, n)
+    return out
+
+
+def _over_time(body, z: np.ndarray) -> np.ndarray:
+    """Run the time recursion ``body(rows, sqrt)`` in place on the time-major
+    block z, one step across all replications at a time.
+
+    A block of one runs on a list of Python floats: the arithmetic is the
+    same IEEE double arithmetic (``math.sqrt`` and ``np.sqrt`` both round
+    correctly), at a fraction of the cost of a numpy call per step.
+    """
+    if z.shape[1] == 1:
+        rows = z[:, 0].tolist()
+        body(rows, math.sqrt)
+        z[:, 0] = rows
+    else:
+        body(z, np.sqrt)
+    return z
+
+
+def _arch(z: np.ndarray, alpha: float) -> np.ndarray:
+    """ARCH(1) in place: z_t becomes x_t = sigma_t z_t, sigma_t^2 = 1 +
+    alpha x_{t-1}^2, started at the stationary mean of sigma^2."""
+    def body(x, sqrt):
+        var = 1.0 / (1.0 - alpha)
+        for t in range(len(x)):
+            xt = sqrt(var) * x[t]
+            x[t] = xt
+            var = 1.0 + alpha * xt * xt
+    return _over_time(body, z)
+
+
+def _ar(e: np.ndarray, coeffs) -> np.ndarray:
+    """AR(p) in place: e_t becomes x_t = e_t + phi_1 x_{t-1} + ... + phi_p
+    x_{t-p}, the terms added in order of lag, with x_s = 0 for s < 0."""
+    coeffs = tuple(coeffs)
+
+    def body(x, sqrt):
+        for t in range(len(x)):
+            for m, c in enumerate(coeffs[:t], start=1):
+                x[t] += c * x[t - m]
+    return _over_time(body, e)
 
 
 def _noncausal_filter(eps: np.ndarray, a: float, T: int, J: int) -> np.ndarray:
-    """Apply x_t = sum_{j=0..J} a^j e_{t-j} - a/(1-a^2) e_{t+1}.
+    """Apply x_t = sum_{j=0..J} a^j e_{t-j} - a/(1-a^2) e_{t+1} to each column.
 
-    ``eps`` must hold innovations for t = 1-J .. T+1 (length T + J + 1);
-    eps[i] corresponds to time t = i + 1 - J.
+    ``eps`` must hold innovations for t = 1-J .. T+1 (T + J + 1 rows);
+    row i corresponds to time t = i + 1 - J.
     """
     coeffs = a ** np.arange(J + 1)
-    full = np.convolve(eps, coeffs)  # full[i] = sum_j coeffs[j] eps[i-j]
-    causal = full[J : J + T]  # aligned with t = 1..T
+    causal = np.empty((T, eps.shape[1]))
+    for col in range(eps.shape[1]):
+        # full[i] = sum_j coeffs[j] eps[i-j]; rows J .. J+T-1 are t = 1..T
+        causal[:, col] = np.convolve(eps[:, col], coeffs)[J : J + T]
     future = eps[J + 1 : J + 1 + T]  # e_{t+1}
     return causal - a / (1.0 - a * a) * future
 
 
-def _noncausal_path(rng: np.random.Generator, T: int, a: float,
-                    innovation: str, arch_alpha: float) -> tuple[np.ndarray, int]:
+def _noncausal(rngs, T: int, a: float, innovation: str,
+               arch_alpha: float) -> tuple[np.ndarray, int]:
     J = _truncation_length(a)
     n = T + J + 1
-    if innovation == "normal":
-        eps = rng.standard_normal(n)
-    elif innovation == "t5":
-        eps = rng.standard_t(5, n)
-    elif innovation == "arch":
-        eps = _arch_path(rng, n, arch_alpha)
+    if innovation == "arch":
+        (z,) = _draw(rngs, (_normal, n + BURN_IN))
+        eps = _arch(z, arch_alpha)[BURN_IN:]
     else:
-        raise ValueError(f"unknown innovation {innovation!r}")
+        (eps,) = _draw(rngs, (_innovation(innovation, ("normal", "t5")), n))
     return _noncausal_filter(eps, a, T, J), J
 
 
-def _ar_path(rng: np.random.Generator, T: int, coeffs, innovation: str) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    p = coeffs.size
-    n = T + BURN_IN
-    if innovation == "normal":
-        eps = rng.standard_normal(n)
-    elif innovation == "chi2_1":
-        eps = rng.chisquare(1, n)  # used raw (mean 1); statistics demean
-    else:
-        raise ValueError(f"unknown innovation {innovation!r}")
-    x = np.zeros(n)
-    for t in range(n):
-        acc = eps[t]
-        for m in range(1, min(p, t) + 1):
-            acc += coeffs[m - 1] * x[t - m]
-        x[t] = acc
-    return x[BURN_IN:]
+def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
+    """Draw one length-T realisation per seed as the columns of a (T, R) block.
 
-
-def generate(spec: ModelSpec, T: int, seed: int) -> SimOutput:
-    """Draw a length-T realisation of the model; deterministic in (spec, T, seed)."""
+    Column j is bit-identical to ``generate(spec, T, seeds[j]).series``: each
+    replication draws its innovations from ``default_rng(seeds[j])`` in the
+    same order as a single draw, and the recursions take the same steps.
+    """
     if T < 2:
         raise ValueError("T must be >= 2")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
     tag, p = spec.tag, spec.params
+    n = T + BURN_IN
     burn, trunc = 0, 0
 
     if tag == "iid_normal":
-        x = rng.standard_normal(T)
+        (x,) = _draw(rngs, (_normal, T))
     elif tag == "iid_t5":
-        x = rng.standard_t(5, T)
+        (x,) = _draw(rngs, (_t5, T))
     elif tag == "two_dependent":
-        z = rng.standard_normal(T + 1)
+        (z,) = _draw(rngs, (_normal, T + 1))
         x = z[1:] * z[:-1]
     elif tag == "lobato_nonmartingale":
-        z = rng.standard_normal(T + 2)
+        (z,) = _draw(rngs, (_normal, T + 2))
         zt, zm1, zm2 = z[2:], z[1:-1], z[:-2]
         x = zm1 * zm2 * (zm1 + zt + 1.0)
     elif tag == "arch1":
-        x = _arch_path(rng, T, p["alpha"])
+        (z,) = _draw(rngs, (_normal, n))
+        x = _arch(z, p["alpha"])[BURN_IN:]
         burn = BURN_IN
     elif tag == "arch_times_noncausal":
-        arch = _arch_path(rng, T, p["alpha"])
-        v, trunc = _noncausal_path(rng, T, p["a"], "normal", 0.0)
-        x = np.abs(arch) * v
-        burn = BURN_IN
+        J = _truncation_length(p["a"])
+        z, eps = _draw(rngs, (_normal, n), (_normal, T + J + 1))
+        v = _noncausal_filter(eps, p["a"], T, J)
+        x = np.abs(_arch(z, p["alpha"])[BURN_IN:]) * v
+        burn, trunc = BURN_IN, J
     elif tag == "pseudo_linear":
         b1, b2 = p["b1"], p["b2"]
         J1, J2 = _truncation_length(b1), _truncation_length(b2)
         # inner filter needs J2 extra history plus one future value
         n1 = T + J1 + 1
-        u2 = _arch_path(rng, n1 + J2 + 1, p["arch_alpha"])
+        (z,) = _draw(rngs, (_normal, n1 + J2 + 1 + BURN_IN))
+        u2 = _arch(z, p["arch_alpha"])[BURN_IN:]
         u1 = _noncausal_filter(u2, b2, n1, J2)
         x = _noncausal_filter(u1, b1, T, J1)
         burn, trunc = BURN_IN, max(J1, J2)
     elif tag == "periodic_scaled":
-        z = rng.standard_normal(T + 1)
+        (z,) = _draw(rngs, (_normal, T + 1))
         base = z[1:] * z[:-1]
         scale = np.resize(np.asarray(PERIODIC_SCALE, dtype=float), T)
-        x = scale * base
+        x = scale[:, None] * base
     elif tag == "noncausal_linear":
-        x, trunc = _noncausal_path(rng, T, p["a"], p["innovation"],
-                                   p.get("arch_alpha", 0.0))
+        x, trunc = _noncausal(rngs, T, p["a"], p["innovation"],
+                              p.get("arch_alpha", 0.0))
     elif tag == "ar":
-        x = _ar_path(rng, T, p["coeffs"], p["innovation"])
+        draw = _innovation(p["innovation"], ("normal", "chi2_1"))
+        (e,) = _draw(rngs, (draw, n))
+        x = _ar(e, p["coeffs"])[BURN_IN:]
         burn = BURN_IN
     elif tag == "ar_times_arch":
-        arpath = _ar_path(rng, T, p["coeffs"], "normal")
-        arch = _arch_path(rng, T, p["alpha"])
-        x = arpath * np.abs(arch)
+        e, z = _draw(rngs, (_normal, n), (_normal, n))
+        x = _ar(e, p["coeffs"])[BURN_IN:] * np.abs(_arch(z, p["alpha"])[BURN_IN:])
         burn = BURN_IN
     else:
         raise ValueError(f"unknown model tag {tag!r}")
 
-    return SimOutput(series=np.asarray(x, dtype=float), seed=seed,
+    return SimOutput(series=np.ascontiguousarray(x, dtype=float), seed=list(seeds),
                      burn_in_used=burn, truncation_used=trunc)
 
 
-def generate_bivariate(delta: float, rho: float, T: int, seed: int
-                       ) -> tuple[SimOutput, SimOutput]:
-    """X_t = 0.8 X_{t-1} + e_t and Y_t = 0.8 Y_{t-1} + delta Y_{t-2} + n_t,
-    with jointly Gaussian unit-variance innovation pairs, corr(e, n) = rho.
-    """
+def generate(spec: ModelSpec, T: int, seed) -> SimOutput:
+    """Draw a length-T realisation of the model; deterministic in (spec, T, seed)."""
+    block = generate_batch(spec, T, [seed])
+    return SimOutput(series=block.series[:, 0], seed=seed,
+                     burn_in_used=block.burn_in_used,
+                     truncation_used=block.truncation_used)
+
+
+def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
+                             ) -> tuple[SimOutput, SimOutput]:
+    """The X and Y paths of ``generate_bivariate`` for every seed, as the
+    columns of two (T, R) blocks; column j is bit-identical to the pair
+    drawn from seeds[j]."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError("innovation correlation must lie in [-1, 1]")
     # z^2 - 0.8 z - delta: inverse characteristic roots must lie inside the unit circle
     roots = np.roots([1.0, -0.8, -delta])
     if np.any(np.abs(roots) >= 1.0):
         raise ValueError(f"(0.8, {delta}) is not a stationary AR(2)")
-    rng = np.random.default_rng(seed)
     n = T + BURN_IN
-    e = rng.standard_normal(n)
-    w = rng.standard_normal(n)
-    eta = rho * e + math.sqrt(max(0.0, 1.0 - rho * rho)) * w
-    x = np.zeros(n)
-    y = np.zeros(n)
-    for t in range(n):
-        x[t] = 0.8 * x[t - 1] + e[t] if t >= 1 else e[t]
-        y[t] = eta[t]
-        if t >= 1:
-            y[t] += 0.8 * y[t - 1]
-        if t >= 2:
-            y[t] += delta * y[t - 2]
-    return (SimOutput(series=x[BURN_IN:], seed=seed, burn_in_used=BURN_IN),
-            SimOutput(series=y[BURN_IN:], seed=seed, burn_in_used=BURN_IN))
+    e, w = _draw([np.random.default_rng(s) for s in seeds], (_normal, n), (_normal, n))
+    # eta = rho e + sqrt(1 - rho^2) w, built in w's storage
+    w *= math.sqrt(max(0.0, 1.0 - rho * rho))
+    w += rho * e
+    x = _ar(e, (0.8,))[BURN_IN:]
+    y = _ar(w, (0.8, delta))[BURN_IN:]
+    return tuple(SimOutput(series=s, seed=list(seeds), burn_in_used=BURN_IN)
+                 for s in (x, y))
+
+
+def generate_bivariate(delta: float, rho: float, T: int, seed
+                       ) -> tuple[SimOutput, SimOutput]:
+    """X_t = 0.8 X_{t-1} + e_t and Y_t = 0.8 Y_{t-1} + delta Y_{t-2} + n_t,
+    with jointly Gaussian unit-variance innovation pairs, corr(e, n) = rho.
+    """
+    return tuple(SimOutput(series=s.series[:, 0], seed=seed, burn_in_used=BURN_IN)
+                 for s in generate_bivariate_batch(delta, rho, T, [seed]))
 
 
 def model_spectral_density(spec: ModelSpec, omega) -> np.ndarray:

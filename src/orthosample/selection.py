@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import DftGrid, ShiftRangeError, WeightFunction, weighted_average_run
 from .variance import DegenerateVarianceError
@@ -25,19 +26,29 @@ class SelectionResult:
     p: int
 
 
-def _criterion_from_run(run: np.ndarray, T: int, M: int, p: int) -> float:
-    """Average squared error computed from a precomputed shift run A(phi; 0..)."""
+def _criteria(run: np.ndarray, T: int, members, p: int) -> np.ndarray:
+    """C(M) for every M in ``members`` from one precomputed shift run
+    A(phi; 0..), as one (|members|, T/p) array of variance windows."""
     nr = T // p
+    Ms = np.asarray(members)
     sq = np.abs(run) ** 2  # |A(phi; s)|^2 at index s
-    # V-hat_M(omega_r) = (T/M) sum_{s=r+1..r+M} sq[s], r = 1..nr
+    # V-hat_M(omega_r) = (T/M) sum_{s=r+1..r+M} sq[s], r = 1..nr: row i of
+    # the sliding view holds csum[Ms[i] + r]
     csum = np.cumsum(sq)
     r = np.arange(1, nr + 1)
-    windows = (csum[r + M] - csum[r]) * (T / M)
-    if np.any(windows <= 0):
+    windows = sliding_window_view(csum, nr)[Ms + 1]
+    windows -= csum[r]
+    windows *= (T / Ms)[:, None]
+    degenerate = np.any(windows <= 0, axis=1)
+    if degenerate.any():
         raise DegenerateVarianceError(
-            f"degenerate variance window encountered for M={M}"
+            f"degenerate variance window encountered for M={Ms[degenerate.argmax()]}"
         )
-    return float(p / T * np.sum((T * sq[r] / windows - 1.0) ** 2))
+    # the score (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2, in the windows' storage
+    score = np.divide(T * sq[r], windows, out=windows)
+    score -= 1.0
+    score **= 2
+    return p / T * np.sum(score, axis=1)
 
 
 def _check_window(T: int, M: int, p: int):
@@ -56,7 +67,7 @@ def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) ->
     T = grid.T
     _check_window(T, M, p)
     run = weighted_average_run(grid, phi, T // p + M)
-    return _criterion_from_run(run, T, M, p)
+    return float(_criteria(run, T, (M,), p)[0])
 
 
 def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
@@ -80,7 +91,7 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
     for M in members:
         _check_window(T, M, p)
     run = weighted_average_run(grid, phi, T // p + max(members))
-    curve = {M: _criterion_from_run(run, T, M, p) for M in members}
+    curve = dict(zip(members, _criteria(run, T, members, p).tolist()))
     chosen = min(sorted(curve), key=lambda M: curve[M])
     return SelectionResult(chosen_M=chosen, criterion_curve=curve,
                            search_set=members, p=p)

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_BOUND = 256
+# Complex points in a block of length-T rows transformed together (shift
+# tables, equality-test shifts): 256 KB, so at long T a block is one row and
+# needs no more memory than the single transforms it replaces.
+SHIFT_BLOCK_POINTS = 2**14
 
 
 class InvalidInputError(ValueError):
@@ -233,13 +237,21 @@ def weighted_average_run(grid: DftGrid, phi: WeightFunction, max_r: int) -> np.n
     The run over shifts is a circular cross-correlation of phi(omega_k) J_k
     against J_k, evaluated with FFTs.
     """
+    max_r = _check_shift(grid.T, max_r)
+    return _shift_runs(grid, phi.on_grid(grid.T) * grid.coeffs, max_r)
+
+
+def _shift_runs(grid: DftGrid, w: np.ndarray, max_r: int) -> np.ndarray:
+    """A(phi; r), r = 0..max_r, for each row w = phi(omega_k) J_k of an
+    array of shape (..., T); transforms ``w`` in place, one FFT per row plus
+    one of the coefficients."""
     T = grid.T
-    max_r = _check_shift(T, max_r)
-    w = phi.on_grid(T) * grid.coeffs
-    corr = np.fft.ifft(np.fft.fft(w) * np.conj(np.fft.fft(grid.coeffs)))
+    np.fft.fft(w, axis=-1, out=w)
+    w *= np.conj(np.fft.fft(grid.coeffs))
+    corr = np.fft.ifft(w, axis=-1, out=w)
     # corr[m] = sum_k w_k conj(J_{k-m}); shift +r lives at index (-r) mod T
     idx = (-np.arange(0, max_r + 1)) % T
-    return corr[idx] / T
+    return corr[..., idx] / T
 
 
 def orthogonal_sample(grid: DftGrid, phi: WeightFunction, M: int) -> OrthogonalSample:

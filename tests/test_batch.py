@@ -1,0 +1,224 @@
+"""The batched replication engine: block generators, the vectorised M
+search, the 2-D shift table and the blocked equality shifts against loop
+references."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from orthosample import experiments
+from orthosample.equality import (
+    KernelSpec,
+    beta_hat,
+    default_bandwidth,
+    default_M,
+    equality_test,
+    kernel_spectral_estimate,
+    l2_distance_stat,
+    moment_estimates,
+)
+from orthosample.distributions import student_t
+from orthosample.experiments import ExperimentConfig, run_experiment
+from orthosample.htests import _shift_table, portmanteau_test
+from orthosample.models import (
+    BURN_IN,
+    MODEL_REGISTRY,
+    arch1,
+    ar,
+    generate,
+    generate_batch,
+    generate_bivariate,
+    generate_bivariate_batch,
+)
+from orthosample.selection import criterion, select_M
+from orthosample.spectral import dft, lag_weight, model_reciprocal_weight, weighted_average_run
+
+
+def quiet(msg):
+    pass
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("tag", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("T", [100, 500])
+    @pytest.mark.parametrize("R", [1, 2, 7])
+    def test_batch_columns_equal_single_draws(self, tag, T, R):
+        seeds = [[3, 1, r] for r in range(R)]
+        block = generate_batch(MODEL_REGISTRY[tag], T, seeds)
+        assert block.series.shape == (T, R)
+        for j, seed in enumerate(seeds):
+            one = generate(MODEL_REGISTRY[tag], T, seed)
+            np.testing.assert_array_equal(block.series[:, j], one.series)
+            assert (block.burn_in_used, block.truncation_used) == (
+                one.burn_in_used, one.truncation_used)
+
+    @pytest.mark.parametrize("T", [100, 500])
+    @pytest.mark.parametrize("R", [1, 2, 7])
+    @pytest.mark.parametrize("delta, rho", [(0.0, 0.0), (0.1, 0.9), (0.0, 1.0)])
+    def test_bivariate_batch_columns_equal_single_draws(self, T, R, delta, rho):
+        seeds = [[4, r] for r in range(R)]
+        bx, by = generate_bivariate_batch(delta, rho, T, seeds)
+        for j, seed in enumerate(seeds):
+            x, y = generate_bivariate(delta, rho, T, seed)
+            np.testing.assert_array_equal(bx.series[:, j], x.series)
+            np.testing.assert_array_equal(by.series[:, j], y.series)
+
+    @pytest.mark.parametrize("R", [1, 5])
+    def test_arch_matches_scalar_loop(self, R):
+        alpha, T = 0.8, 200
+        seeds = [[6, r] for r in range(R)]
+        block = generate_batch(arch1(alpha), T, seeds).series
+        for j, seed in enumerate(seeds):
+            z = np.random.default_rng(seed).standard_normal(T + BURN_IN)
+            x = np.empty(T + BURN_IN)
+            var = 1.0 / (1.0 - alpha)
+            for t in range(T + BURN_IN):
+                x[t] = math.sqrt(var) * z[t]
+                var = 1.0 + alpha * x[t] * x[t]
+            np.testing.assert_array_equal(block[:, j], x[BURN_IN:])
+
+    @pytest.mark.parametrize("R", [1, 5])
+    @pytest.mark.parametrize("coeffs", [(), (0.6,), (0.5, -0.3, 0.1)])
+    def test_ar_matches_scalar_loop(self, R, coeffs):
+        T = 150
+        seeds = [[7, r] for r in range(R)]
+        block = generate_batch(ar(coeffs, innovation="chi2_1"), T, seeds).series
+        for j, seed in enumerate(seeds):
+            eps = np.random.default_rng(seed).chisquare(1, T + BURN_IN)
+            x = np.zeros(T + BURN_IN)
+            for t in range(T + BURN_IN):
+                acc = eps[t]
+                for m in range(1, min(len(coeffs), t) + 1):
+                    acc += coeffs[m - 1] * x[t - m]
+                x[t] = acc
+            np.testing.assert_array_equal(block[:, j], x[BURN_IN:])
+
+    def test_bivariate_matches_scalar_loop(self):
+        delta, rho, T, seed = 0.1, 0.6, 128, [8, 0]
+        rng = np.random.default_rng(seed)
+        n = T + BURN_IN
+        e, w = rng.standard_normal(n), rng.standard_normal(n)
+        eta = rho * e + math.sqrt(1.0 - rho * rho) * w
+        x, y = np.zeros(n), np.zeros(n)
+        for t in range(n):
+            x[t] = 0.8 * x[t - 1] + e[t] if t >= 1 else e[t]
+            y[t] = eta[t]
+            if t >= 1:
+                y[t] += 0.8 * y[t - 1]
+            if t >= 2:
+                y[t] += delta * y[t - 2]
+        xo, yo = generate_bivariate(delta, rho, T, seed)
+        np.testing.assert_array_equal(xo.series, x[BURN_IN:])
+        np.testing.assert_array_equal(yo.series, y[BURN_IN:])
+
+
+def _criterion_loop(run, T, M, p):
+    """C(M) for one M, one window at a time."""
+    nr = T // p
+    sq = np.abs(run) ** 2
+    csum = np.cumsum(sq)
+    r = np.arange(1, nr + 1)
+    windows = (csum[r + M] - csum[r]) * (T / M)
+    return float(p / T * np.sum((T * sq[r] / windows - 1.0) ** 2))
+
+
+class TestSelection:
+    @pytest.mark.parametrize("T, search_set", [(100, range(10, 21)), (200, range(10, 31)),
+                                               (512, (3, 7, 30, 12))])
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_curve_equals_per_M_loop(self, T, search_set, p):
+        grid = dft(generate(MODEL_REGISTRY["ar_g_0.6"], T, seed=[9, T]).series)
+        phi = lag_weight(1)
+        sel = select_M(grid, phi, search_set, p)
+        run = weighted_average_run(grid, phi, T // p + max(search_set))
+        for M in search_set:
+            assert sel.criterion_curve[M] == _criterion_loop(run, T, M, p)
+            assert criterion(grid, phi, M, p) == sel.criterion_curve[M]
+
+
+class TestShiftTable:
+    @pytest.mark.parametrize("T", [64, 100, 512, 4096, 2**14])
+    def test_equals_stacked_runs(self, T):
+        grid = dft(generate(MODEL_REGISTRY["x5"], T, seed=[10, T]).series)
+        phis = [lag_weight(j) for j in range(1, 6)]
+        phis.append(model_reciprocal_weight(2, lambda w: 1.5 + np.cos(w)))
+        table = _shift_table(grid, phis, 12)
+        expected = np.stack([weighted_average_run(grid, phi, 12) for phi in phis])
+        np.testing.assert_array_equal(table, expected)
+
+    @pytest.mark.parametrize("L", [1, 5, 10])
+    def test_draws_equal_per_shift_sums(self, L):
+        T, M = 256, 12
+        x = generate(MODEL_REGISTRY["x5"], T, seed=[15, L]).series
+        report = portmanteau_test(x, L=L, M=M)
+        runs = np.stack([weighted_average_run(dft(x), lag_weight(j), M)
+                         for j in range(1, L + 1)])
+        expected = []
+        for r in range(1, M + 1):
+            col = runs[:, r]
+            expected += [2 * T * np.sum(col.real**2), 2 * T * np.sum(col.imag**2)]
+        np.testing.assert_array_equal(report.null_ref.draws, expected)
+        assert report.statistic == T * np.sum(np.abs(runs[:, 0]) ** 2)
+
+
+def _equality_loop(x, y, beta):
+    """Statistic, moments and p-value of the equality test with one pair of
+    kernel estimates per shift."""
+    gx, gy = dft(x), dft(y)
+    T = gx.T
+    M = default_M(T)
+    kernel = KernelSpec(default_bandwidth(T))
+    stat, _ = l2_distance_stat(kernel_spectral_estimate(gx, kernel),
+                               kernel_spectral_estimate(gy, kernel), T)
+    draws = []
+    for r in range(1, M + 1):
+        draws += l2_distance_stat(kernel_spectral_estimate(gx, kernel, r),
+                                  kernel_spectral_estimate(gy, kernel, r), T, r)
+    mu, var, mu3 = moment_estimates(np.array(draws))
+    b = beta_hat(mu, var, mu3) if beta == "estimate" else beta
+    mu_b = mu**b + 0.5 * b * (b - 1.0) * mu ** (b - 2.0) * var
+    sd_b = b * mu ** (b - 1.0) * np.sqrt(var)
+    z = (stat**b - mu_b) / sd_b
+    p = float(student_t(2 * M - 1).sf(z / np.sqrt(1.0 + 1.0 / (2.0 * M))))
+    return stat, mu, var, mu3, p
+
+
+class TestEqualityShifts:
+    @pytest.mark.parametrize("T", [128, 512, 1024, 2**14])
+    @pytest.mark.parametrize("beta", ["estimate", 0.25])
+    def test_matches_per_shift_loop(self, T, beta):
+        x, y = (generate(ar([0.6]), T, seed=[11, T, k]).series for k in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+            report = equality_test(x, y, beta=beta)
+            stat, mu, var, mu3, p = _equality_loop(x, y, beta)
+        assert report.statistic == pytest.approx(stat, rel=1e-12)
+        assert report.tuning["mu"] == pytest.approx(mu, rel=1e-12)
+        assert report.tuning["var"] == pytest.approx(var, rel=1e-12)
+        assert report.tuning["mu3"] == pytest.approx(mu3, rel=1e-12,
+                                                     abs=1e-12 * var**1.5)
+        assert report.p_value == pytest.approx(p, rel=1e-12)
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(experiment="table_uncorrelated_null", models=("x5", "x7"),
+                         T=(64,), nrep=7, M=8, seed=12,
+                         methods=("orthogonal", "robust")),
+        ExperimentConfig(experiment="qq_t10", models=("pivot_iii",), T=(64,),
+                         nrep=7, M=5, seed=13),
+        ExperimentConfig(experiment="table_equality", T=(128,), nrep=5,
+                         rho=0.5, delta=0.1, seed=14, beta=0.5),
+    ], ids=["test", "qq", "equality"])
+    def test_results_do_not_depend_on_block_size(self, cfg, monkeypatch):
+        whole = run_experiment(cfg, progress=quiet)
+        monkeypatch.setattr(experiments, "BLOCK_POINTS", 1)  # blocks of one
+        single = run_experiment(cfg, progress=quiet)
+        strip = lambda t: [r.csv().rsplit(",", 1)[0] for r in t.rows]
+        assert strip(whole) == strip(single)
+        assert whole.metadata.get("beta_hat_mean") == single.metadata.get("beta_hat_mean")
+        for label, (emp, ref) in whole.quantile_pairs.items():
+            np.testing.assert_array_equal(emp, single.quantile_pairs[label][0])
+            np.testing.assert_array_equal(ref, single.quantile_pairs[label][1])

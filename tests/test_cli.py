@@ -171,6 +171,21 @@ class TestRunVerb:
         monkeypatch.setenv("ORTHOSAMPLE_WORKERS", "2")
         assert main(["run", str(cfg), "--out", str(tmp_path / "res3")]) == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                             value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "experiment = table_uncorrelated_null\n"
+            "models = normal\nT = 64\nnrep = 4\nM = 8\nseed = 5\n"
+        )
+        monkeypatch.setenv("ORTHOSAMPLE_WORKERS", value)
+        out = tmp_path / "res4"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "ORTHOSAMPLE_WORKERS" in err
+        assert not (tmp_path / "res4.csv").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment = table_uncorrelated_null\nfrobnicate = 1\n")

@@ -69,6 +69,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             tiny_config(methods=("sorcery",))
 
+    @pytest.mark.parametrize("missing", ["gof_phi", "gof_sigma"])
+    def test_gof_needs_null_parameters(self, missing):
+        params = {"gof_phi": 0.6, "gof_sigma": 1.0}
+        del params[missing]
+        with pytest.raises(ConfigError, match=missing):
+            ExperimentConfig(experiment="table_gof_null", models=("ar_g_0.6",),
+                             T=(100,), nrep=2, **params)
+        with pytest.raises(ConfigError, match="gof_phi and gof_sigma"):
+            parse_config("experiment = table_gof_power\nmodels = ar_g_0.6\n")
+
 
 class TestRunExperiment:
     def test_single_cell_rows(self):
