@@ -76,11 +76,20 @@ def load_series(path: str, columns: int | None = None) -> list[np.ndarray]:
     return [np.asarray(c) for c in cols]
 
 
-def _parse_set(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return range(int(lo), int(hi) + 1)
-    return tuple(int(s) for s in spec.split(","))
+def _parse_set(spec: str) -> tuple:
+    """The --set search set, "lo..hi" or a comma list: non-empty, M >= 1."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            members = tuple(range(int(lo), int(hi) + 1))
+        else:
+            members = tuple(int(s) for s in spec.split(","))
+    except ValueError:
+        raise ConfigError(f"--set must be lo..hi or a comma list of integers, "
+                          f"got {spec!r}") from None
+    if not members or min(members) < 1:
+        raise ConfigError(f"--set must hold at least one M >= 1, got {spec!r}")
+    return members
 
 
 def _workers(value: str) -> int:

@@ -20,19 +20,19 @@ from . import distributions as dist
 from .equality import equality_test
 from .htests import (
     bootstrap_portmanteau_test,
-    box_pierce,
-    goodness_of_fit_test,
-    portmanteau_test,
-    robust_portmanteau,
+    box_pierce_block,
+    goodness_of_fit_block,
+    portmanteau_block,
+    robust_portmanteau_block,
 )
 from .models import BURN_IN, MODEL_REGISTRY, generate_batch, generate_bivariate_batch
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
 from .spectral import (
     InvalidInputError,
     ar_spectral_density,
-    dft,
+    dft_block,
     lag_weight,
-    weighted_average_run,
+    shift_runs,
 )
 
 __all__ = [
@@ -107,6 +107,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.search_set or min(self.search_set) < 1:
+            raise ConfigError(f"search_set must be a non-empty set of M >= 1, "
+                              f"got {self.search_set!r}")
         if self.experiment.startswith("table_gof"):
             missing = [k for k in ("gof_phi", "gof_sigma") if getattr(self, k) is None]
             if missing:
@@ -195,7 +198,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, value in entries.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        parsed[key] = _parse_value(key, value)
+        try:
+            parsed[key] = _parse_value(key, value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     return ExperimentConfig(**parsed)
 
 
@@ -203,93 +209,102 @@ def _rep_seed(base: int, cell: int, rep: int) -> list:
     return [int(base), int(cell), int(rep)]
 
 
-def _t10_statistic(x: np.ndarray, M: int) -> float:
+def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
+    """The studentized lag-one statistic A(e^{i.}; 0) / sqrt(mean_r |A(e^{i.}; r)|^2)
+    of every row of an (R, T) block."""
+    M = cfg.M if cfg.M is not None else 5
     # raw transform: centering the series shifts the statistic's location
     # noticeably at moderate T, while the zero-frequency term is harmless
     # for the zero-mean pivot models
-    grid = dft(x, demean=False)
-    run = weighted_average_run(grid, lag_weight(1), M)
-    denom = np.sqrt(np.mean(np.abs(run[1:]) ** 2))
-    return float(run[0].real / denom)
+    coeffs = dft_block(series, demean=False)
+    runs = shift_runs(coeffs, lag_weight(1).on_grid(coeffs.shape[1])[None], M)[:, 0]
+    denom = np.sqrt(np.mean(np.abs(runs[:, 1:]) ** 2, axis=1))
+    return (runs[:, 0].real / denom).tolist()
 
 
-def _test_pvalue(cfg: ExperimentConfig, method: str, x: np.ndarray,
-                 seed: list) -> float:
-    """One replication of a level/power cell on the series x drawn from
-    ``seed``; returns the p-value."""
-    if method == "orthogonal":
-        if cfg.experiment.startswith("table_gof"):
-            def g(om, phi=cfg.gof_phi, sigma=cfg.gof_sigma):
-                return ar_spectral_density(om, [phi], sigma)
+def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
+    if cfg.experiment.startswith("table_gof"):
+        def g(om, phi=cfg.gof_phi, sigma=cfg.gof_sigma):
+            return ar_spectral_density(om, [phi], sigma)
 
-            report = goodness_of_fit_test(x, g, L=cfg.L, M=cfg.M,
-                                          search_set=cfg.search_set, p=cfg.p)
-        else:
-            report = portmanteau_test(x, L=cfg.L, M=cfg.M,
-                                      search_set=cfg.search_set, p=cfg.p)
-    elif method == "box_pierce":
-        report = box_pierce(x, L=cfg.L)
-    elif method == "robust":
-        report = robust_portmanteau(x, L=cfg.L)
-    elif method == "bootstrap":
-        rng = np.random.default_rng(seed + [1])
-        report = bootstrap_portmanteau_test(x, L=cfg.L, B=cfg.B,
-                                            n_boot=cfg.n_boot, rng=rng)
+        out = goodness_of_fit_block(series, g, L=cfg.L, M=cfg.M,
+                                    search_set=cfg.search_set, p=cfg.p)
     else:
-        raise ConfigError(f"method {method!r} not valid here")
-    return report.p_value
+        out = portmanteau_block(series, L=cfg.L, M=cfg.M,
+                                search_set=cfg.search_set, p=cfg.p)
+    return out.p_values.tolist()
 
 
-def _block_values(cfg: ExperimentConfig, kind: str, payload, seeds: list) -> list:
-    """The values of the replications drawn from ``seeds``, generated as one
-    block; each series is a contiguous row, as a single draw would be."""
-    if kind == "equality":
-        (T,) = payload
-        xs, ys = (np.ascontiguousarray(out.series.T) for out in
-                  generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds))
-        values = []
-        for x, y in zip(xs, ys):
-            report = equality_test(x, y, b=cfg.b, M=cfg.M, beta=cfg.beta)
-            values.append((report.p_value, report.tuning["beta"]))
-        return values
-    model, T = payload[:2]
-    series = np.ascontiguousarray(generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
-    if kind == "qq":
-        M = cfg.M if cfg.M is not None else 5
-        return [_t10_statistic(x, M) for x in series]
-    if kind == "test":
-        method = payload[2]
-        return [_test_pvalue(cfg, method, x, seed) for x, seed in zip(series, seeds)]
-    raise ValueError(kind)
+def _bootstrap_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
+    """One bootstrap test per series, resampling from its own generator
+    seeded by the replication's seed followed by 1."""
+    return [bootstrap_portmanteau_test(x, L=cfg.L, B=cfg.B, n_boot=cfg.n_boot,
+                                       rng=np.random.default_rng(seed + [1])).p_value
+            for x, seed in zip(series, seeds)]
+
+
+def _equality_values(cfg: ExperimentConfig, pair, seeds: list) -> list:
+    """(p-value, beta-hat) of the equality test on each pair of rows."""
+    values = []
+    for x, y in zip(*pair):
+        report = equality_test(x, y, b=cfg.b, M=cfg.M, beta=cfg.beta)
+        values.append((report.p_value, report.tuning["beta"]))
+    return values
+
+
+# method -> the values of a block of replications, from the config, the
+# block ((R, T) series, or a pair of them for "equality") and its seeds
+METHODS = {
+    "orthogonal": _orthogonal_pvalues,
+    "box_pierce": lambda cfg, series, seeds: box_pierce_block(series, cfg.L).p_values.tolist(),
+    "robust": lambda cfg, series, seeds: robust_portmanteau_block(
+        series, cfg.L).p_values.tolist(),
+    "bootstrap": _bootstrap_pvalues,
+    "qq_t10": _t10_statistics,
+    "equality": _equality_values,
+}
+
+
+def _block_values(cfg: ExperimentConfig, cell: tuple, seeds: list) -> list:
+    """The values of the replications of ``cell`` = (model, T, method)
+    drawn from ``seeds``, generated and tested as one block; each series is
+    a contiguous row, as a single draw would be."""
+    model, T, method = cell
+    if method == "equality":
+        block = [np.ascontiguousarray(out.series.T) for out in
+                 generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds)]
+    else:
+        block = np.ascontiguousarray(
+            generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
+    return METHODS[method](cfg, block, seeds)
 
 
 def _run_reps(args):
     """Run the listed replications of one cell in blocks of at most
     ``BLOCK_POINTS`` points; ordering is irrelevant because each
     replication is seeded by its own index."""
-    cfg, kind, payload, cell, reps = args
-    T = payload[0] if kind == "equality" else payload[1]
-    size = max(1, BLOCK_POINTS // (T + BURN_IN))
+    cfg, cell, index, reps = args
+    size = max(1, BLOCK_POINTS // (cell[1] + BURN_IN))
     pairs = []
     for i in range(0, len(reps), size):
         block = reps[i:i + size]
-        seeds = [_rep_seed(cfg.seed, cell, r) for r in block]
-        pairs += zip(block, _block_values(cfg, kind, payload, seeds))
+        seeds = [_rep_seed(cfg.seed, index, r) for r in block]
+        pairs += zip(block, _block_values(cfg, cell, seeds))
     return pairs
 
 
-def _run_cell(cfg: ExperimentConfig, kind: str, payload, cell: int) -> list:
+def _run_cell(cfg: ExperimentConfig, cell: tuple, index: int) -> list:
     """All replications of one cell, optionally split across worker
     processes; results are reassembled by replication index."""
     reps = list(range(cfg.nrep))
     if cfg.workers > 1 and cfg.nrep > 1:
         chunks = [reps[i::cfg.workers] for i in range(cfg.workers)]
-        jobs = [(cfg, kind, payload, cell, chunk) for chunk in chunks if chunk]
+        jobs = [(cfg, cell, index, chunk) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             pieces = list(pool.map(_run_reps, jobs))
         pairs = [pair for piece in pieces for pair in piece]
     else:
-        pairs = _run_reps((cfg, kind, payload, cell, reps))
+        pairs = _run_reps((cfg, cell, index, reps))
     pairs.sort(key=lambda pr: pr[0])
     return [value for _, value in pairs]
 
@@ -320,33 +335,31 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     })
 
     if cfg.experiment == "qq_t10":
-        cells = [("qq", (m, T)) for m in cfg.models for T in cfg.T]
+        cells = [(m, T, "qq_t10") for m in cfg.models for T in cfg.T]
     elif cfg.experiment == "table_equality":
-        cells = [("equality", (T,)) for T in cfg.T]
+        pair = f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}"
+        cells = [(pair, T, "equality") for T in cfg.T]
     else:
-        cells = [("test", (m, T, meth))
-                 for m in cfg.models for T in cfg.T for meth in cfg.methods]
+        cells = [(m, T, meth) for m in cfg.models for T in cfg.T for meth in cfg.methods]
 
     t0 = time.perf_counter()
     outputs = []
-    for i, (kind, payload) in enumerate(cells):
+    for i, cell in enumerate(cells):
         start = time.perf_counter()
         try:
-            out = _run_cell(cfg, kind, payload, i)
+            out = _run_cell(cfg, cell, i)
             err = None
-            progress(f"cell {i + 1}/{len(cells)} {payload} done")
+            progress(f"cell {i + 1}/{len(cells)} {cell} done")
         except (InvalidInputError, ConfigError, ValueError,
                 ZeroDivisionError) as e:
             out, err = None, e
-            progress(f"cell {payload} failed: {e}")
-        outputs.append((kind, payload, out, err,
-                        (time.perf_counter() - start) * 1000.0))
+            progress(f"cell {cell} failed: {e}")
+        outputs.append((cell, out, err, (time.perf_counter() - start) * 1000.0))
 
     ref_t10 = dist.student_t(10)
     qq_refs = {}  # nrep -> (reference quantiles, 0.975 critical value)
-    for kind, payload, out, err, ms in outputs:
-        if kind == "qq":
-            model, T = payload
+    for (model, T, method), out, err, ms in outputs:
+        if method == "qq_t10":
             if err is not None:
                 table.rows.append(ResultRow(model, T, "qq_t10", float("nan"),
                                             float("nan"), float("nan"), ms))
@@ -362,27 +375,18 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
             rate = 100.0 * np.count_nonzero(np.abs(stats) > crit) / stats.size
             se = 100.0 * np.sqrt((rate / 100) * (1 - rate / 100) / stats.size)
             table.rows.append(ResultRow(model, T, "qq_t10", 0.05, rate, se, ms))
-        elif kind == "equality":
-            (T,) = payload
-            model = f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}"
-            if err is not None:
-                for a in cfg.alphas:
-                    table.rows.append(ResultRow(model, T, "equality", a,
-                                                float("nan"), float("nan"), ms))
-                continue
+        elif err is not None:
+            for a in cfg.alphas:
+                table.rows.append(ResultRow(model, T, method, a,
+                                            float("nan"), float("nan"), ms))
+        elif method == "equality":
             pvals = [p for p, _ in out]
             betas = [bh for _, bh in out]
-            table.rows.extend(_rate_rows(model, T, "equality", pvals,
+            table.rows.extend(_rate_rows(model, T, method, pvals,
                                          cfg.alphas, ms, cfg.nrep))
             table.metadata.setdefault("beta_hat_mean", {})[f"T{T}"] = float(
                 np.mean(betas))
         else:
-            model, T, method = payload
-            if err is not None:
-                for a in cfg.alphas:
-                    table.rows.append(ResultRow(model, T, method, a,
-                                                float("nan"), float("nan"), ms))
-                continue
             table.rows.extend(_rate_rows(model, T, method, out, cfg.alphas,
                                          ms, cfg.nrep))
     table.metadata["total_ms"] = (time.perf_counter() - t0) * 1000.0

@@ -1,5 +1,13 @@
 """Portmanteau and goodness-of-fit tests with orthogonal-sample empirical
 nulls, plus the Box-Pierce, robust Portmanteau and block-bootstrap baselines.
+
+Block contract: ``portmanteau_block``, ``goodness_of_fit_block``,
+``box_pierce_block`` and ``robust_portmanteau_block`` test every row of an
+(R, T) block of series at once (one DFT, one selection pass and one shift
+table for the orthogonal tests) and return a :class:`BlockReport`.  The
+single-series tests are their blocks of one, so row i of a block reports
+what the single-series test reports on series i.  A check that fails on any
+row fails the whole block with the single-series test's exception.
 """
 
 from __future__ import annotations
@@ -10,17 +18,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M_block
 from .spectral import (
-    SHIFT_BLOCK_POINTS,
     DftGrid,
     ShiftRangeError,
     WeightFunction,
+    as_block,
     as_series,
     dft,
+    dft_block,
     lag_weight,
     model_reciprocal_weight,
-    _shift_runs,
+    shift_runs,
 )
 
 __all__ = [
@@ -78,31 +87,27 @@ def empirical_pvalue(stat: float, null: EmpiricalNull) -> float:
 
 
 def _shift_table(grid: DftGrid, phis: Sequence[WeightFunction], max_r: int) -> np.ndarray:
-    """A(phi_j; r) for j = 1..L (rows) and r = 0..max_r (columns), from 2-D
-    FFTs of the weighted rows, as many rows at a time as a block holds."""
-    T = grid.T
-    step = max(1, SHIFT_BLOCK_POINTS // T)
-    table = np.empty((len(phis), max_r + 1), dtype=complex)
-    for lo in range(0, len(phis), step):
-        w = np.stack([phi.on_grid(T) for phi in phis[lo:lo + step]])
-        w *= grid.coeffs
-        table[lo:lo + step] = _shift_runs(grid, w, max_r)
-    return table
+    """A(phi_j; r) for j = 1..L (rows) and r = 0..max_r (columns)."""
+    return shift_runs(grid.coeffs[None], _on_grid(phis, grid.T), max_r)[0]
 
 
-def _statistic(table: np.ndarray, T: int) -> float:
-    """S = T sum_j |A(phi_j; 0)|^2 from the first column of a shift table."""
-    return float(T * np.sum(np.abs(table[:, 0]) ** 2))
+def _on_grid(phis: Sequence[WeightFunction], T: int) -> np.ndarray:
+    return np.stack([phi.on_grid(T) for phi in phis])
 
 
-def _draws(table: np.ndarray, T: int) -> np.ndarray:
-    """S_R(r), S_I(r) for r = 1..max_r, interleaved, with S_R(r) =
-    2T sum_j (Re A(phi_j; r))^2 and S_I(r) the imaginary analogue."""
-    cols = np.ascontiguousarray(table[:, 1:].T)  # row r - 1: A(phi_j; r), j = 1..L
-    draws = np.empty(2 * cols.shape[0])
-    draws[0::2] = 2 * T * np.sum(cols.real**2, axis=1)
-    draws[1::2] = 2 * T * np.sum(cols.imag**2, axis=1)
-    return draws
+@dataclass(frozen=True)
+class BlockReport:
+    """One test on every row of a block of R series.
+
+    ``statistics`` and ``p_values`` have one entry per row.  The orthogonal
+    tests also give each row's M and its null draws: row i of ``draws``
+    starts with the 2 M_i draws of series i.
+    """
+
+    statistics: np.ndarray
+    p_values: np.ndarray
+    M: np.ndarray | None = None
+    draws: np.ndarray | None = None
 
 
 def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
@@ -115,31 +120,84 @@ def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
     grid = dft(series, demean=demean)
     if r < 0 or r >= grid.T / 2:
         raise ShiftRangeError(f"shift r={r} out of range for T={grid.T}")
-    table = _shift_table(grid, phis, r)
+    table = _shift_table(grid, phis, r)[None]
     if r == 0:
-        return _statistic(table, grid.T), 0.0
-    s_r, s_i = _draws(table, grid.T)[-2:]
+        return float(_statistics(table, grid.T)[0]), 0.0
+    s_r, s_i = _draws(table, grid.T)[0, -2:]
     return float(s_r), float(s_i)
 
 
-def _resolve_M(grid: DftGrid, selection_phi: WeightFunction, M, search_set, p):
-    if M is not None:
-        return int(M), None
-    feasible = feasible_search_set(grid.T, search_set, p)
-    sel = select_M(grid, selection_phi, feasible, p)
-    return sel.chosen_M, sel
+def _statistics(tables: np.ndarray, T: int) -> np.ndarray:
+    """S = T sum_j |A(phi_j; 0)|^2 from the first column of each (L, .)
+    shift table of an (R, L, .) block."""
+    return T * np.sum(np.abs(tables[:, :, 0]) ** 2, axis=-1)
 
 
-def _orthogonal_l2_test(grid: DftGrid, phis: Sequence[WeightFunction], M: int,
-                        method: str, tuning: dict) -> TestReport:
-    T = grid.T
-    if M < 1 or M >= T / 2:
-        raise ShiftRangeError(f"M={M} out of range for T={T}")
-    table = _shift_table(grid, phis, M)
-    stat = _statistic(table, T)
-    null = EmpiricalNull(draws=_draws(table, T), kind="orthogonal")
-    return TestReport(statistic=stat, p_value=empirical_pvalue(stat, null),
-                      null_ref=null, method=method, tuning=dict(tuning, M=M))
+def _draws(tables: np.ndarray, T: int) -> np.ndarray:
+    """S_R(r), S_I(r) for r = 1..max_r, interleaved, for each table of an
+    (R, L, max_r + 1) block, with S_R(r) = 2T sum_j (Re A(phi_j; r))^2 and
+    S_I(r) the imaginary analogue."""
+    cols = np.ascontiguousarray(tables[:, :, 1:].transpose(0, 2, 1))  # [i, r - 1, j]
+    draws = np.empty((cols.shape[0], 2 * cols.shape[1]))
+    draws[:, 0::2] = 2 * T * np.sum(cols.real**2, axis=-1)
+    draws[:, 1::2] = 2 * T * np.sum(cols.imag**2, axis=-1)
+    return draws
+
+
+def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
+                        search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
+    """S = T sum_j |A(phi_j)|^2 for every row of an (R, T) block of DFT
+    coefficients, each against the 2M draws of its own orthogonal-sample null.
+
+    ``weights`` holds phi_1..phi_L on the size-T grid, one row each.  When M
+    is not given, each row's M is chosen by the criterion on the phi_1 run
+    over the (feasibility-clipped) search set; one transform of the block
+    gives both the selection runs and the shift tables.
+    """
+    R, T = coeffs.shape
+    if M is None:
+        feasible = feasible_search_set(T, search_set, p)
+        runs = shift_runs(coeffs, weights, T // p + max(feasible))
+        Ms = select_M_block(runs[:, 0], T, feasible, p)[0]
+    else:
+        M = int(M)
+        if M < 1 or M >= T / 2:
+            raise ShiftRangeError(f"M={M} out of range for T={T}")
+        runs = shift_runs(coeffs, weights, M)
+        Ms = np.full(R, M)
+    top = int(Ms.max())
+    stats = _statistics(runs, T)
+    draws = _draws(runs[:, :, :top + 1], T)
+    own = np.arange(2 * top) < 2 * Ms[:, None]  # row i: its first 2 M_i draws
+    if not np.all(np.isfinite(draws) | ~own):
+        raise ValueError("empirical null contains non-finite draws")
+    # #{draws >= stat} / #draws over each row's own draws
+    exceed = np.count_nonzero((draws >= stats[:, None]) & own, axis=1)
+    return BlockReport(statistics=stats, p_values=exceed / (2 * Ms), M=Ms, draws=draws)
+
+
+def _check_L(L: int, T: int):
+    if L < 1 or L >= T / 2:
+        raise ShiftRangeError(f"L={L} out of range for T={T}")
+
+
+def _orthogonal_report(out: BlockReport, method: str, L: int, M_selected: bool) -> TestReport:
+    """The report of one series tested as a block of one."""
+    M = int(out.M[0])
+    null = EmpiricalNull(draws=out.draws[0, :2 * M], kind="orthogonal")
+    return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
+                      null_ref=null, method=method,
+                      tuning={"L": L, "M_selected": M_selected, "M": M})
+
+
+def portmanteau_block(block, L: int = 5, M: int | None = None,
+                      search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
+    """:func:`portmanteau_test` on every row of an (R, T) block of series."""
+    coeffs = dft_block(block, demean=True)
+    T = coeffs.shape[1]
+    _check_L(L, T)
+    weights = _on_grid([lag_weight(j) for j in range(1, L + 1)], T)
+    return orthogonal_l2_block(coeffs, weights, M, search_set, p)
 
 
 def portmanteau_test(series, L: int = 5, M: int | None = None,
@@ -150,13 +208,20 @@ def portmanteau_test(series, L: int = 5, M: int | None = None,
     When M is not given it is chosen by the average squared criterion on the
     lag-one weight over the (feasibility-clipped) search set.
     """
-    grid = dft(series, demean=True)
-    if L < 1 or L >= grid.T / 2:
-        raise ShiftRangeError(f"L={L} out of range for T={grid.T}")
-    M, sel = _resolve_M(grid, lag_weight(1), M, search_set, p)
-    phis = [lag_weight(j) for j in range(1, L + 1)]
-    tuning = {"L": L, "M_selected": sel is not None}
-    return _orthogonal_l2_test(grid, phis, M, "orthogonal_portmanteau", tuning)
+    out = portmanteau_block(as_series(series)[None], L, M, search_set, p)
+    return _orthogonal_report(out, "orthogonal_portmanteau", L, M is None)
+
+
+def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray],
+                          L: int = 5, M: int | None = None,
+                          search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
+    """:func:`goodness_of_fit_test` on every row of an (R, T) block of series."""
+    coeffs = dft_block(block, demean=True)
+    T = coeffs.shape[1]
+    _check_L(L, T)
+    weights = _on_grid([model_reciprocal_weight(j, null_density)
+                        for j in range(1, L + 1)], T)
+    return orthogonal_l2_block(coeffs, weights, M, search_set, p)
 
 
 def goodness_of_fit_test(series, null_density: Callable[[np.ndarray], np.ndarray],
@@ -167,57 +232,81 @@ def goodness_of_fit_test(series, null_density: Callable[[np.ndarray], np.ndarray
     ``null_density`` is the hypothesised spectral density g, strictly positive
     on the grid.  M selection uses the j = 1 weight.
     """
-    grid = dft(series, demean=True)
-    if L < 1 or L >= grid.T / 2:
-        raise ShiftRangeError(f"L={L} out of range for T={grid.T}")
-    phis = [model_reciprocal_weight(j, null_density) for j in range(1, L + 1)]
-    M, sel = _resolve_M(grid, phis[0], M, search_set, p)
-    tuning = {"L": L, "M_selected": sel is not None}
-    return _orthogonal_l2_test(grid, phis, M, "orthogonal_gof", tuning)
+    out = goodness_of_fit_block(as_series(series)[None], null_density, L, M,
+                                search_set, p)
+    return _orthogonal_report(out, "orthogonal_gof", L, M is None)
 
 
-def _truncated_autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """c~(j) = (1/T) sum_{t=1..T-j} x_t x_{t+j} for j = 0..max_lag, x demeaned."""
-    T = x.size
-    return np.array([np.dot(x[: T - j], x[j:]) / T for j in range(max_lag + 1)])
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[i], b[i]) for every row i, as one stacked vector product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _truncated_autocov(xc: np.ndarray, max_lag: int) -> np.ndarray:
+    """c~(j) = (1/T) sum_{t=1..T-j} x_t x_{t+j} for j = 0..max_lag, for every
+    row of a demeaned (R, T) block, as an (R, max_lag + 1) array."""
+    T = xc.shape[1]
+    return np.stack([_row_dots(xc[:, : T - j], xc[:, j:]) / T
+                     for j in range(max_lag + 1)], axis=1)
+
+
+def _centred(block, L: int) -> np.ndarray:
+    """The validated block less its row means, after checking 1 <= L < T."""
+    x = as_block(block)
+    if L < 1 or L >= x.shape[1]:
+        raise ShiftRangeError(f"L={L} out of range for T={x.shape[1]}")
+    return x - x.mean(axis=1, keepdims=True)
+
+
+def _chi_square_block(stats: np.ndarray, L: int) -> BlockReport:
+    law = dist.chi_square(L)
+    return BlockReport(statistics=stats,
+                       p_values=np.array([law.sf(float(s)) for s in stats]))
+
+
+def _chi_square_report(out: BlockReport, method: str, L: int) -> TestReport:
+    """The report of one series tested as a block of one."""
+    return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
+                      null_ref=dist.chi_square(L), method=method, tuning={"L": L})
+
+
+def box_pierce_block(block, L: int = 5) -> BlockReport:
+    """:func:`box_pierce` on every row of an (R, T) block of series."""
+    xc = _centred(block, L)
+    c = _truncated_autocov(xc, L)
+    if np.any(c[:, 0] == 0):
+        raise ZeroDivisionError("zero sample variance; Box-Pierce undefined")
+    stats = xc.shape[1] / c[:, 0] ** 2 * np.sum(c[:, 1:] ** 2, axis=1)
+    return _chi_square_block(stats, L)
 
 
 def box_pierce(series, L: int = 5) -> TestReport:
     """Q~ = (T / c~(0)^2) sum_{j=1..L} c~(j)^2 against chi-square(L)."""
-    x = as_series(series)
-    if L < 1 or L >= x.size:
-        raise ShiftRangeError(f"L={L} out of range for T={x.size}")
-    x = x - x.mean()
-    c = _truncated_autocov(x, L)
-    if c[0] == 0:
-        raise ZeroDivisionError("zero sample variance; Box-Pierce undefined")
-    stat = float(x.size / c[0] ** 2 * np.sum(c[1:] ** 2))
-    law = dist.chi_square(L)
-    return TestReport(statistic=stat, p_value=float(law.sf(stat)), null_ref=law,
-                      method="box_pierce", tuning={"L": L})
+    return _chi_square_report(box_pierce_block(as_series(series)[None], L),
+                              "box_pierce", L)
+
+
+def robust_portmanteau_block(block, L: int = 5) -> BlockReport:
+    """:func:`robust_portmanteau` on every row of an (R, T) block of series."""
+    xc = _centred(block, L)
+    T = xc.shape[1]
+    c = _truncated_autocov(xc, L)
+    sq = xc**2
+    stats = 0.0
+    for j in range(1, L + 1):
+        tau = _row_dots(sq[:, j:], sq[:, : T - j]) / (T - j)
+        if np.any(tau == 0):
+            raise ZeroDivisionError(f"zero normaliser tau at lag {j}")
+        stats = stats + c[:, j] ** 2 / tau
+    return _chi_square_block(T * stats, L)
 
 
 def robust_portmanteau(series, L: int = 5) -> TestReport:
     """Q* = T sum_j c~(j)^2 / tau_j with the fourth-moment normalisers
     tau_j = (1/(T-j)) sum_{t=j+1..T} (x_t - xbar)^2 (x_{t-j} - xbar)^2,
     against chi-square(L)."""
-    x = as_series(series)
-    T = x.size
-    if L < 1 or L >= T:
-        raise ShiftRangeError(f"L={L} out of range for T={T}")
-    xc = x - x.mean()
-    c = _truncated_autocov(xc, L)
-    sq = xc**2
-    stat = 0.0
-    for j in range(1, L + 1):
-        tau = np.dot(sq[j:], sq[: T - j]) / (T - j)
-        if tau == 0:
-            raise ZeroDivisionError(f"zero normaliser tau at lag {j}")
-        stat += c[j] ** 2 / tau
-    stat = float(T * stat)
-    law = dist.chi_square(L)
-    return TestReport(statistic=stat, p_value=float(law.sf(stat)), null_ref=law,
-                      method="robust_portmanteau", tuning={"L": L})
+    return _chi_square_report(robust_portmanteau_block(as_series(series)[None], L),
+                              "robust_portmanteau", L)
 
 
 def _circular_block_resample(x: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:

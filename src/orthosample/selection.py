@@ -1,5 +1,11 @@
 """Data-driven choice of the orthogonal-sample size M via the average squared
-criterion."""
+criterion.
+
+Block contract: :func:`select_M_block` chooses M for every row of an (R, n)
+block of shift runs from one cumsum; :func:`select_M` is its block of one and
+returns, for each series, the M and the criterion curve the block gives its
+row.
+"""
 
 from __future__ import annotations
 
@@ -26,29 +32,30 @@ class SelectionResult:
     p: int
 
 
-def _criteria(run: np.ndarray, T: int, members, p: int) -> np.ndarray:
-    """C(M) for every M in ``members`` from one precomputed shift run
-    A(phi; 0..), as one (|members|, T/p) array of variance windows."""
+def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
+    """C(M) for every row of an (R, >= T/p + max M + 1) block of shift runs
+    A(phi; 0..) and every M in ``members``, as an (R, |members|) array, from
+    one cumsum and one (R, |members|, T/p) array of variance windows."""
     nr = T // p
     Ms = np.asarray(members)
-    sq = np.abs(run) ** 2  # |A(phi; s)|^2 at index s
-    # V-hat_M(omega_r) = (T/M) sum_{s=r+1..r+M} sq[s], r = 1..nr: row i of
-    # the sliding view holds csum[Ms[i] + r]
-    csum = np.cumsum(sq)
+    sq = np.abs(runs) ** 2  # |A(phi; s)|^2 at index s
+    # V-hat_M(omega_r) = (T/M) sum_{s=r+1..r+M} sq[s], r = 1..nr: window
+    # [i, m] holds csum[i, Ms[m] + r]
+    csum = np.cumsum(sq, axis=-1)
     r = np.arange(1, nr + 1)
-    windows = sliding_window_view(csum, nr)[Ms + 1]
-    windows -= csum[r]
+    windows = sliding_window_view(csum, nr, axis=-1)[:, Ms + 1]
+    windows -= csum[:, None, r]
     windows *= (T / Ms)[:, None]
-    degenerate = np.any(windows <= 0, axis=1)
+    degenerate = np.any(windows <= 0, axis=(0, 2))
     if degenerate.any():
         raise DegenerateVarianceError(
             f"degenerate variance window encountered for M={Ms[degenerate.argmax()]}"
         )
     # the score (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2, in the windows' storage
-    score = np.divide(T * sq[r], windows, out=windows)
+    score = np.divide(T * sq[:, None, r], windows, out=windows)
     score -= 1.0
     score **= 2
-    return p / T * np.sum(score, axis=1)
+    return p / T * np.sum(score, axis=-1)
 
 
 def _check_window(T: int, M: int, p: int):
@@ -67,7 +74,7 @@ def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) ->
     T = grid.T
     _check_window(T, M, p)
     run = weighted_average_run(grid, phi, T // p + M)
-    return float(_criteria(run, T, (M,), p)[0])
+    return float(_criteria(run[None], T, (M,), p)[0, 0])
 
 
 def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
@@ -83,15 +90,36 @@ def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
 
 def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
              p: int = DEFAULT_P) -> SelectionResult:
-    """argmin of the criterion over the search set; ties go to the smallest M."""
+    """argmin of the criterion over the search set; ties go to the smallest M.
+    The block of one of :func:`select_M_block`."""
     T = grid.T
+    members = _checked_members(T, search_set, p)
+    run = weighted_average_run(grid, phi, T // p + max(members))
+    chosen, curves, uniq = select_M_block(run[None], T, members, p)
+    curve = dict(zip(uniq, curves[0].tolist()))
+    return SelectionResult(chosen_M=int(chosen[0]),
+                           criterion_curve={M: curve[M] for M in members},
+                           search_set=members, p=p)
+
+
+def _checked_members(T: int, search_set, p: int) -> tuple:
     members = tuple(int(M) for M in search_set)
     if not members:
         raise ShiftRangeError("search set is empty")
     for M in members:
         _check_window(T, M, p)
-    run = weighted_average_run(grid, phi, T // p + max(members))
-    curve = dict(zip(members, _criteria(run, T, members, p).tolist()))
-    chosen = min(sorted(curve), key=lambda M: curve[M])
-    return SelectionResult(chosen_M=chosen, criterion_curve=curve,
-                           search_set=members, p=p)
+    return members
+
+
+def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
+    """The criterion-minimising M for every row of an (R, n) block of shift
+    runs A(phi; 0..n-1), n > T/p + max M; ties go to the smallest M.
+
+    Returns the chosen M per row, the (R, |U|) criterion curves and U, the
+    sorted distinct members of the search set.
+    """
+    uniq = tuple(sorted(set(_checked_members(T, search_set, p))))
+    curves = _criteria(runs, T, uniq, p)
+    # argmin keeps the first, so the smallest, of equal minima
+    chosen = np.asarray(uniq)[np.argmin(curves, axis=1)]
+    return chosen, curves, uniq

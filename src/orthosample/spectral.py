@@ -61,11 +61,21 @@ def as_series(values) -> TimeSeries:
 
     Requires a 1-D array with T >= 2 and all values finite.
     """
+    return _checked(values, 1, "a 1-D series")
+
+
+def as_block(values) -> np.ndarray:
+    """Validate and return a block of R records of a common length T as an
+    (R, T) array; each row must pass :func:`as_series`."""
+    return _checked(values, 2, "an (R, T) block of series")
+
+
+def _checked(values, ndim: int, what: str) -> np.ndarray:
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError(f"need a 1-D series, got an array of shape {x.shape}")
-    if x.size < 2:
-        raise InvalidInputError(f"need at least 2 observations, got {x.size}")
+    if x.ndim != ndim:
+        raise InvalidInputError(f"need {what}, got an array of shape {x.shape}")
+    if x.shape[-1] < 2:
+        raise InvalidInputError(f"need at least 2 observations, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("series contains non-finite values")
     return x
@@ -123,18 +133,24 @@ def dft(series, demean: bool = True) -> DftGrid:
     """Transform x_1..x_T to (1/sqrt(2*pi*T)) * sum_t x_t exp(i*t*omega_k).
 
     Computed with an FFT of the exact length T (no padding), so it runs in
-    O(T log T) for arbitrary T.
+    O(T log T) for arbitrary T.  The block of one of :func:`dft_block`.
     """
-    x = as_series(series)
-    T = x.size
+    return DftGrid(coeffs=dft_block(as_series(series)[None], demean)[0], demeaned=demean)
+
+
+def dft_block(block, demean: bool = True) -> np.ndarray:
+    """The DFT coefficients of every row of an (R, T) block of series, as an
+    (R, T) array whose row i is ``dft(block[i], demean).coeffs``."""
+    x = as_block(block)
+    T = x.shape[1]
     if demean:
-        x = x - x.mean()
+        x = x - x.mean(axis=1, keepdims=True)
     # sum_t x_t e^{i t omega_q} = e^{i omega_q} * T * ifft(x)[q], q = k mod T
-    spec = T * np.fft.ifft(x)
+    spec = T * np.fft.ifft(x, axis=-1)
     k = np.arange(1, T + 1)
-    coeffs = np.exp(2j * np.pi * k / T) * spec[k % T]
+    coeffs = np.exp(2j * np.pi * k / T) * spec[:, k % T]
     coeffs *= 1.0 / np.sqrt(2.0 * np.pi * T)
-    return DftGrid(coeffs=coeffs, demeaned=demean)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -232,26 +248,40 @@ def weighted_average(grid: DftGrid, phi: WeightFunction, r: int = 0) -> complex:
 
 
 def weighted_average_run(grid: DftGrid, phi: WeightFunction, max_r: int) -> np.ndarray:
-    """A(phi; r) for every r = 0..max_r in one O(T log T) pass.
+    """A(phi; r) for every r = 0..max_r < T/2 in one O(T log T) pass.
 
     The run over shifts is a circular cross-correlation of phi(omega_k) J_k
-    against J_k, evaluated with FFTs.
+    against J_k, evaluated with FFTs.  The block of one of :func:`shift_runs`.
     """
-    max_r = _check_shift(grid.T, max_r)
-    return _shift_runs(grid, phi.on_grid(grid.T) * grid.coeffs, max_r)
+    return shift_runs(grid.coeffs[None], phi.on_grid(grid.T)[None], max_r)[0, 0]
 
 
-def _shift_runs(grid: DftGrid, w: np.ndarray, max_r: int) -> np.ndarray:
-    """A(phi; r), r = 0..max_r, for each row w = phi(omega_k) J_k of an
-    array of shape (..., T); transforms ``w`` in place, one FFT per row plus
-    one of the coefficients."""
-    T = grid.T
-    np.fft.fft(w, axis=-1, out=w)
-    w *= np.conj(np.fft.fft(grid.coeffs))
-    corr = np.fft.ifft(w, axis=-1, out=w)
+def shift_runs(coeffs: np.ndarray, weights: np.ndarray, max_r: int) -> np.ndarray:
+    """A(phi_j; r) for r = 0..max_r < T/2, for every row i of an (R, T) block of
+    DFT coefficients and every row j of an (L, T) array of weights
+    phi_j(omega_k) on the grid, as an (R, L, max_r + 1) array.
+
+    The coefficients are transformed once; the weighted rows phi_j J^(i) are
+    transformed as many at a time as ``SHIFT_BLOCK_POINTS`` holds.
+    """
+    R, T = coeffs.shape
+    L = weights.shape[0]
+    max_r = _check_shift(T, max_r)
+    conj_fc = np.conj(np.fft.fft(coeffs, axis=-1))
     # corr[m] = sum_k w_k conj(J_{k-m}); shift +r lives at index (-r) mod T
     idx = (-np.arange(0, max_r + 1)) % T
-    return corr[..., idx] / T
+    out = np.empty((R, L, max_r + 1), dtype=complex)
+    # whole replications at a time, or some weights of one when T is long
+    reps = max(1, SHIFT_BLOCK_POINTS // (L * T))
+    lags = min(L, max(1, SHIFT_BLOCK_POINTS // T))
+    for i in range(0, R, reps):
+        for j in range(0, L, lags):
+            w = weights[None, j:j + lags] * coeffs[i:i + reps, None]
+            np.fft.fft(w, axis=-1, out=w)
+            w *= conj_fc[i:i + reps, None]
+            corr = np.fft.ifft(w, axis=-1, out=w)
+            out[i:i + reps, j:j + lags] = corr[..., idx] / T
+    return out
 
 
 def orthogonal_sample(grid: DftGrid, phi: WeightFunction, M: int) -> OrthogonalSample:

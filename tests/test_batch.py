@@ -1,7 +1,8 @@
 """The batched replication engine: block generators, the vectorised M
-search, the 2-D shift table and the blocked equality shifts against loop
-references."""
+search, the 2-D shift table, the blocked equality shifts and the block
+statistics against loop and single-series references."""
 
+import dataclasses
 import math
 import warnings
 
@@ -21,7 +22,17 @@ from orthosample.equality import (
 )
 from orthosample.distributions import student_t
 from orthosample.experiments import ExperimentConfig, run_experiment
-from orthosample.htests import _shift_table, portmanteau_test
+from orthosample.htests import (
+    _shift_table,
+    box_pierce,
+    box_pierce_block,
+    goodness_of_fit_block,
+    goodness_of_fit_test,
+    portmanteau_block,
+    portmanteau_test,
+    robust_portmanteau,
+    robust_portmanteau_block,
+)
 from orthosample.models import (
     BURN_IN,
     MODEL_REGISTRY,
@@ -32,8 +43,16 @@ from orthosample.models import (
     generate_bivariate,
     generate_bivariate_batch,
 )
-from orthosample.selection import criterion, select_M
-from orthosample.spectral import dft, lag_weight, model_reciprocal_weight, weighted_average_run
+from orthosample.selection import criterion, feasible_search_set, select_M, select_M_block
+from orthosample.spectral import (
+    ar_spectral_density,
+    dft,
+    dft_block,
+    lag_weight,
+    model_reciprocal_weight,
+    shift_runs,
+    weighted_average_run,
+)
 
 
 def quiet(msg):
@@ -222,3 +241,110 @@ class TestBlocking:
         for label, (emp, ref) in whole.quantile_pairs.items():
             np.testing.assert_array_equal(emp, single.quantile_pairs[label][0])
             np.testing.assert_array_equal(ref, single.quantile_pairs[label][1])
+
+
+def _series_block(T, R, tag="x5"):
+    seeds = [[16, T, r] for r in range(R)]
+    return np.ascontiguousarray(generate_batch(MODEL_REGISTRY[tag], T, seeds).series.T)
+
+
+def _ar06_density(w):
+    return ar_spectral_density(w, [0.6], 1.0)
+
+
+def _t10_pivot(x, M):
+    """The qq_t10 statistic of one series, from the single-series functions."""
+    run = weighted_average_run(dft(x, demean=False), lag_weight(1), M)
+    return run[0].real / np.sqrt(np.mean(np.abs(run[1:]) ** 2))
+
+
+class TestBlockStatistics:
+    """Row i of every block kernel reports what the single-series function
+    reports on series i."""
+
+    @pytest.mark.parametrize("T", [100, 200, 500])
+    @pytest.mark.parametrize("R", [1, 2, 7, 59])
+    @pytest.mark.parametrize("M", [None, 8])
+    @pytest.mark.parametrize("test", ["portmanteau", "gof"])
+    def test_orthogonal_rows_equal_single_tests(self, test, M, R, T):
+        block = _series_block(T, R, "ar_g_0.6" if test == "gof" else "x5")
+        if test == "gof":
+            out = goodness_of_fit_block(block, _ar06_density, L=5, M=M)
+            singles = [goodness_of_fit_test(x, _ar06_density, L=5, M=M) for x in block]
+        else:
+            out = portmanteau_block(block, L=5, M=M)
+            singles = [portmanteau_test(x, L=5, M=M) for x in block]
+        for i, one in enumerate(singles):
+            assert out.statistics[i] == one.statistic
+            assert out.p_values[i] == one.p_value
+            assert out.M[i] == one.tuning["M"]
+            np.testing.assert_array_equal(out.draws[i, :2 * out.M[i]], one.null_ref.draws)
+
+    @pytest.mark.parametrize("T", [100, 200, 500])
+    @pytest.mark.parametrize("R", [1, 2, 7, 59])
+    def test_qq_pivot_rows_equal_single_series(self, R, T):
+        block = _series_block(T, R, "pivot_ii")
+        cfg = ExperimentConfig(experiment="qq_t10", models=("pivot_ii",), T=(T,), M=5)
+        got = experiments.METHODS["qq_t10"](cfg, block, None)
+        assert got == [_t10_pivot(x, 5) for x in block]
+
+    @pytest.mark.parametrize("T", [100, 200, 500])
+    @pytest.mark.parametrize("R", [1, 2, 7, 59])
+    @pytest.mark.parametrize("kernel, single", [(box_pierce_block, box_pierce),
+                                                (robust_portmanteau_block, robust_portmanteau)])
+    def test_chi_square_rows_match_single_tests(self, kernel, single, R, T):
+        block = _series_block(T, R, "t5")
+        out = kernel(block, L=5)
+        for i, x in enumerate(block):
+            one = single(x, L=5)
+            assert out.statistics[i] == pytest.approx(one.statistic, rel=1e-13)
+            assert out.p_values[i] == pytest.approx(one.p_value, rel=1e-13)
+
+    def test_dft_rows_equal_single_transforms(self):
+        block = _series_block(200, 7)
+        for demean in (True, False):
+            coeffs = dft_block(block, demean)
+            for i, x in enumerate(block):
+                np.testing.assert_array_equal(coeffs[i], dft(x, demean).coeffs)
+
+    def test_shift_runs_rows_equal_single_runs(self):
+        T = 256
+        block = _series_block(T, 7)
+        phis = [lag_weight(1), model_reciprocal_weight(2, _ar06_density)]
+        runs = shift_runs(dft_block(block), np.stack([phi.on_grid(T) for phi in phis]), 40)
+        for i, x in enumerate(block):
+            for j, phi in enumerate(phis):
+                np.testing.assert_array_equal(runs[i, j], weighted_average_run(dft(x), phi, 40))
+
+    def test_unsorted_search_set_with_duplicates(self):
+        T, p = 200, 4
+        search_set = (24, 12, 30, 12, 10, 24, 17)
+        block = _series_block(T, 59, "ar_g_0.6")
+        feasible = feasible_search_set(T, search_set, p)
+        runs = shift_runs(dft_block(block), lag_weight(1).on_grid(T)[None],
+                          T // p + max(feasible))[:, 0]
+        chosen, curves, members = select_M_block(runs, T, feasible, p)
+        assert members == tuple(sorted(set(feasible)))
+        out = portmanteau_block(block, L=5, search_set=search_set, p=p)
+        for i, x in enumerate(block):
+            sel = select_M(dft(x), lag_weight(1), feasible, p)
+            assert chosen[i] == out.M[i] == sel.chosen_M
+            assert dict(zip(members, curves[i].tolist())) == sel.criterion_curve
+
+    def test_constant_series_fails_its_box_pierce_cell(self, monkeypatch):
+        real = experiments.generate_batch
+
+        def with_constant_row(spec, T, seeds):
+            sim = real(spec, T, seeds)
+            series = sim.series.copy()
+            series[:, -1] = 1.5
+            return dataclasses.replace(sim, series=series)
+
+        monkeypatch.setattr(experiments, "generate_batch", with_constant_row)
+        cfg = ExperimentConfig(experiment="table_uncorrelated_null", models=("normal",),
+                               T=(64,), nrep=5, M=8, seed=17,
+                               methods=("box_pierce", "orthogonal"))
+        table = run_experiment(cfg, progress=quiet)
+        rates = {(r.method, r.alpha): r.rate for r in table.rows}
+        assert all(np.isnan(rates["box_pierce", a]) for a in cfg.alphas)
+        assert not any(np.isnan(rates["orthogonal", a]) for a in cfg.alphas)

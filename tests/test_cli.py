@@ -128,6 +128,12 @@ class TestSelectMVerb:
         out = json.loads(capsys.readouterr().out)
         assert out["chosen_M"] in (8, 12)
 
+    @pytest.mark.parametrize("spec", ["abc", "5..", "30..10", "0,3", "10..x"])
+    def test_bad_set_is_config_error(self, series_csv, capsys, spec):
+        assert main(["selectM", series_csv, "--set", spec]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "--set" in err
+
     def test_short_series_is_data_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("\n".join(str(v) for v in range(20)))
@@ -191,6 +197,15 @@ class TestRunVerb:
         cfg.write_text("experiment = table_uncorrelated_null\nfrobnicate = 1\n")
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["nrep = ten", "search_set = 10..x",
+                                      "search_set = 30..10", "search_set = 0,3"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = table_uncorrelated_null\n{line}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "res5")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split(" = ")[0] in err
 
     def test_checked_in_configs_parse(self):
         import glob

@@ -65,6 +65,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("{bad json")
 
+    @pytest.mark.parametrize("key, raw", [("nrep", "ten"), ("T", "100, x"),
+                                          ("search_set", "10..x"), ("search_set", "5.."),
+                                          ("gof_phi", "half")])
+    def test_bad_value_names_key_and_value(self, key, raw):
+        with pytest.raises(ConfigError, match=f"'{key}'.*'{raw}'"):
+            parse_config(f"experiment = table_uncorrelated_null\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("raw", ["30..10", "0, 3", "-2..4"])
+    def test_search_set_must_be_positive_and_nonempty(self, raw):
+        with pytest.raises(ConfigError, match="search_set"):
+            parse_config(f"experiment = table_uncorrelated_null\nsearch_set = {raw}\n")
+        with pytest.raises(ConfigError, match="search_set"):
+            tiny_config(search_set=())
+
     def test_method_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(methods=("sorcery",))
