@@ -7,7 +7,8 @@ Verbs:
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data error.
 The ORTHOSAMPLE_WORKERS environment variable overrides the configured
-worker count.
+worker count: the processes of the one pool that serves a run, over which
+each cell's blocks of replications are spread.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .equality import equality_test
-from .experiments import ConfigError, emit, parse_config, run_experiment
+from .experiments import ConfigError, emit, parse_config, parse_search_set, run_experiment
 from .htests import TestReport, box_pierce, goodness_of_fit_test, portmanteau_test, robust_portmanteau
 from .selection import DEFAULT_P, feasible_search_set, select_M
 from .spectral import InvalidInputError, ShiftRangeError, dft, lag_weight
@@ -74,22 +75,6 @@ def load_series(path: str, columns: int | None = None) -> list[np.ndarray]:
     if columns is not None and len(cols) != columns:
         raise DataError(f"{path}: expected {columns} column(s), found {len(cols)}")
     return [np.asarray(c) for c in cols]
-
-
-def _parse_set(spec: str) -> tuple:
-    """The --set search set, "lo..hi" or a comma list: non-empty, M >= 1."""
-    try:
-        if ".." in spec:
-            lo, hi = spec.split("..")
-            members = tuple(range(int(lo), int(hi) + 1))
-        else:
-            members = tuple(int(s) for s in spec.split(","))
-    except ValueError:
-        raise ConfigError(f"--set must be lo..hi or a comma list of integers, "
-                          f"got {spec!r}") from None
-    if not members or min(members) < 1:
-        raise ConfigError(f"--set must hold at least one M >= 1, got {spec!r}")
-    return members
 
 
 def _workers(value: str) -> int:
@@ -207,8 +192,8 @@ def main(argv=None) -> int:
         if args.verb == "selectM":
             (x,) = load_series(args.datafile, columns=1)
             grid = dft(x, demean=True)
-            feasible = feasible_search_set(grid.T, _parse_set(args.search_set),
-                                           args.p)
+            feasible = feasible_search_set(
+                grid.T, parse_search_set(args.search_set, "--set"), args.p)
             sel = select_M(grid, lag_weight(1), feasible, args.p)
             print(json.dumps({
                 "chosen_M": sel.chosen_M,

@@ -1,9 +1,11 @@
 """Configuration-driven Monte Carlo experiment runner.
 
 Each experiment cell is a (model, T, method) triple run over many
-replications, generated a block at a time; replication r of cell c is seeded
-from (base_seed, c, r), so results do not depend on how replications are
-grouped into blocks or scheduled across workers.
+replications, generated and tested a block at a time; replication r of cell
+c is seeded from (base_seed, c, r), so results do not depend on how
+replications are grouped into blocks. With ``workers > 1`` one process pool
+serves the whole run: the cells run in order, and the blocks of each cell are
+spread over the pool. A cell's ``time_ms`` is its wall clock.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from .htests import (
 from .models import BURN_IN, MODEL_REGISTRY, generate_batch, generate_bivariate_batch
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
 from .spectral import (
-    InvalidInputError,
     ar_spectral_density,
     dft_block,
     lag_weight,
@@ -98,18 +102,24 @@ class ExperimentConfig:
                               f"choose from {EXPERIMENTS}")
         if self.nrep < 1:
             raise ConfigError("nrep must be >= 1")
+        if not self.T or min(self.T) < 2:
+            raise ConfigError(f"T must be a non-empty list of lengths >= 2, got {self.T!r}")
+        if not self.alphas or not all(0 < a < 1 for a in self.alphas):
+            raise ConfigError(f"alphas must be a non-empty list of levels in (0, 1), "
+                              f"got {self.alphas!r}")
         if self.experiment != "table_equality":
             for m in self.models:
                 if m not in MODEL_REGISTRY:
                     raise ConfigError(f"unknown model tag {m!r}")
         for m in self.methods:
-            if m not in ("orthogonal", "box_pierce", "robust", "bootstrap"):
-                raise ConfigError(f"unknown method {m!r}")
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+            if METHODS[m].paired and self.experiment != "table_equality":
+                raise ConfigError(f"method {m!r} needs experiment table_equality")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not self.search_set or min(self.search_set) < 1:
-            raise ConfigError(f"search_set must be a non-empty set of M >= 1, "
-                              f"got {self.search_set!r}")
+        # "lo..hi" or a comma list in a config file, a tuple from code
+        object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
         if self.experiment.startswith("table_gof"):
             missing = [k for k in ("gof_phi", "gof_sigma") if getattr(self, k) is None]
             if missing:
@@ -144,24 +154,40 @@ class ResultTable:
             yield line if include_time else line.rsplit(",", 1)[0]
 
 
+def _split(v) -> list:
+    """A list entry: a comma-separated string, a list or tuple, or one value."""
+    if isinstance(v, str):
+        return [s.strip() for s in v.split(",") if s.strip()]
+    return list(v) if isinstance(v, (list, tuple)) else [v]
+
+
+def parse_search_set(spec, name: str) -> tuple:
+    """The M search set given as "lo..hi", a comma list or a sequence of
+    integers; a ConfigError naming ``name`` unless it is non-empty and every
+    M >= 1."""
+    try:
+        if isinstance(spec, str) and ".." in spec:
+            lo, hi = spec.split("..")
+            members = tuple(range(int(lo), int(hi) + 1))
+        else:
+            members = tuple(int(s) for s in _split(spec))
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {name!r}: {spec!r}; expected lo..hi or "
+                          f"a comma list of integers") from None
+    if not members or min(members) < 1:
+        raise ConfigError(f"bad value for {name!r}: {spec!r}; expected at least "
+                          f"one M >= 1")
+    return members
+
+
 def _parse_value(key: str, raw):
     """Coerce one config entry; lists may be comma-separated strings."""
-    def split(v):
-        if isinstance(v, str):
-            return [s.strip() for s in v.split(",") if s.strip()]
-        return list(v) if isinstance(v, (list, tuple)) else [v]
-
     if key in ("models", "methods"):
-        return tuple(str(s) for s in split(raw))
+        return tuple(str(s) for s in _split(raw))
     if key == "T":
-        return tuple(int(s) for s in split(raw))
+        return tuple(int(s) for s in _split(raw))
     if key == "alphas":
-        return tuple(float(s) for s in split(raw))
-    if key == "search_set":
-        if isinstance(raw, str) and ".." in raw:
-            lo, hi = raw.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(s) for s in split(raw))
+        return tuple(float(s) for s in _split(raw))
     if key in ("nrep", "p", "L", "B", "n_boot", "seed", "workers"):
         return int(raw)
     if key == "M":
@@ -203,10 +229,6 @@ def parse_config(text: str) -> ExperimentConfig:
         except (TypeError, ValueError):
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     return ExperimentConfig(**parsed)
-
-
-def _rep_seed(base: int, cell: int, rep: int) -> list:
-    return [int(base), int(cell), int(rep)]
 
 
 def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
@@ -252,76 +274,103 @@ def _equality_values(cfg: ExperimentConfig, pair, seeds: list) -> list:
     return values
 
 
-# method -> the values of a block of replications, from the config, the
-# block ((R, T) series, or a pair of them for "equality") and its seeds
+def _row(cell: tuple, alpha: float, hits, n: int, ms: float) -> ResultRow:
+    """The row of ``hits`` rejections in ``n`` replications of ``cell``: their
+    percentage and its binomial standard error (both NaN if ``hits`` is)."""
+    rate = 100.0 * hits / n
+    se = 100.0 * np.sqrt((rate / 100) * (1 - rate / 100) / n)
+    return ResultRow(*cell, alpha, rate, se, ms)
+
+
+def _rate_rows(cfg, table, cell, pvals, ms) -> None:
+    """One row per alpha level: the share of p-values below it, NaN if the
+    cell failed."""
+    for a in cfg.alphas:
+        hits = np.nan if pvals is None else np.count_nonzero(
+            np.asarray(pvals, dtype=float) < a)
+        table.rows.append(_row(cell, a, hits, cfg.nrep, ms))
+
+
+def _equality_rows(cfg, table, cell, values, ms) -> None:
+    """The rate rows of the p-values; the cell's mean beta-hat goes to the
+    table's ``beta_hat_mean`` metadata under "T<T>"."""
+    if values is not None:
+        table.metadata.setdefault("beta_hat_mean", {})[f"T{cell[1]}"] = float(
+            np.mean([beta for _, beta in values]))
+        values = [p for p, _ in values]
+    _rate_rows(cfg, table, cell, values, ms)
+
+
+@lru_cache(maxsize=16)
+def _t10_reference(n: int) -> tuple:
+    """The t(10) quantiles at the n plotting positions (i - 1/2) / n, read-only
+    because every table with n statistics shares them, and the t(10)
+    two-sided 5% critical value."""
+    ref = dist.student_t(10)
+    quantiles = np.array([ref.quantile(q) for q in (np.arange(1, n + 1) - 0.5) / n])
+    quantiles.setflags(write=False)
+    return quantiles, ref.quantile(0.975)
+
+
+def _qq_rows(cfg, table, cell, stats, ms) -> None:
+    """One row at alpha 0.05, a tail agreement summary: the percentage of
+    statistics beyond the t(10) 5% critical value. The sorted statistics and
+    their t(10) quantiles go to the table's quantile pairs. A failed cell gives
+    one row of NaN, alpha included."""
+    if stats is None:
+        table.rows.append(ResultRow(*cell, np.nan, np.nan, np.nan, ms))
+        return
+    stats = np.sort(np.asarray(stats))
+    ref, crit = _t10_reference(stats.size)
+    table.quantile_pairs[f"{cell[0]}_T{cell[1]}"] = (stats, ref)
+    table.rows.append(_row(cell, 0.05, np.count_nonzero(np.abs(stats) > crit),
+                           stats.size, ms))
+
+
+class Method(NamedTuple):
+    """How the cells of one method run. ``values(cfg, block, seeds)`` gives
+    one value per replication of a block: an (R, T) array of series, or a
+    pair of them if ``paired``. ``rows(cfg, table, cell, values, time_ms)``
+    adds the cell's rows to the table; ``values`` is None if the cell failed."""
+    values: Callable
+    rows: Callable = _rate_rows
+    paired: bool = False
+
+
 METHODS = {
-    "orthogonal": _orthogonal_pvalues,
-    "box_pierce": lambda cfg, series, seeds: box_pierce_block(series, cfg.L).p_values.tolist(),
-    "robust": lambda cfg, series, seeds: robust_portmanteau_block(
-        series, cfg.L).p_values.tolist(),
-    "bootstrap": _bootstrap_pvalues,
-    "qq_t10": _t10_statistics,
-    "equality": _equality_values,
+    "orthogonal": Method(_orthogonal_pvalues),
+    "box_pierce": Method(lambda cfg, series, seeds: box_pierce_block(
+        series, cfg.L).p_values.tolist()),
+    "robust": Method(lambda cfg, series, seeds: robust_portmanteau_block(
+        series, cfg.L).p_values.tolist()),
+    "bootstrap": Method(_bootstrap_pvalues),
+    "qq_t10": Method(_t10_statistics, _qq_rows),
+    "equality": Method(_equality_values, _equality_rows, paired=True),
 }
 
 
-def _block_values(cfg: ExperimentConfig, cell: tuple, seeds: list) -> list:
-    """The values of the replications of ``cell`` = (model, T, method)
-    drawn from ``seeds``, generated and tested as one block; each series is
-    a contiguous row, as a single draw would be."""
-    model, T, method = cell
-    if method == "equality":
+def _block_values(job: tuple) -> list:
+    """The values of the replications ``reps`` of cell number ``index`` =
+    (model, T, method), generated and tested as one block. Replication r
+    draws from the seed [seed, index, r], and each series is a contiguous
+    row, as a single draw would be."""
+    cfg, index, (model, T, method), reps = job
+    seeds = [[cfg.seed, index, r] for r in reps]
+    if METHODS[method].paired:
         block = [np.ascontiguousarray(out.series.T) for out in
                  generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds)]
     else:
         block = np.ascontiguousarray(
             generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
-    return METHODS[method](cfg, block, seeds)
-
-
-def _run_reps(args):
-    """Run the listed replications of one cell in blocks of at most
-    ``BLOCK_POINTS`` points; ordering is irrelevant because each
-    replication is seeded by its own index."""
-    cfg, cell, index, reps = args
-    size = max(1, BLOCK_POINTS // (cell[1] + BURN_IN))
-    pairs = []
-    for i in range(0, len(reps), size):
-        block = reps[i:i + size]
-        seeds = [_rep_seed(cfg.seed, index, r) for r in block]
-        pairs += zip(block, _block_values(cfg, cell, seeds))
-    return pairs
-
-
-def _run_cell(cfg: ExperimentConfig, cell: tuple, index: int) -> list:
-    """All replications of one cell, optionally split across worker
-    processes; results are reassembled by replication index."""
-    reps = list(range(cfg.nrep))
-    if cfg.workers > 1 and cfg.nrep > 1:
-        chunks = [reps[i::cfg.workers] for i in range(cfg.workers)]
-        jobs = [(cfg, cell, index, chunk) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            pieces = list(pool.map(_run_reps, jobs))
-        pairs = [pair for piece in pieces for pair in piece]
-    else:
-        pairs = _run_reps((cfg, cell, index, reps))
-    pairs.sort(key=lambda pr: pr[0])
-    return [value for _, value in pairs]
-
-
-def _rate_rows(model: str, T: int, method: str, pvals, alphas, elapsed_ms,
-               nrep: int) -> list:
-    rows = []
-    pvals = np.asarray(pvals, dtype=float)
-    for a in alphas:
-        rate = 100.0 * np.count_nonzero(pvals < a) / nrep
-        se = 100.0 * np.sqrt((rate / 100) * (1 - rate / 100) / nrep)
-        rows.append(ResultRow(model, T, method, a, rate, se, elapsed_ms))
-    return rows
+    return METHODS[method].values(cfg, block, seeds)
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
-    """Run every cell of the configured experiment and aggregate decisions.
+    """Run every cell of the configured experiment, in order, and build its
+    rows. Each cell's replications run in blocks of at most ``BLOCK_POINTS``
+    points, over one process pool for the run when ``workers > 1``.
+    ``progress`` is called once per cell, inside the cell's wall clock, and
+    once at the end.
 
     A failing cell contributes rows with NaN rate instead of aborting the
     whole run.
@@ -334,61 +383,29 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
         "config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
     })
 
-    if cfg.experiment == "qq_t10":
-        cells = [(m, T, "qq_t10") for m in cfg.models for T in cfg.T]
-    elif cfg.experiment == "table_equality":
-        pair = f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}"
-        cells = [(pair, T, "equality") for T in cfg.T]
-    else:
-        cells = [(m, T, meth) for m in cfg.models for T in cfg.T for meth in cfg.methods]
+    methods = {"qq_t10": ("qq_t10",), "table_equality": ("equality",)}.get(
+        cfg.experiment, cfg.methods)
+    models = ((f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}",)
+              if cfg.experiment == "table_equality" else cfg.models)
+    cells = [(m, T, meth) for m in models for T in cfg.T for meth in methods]
 
     t0 = time.perf_counter()
-    outputs = []
-    for i, cell in enumerate(cells):
-        start = time.perf_counter()
-        try:
-            out = _run_cell(cfg, cell, i)
-            err = None
-            progress(f"cell {i + 1}/{len(cells)} {cell} done")
-        except (InvalidInputError, ConfigError, ValueError,
-                ZeroDivisionError) as e:
-            out, err = None, e
-            progress(f"cell {cell} failed: {e}")
-        outputs.append((cell, out, err, (time.perf_counter() - start) * 1000.0))
-
-    ref_t10 = dist.student_t(10)
-    qq_refs = {}  # nrep -> (reference quantiles, 0.975 critical value)
-    for (model, T, method), out, err, ms in outputs:
-        if method == "qq_t10":
-            if err is not None:
-                table.rows.append(ResultRow(model, T, "qq_t10", float("nan"),
-                                            float("nan"), float("nan"), ms))
-                continue
-            stats = np.sort(np.asarray(out))
-            if stats.size not in qq_refs:
-                probs = (np.arange(1, stats.size + 1) - 0.5) / stats.size
-                qq_refs[stats.size] = (np.array([ref_t10.quantile(q) for q in probs]),
-                                       ref_t10.quantile(0.975))
-            ref, crit = qq_refs[stats.size]
-            table.quantile_pairs[f"{model}_T{T}"] = (stats, ref)
-            # tail agreement summary: fraction beyond the reference 5% critical value
-            rate = 100.0 * np.count_nonzero(np.abs(stats) > crit) / stats.size
-            se = 100.0 * np.sqrt((rate / 100) * (1 - rate / 100) / stats.size)
-            table.rows.append(ResultRow(model, T, "qq_t10", 0.05, rate, se, ms))
-        elif err is not None:
-            for a in cfg.alphas:
-                table.rows.append(ResultRow(model, T, method, a,
-                                            float("nan"), float("nan"), ms))
-        elif method == "equality":
-            pvals = [p for p, _ in out]
-            betas = [bh for _, bh in out]
-            table.rows.extend(_rate_rows(model, T, method, pvals,
-                                         cfg.alphas, ms, cfg.nrep))
-            table.metadata.setdefault("beta_hat_mean", {})[f"T{T}"] = float(
-                np.mean(betas))
-        else:
-            table.rows.extend(_rate_rows(model, T, method, out, cfg.alphas,
-                                         ms, cfg.nrep))
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for i, cell in enumerate(cells):
+            start = time.perf_counter()
+            size = max(1, BLOCK_POINTS // (cell[1] + BURN_IN))
+            jobs = [(cfg, i, cell, range(lo, min(lo + size, cfg.nrep)))
+                    for lo in range(0, cfg.nrep, size)]
+            try:
+                values = [v for block in run(_block_values, jobs) for v in block]
+                progress(f"cell {i + 1}/{len(cells)} {cell} done")
+            # InvalidInputError and ConfigError are ValueErrors
+            except (ValueError, ZeroDivisionError) as e:
+                values = None
+                progress(f"cell {cell} failed: {e}")
+            ms = (time.perf_counter() - start) * 1000.0
+            METHODS[cell[2]].rows(cfg, table, cell, values, ms)
     table.metadata["total_ms"] = (time.perf_counter() - t0) * 1000.0
     progress(f"experiment {cfg.experiment} finished: {len(table.rows)} rows")
     return table

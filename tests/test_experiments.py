@@ -1,10 +1,14 @@
 """Config parsing and the Monte Carlo experiment runner."""
 
 import json
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from orthosample import experiments
 from orthosample.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -79,9 +83,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="search_set"):
             tiny_config(search_set=())
 
+    def test_search_set_from_code_is_parsed_too(self):
+        assert tiny_config(search_set="10..12").search_set == (10, 11, 12)
+        assert tiny_config(search_set=[7, 9]).search_set == (7, 9)
+
+    @pytest.mark.parametrize("key, raw", [("T", "1"), ("T", "0"), ("T", "100, 1"),
+                                          ("alphas", "1.5"), ("alphas", "0"),
+                                          ("alphas", "0.05, 1"), ("alphas", "-0.1")])
+    def test_lengths_and_levels_out_of_range(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"experiment = table_uncorrelated_null\n{key} = {raw}\n")
+        value = tuple(float(v) for v in raw.split(","))
+        if key == "T":
+            value = tuple(int(v) for v in value)
+        with pytest.raises(ConfigError, match=key):
+            tiny_config(**{key: value})
+
     def test_method_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(methods=("sorcery",))
+
+    def test_methods_come_from_methods_table(self, monkeypatch):
+        monkeypatch.setitem(experiments.METHODS, "ljung_box",
+                            experiments.METHODS["box_pierce"])
+        assert tiny_config(methods=("ljung_box",)).methods == ("ljung_box",)
+        with pytest.raises(ConfigError, match="table_equality"):
+            tiny_config(methods=("equality",))
 
     @pytest.mark.parametrize("missing", ["gof_phi", "gof_sigma"])
     def test_gof_needs_null_parameters(self, missing):
@@ -108,11 +135,55 @@ class TestRunExperiment:
         strip = lambda t: [r.csv().rsplit(",", 1)[0] for r in t.rows]
         assert strip(t1) == strip(t2)
 
-    def test_worker_invariance(self):
-        t1 = run_experiment(tiny_config(workers=1), progress=quiet)
-        t2 = run_experiment(tiny_config(workers=2), progress=quiet)
+    def test_worker_invariance(self, monkeypatch):
+        # blocks of three replications at T = 64, so the pool gets several per cell
+        monkeypatch.setattr(experiments, "BLOCK_POINTS", 3 * (64 + experiments.BURN_IN))
         strip = lambda t: [r.csv().rsplit(",", 1)[0] for r in t.rows]
-        assert strip(t1) == strip(t2)
+        for cfg in [tiny_config(nrep=7, methods=("orthogonal", "box_pierce")),
+                    ExperimentConfig(experiment="qq_t10", models=("pivot_i",),
+                                     T=(64,), nrep=7, M=5, seed=1),
+                    ExperimentConfig(experiment="table_equality", T=(128,), nrep=5,
+                                     rho=0.5, delta=0.1, seed=2, beta=0.5),
+                    tiny_config(T=(8, 64), L=5, M=3)]:  # the T = 8 cell fails
+            t1 = run_experiment(replace(cfg, workers=1), progress=quiet)
+            t2 = run_experiment(replace(cfg, workers=2), progress=quiet)
+            assert strip(t1) == strip(t2)
+            assert t1.metadata.get("beta_hat_mean") == t2.metadata.get("beta_hat_mean")
+            assert t1.quantile_pairs.keys() == t2.quantile_pairs.keys()
+            for label, (emp, ref) in t1.quantile_pairs.items():
+                np.testing.assert_array_equal(emp, t2.quantile_pairs[label][0])
+                np.testing.assert_array_equal(ref, t2.quantile_pairs[label][1])
+        assert any(np.isnan(r.rate) for r in t1.rows)
+        assert not all(np.isnan(r.rate) for r in t1.rows)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        made = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        cfg = tiny_config(T=(64, 100), methods=("orthogonal", "box_pierce"))  # 4 cells
+        run_experiment(replace(cfg, workers=1), progress=quiet)
+        assert made == []
+        run_experiment(replace(cfg, workers=2), progress=quiet)
+        assert len(made) == 1
+
+    def test_progress_contract(self):
+        calls = []
+
+        def progress(msg):
+            calls.append(msg)
+            if len(calls) == 2:  # at the end of the second cell
+                time.sleep(0.25)
+
+        cfg = tiny_config(methods=("orthogonal", "box_pierce"))
+        table = run_experiment(cfg, progress=progress)
+        assert len(calls) == 2 + 1  # once per cell, once at the end
+        time_ms = {r.method: r.time_ms for r in table.rows}
+        assert time_ms["box_pierce"] >= 250.0 > time_ms["orthogonal"]
 
     def test_se_definition(self):
         table = run_experiment(tiny_config(nrep=20), progress=quiet)
@@ -142,7 +213,7 @@ class TestRunExperiment:
                                rho=0.0, delta=0.0, seed=2, beta=1.0)
         table = run_experiment(cfg, progress=quiet)
         assert table.rows[0].method == "equality"
-        assert "T128" in table.metadata["beta_hat_mean"] or table.metadata
+        assert 0.0 < table.metadata["beta_hat_mean"]["T128"] <= 1.0
 
     def test_custom_test_rejected(self):
         with pytest.raises(ConfigError):
