@@ -6,11 +6,36 @@ seeds)`` returns a time-major (T, R) block whose column j depends only on
 (spec, T, seeds[j]).  Each replication draws its innovations from its own
 ``default_rng(seeds[j])``, in a fixed order, into the column of a time-major
 array; the AR, ARCH and bivariate recursions then run once per time step
-across the whole block, in place, with the same floating-point operations for
-every column.  So column j is bit-identical whatever the other seeds of the
-block, and ``generate(spec, T, seed)`` is the block of one.  Recursive models
+across the whole block, with the same floating-point operations for every
+column.  So column j is bit-identical whatever the other seeds of the block,
+and ``generate(spec, T, seed)`` is the block of one.  Recursive models
 discard a 1000-sample burn-in; non-causal moving averages are truncated where
 the coefficients drop below 1e-10.
+
+Short, certified burn-in (the bracketing argument of monotone coupling from
+the past; Propp & Wilson 1996).  Each replication still draws all 1000 + T
+innovations, but a block of two or more runs the ARCH(1) and AR(p)
+recursions only from step s = 1000 - K, twice, fed the same innovations:
+once from a lower and once from an upper bound of the full loop's state at
+step s.  Every operation of these recursions is monotone in the state under
+IEEE rounding (for AR coefficients of alternating sign, after the exact sign
+flip y_t = (-1)^t x_t), so at every step the full loop's value lies between
+the two runs.  Where the two outputs agree bit for bit, and are not zero
+(whose sign the values do not pin), they are the full loop's output.  Every
+other column is recomputed by the full 1000-step loop, which is also what a
+block of one runs (on Python floats) and what an AR with coefficients of
+mixed sign runs.  So every column is bit-identical to the full recursion.
+The bounds:
+
+- ARCH(1): sigma_t^2 >= 1, and sigma_s^2 <= 2 v_s, where v_{t+1} = 1 + alpha
+  z_t^2 v_t from v_0 = 1/(1 - alpha) is the loop's recursion in exact
+  arithmetic and the factor 2 covers its rounding.  K = ``ARCH_K``.
+- AR(p) with all phi_m >= 0, or all (-1)^m phi_m >= 0: |x_t| <= B = 2
+  max_{t<s} |e_t| / (1 - sum |phi_m|) for t < s, and the brackets are -B and
+  B times the sign pattern of the lags.  K = ceil(100 ln 2 / -ln rho) for the
+  companion spectral radius rho, so after K steps the two runs are about
+  2^-100 of their first distance apart; when K would reach 1000 - p the full
+  loop runs instead.
 """
 
 from __future__ import annotations
@@ -45,7 +70,10 @@ __all__ = [
 ]
 
 BURN_IN = 1000
+ARCH_K = 100  # steps of the short ARCH burn-in
+_BOUND_CHUNK = 30  # steps per chunk of the ARCH variance bound; divides BURN_IN - ARCH_K
 TRUNCATION_TOL = 1e-10
+_INNOVATIONS = {"ar": ("normal", "chi2_1"), "noncausal_linear": ("normal", "t5", "arch")}
 PERIODIC_SCALE = (1, 1, 1, 2, 3, 1, 1, 1, 1, 2, 4, 6)
 
 
@@ -55,16 +83,24 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag == "ar":
-            coeffs = np.asarray(self.params["coeffs"], dtype=float)
+        p = self.params
+        if "coeffs" in p:
+            coeffs = np.asarray(p["coeffs"], dtype=float)
             # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside the unit circle
             roots = np.roots(np.r_[1.0, -coeffs][::-1]) if coeffs.size else np.array([])
             if roots.size and np.any(np.abs(roots) <= 1.0):
-                raise ValueError(f"AR coefficients {coeffs} are not stationary")
-        if self.tag == "arch1" and not 0.0 <= self.params["alpha"] < 1.0:
-            raise ValueError("ARCH coefficient must lie in [0, 1)")
-        if self.tag == "noncausal_linear" and not abs(self.params["a"]) < 1.0:
-            raise ValueError("non-causal coefficient must satisfy |a| < 1")
+                raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
+        for name in ("alpha", "arch_alpha"):
+            if name in p and not 0.0 <= p[name] < 1.0:
+                raise ValueError(f"ARCH coefficient {name}={p[name]} must lie in [0, 1)")
+        for name in ("a", "b1", "b2"):
+            if name in p and not abs(p[name]) < 1.0:
+                raise ValueError(f"non-causal coefficient {name}={p[name]} must "
+                                 f"satisfy |{name}| < 1")
+        allowed = _INNOVATIONS.get(self.tag, ())
+        if "innovation" in p and p["innovation"] not in allowed:
+            raise ValueError(f"innovation={p['innovation']!r} is not one of {allowed} "
+                             f"for {self.tag}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +205,8 @@ MODEL_REGISTRY = {
 
 
 def _truncation_length(a: float) -> int:
+    if a == 0.0:
+        return 1
     return max(1, math.ceil(math.log(TRUNCATION_TOL) / math.log(abs(a))))
 
 
@@ -184,11 +222,7 @@ def _chi2_1(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.chisquare(1, n)  # used raw (mean 1); statistics demean
 
 
-def _innovation(name: str, allowed):
-    draws = {"normal": _normal, "t5": _t5, "chi2_1": _chi2_1}
-    if name not in allowed:
-        raise ValueError(f"unknown innovation {name!r}")
-    return draws[name]
+_DRAWS = {"normal": _normal, "t5": _t5, "chi2_1": _chi2_1}
 
 
 def _draw(rngs, *parts) -> list:
@@ -218,28 +252,111 @@ def _over_time(body, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _bracketed(z: np.ndarray, s: int, state: np.ndarray, run, full) -> np.ndarray:
+    """The rows after the burn-in of a monotone recursion on z, from a run
+    over rows s.. only.
+
+    ``run(x)`` runs the recursion in place on x, the rows ``state`` (the
+    recursion's state before step s; lower bounds in the first R columns,
+    upper bounds in the last R) followed by z[s:] in both halves.  Columns
+    whose two outputs differ in any bit, or hold a zero, are recomputed by
+    ``full``, the full loop.
+    """
+    R, q = z.shape[1], len(state)
+    x = np.empty((q + len(z) - s, 2 * R))
+    x[:q] = state
+    x[q:, :R] = x[q:, R:] = z[s:]
+    run(x)
+    lo, hi = x[q + BURN_IN - s:, :R], x[q + BURN_IN - s:, R:]
+    miss = np.any((lo.view(np.int64) != hi.view(np.int64)) | (lo == 0.0), axis=0)
+    if miss.any():
+        lo[:, miss] = full(z[:, miss])
+    return np.ascontiguousarray(lo)
+
+
+def _arch_steps(x, alpha: float, var, sqrt) -> None:
+    """ARCH(1) in place: x_t becomes y_t = sigma_t x_t, where sigma_t^2 = 1 +
+    alpha y_{t-1}^2 and sigma_0^2 = var."""
+    for t in range(len(x)):
+        xt = sqrt(var) * x[t]
+        x[t] = xt
+        var = 1.0 + alpha * xt * xt
+
+
+def _arch_full(z: np.ndarray, alpha: float) -> np.ndarray:
+    """The full ARCH(1) loop on z, started at the stationary mean of sigma^2."""
+    var = 1.0 / (1.0 - alpha)
+    return _over_time(lambda x, sqrt: _arch_steps(x, alpha, var, sqrt), z)[BURN_IN:]
+
+
+def _arch_var_bound(z: np.ndarray, alpha: float, s: int) -> np.ndarray:
+    """2 v_s per column, where v_{t+1} = 1 + a_t v_t, a_t = alpha z_t^2 and
+    v_0 = 1/(1 - alpha).  The s steps are cut into chunks of _BOUND_CHUNK; a
+    chunk maps v to P v + S, P the product of its a_t and S its Horner sum,
+    built for all chunks at once one position at a time, and the chunk maps
+    are then applied in order."""
+    a = (alpha * z[:s] ** 2).reshape(-1, _BOUND_CHUNK, z.shape[1])
+    P, S = np.ones(a[:, 0].shape), np.zeros(a[:, 0].shape)
+    for j in range(_BOUND_CHUNK):
+        P *= a[:, j]
+        S = a[:, j] * S + 1.0
+    v = np.full(z.shape[1], 1.0 / (1.0 - alpha))
+    for P_i, S_i in zip(P, S):
+        v = P_i * v + S_i
+    return 2.0 * v
+
+
 def _arch(z: np.ndarray, alpha: float) -> np.ndarray:
-    """ARCH(1) in place: z_t becomes x_t = sigma_t z_t, sigma_t^2 = 1 +
-    alpha x_{t-1}^2, started at the stationary mean of sigma^2."""
-    def body(x, sqrt):
-        var = 1.0 / (1.0 - alpha)
-        for t in range(len(x)):
-            xt = sqrt(var) * x[t]
-            x[t] = xt
-            var = 1.0 + alpha * xt * xt
-    return _over_time(body, z)
+    """ARCH(1) on the innovations z, x_t = sigma_t z_t: the rows after the
+    burn-in of the full loop, certified from a short run for R >= 2."""
+    R = z.shape[1]
+    if R == 1:
+        return _arch_full(z, alpha)
+    s = BURN_IN - ARCH_K
+    var = np.concatenate([np.ones(R), _arch_var_bound(z, alpha, s)])
+    return _bracketed(z, s, np.empty((0, 2 * R)),
+                      lambda x: _arch_steps(x, alpha, var, np.sqrt),
+                      lambda zc: _arch_full(zc, alpha))
+
+
+def _ar_steps(x, coeffs: tuple, first: int) -> None:
+    """AR(p) in place from row ``first`` on: e_t becomes x_t = e_t + phi_1
+    x_{t-1} + ... + phi_p x_{t-p}, the terms added in order of lag; terms
+    before row 0 are left out."""
+    for t in range(first, len(x)):
+        for m, c in enumerate(coeffs[:t], start=1):
+            x[t] += c * x[t - m]
+
+
+def _ar_full(e: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """The full AR(p) loop on e, started from x_t = 0 for t < 0."""
+    return _over_time(lambda x, sqrt: _ar_steps(x, coeffs, 0), e)[BURN_IN:]
+
+
+def _ar_short_steps(coeffs: tuple) -> int:
+    """K = ceil(100 ln 2 / -ln rho), rho the companion spectral radius."""
+    rho = max(np.abs(np.roots(np.r_[1.0, -np.asarray(coeffs)])), default=0.0)
+    return math.ceil(100.0 * math.log(2.0) / -math.log(rho)) if rho > 0.0 else 0
 
 
 def _ar(e: np.ndarray, coeffs) -> np.ndarray:
-    """AR(p) in place: e_t becomes x_t = e_t + phi_1 x_{t-1} + ... + phi_p
-    x_{t-p}, the terms added in order of lag, with x_s = 0 for s < 0."""
+    """AR(p) on the innovations e: the rows after the burn-in of the full
+    loop, certified from a short run for R >= 2 and sign-monotone
+    coefficients."""
     coeffs = tuple(coeffs)
-
-    def body(x, sqrt):
-        for t in range(len(x)):
-            for m, c in enumerate(coeffs[:t], start=1):
-                x[t] += c * x[t - m]
-    return _over_time(body, e)
+    p, R = len(coeffs), e.shape[1]
+    # the sign pattern of the lags: phi_m >= 0, or (-1)^m phi_m >= 0, for all m
+    sign = next((sg for sg in (np.ones(p), (-1.0) ** np.arange(1, p + 1))
+                 if np.all(sg * coeffs >= 0.0)), None)
+    if R == 1 or sign is None or (K := _ar_short_steps(coeffs)) >= BURN_IN - p:
+        return _ar_full(e, coeffs)
+    s = BURN_IN - K
+    # sum |phi_m| <= rho < 1 for sign-monotone coefficients
+    bound = 2.0 * np.abs(e[:s]).max(axis=0) / (1.0 - sum(abs(c) for c in coeffs))
+    edge = sign[::-1, None] * bound  # rows: lags p .. 1
+    return _bracketed(e, s, np.concatenate([-edge, edge], axis=1),
+                      lambda x: _ar_steps(x, coeffs, p),
+                      lambda ec: _ar_full(ec, coeffs))
 
 
 def _noncausal_filter(eps: np.ndarray, a: float, T: int, J: int) -> np.ndarray:
@@ -263,9 +380,9 @@ def _noncausal(rngs, T: int, a: float, innovation: str,
     n = T + J + 1
     if innovation == "arch":
         (z,) = _draw(rngs, (_normal, n + BURN_IN))
-        eps = _arch(z, arch_alpha)[BURN_IN:]
+        eps = _arch(z, arch_alpha)
     else:
-        (eps,) = _draw(rngs, (_innovation(innovation, ("normal", "t5")), n))
+        (eps,) = _draw(rngs, (_DRAWS[innovation], n))
     return _noncausal_filter(eps, a, T, J), J
 
 
@@ -274,7 +391,8 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
 
     Column j is bit-identical to ``generate(spec, T, seeds[j]).series``: each
     replication draws its innovations from ``default_rng(seeds[j])`` in the
-    same order as a single draw, and the recursions take the same steps.
+    same order as a single draw, and the recursions give every column the
+    full loop's output (see the module docstring).
     """
     if T < 2:
         raise ValueError("T must be >= 2")
@@ -296,13 +414,13 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         x = zm1 * zm2 * (zm1 + zt + 1.0)
     elif tag == "arch1":
         (z,) = _draw(rngs, (_normal, n))
-        x = _arch(z, p["alpha"])[BURN_IN:]
+        x = _arch(z, p["alpha"])
         burn = BURN_IN
     elif tag == "arch_times_noncausal":
         J = _truncation_length(p["a"])
         z, eps = _draw(rngs, (_normal, n), (_normal, T + J + 1))
         v = _noncausal_filter(eps, p["a"], T, J)
-        x = np.abs(_arch(z, p["alpha"])[BURN_IN:]) * v
+        x = np.abs(_arch(z, p["alpha"])) * v
         burn, trunc = BURN_IN, J
     elif tag == "pseudo_linear":
         b1, b2 = p["b1"], p["b2"]
@@ -310,7 +428,7 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         # inner filter needs J2 extra history plus one future value
         n1 = T + J1 + 1
         (z,) = _draw(rngs, (_normal, n1 + J2 + 1 + BURN_IN))
-        u2 = _arch(z, p["arch_alpha"])[BURN_IN:]
+        u2 = _arch(z, p["arch_alpha"])
         u1 = _noncausal_filter(u2, b2, n1, J2)
         x = _noncausal_filter(u1, b1, T, J1)
         burn, trunc = BURN_IN, max(J1, J2)
@@ -323,13 +441,12 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         x, trunc = _noncausal(rngs, T, p["a"], p["innovation"],
                               p.get("arch_alpha", 0.0))
     elif tag == "ar":
-        draw = _innovation(p["innovation"], ("normal", "chi2_1"))
-        (e,) = _draw(rngs, (draw, n))
-        x = _ar(e, p["coeffs"])[BURN_IN:]
+        (e,) = _draw(rngs, (_DRAWS[p["innovation"]], n))
+        x = _ar(e, p["coeffs"])
         burn = BURN_IN
     elif tag == "ar_times_arch":
         e, z = _draw(rngs, (_normal, n), (_normal, n))
-        x = _ar(e, p["coeffs"])[BURN_IN:] * np.abs(_arch(z, p["alpha"])[BURN_IN:])
+        x = _ar(e, p["coeffs"]) * np.abs(_arch(z, p["alpha"]))
         burn = BURN_IN
     else:
         raise ValueError(f"unknown model tag {tag!r}")
@@ -362,8 +479,8 @@ def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
     # eta = rho e + sqrt(1 - rho^2) w, built in w's storage
     w *= math.sqrt(max(0.0, 1.0 - rho * rho))
     w += rho * e
-    x = _ar(e, (0.8,))[BURN_IN:]
-    y = _ar(w, (0.8, delta))[BURN_IN:]
+    x = _ar(e, (0.8,))
+    y = _ar(w, (0.8, delta))
     return tuple(SimOutput(series=s, seed=list(seeds), burn_in_used=BURN_IN)
                  for s in (x, y))
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orthosample import experiments
+from orthosample import experiments, models
 from orthosample.equality import (
     KernelSpec,
     beta_hat,
@@ -131,6 +131,118 @@ class TestGenerators:
         xo, yo = generate_bivariate(delta, rho, T, seed)
         np.testing.assert_array_equal(xo.series, x[BURN_IN:])
         np.testing.assert_array_equal(yo.series, y[BURN_IN:])
+
+
+# every ARCH coefficient and AR coefficient set of the registry, plus the
+# bivariate pairs' AR(1) and AR(2) recursions
+SHORT_CASES = (
+    [("arch", a) for a in sorted({spec.params[k] for spec in MODEL_REGISTRY.values()
+                                  for k in ("alpha", "arch_alpha") if k in spec.params})]
+    + [("ar", c) for c in sorted({spec.params["coeffs"] for spec in MODEL_REGISTRY.values()
+                                  if "coeffs" in spec.params} | {(0.8,), (0.8, 0.0), (0.8, 0.1)})])
+SHORT_COLUMNS = 2_500  # per innovation and length: 10^4 columns per parameter set
+
+
+def _arch_loop(z, alpha):
+    """The full ARCH(1) loop of the scalar test, across all columns at once;
+    the rows after the burn-in."""
+    x = np.empty((len(z) - BURN_IN, z.shape[1]))
+    var = 1.0 / (1.0 - alpha)
+    for t in range(len(z)):
+        xt = np.sqrt(var) * z[t]
+        var = 1.0 + alpha * xt * xt
+        if t >= BURN_IN:
+            x[t - BURN_IN] = xt
+    return x
+
+
+def _ar_loop(e, coeffs):
+    """The full AR(p) loop of the scalar test, across all columns at once;
+    the rows after the burn-in."""
+    x = np.zeros((len(coeffs) + len(e), e.shape[1]))  # p rows of zeros, then x_0 ..
+    for t in range(len(coeffs), len(x)):
+        acc = e[t - len(coeffs)].copy()
+        for m, c in enumerate(coeffs, start=1):
+            acc += c * x[t - m]
+        x[t] = acc
+    return x[len(coeffs) + BURN_IN:]
+
+
+@pytest.fixture(scope="module")
+def innovations():
+    rng = np.random.default_rng(2024)
+    shape = (500 + BURN_IN, SHORT_COLUMNS)
+    return {"normal": rng.standard_normal(shape), "chi2_1": rng.chisquare(1, shape)}
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The column counts of every call of the full loops, from the short
+    recursions' fallback or their block of one."""
+    counts = []
+    for name in ("_arch_full", "_ar_full"):
+        def counted(z, *args, full=getattr(models, name)):
+            counts.append(z.shape[1])
+            return full(z, *args)
+        monkeypatch.setattr(models, name, counted)
+    return counts
+
+
+def _assert_same_bits(got, want, fallbacks):
+    differ = np.flatnonzero(np.any(got.view(np.int64) != want.view(np.int64), axis=0))
+    assert differ.size == 0, f"{differ.size} columns differ from the full loop: {differ[:20]}"
+    # the short start, not the fallback, must be what produced the block
+    assert sum(fallbacks) < got.shape[1] // 100, f"{sum(fallbacks)} columns fell back"
+
+
+class TestShortBurnIn:
+    """The certified short recursions against the full 1000-step loops, on
+    wide blocks; T = 100 runs on the last 1100 rows of the T = 500 draws."""
+
+    @pytest.mark.parametrize("T", [100, 500])
+    @pytest.mark.parametrize("innovation", ["normal", "chi2_1"])
+    @pytest.mark.parametrize("recursion, param", SHORT_CASES,
+                             ids=[f"{r}{p}".replace(" ", "") for r, p in SHORT_CASES])
+    def test_columns_equal_full_loop(self, innovations, fallbacks, recursion, param,
+                                     innovation, T):
+        z = innovations[innovation][-(T + BURN_IN):]
+        short, loop = (models._arch, _arch_loop) if recursion == "arch" else (models._ar, _ar_loop)
+        _assert_same_bits(short(z, param), loop(z, param), fallbacks)
+
+    @pytest.mark.parametrize("innovation", ["normal", "chi2_1"])
+    def test_arch_variance_bound_holds(self, innovations, innovation):
+        z, alpha, s = innovations[innovation], 0.8, BURN_IN - models.ARCH_K
+        var = 1.0 / (1.0 - alpha)
+        for t in range(s):
+            xt = np.sqrt(var) * z[t]
+            var = 1.0 + alpha * xt * xt
+        assert np.all(var < models._arch_var_bound(z, alpha, s))
+
+    @pytest.mark.parametrize("recursion", ["arch", "ar"])
+    def test_uncertified_columns_take_the_full_loop(self, fallbacks, recursion):
+        z = np.random.default_rng(5).standard_normal((100 + BURN_IN, 6))
+        if recursion == "arch":
+            short, loop = (lambda x: models._arch(x, 0.8)), (lambda x: _arch_loop(x, 0.8))
+            s = BURN_IN - models.ARCH_K
+            z[BURN_IN + 5, 4] = 0.0  # a zero output, whose sign no bracket pins
+        else:
+            short, loop = (lambda x: models._ar(x, (0.8,))), (lambda x: _ar_loop(x, (0.8,)))
+            s = BURN_IN - models._ar_short_steps((0.8,))
+            z[BURN_IN + 5, 4] = -(0.8 * loop(z)[4, 4])  # x_{BURN_IN+5} = 0 exactly
+        # a spike just before step s puts the upper bracket far above the
+        # lower, beyond what K steps of contraction can close
+        z[s - 1, 2] = 1e50
+        got = short(z.copy())
+        assert fallbacks == [2]
+        np.testing.assert_array_equal(got, loop(z))
+        assert got[5, 4] == 0.0 and abs(got[0, 2]) > 1e3
+
+    @pytest.mark.parametrize("coeffs, R", [((0.8, -0.5), 7), ((0.6,), 1)])
+    def test_mixed_signs_and_blocks_of_one_take_the_full_loop(self, fallbacks, coeffs, R):
+        e = np.random.default_rng(6).standard_normal((100 + BURN_IN, R))
+        got = models._ar(e.copy(), coeffs)
+        assert fallbacks == [R]
+        np.testing.assert_array_equal(got, _ar_loop(e, coeffs))
 
 
 def _criterion_loop(run, T, M, p):

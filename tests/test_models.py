@@ -7,13 +7,16 @@ from orthosample.models import (
     MODEL_REGISTRY,
     ModelSpec,
     ar,
+    ar_times_arch,
     arch1,
+    arch_times_noncausal,
     generate,
     generate_bivariate,
     iid_normal,
     model_spectral_density,
     noncausal_linear,
     periodic_scaled,
+    pseudo_linear,
     two_dependent,
     PERIODIC_SCALE,
 )
@@ -76,6 +79,31 @@ class TestStationarityChecks:
             arch1(1.0)
         with pytest.raises(ValueError):
             noncausal_linear(1.2)
+
+    @pytest.mark.parametrize("make, args, name", [
+        (ar_times_arch, ([1.5],), "coeffs"),
+        (ar_times_arch, ([0.5], 1.2), "alpha"),
+        (arch1, (-0.1,), "alpha"),
+        (arch1, (float("nan"),), "alpha"),
+        (arch_times_noncausal, (1.0, 0.5), "alpha"),
+        (arch_times_noncausal, (0.5, 1.0), "a"),
+        (pseudo_linear, (-1.2, -0.6, 0.5), "b1"),
+        (pseudo_linear, (-0.8, 1.0, 0.5), "b2"),
+        (pseudo_linear, (-0.8, -0.6, 1.5), "arch_alpha"),
+        (noncausal_linear, (0.6, "arch", 1.1), "arch_alpha"),
+        (noncausal_linear, (0.6, "chi2_1"), "innovation"),
+        (ar, ([0.5], "t5"), "innovation"),
+    ])
+    def test_bad_parameters_rejected_at_construction(self, make, args, name):
+        with pytest.raises(ValueError, match=rf"\b{name}="):
+            make(*args)
+
+    def test_zero_noncausal_coefficient_is_white_noise(self):
+        T, seed = 50, 1
+        x = generate(noncausal_linear(0.0), T, seed=seed).series
+        # J = 1: the draws cover t = 0 .. T + 1 and x_t = e_t
+        np.testing.assert_array_equal(x, np.random.default_rng(seed).standard_normal(T + 2)[1:-1])
+        assert np.all(np.isfinite(generate(pseudo_linear(0.0, 0.0), T, seed=seed).series))
 
 
 @pytest.mark.slow
