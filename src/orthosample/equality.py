@@ -4,6 +4,11 @@ The statistic is an integrated squared distance between smoothed spectral
 estimates of the two series.  Its null distribution is calibrated from
 shifted (orthogonal) copies of the same distance, with a power transform
 chosen to symmetrise the draws before a t reference is applied.
+
+Block contract: ``equality_block`` tests every pair of rows (X[i], Y[i]) of
+two (R, T) blocks of series at once and returns one report per pair;
+``equality_test`` is its block of one.  A check that fails on any pair
+fails the whole block with the single-pair test's exception.
 """
 
 from __future__ import annotations
@@ -12,10 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import distributions as dist
 from .htests import TestReport
-from .spectral import SHIFT_BLOCK_POINTS, DftGrid, InvalidInputError, ShiftRangeError, dft
+from .spectral import (DftGrid, InvalidInputError, ShiftRangeError, _check_shift,
+                       _circular_convolve, _shift_chunks, as_block, as_series, dft_block)
 
 __all__ = [
     "KernelSpec",
@@ -24,6 +31,7 @@ __all__ = [
     "moment_estimates",
     "beta_hat",
     "equality_test",
+    "equality_block",
     "default_M",
     "default_bandwidth",
 ]
@@ -76,35 +84,12 @@ def kernel_spectral_estimate(grid: DftGrid, kernel: KernelSpec, r: int = 0) -> n
     f_hat(omega_{-l}; r) = f_hat(omega_{l-r}; r): the estimate is symmetric
     about -omega_r / 2, which is frequency 0 only when r = 0.
     """
-    T = grid.T
-    if r < 0 or r >= T / 2:
-        raise ShiftRangeError(f"shift r={r} out of range for T={T}")
-    u = grid.coeffs * np.conj(grid.shifted(r))
-    return _smooth(u, np.fft.fft(kernel.weights(T)))
+    u = grid.coeffs * np.conj(grid.shifted(_check_shift(grid.T, r)))
+    return _circular_convolve(u, np.fft.fft(kernel.weights(grid.T)))
 
 
-def _smooth(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    """Circular convolution over the cyclic frequency grid of each row of u
-    with the kernel weights whose FFT is ``fw``; transforms u in place."""
-    np.fft.fft(u, axis=-1, out=u)
-    u *= fw
-    return np.fft.ifft(u, axis=-1, out=u)
-
-
-def _shifted_differences(gx: DftGrid, gy: DftGrid, fw: np.ndarray,
-                         rs: range) -> np.ndarray:
-    """f_hat_x(.; r) - f_hat_y(.; r) for each shift r in ``rs``, one row per
-    shift.  The smoothing is linear, so one transform pair per row serves
-    both series."""
-    u = np.empty((len(rs), gx.T), dtype=complex)
-    for row, r in zip(u, rs):
-        np.multiply(gx.coeffs, np.conj(gx.shifted(r)), out=row)
-        row -= gy.coeffs * np.conj(gy.shifted(r))
-    return _smooth(u, fw)
-
-
-def _half_range(diff: np.ndarray, T: int) -> float:
-    return float(2.0 / T * np.sum(np.abs(diff[:T // 2]) ** 2))
+def _half_range(diff: np.ndarray, T: int) -> np.ndarray:
+    return 2.0 / T * np.sum(np.abs(diff[..., :T // 2]) ** 2, axis=-1)
 
 
 def _full_period(diff: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +115,8 @@ def l2_distance_stat(fx: np.ndarray, fy: np.ndarray, T: int,
     """
     diff = np.asarray(fx) - np.asarray(fy)
     if r == 0:
-        return _half_range(diff, T), 0.0
-    s_r, s_i = _full_period(diff, T)
-    return float(s_r), float(s_i)
+        return float(_half_range(diff, T)), 0.0
+    return tuple(float(s) for s in _full_period(diff, T))
 
 
 def moment_estimates(draws: np.ndarray) -> tuple[float, float, float]:
@@ -171,46 +155,49 @@ def default_bandwidth(T: int) -> float:
     return 0.15 if T < 512 else 0.1
 
 
-def equality_test(x, y, b: float | None = None, M: int | None = None,
-                  beta: float | str = "estimate") -> TestReport:
-    """Test H0: the two series have the same spectral density.
-
-    ``beta`` is either a fixed exponent in (0, 1] or "estimate", in which
-    case it is chosen from the skewness of the null draws.  The p-value is
-    the right tail of a scaled t reference with 2M - 1 degrees of freedom.
-    """
-    gx, gy = dft(x, demean=True), dft(y, demean=True)
-    if gx.T != gy.T:
-        raise InvalidInputError(
-            f"series lengths differ: {gx.T} vs {gy.T}")
-    T = gx.T
-    if M is None:
-        M = default_M(T)
+def equality_block(X, Y, b: float | None = None, M: int | None = None,
+                   beta: float | str = "estimate") -> list[TestReport]:
+    """:func:`equality_test` on every pair of rows (X[i], Y[i]) of two (R, T)
+    blocks of series, one report per pair."""
+    X, Y = as_block(X), as_block(Y)
+    if X.shape != Y.shape:
+        raise InvalidInputError(f"series blocks differ in shape: {X.shape} vs {Y.shape}")
+    R, T = X.shape
+    M = default_M(T) if M is None else M
     if M < 1 or M >= T / 2:
         raise ShiftRangeError(f"M={M} out of range for T={T}")
+    if beta != "estimate" and not 0.0 < float(beta) <= 1.0:
+        raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)
-
-    # the statistic and its null draws, as in ``l2_distance_stat``, from
-    # blocks of shifts r = 0..M, each block at most SHIFT_BLOCK_POINTS points
     fw = np.fft.fft(kernel.weights(T))
-    step = max(1, SHIFT_BLOCK_POINTS // T)
-    s_r, s_i = np.empty(M + 1), np.empty(M + 1)
-    for lo in range(0, M + 1, step):
-        rs = range(lo, min(lo + step, M + 1))
-        diff = _shifted_differences(gx, gy, fw, rs)
-        if lo == 0:
-            stat = _half_range(diff[0], T)
-        s_r[rs.start:rs.stop], s_i[rs.start:rs.stop] = _full_period(diff, T)
-    draws = np.empty(2 * M)
-    draws[0::2], draws[1::2] = s_r[1:], s_i[1:]
 
+    # the statistic and its draws (see ``l2_distance_stat``) from f_hat_x(.; r) - f_hat_y(.; r),
+    # one transform per shift for both series.  J[0, i, r] is J_{k+r} of X[i] (J[1, i, r] of
+    # Y[i]): a window on the row and its first M points, filled in place to save a block copy.
+    ext = np.empty((2, R, T + M), dtype=complex)
+    for s, Z in enumerate((X, Y)):
+        ext[s, :, :T] = dft_block(Z)
+    ext[..., T:] = ext[..., :M]
+    J = sliding_window_view(ext, T, axis=-1)
+    stat, sums = np.empty(R), np.empty((2, R, M + 1))
+    for rows, rs in _shift_chunks(R, M + 1, T):
+        # the first product goes to a fresh C-ordered array: `*` may form it in
+        # place in the conj temporary, which moves the last bits at T = 2^14
+        jx = J[0, rows, rs]
+        u = np.multiply(J[0, rows, :1], np.conj(jx), out=np.empty(jx.shape, complex))
+        u -= J[1, rows, :1] * np.conj(J[1, rows, rs])
+        diff = _circular_convolve(u, fw)
+        if rs.start == 0:
+            stat[rows] = _half_range(diff[:, 0], T)
+        sums[:, rows, rs] = _full_period(diff, T)
+    draws = sums[..., 1:].transpose(1, 2, 0).reshape(R, 2 * M)  # S_R(1), S_I(1), ...
+    return [_report(float(stat[i]), draws[i], M, kernel.bandwidth, beta) for i in range(R)]
+
+
+def _report(stat: float, draws: np.ndarray, M: int, b: float, beta) -> TestReport:
+    """The report of one pair from its statistic and its 2M null draws."""
     mu, var, mu3 = moment_estimates(draws)
-    if beta == "estimate":
-        beta_used = beta_hat(mu, var, mu3)
-    else:
-        beta_used = float(beta)
-        if not 0.0 < beta_used <= 1.0:
-            raise InvalidInputError(f"beta={beta_used} outside (0, 1]")
+    beta_used = beta_hat(mu, var, mu3) if beta == "estimate" else float(beta)
 
     # moments of the transformed statistic by a second-order expansion
     mu_b = mu**beta_used + 0.5 * beta_used * (beta_used - 1.0) * mu ** (beta_used - 2.0) * var
@@ -223,5 +210,17 @@ def equality_test(x, y, b: float | None = None, M: int | None = None,
     p = float(law.sf(z / scale))
     return TestReport(statistic=stat, p_value=p, null_ref=law,
                       method="spectral_equality",
-                      tuning={"M": M, "b": kernel.bandwidth, "beta": beta_used,
+                      tuning={"M": M, "b": b, "beta": beta_used,
                               "z": float(z), "mu": mu, "var": var, "mu3": mu3})
+
+
+def equality_test(x, y, b: float | None = None, M: int | None = None,
+                  beta: float | str = "estimate") -> TestReport:
+    """Test H0: the two series have the same spectral density.
+
+    ``beta`` is either a fixed exponent in (0, 1] or "estimate", in which
+    case it is chosen from the skewness of the null draws.  The p-value is
+    the right tail of a scaled t reference with 2M - 1 degrees of freedom.
+    The block of one of :func:`equality_block`.
+    """
+    return equality_block(as_series(x)[None], as_series(y)[None], b, M, beta)[0]

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .equality import equality_test
+from .equality import equality_block
 from .htests import (
     bootstrap_portmanteau_test,
     box_pierce_block,
@@ -108,9 +108,13 @@ class ExperimentConfig:
             raise ConfigError(f"alphas must be a non-empty list of levels in (0, 1), "
                               f"got {self.alphas!r}")
         if self.experiment != "table_equality":
+            if not self.models:
+                raise ConfigError("models must be a non-empty list of model tags")
             for m in self.models:
                 if m not in MODEL_REGISTRY:
                     raise ConfigError(f"unknown model tag {m!r}")
+        if not self.methods and self.experiment not in ("qq_t10", "table_equality"):
+            raise ConfigError("methods must be a non-empty list of method names")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
@@ -267,11 +271,8 @@ def _bootstrap_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -
 
 def _equality_values(cfg: ExperimentConfig, pair, seeds: list) -> list:
     """(p-value, beta-hat) of the equality test on each pair of rows."""
-    values = []
-    for x, y in zip(*pair):
-        report = equality_test(x, y, b=cfg.b, M=cfg.M, beta=cfg.beta)
-        values.append((report.p_value, report.tuning["beta"]))
-    return values
+    return [(report.p_value, report.tuning["beta"])
+            for report in equality_block(*pair, b=cfg.b, M=cfg.M, beta=cfg.beta)]
 
 
 def _row(cell: tuple, alpha: float, hits, n: int, ms: float) -> ResultRow:

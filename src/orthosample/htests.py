@@ -118,8 +118,6 @@ def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
     slot and 0 in the second.
     """
     grid = dft(series, demean=demean)
-    if r < 0 or r >= grid.T / 2:
-        raise ShiftRangeError(f"shift r={r} out of range for T={grid.T}")
     table = _shift_table(grid, phis, r)[None]
     if r == 0:
         return float(_statistics(table, grid.T)[0]), 0.0

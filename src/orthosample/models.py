@@ -77,6 +77,12 @@ _INNOVATIONS = {"ar": ("normal", "chi2_1"), "noncausal_linear": ("normal", "t5",
 PERIODIC_SCALE = (1, 1, 1, 2, 3, 1, 1, 1, 1, 2, 4, 6)
 
 
+def _spectral_radius(coeffs) -> float:
+    """The AR(p) companion matrix's spectral radius, the largest modulus of a root
+    of z^p - phi_1 z^{p-1} - ... - phi_p (0 for p = 0): stationary iff < 1."""
+    return max(np.abs(np.roots(np.r_[1.0, -np.asarray(coeffs, dtype=float)])), default=0.0)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     tag: str
@@ -84,12 +90,8 @@ class ModelSpec:
 
     def __post_init__(self):
         p = self.params
-        if "coeffs" in p:
-            coeffs = np.asarray(p["coeffs"], dtype=float)
-            # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside the unit circle
-            roots = np.roots(np.r_[1.0, -coeffs][::-1]) if coeffs.size else np.array([])
-            if roots.size and np.any(np.abs(roots) <= 1.0):
-                raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
+        if "coeffs" in p and _spectral_radius(p["coeffs"]) >= 1.0:
+            raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
         for name in ("alpha", "arch_alpha"):
             if name in p and not 0.0 <= p[name] < 1.0:
                 raise ValueError(f"ARCH coefficient {name}={p[name]} must lie in [0, 1)")
@@ -335,7 +337,7 @@ def _ar_full(e: np.ndarray, coeffs: tuple) -> np.ndarray:
 
 def _ar_short_steps(coeffs: tuple) -> int:
     """K = ceil(100 ln 2 / -ln rho), rho the companion spectral radius."""
-    rho = max(np.abs(np.roots(np.r_[1.0, -np.asarray(coeffs)])), default=0.0)
+    rho = _spectral_radius(coeffs)
     return math.ceil(100.0 * math.log(2.0) / -math.log(rho)) if rho > 0.0 else 0
 
 
@@ -372,18 +374,6 @@ def _noncausal_filter(eps: np.ndarray, a: float, T: int, J: int) -> np.ndarray:
         causal[:, col] = np.convolve(eps[:, col], coeffs)[J : J + T]
     future = eps[J + 1 : J + 1 + T]  # e_{t+1}
     return causal - a / (1.0 - a * a) * future
-
-
-def _noncausal(rngs, T: int, a: float, innovation: str,
-               arch_alpha: float) -> tuple[np.ndarray, int]:
-    J = _truncation_length(a)
-    n = T + J + 1
-    if innovation == "arch":
-        (z,) = _draw(rngs, (_normal, n + BURN_IN))
-        eps = _arch(z, arch_alpha)
-    else:
-        (eps,) = _draw(rngs, (_DRAWS[innovation], n))
-    return _noncausal_filter(eps, a, T, J), J
 
 
 def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
@@ -438,8 +428,13 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         scale = np.resize(np.asarray(PERIODIC_SCALE, dtype=float), T)
         x = scale[:, None] * base
     elif tag == "noncausal_linear":
-        x, trunc = _noncausal(rngs, T, p["a"], p["innovation"],
-                              p.get("arch_alpha", 0.0))
+        trunc = _truncation_length(p["a"])
+        if p["innovation"] == "arch":
+            (z,) = _draw(rngs, (_normal, T + trunc + 1 + BURN_IN))
+            eps = _arch(z, p.get("arch_alpha", 0.0))
+        else:
+            (eps,) = _draw(rngs, (_DRAWS[p["innovation"]], T + trunc + 1))
+        x = _noncausal_filter(eps, p["a"], T, trunc)
     elif tag == "ar":
         (e,) = _draw(rngs, (_DRAWS[p["innovation"]], n))
         x = _ar(e, p["coeffs"])
@@ -470,9 +465,7 @@ def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
     drawn from seeds[j]."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError("innovation correlation must lie in [-1, 1]")
-    # z^2 - 0.8 z - delta: inverse characteristic roots must lie inside the unit circle
-    roots = np.roots([1.0, -0.8, -delta])
-    if np.any(np.abs(roots) >= 1.0):
+    if _spectral_radius((0.8, delta)) >= 1.0:
         raise ValueError(f"(0.8, {delta}) is not a stationary AR(2)")
     n = T + BURN_IN
     e, w = _draw([np.random.default_rng(s) for s in seeds], (_normal, n), (_normal, n))

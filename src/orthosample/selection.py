@@ -58,9 +58,13 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     return p / T * np.sum(score, axis=-1)
 
 
-def _check_window(T: int, M: int, p: int):
+def _check_p(p: int):
     if p < 2:
         raise ShiftRangeError("p must be >= 2")
+
+
+def _check_window(T: int, M: int, p: int):
+    _check_p(p)
     if M < 1:
         raise ShiftRangeError("M must be >= 1")
     if T // p + M >= T / 2:
@@ -80,6 +84,7 @@ def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) ->
 def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
                         p: int = DEFAULT_P) -> tuple:
     """Members of the search set whose variance windows stay below T/2."""
+    _check_p(p)
     out = tuple(M for M in search_set if T // p + M < T / 2)
     if not out:
         raise ShiftRangeError(

@@ -271,27 +271,35 @@ def shift_runs(coeffs: np.ndarray, weights: np.ndarray, max_r: int) -> np.ndarra
     # corr[m] = sum_k w_k conj(J_{k-m}); shift +r lives at index (-r) mod T
     idx = (-np.arange(0, max_r + 1)) % T
     out = np.empty((R, L, max_r + 1), dtype=complex)
-    # whole replications at a time, or some weights of one when T is long
-    reps = max(1, SHIFT_BLOCK_POINTS // (L * T))
-    lags = min(L, max(1, SHIFT_BLOCK_POINTS // T))
-    for i in range(0, R, reps):
-        for j in range(0, L, lags):
-            w = weights[None, j:j + lags] * coeffs[i:i + reps, None]
-            np.fft.fft(w, axis=-1, out=w)
-            w *= conj_fc[i:i + reps, None]
-            corr = np.fft.ifft(w, axis=-1, out=w)
-            out[i:i + reps, j:j + lags] = corr[..., idx] / T
+    for rows, inner in _shift_chunks(R, L, T):
+        corr = _circular_convolve(weights[None, inner] * coeffs[rows, None], conj_fc[rows, None])
+        out[rows, inner] = corr[..., idx] / T
     return out
+
+
+def _circular_convolve(u: np.ndarray, fu: np.ndarray) -> np.ndarray:
+    """Circular convolution over the frequency grid of each row of u with the
+    sequence whose FFT is ``fu`` (broadcast against u); transforms u in place."""
+    np.fft.fft(u, axis=-1, out=u)
+    u *= fu
+    return np.fft.ifft(u, axis=-1, out=u)
+
+
+def _shift_chunks(R: int, L: int, T: int):
+    """(rows, inner) slices covering an (R, L) grid of length-T rows, at most
+    ``SHIFT_BLOCK_POINTS`` points each: whole rows at a time, else inner
+    elements of one row (one element when T alone exceeds the limit)."""
+    reps = max(1, SHIFT_BLOCK_POINTS // (L * T))
+    inner = min(L, max(1, SHIFT_BLOCK_POINTS // T))
+    for i in range(0, R, reps):
+        for j in range(0, L, inner):
+            yield slice(i, i + reps), slice(j, j + inner)
 
 
 def orthogonal_sample(grid: DftGrid, phi: WeightFunction, M: int) -> OrthogonalSample:
     """The orthogonal sample {A(phi; r)}_{r=1..M} plus the base statistic."""
-    T = grid.T
-    if M < 1:
-        raise ShiftRangeError("M must be >= 1")
-    _check_shift(T, M)
     run = weighted_average_run(grid, phi, M)
-    return OrthogonalSample(base=complex(run[0]), shifted=run[1:].copy(), T=T)
+    return OrthogonalSample(base=complex(run[0]), shifted=run[1:].copy(), T=grid.T)
 
 
 def quadratic_form_oracle(series, phi: WeightFunction, r: int,

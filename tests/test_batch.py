@@ -15,6 +15,7 @@ from orthosample.equality import (
     beta_hat,
     default_bandwidth,
     default_M,
+    equality_block,
     equality_test,
     kernel_spectral_estimate,
     l2_distance_stat,
@@ -45,6 +46,9 @@ from orthosample.models import (
 )
 from orthosample.selection import criterion, feasible_search_set, select_M, select_M_block
 from orthosample.spectral import (
+    SHIFT_BLOCK_POINTS,
+    InvalidInputError,
+    _shift_chunks,
     ar_spectral_density,
     dft,
     dft_block,
@@ -331,6 +335,91 @@ class TestEqualityShifts:
         assert report.tuning["mu3"] == pytest.approx(mu3, rel=1e-12,
                                                      abs=1e-12 * var**1.5)
         assert report.p_value == pytest.approx(p, rel=1e-12)
+
+
+class TestEqualityBlock:
+    """Row i of ``equality_block`` reports what ``equality_test`` reports on
+    pair i, bit for bit."""
+
+    @pytest.mark.parametrize("T, R", [(T, R) for T in (128, 512, 1024)
+                                      for R in (1, 2, 7, 43)] + [(2**14, 2)])
+    @pytest.mark.parametrize("beta", ["estimate", 0.25])
+    def test_rows_equal_single_tests(self, T, R, beta):
+        X, Y = (np.ascontiguousarray(out.series.T) for out in generate_bivariate_batch(
+            0.1, 0.5, T, [[18, T, r] for r in range(R)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+            reports = equality_block(X, Y, beta=beta)
+            singles = [equality_test(x, y, beta=beta) for x, y in zip(X, Y)]
+        assert len(reports) == R
+        for got, one in zip(reports, singles):
+            assert got.statistic == one.statistic
+            assert got.p_value == one.p_value
+            assert got.tuning == one.tuning
+
+    @pytest.mark.parametrize("T", [128, 512, 1024, 2**14])
+    @pytest.mark.parametrize("k", range(3))
+    def test_single_pairs_keep_the_per_shift_bits(self, T, k):
+        x, y = (out.series for out in generate_bivariate(0.1 * (k - 1), 0.5 * (k % 2), T,
+                                                          [99, T, k]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+            report = equality_test(x, y)
+        stat, (mu, var, mu3) = _roll_reference(x, y)
+        assert report.statistic == stat
+        assert (report.tuning["mu"], report.tuning["var"], report.tuning["mu3"]) == (mu, var, mu3)
+
+    def test_failing_pair_fails_the_block(self):
+        X, Y = (np.array(out.series.T) for out in generate_bivariate_batch(
+            0.0, 0.0, 128, [[19, r] for r in range(3)]))
+        Y[1] = X[1]  # a pair with zero distance at every shift: no null variance
+        with pytest.raises(ZeroDivisionError):
+            equality_test(X[1], Y[1])
+        with pytest.raises(ZeroDivisionError):
+            equality_block(X, Y)
+
+    def test_shapes_must_match(self):
+        X = _series_block(128, 3)
+        with pytest.raises(InvalidInputError, match=r"\(3, 128\).*\(2, 128\)"):
+            equality_block(X, X[:2])
+        with pytest.raises(InvalidInputError, match=r"\(3, 128\).*\(3, 100\)"):
+            equality_block(X, X[:, :100])
+
+
+def _roll_reference(x, y):
+    """The statistic and the moments of its draws from one row of shifted
+    products per shift, built with np.roll: the per-shift loop that the
+    block kernel replaced, kept as the reference for its bits."""
+    gx, gy = dft(x), dft(y)
+    T = gx.T
+    M = default_M(T)
+    fw = np.fft.fft(KernelSpec(default_bandwidth(T)).weights(T))
+    draws = []
+    for r in range(M + 1):
+        u = np.empty(T, dtype=complex)
+        np.multiply(gx.coeffs, np.conj(np.roll(gx.coeffs, -r)), out=u)
+        u -= gy.coeffs * np.conj(np.roll(gy.coeffs, -r))
+        np.fft.fft(u, out=u)
+        u *= fw
+        np.fft.ifft(u, out=u)
+        if r == 0:
+            stat = 2.0 / T * np.sum(np.abs(u[:T // 2]) ** 2)
+        else:
+            draws += [2.0 / T * np.sum(u.real**2), 2.0 / T * np.sum(u.imag**2)]
+    return stat, moment_estimates(np.array(draws))
+
+
+class TestShiftChunks:
+    @pytest.mark.parametrize("R, L, T", [(1, 1, 64), (43, 7, 128), (5, 13, 1024),
+                                         (3, 19, 2**12), (2, 4, 2**14), (3, 2, 2**15)])
+    def test_chunks_cover_each_cell_once_within_the_limit(self, R, L, T):
+        hits = np.zeros((R, L), dtype=int)
+        for rows, inner in _shift_chunks(R, L, T):
+            cells = hits[rows, inner]
+            cells += 1
+            if cells.size * T > SHIFT_BLOCK_POINTS:
+                assert cells.shape == (1, 1) and T > SHIFT_BLOCK_POINTS
+        np.testing.assert_array_equal(hits, 1)
 
 
 class TestBlocking:

@@ -134,6 +134,11 @@ class TestSelectMVerb:
         err = capsys.readouterr().err
         assert "config error" in err and "--set" in err
 
+    def test_p_below_two_is_data_error(self, series_csv, capsys):
+        assert main(["selectM", series_csv, "--p", "0"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "p must be >= 2" in err and "Traceback" not in err
+
     def test_short_series_is_data_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("\n".join(str(v) for v in range(20)))
@@ -199,7 +204,8 @@ class TestRunVerb:
         assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("line", ["nrep = ten", "search_set = 10..x",
-                                      "search_set = 30..10", "search_set = 0,3"])
+                                      "search_set = 30..10", "search_set = 0,3",
+                                      "models = ", "methods = "])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment = table_uncorrelated_null\n{line}\n")

@@ -99,6 +99,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             tiny_config(**{key: value})
 
+    @pytest.mark.parametrize("key", ["models", "methods"])
+    @pytest.mark.parametrize("experiment", ["table_uncorrelated_null", "table_gof_null"])
+    def test_empty_models_or_methods_rejected(self, key, experiment):
+        gof = "gof_phi = 0.6\ngof_sigma = 1\n" if "gof" in experiment else ""
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"experiment = {experiment}\n{gof}{key} =\n")
+        with pytest.raises(ConfigError, match=key):
+            tiny_config(**{key: ()})
+
+    def test_empty_lists_allowed_where_unread(self):
+        assert tiny_config(experiment="qq_t10", methods=()).methods == ()
+        cfg = parse_config("experiment = table_equality\nmodels =\nmethods =\n")
+        assert cfg.models == () and cfg.methods == ()
+
     def test_method_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(methods=("sorcery",))

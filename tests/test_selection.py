@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from orthosample.htests import portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate
 from orthosample.selection import (
     DEFAULT_P,
@@ -100,6 +101,14 @@ class TestFeasibleSet:
     def test_infeasible_raises(self):
         with pytest.raises(ShiftRangeError):
             feasible_search_set(40, range(10, 31), 2)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_p_checked_before_use(self, p):
+        with pytest.raises(ShiftRangeError, match="p must be >= 2"):
+            feasible_search_set(200, range(10, 31), p)
+        x = generate(MODEL_REGISTRY["normal"], 200, seed=5).series
+        with pytest.raises(ShiftRangeError, match="p must be >= 2"):
+            portmanteau_test(x, p=p)
 
 
 @pytest.mark.slow
