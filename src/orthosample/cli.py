@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -42,39 +43,53 @@ class DataError(ValueError):
 def load_series(path: str, columns: int | None = None) -> list[np.ndarray]:
     """Read a one- or two-column CSV of real values; optional header row.
 
-    Raises DataError naming the offending line on parse failure.
+    One ``map(float, ...)`` parses every field of the file; on failure the
+    lines are walked once to raise DataError naming the first offending line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    cols: list[list[float]] = []
-    first_nonempty = True
-    for ln, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            if first_nonempty:
-                first_nonempty = False
-                continue  # header row
-            raise DataError(f"{path}: line {ln}: cannot parse {line!r}") from None
-        first_nonempty = False
-        if not cols:
-            cols = [[] for _ in parts]
-        if len(parts) != len(cols):
-            raise DataError(f"{path}: line {ln}: expected {len(cols)} columns, "
-                            f"got {len(parts)}")
-        for c, v in zip(cols, values):
-            c.append(v)
-    if not cols:
+    rows = list(filter(str.strip, lines))
+    header = bool(rows) and not _parses(rows[0])
+    del rows[:int(header)]
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    if columns is not None and len(cols) != columns:
-        raise DataError(f"{path}: expected {columns} column(s), found {len(cols)}")
-    return [np.asarray(c) for c in cols]
+    ncol = rows[0].count(",") + 1
+    try:
+        # float() rejects every comma, so only rows of two or more columns can be ragged
+        if ncol > 1 and set(map(str.count, rows, repeat(","))) != {ncol - 1}:
+            raise ValueError("ragged rows")
+        fields = rows if ncol == 1 else chain.from_iterable(map(str.split, rows, repeat(",")))
+        values = np.fromiter(map(float, fields), float, len(rows) * ncol)
+    except ValueError:
+        raise _first_bad_line(path, lines, ncol, header) from None
+    if columns is not None and ncol != columns:
+        raise DataError(f"{path}: expected {columns} column(s), found {ncol}")
+    return list(np.ascontiguousarray(values.reshape(-1, ncol).T))
+
+
+def _parses(line: str) -> bool:
+    try:
+        list(map(float, line.split(",")))
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_line(path: str, lines: list[str], ncol: int, header: bool) -> DataError:
+    """The error for the first data line, in file order, that does not parse
+    or has another column count than ``ncol``; ``header`` skips the first
+    non-empty line."""
+    data = [(ln, line) for ln, line in enumerate(lines, start=1) if line.strip()]
+    for ln, line in data[int(header):]:
+        if not _parses(line):
+            return DataError(f"{path}: line {ln}: cannot parse {line!r}")
+        if line.count(",") + 1 != ncol:
+            return DataError(f"{path}: line {ln}: expected {ncol} columns, "
+                             f"got {line.count(',') + 1}")
+    raise AssertionError("no bad line")
 
 
 def _workers(value: str) -> int:
@@ -87,6 +102,15 @@ def _workers(value: str) -> int:
     if workers < 1:
         raise ConfigError(f"ORTHOSAMPLE_WORKERS must be >= 1, got {workers}")
     return workers
+
+
+def _beta(value: str):
+    """The --beta value: "estimate" or a number."""
+    try:
+        return value if value == "estimate" else float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'estimate' or a number, got {value!r}") from None
 
 
 def report_to_dict(report: TestReport) -> dict:
@@ -154,7 +178,8 @@ def main(argv=None) -> int:
     p_test.add_argument("--M", type=int, default=None)
     p_test.add_argument("--L", type=int, default=5)
     p_test.add_argument("--b", type=float, default=None)
-    p_test.add_argument("--beta", default="estimate")
+    p_test.add_argument("--beta", type=_beta, default="estimate",
+                        help='"estimate" or a number')
 
     p_sel = sub.add_parser("selectM", help="choose the number of shifts")
     p_sel.add_argument("datafile")
@@ -184,9 +209,8 @@ def main(argv=None) -> int:
                 print(path)
             return EXIT_OK
         if args.verb == "test":
-            beta = args.beta if args.beta == "estimate" else float(args.beta)
             result = run_single_test(args.kind, args.datafile, M=args.M,
-                                     L=args.L, b=args.b, beta=beta)
+                                     L=args.L, b=args.b, beta=args.beta)
             print(json.dumps(result, indent=1))
             return EXIT_OK
         if args.verb == "selectM":

@@ -27,6 +27,7 @@ from .spectral import (
     as_series,
     dft,
     dft_block,
+    grid_frequencies,
     lag_weight,
     model_reciprocal_weight,
     shift_runs,
@@ -217,7 +218,8 @@ def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray
     coeffs = dft_block(block, demean=True)
     T = coeffs.shape[1]
     _check_L(L, T)
-    weights = _on_grid([model_reciprocal_weight(j, null_density)
+    gv = null_density(grid_frequencies(T))  # one density evaluation for all L weights
+    weights = _on_grid([model_reciprocal_weight(j, lambda w, gv=gv: gv)
                         for j in range(1, L + 1)], T)
     return orthogonal_l2_block(coeffs, weights, M, search_set, p)
 

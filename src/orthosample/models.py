@@ -432,6 +432,7 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         if p["innovation"] == "arch":
             (z,) = _draw(rngs, (_normal, T + trunc + 1 + BURN_IN))
             eps = _arch(z, p.get("arch_alpha", 0.0))
+            burn = BURN_IN
         else:
             (eps,) = _draw(rngs, (_DRAWS[p["innovation"]], T + trunc + 1))
         x = _noncausal_filter(eps, p["a"], T, trunc)

@@ -74,6 +74,108 @@ class TestLoadSeries:
             load_series(str(path), columns=2)
 
 
+def _load_series_reference(path, columns=None):
+    """The line-by-line reader that ``load_series`` replaced, kept as an
+    oracle: each line stripped, split and parsed on its own."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cols = []
+    first_nonempty = True
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            if first_nonempty:
+                first_nonempty = False
+                continue  # header row
+            raise DataError(f"{path}: line {ln}: cannot parse {line!r}") from None
+        first_nonempty = False
+        if not cols:
+            cols = [[] for _ in parts]
+        if len(parts) != len(cols):
+            raise DataError(f"{path}: line {ln}: expected {len(cols)} columns, "
+                            f"got {len(parts)}")
+        for c, v in zip(cols, values):
+            c.append(v)
+    if not cols:
+        raise DataError(f"{path}: no data rows")
+    if columns is not None and len(cols) != columns:
+        raise DataError(f"{path}: expected {columns} column(s), found {len(cols)}")
+    return [np.asarray(c) for c in cols]
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _bits(arrays):
+    return [(a.dtype, a.shape, a.view(np.int64).tolist()) for a in arrays]
+
+
+READER_FILES = {
+    "one_column": "1.5\n-2\n3e-3\n",
+    "one_column_header": "value\n1.5\n-2\n",
+    "two_columns": "1,2\n3.25,-4\n5,6\n",
+    "two_columns_header": "x,y\n1,2\n3,4\n",
+    "blank_lines": "\n\n1\n\n2\n\n\n3",
+    "whitespace_lines": "  \n\t\n1,2\n   \n3,4\n \t \n",
+    "header_after_blank": "\n  \nx,y\n\n1,2\n",
+    "crlf": "x\r\n1.5\r\n2.5\r\n\r\n",
+    "padded_fields": "  1 ,\t2\n3  ,  4 \n",
+    "exponents": "1e300,-2.5E-300\n4.9e-324,1.7976931348623157e308\n",
+    "nan_inf_tokens": "nan,inf\n-inf,NaN\nInfinity,-nan\n",
+    "underscores": "1_000\n2_500.5\n",
+    "many_digits": "0.1000000000000000055511151231257827\n3.141592653589793238\n",
+}
+
+
+class TestOnePassReader:
+    @pytest.mark.parametrize("name", sorted(READER_FILES))
+    def test_bit_identical_to_line_by_line(self, tmp_path, name):
+        path = _write(tmp_path, READER_FILES[name])
+        assert _bits(load_series(path)) == _bits(_load_series_reference(path))
+
+    def test_bit_identical_on_random_values(self, tmp_path, rng):
+        x = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-300, 300, (500, 2))
+        path = _write(tmp_path, "a,b\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in x))
+        new, ref = load_series(path, columns=2), _load_series_reference(path, columns=2)
+        assert _bits(new) == _bits(ref)
+        assert all(c.flags.c_contiguous for c in new)
+        np.testing.assert_array_equal(np.stack(new, axis=1), x)
+
+    @pytest.mark.parametrize("text, columns", [
+        ("1,2\nbad,3\n4\n", None),   # bad value before a ragged row
+        ("1,2\n4\nbad,3\n", None),   # ragged row before a bad value
+        ("1,2\n3,4,5\n", None),       # too many columns
+        ("1\n2,x\n", None),           # ragged and bad on one line
+        ("x,y\n", None),               # header only
+        ("", None),                    # empty file
+        ("\n  \n", None),             # blank lines only
+        ("x\n1\noops\n", None),       # bad second data line after a header
+        ("x\nbad\n1\n", None),        # bad line right after the header
+        ("1,2\n3,\n", None),          # empty field in a data row
+        ("1\n2\n", 2),                # column count enforced
+        ("1,2\n3,4\n", 1),
+    ])
+    def test_same_error_text(self, tmp_path, text, columns):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError) as ref:
+            _load_series_reference(path, columns)
+        with pytest.raises(DataError) as new:
+            load_series(path, columns)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("text", ["\ufeff1\n2\n3\n", "\ufeffx\n1\n2\n3\n"])
+    def test_byte_order_mark(self, tmp_path, text):
+        (col,) = load_series(_write(tmp_path, text))
+        np.testing.assert_array_equal(col, [1.0, 2.0, 3.0])
+
+
 class TestTestVerb:
     def test_portmanteau_fixed_M(self, series_csv, capsys):
         assert main(["test", "portmanteau", series_csv, "--M", "10"]) == EXIT_OK
@@ -108,6 +210,14 @@ class TestTestVerb:
         bad.write_text("1.0\nnot_a_number_on_line_2\n")
         assert main(["test", "portmanteau", str(bad)]) == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+
+    def test_bad_beta_is_usage_error(self, bivariate_csv, capsys):
+        assert main(["test", "equality", bivariate_csv, "--beta", "abc"]) == EXIT_CONFIG
+        assert "--beta" in capsys.readouterr().err
+        assert main(["test", "equality", bivariate_csv, "--beta", "2"]) == EXIT_DATA
+        assert "data error: beta=2.0 outside (0, 1]" in capsys.readouterr().err
+        assert main(["test", "equality", bivariate_csv, "--beta", "0.5"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tuning"]["beta"] == 0.5
 
     def test_unknown_kind_is_usage_error(self, series_csv):
         assert main(["test", "nonsense", series_csv]) == EXIT_CONFIG

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from orthosample import htests
 from orthosample.htests import (
     EmpiricalNull,
     block_bootstrap_null,
@@ -12,11 +13,20 @@ from orthosample.htests import (
     empirical_pvalue,
     goodness_of_fit_test,
     l2_stat,
+    orthogonal_l2_block,
     portmanteau_test,
     robust_portmanteau,
 )
 from orthosample.models import MODEL_REGISTRY, generate
-from orthosample.spectral import ShiftRangeError, dft, lag_weight, weighted_average
+from orthosample.spectral import (
+    InvalidInputError,
+    ShiftRangeError,
+    ar_spectral_density,
+    dft,
+    lag_weight,
+    model_reciprocal_weight,
+    weighted_average,
+)
 
 
 def flat_density(om):
@@ -124,6 +134,43 @@ class TestGoodnessOfFit:
         with pytest.raises(InvalidInputError):
             goodness_of_fit_test(rng.standard_normal(64), lambda om: np.cos(om),
                                  L=3, M=5)
+
+    @pytest.mark.parametrize("T, L", [(64, 1), (128, 5), (1001, 9)])
+    def test_weights_from_one_density_evaluation(self, rng, monkeypatch, T, L):
+        calls = []
+
+        def density(om):
+            calls.append(om.size)
+            return ar_spectral_density(om, [0.6], 1.0)
+
+        seen = {}
+
+        def capture(coeffs, weights, *args):
+            seen["weights"] = weights
+            return orthogonal_l2_block(coeffs, weights, *args)
+
+        monkeypatch.setattr(htests, "orthogonal_l2_block", capture)
+        htests.goodness_of_fit_block(rng.standard_normal((2, T)), density, L=L, M=5)
+        assert calls == [T]
+        expected = np.stack([model_reciprocal_weight(j, density).on_grid(T)
+                             for j in range(1, L + 1)])
+        assert seen["weights"].dtype == expected.dtype
+        assert seen["weights"].shape == expected.shape
+        assert np.array_equal(seen["weights"].view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("density", [
+        lambda om: np.cos(om),                          # nonpositive
+        lambda om: np.zeros_like(om),                   # zero
+        lambda om: np.where(om > 3.0, np.nan, 1.0),     # NaN
+        lambda om: np.full_like(om, 1e-320),            # reciprocal overflows
+    ])
+    def test_bad_density_raises_as_single_weight(self, rng, density):
+        T = 64
+        with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as single:
+            model_reciprocal_weight(1, density).on_grid(T)
+        with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as block:
+            htests.goodness_of_fit_block(rng.standard_normal((3, T)), density, L=3, M=5)
+        assert str(block.value) == str(single.value)
 
     def test_report_fields(self, rng):
         rep = goodness_of_fit_test(rng.standard_normal(150), flat_density, L=5, M=12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthosample.models import (
+    BURN_IN,
     MODEL_REGISTRY,
     ModelSpec,
     ar,
@@ -55,6 +56,12 @@ class TestBasics:
                     "y1", "y2", "y3", "ar_g_0.6", "ar_chi_0.6", "ar_chi_0.9",
                     "pivot_i", "pivot_ii", "pivot_iii"}
         assert expected <= set(MODEL_REGISTRY)
+
+    @pytest.mark.parametrize("tag, burn", [("pivot_iii", BURN_IN), ("pivot_ii", 0),
+                                           ("x6", BURN_IN), ("normal", 0)])
+    def test_burn_in_used(self, tag, burn):
+        # pivot_iii's ARCH innovations run the burn-in; pivot_ii's t5 draws do not
+        assert generate(MODEL_REGISTRY[tag], 100, seed=1).burn_in_used == burn
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
