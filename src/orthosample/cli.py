@@ -25,7 +25,7 @@ import numpy as np
 from .equality import equality_test
 from .experiments import ConfigError, emit, parse_config, parse_search_set, run_experiment
 from .htests import TestReport, box_pierce, goodness_of_fit_test, portmanteau_test, robust_portmanteau
-from .selection import DEFAULT_P, feasible_search_set, select_M
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
 from .spectral import InvalidInputError, ShiftRangeError, dft, lag_weight
 from .whittle import ar_model, whittle_fit
 
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     p_sel = sub.add_parser("selectM", help="choose the number of shifts")
     p_sel.add_argument("datafile")
     p_sel.add_argument("--p", type=int, default=DEFAULT_P)
-    p_sel.add_argument("--set", default="10..30", dest="search_set",
+    p_sel.add_argument("--set", default=tuple(DEFAULT_SEARCH_SET), dest="search_set",
                        help="search set, e.g. 10..30 or 5,10,20")
 
     try:
@@ -199,6 +199,9 @@ def main(argv=None) -> int:
                     cfg = parse_config(fh.read())
             except OSError as e:
                 raise ConfigError(f"cannot read config {args.config}: {e}") from e
+            out_dir = os.path.dirname(args.out) or "."
+            if not os.path.isdir(out_dir):
+                raise ConfigError(f"--out: directory {out_dir!r} does not exist")
             if args.nrep is not None:
                 cfg = replace(cfg, nrep=args.nrep)
             workers_env = os.environ.get("ORTHOSAMPLE_WORKERS")

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import distributions as dist
 from .htests import TestReport
-from .spectral import (DftGrid, InvalidInputError, ShiftRangeError, _check_shift,
+from .spectral import (DftGrid, InvalidInputError, _check_shift,
                        _circular_convolve, _shift_chunks, as_block, as_series, dft_block)
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 class KernelSpec:
     """Smoothing window for the averaged periodogram.
 
-    Only the box (flat) window is provided: W(x) = 1/2 on [-1, 1].
+    The window is the box (flat) window W(x) = 1/2 on [-1, 1].
     ``bandwidth`` b is a fraction of the full frequency range, in (0, 1),
     so the window spans grid points within b*T of the target frequency;
     b * T >= 4 is required so each local average uses at least a handful
@@ -49,11 +49,8 @@ class KernelSpec:
     """
 
     bandwidth: float
-    window: str = "box"
 
     def __post_init__(self):
-        if self.window != "box":
-            raise InvalidInputError(f"unknown window {self.window!r}")
         if not np.isfinite(self.bandwidth) or not 0.0 < self.bandwidth < 1.0:
             raise InvalidInputError("bandwidth must lie in (0, 1)")
 
@@ -163,9 +160,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     if X.shape != Y.shape:
         raise InvalidInputError(f"series blocks differ in shape: {X.shape} vs {Y.shape}")
     R, T = X.shape
-    M = default_M(T) if M is None else M
-    if M < 1 or M >= T / 2:
-        raise ShiftRangeError(f"M={M} out of range for T={T}")
+    M = _check_shift(T, default_M(T) if M is None else M, "M", 1)
     if beta != "estimate" and not 0.0 < float(beta) <= 1.0:
         raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)

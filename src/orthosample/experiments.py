@@ -196,8 +196,10 @@ def _parse_value(key: str, raw):
         return int(raw)
     if key == "M":
         return None if str(raw).lower() in ("select", "none") else int(raw)
-    if key in ("b", "gof_phi", "gof_sigma", "rho", "delta"):
+    if key in ("b", "gof_phi", "gof_sigma"):
         return None if str(raw).lower() == "none" else float(raw)
+    if key in ("rho", "delta"):
+        return float(raw)
     if key == "beta":
         return "estimate" if str(raw) == "estimate" else float(raw)
     return raw

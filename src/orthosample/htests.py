@@ -23,6 +23,7 @@ from .spectral import (
     DftGrid,
     ShiftRangeError,
     WeightFunction,
+    _check_shift,
     as_block,
     as_series,
     dft,
@@ -159,9 +160,7 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
         runs = shift_runs(coeffs, weights, T // p + max(feasible))
         Ms = select_M_block(runs[:, 0], T, feasible, p)[0]
     else:
-        M = int(M)
-        if M < 1 or M >= T / 2:
-            raise ShiftRangeError(f"M={M} out of range for T={T}")
+        M = _check_shift(T, M, "M", 1)
         runs = shift_runs(coeffs, weights, M)
         Ms = np.full(R, M)
     top = int(Ms.max())
@@ -173,11 +172,6 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
     # #{draws >= stat} / #draws over each row's own draws
     exceed = np.count_nonzero((draws >= stats[:, None]) & own, axis=1)
     return BlockReport(statistics=stats, p_values=exceed / (2 * Ms), M=Ms, draws=draws)
-
-
-def _check_L(L: int, T: int):
-    if L < 1 or L >= T / 2:
-        raise ShiftRangeError(f"L={L} out of range for T={T}")
 
 
 def _orthogonal_report(out: BlockReport, method: str, L: int, M_selected: bool) -> TestReport:
@@ -194,7 +188,7 @@ def portmanteau_block(block, L: int = 5, M: int | None = None,
     """:func:`portmanteau_test` on every row of an (R, T) block of series."""
     coeffs = dft_block(block, demean=True)
     T = coeffs.shape[1]
-    _check_L(L, T)
+    _check_shift(T, L, "L", 1)
     weights = _on_grid([lag_weight(j) for j in range(1, L + 1)], T)
     return orthogonal_l2_block(coeffs, weights, M, search_set, p)
 
@@ -217,7 +211,7 @@ def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray
     """:func:`goodness_of_fit_test` on every row of an (R, T) block of series."""
     coeffs = dft_block(block, demean=True)
     T = coeffs.shape[1]
-    _check_L(L, T)
+    _check_shift(T, L, "L", 1)
     gv = null_density(grid_frequencies(T))  # one density evaluation for all L weights
     weights = _on_grid([model_reciprocal_weight(j, lambda w, gv=gv: gv)
                         for j in range(1, L + 1)], T)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import DftGrid, ShiftRangeError, WeightFunction, weighted_average_run
+from .spectral import DftGrid, ShiftRangeError, WeightFunction, _check_shift, weighted_average_run
 from .variance import DegenerateVarianceError
 
 __all__ = ["SelectionResult", "criterion", "select_M", "feasible_search_set",
@@ -63,20 +63,10 @@ def _check_p(p: int):
         raise ShiftRangeError("p must be >= 2")
 
 
-def _check_window(T: int, M: int, p: int):
-    _check_p(p)
-    if M < 1:
-        raise ShiftRangeError("M must be >= 1")
-    if T // p + M >= T / 2:
-        raise ShiftRangeError(
-            f"criterion needs T/p + M < T/2; got T={T}, p={p}, M={M}"
-        )
-
-
 def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) -> float:
     """C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2."""
     T = grid.T
-    _check_window(T, M, p)
+    (M,) = _checked_members(T, (M,), p)
     run = weighted_average_run(grid, phi, T // p + M)
     return float(_criteria(run[None], T, (M,), p)[0, 0])
 
@@ -108,11 +98,15 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
 
 
 def _checked_members(T: int, search_set, p: int) -> tuple:
+    """The search set as a tuple of ints, after checking p >= 2, that it is
+    non-empty with every M >= 1, and that the variance windows of its
+    largest M end below T/2."""
+    _check_p(p)
     members = tuple(int(M) for M in search_set)
-    if not members:
-        raise ShiftRangeError("search set is empty")
-    for M in members:
-        _check_window(T, M, p)
+    if not members or min(members) < 1:
+        raise ShiftRangeError(f"search set {list(members)} must be non-empty "
+                              f"with every M >= 1 (T={T})")
+    _check_shift(T, T // p + max(members), f"window end (T/{p} + {max(members)})")
     return members
 
 

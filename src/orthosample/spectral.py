@@ -50,7 +50,9 @@ class InvalidInputError(ValueError):
 
 
 class ShiftRangeError(ValueError):
-    """Raised when a shift index r falls outside the allowed 0 <= r < T/2."""
+    """Raised when a shift r, lag count L or orthogonal-sample size M falls
+    outside its range [lo, T/2) (lo = 0 for r, 1 for L and M), or when no M
+    of a search set leaves its variance windows below T/2."""
 
 
 TimeSeries = np.ndarray
@@ -201,15 +203,21 @@ def kernel_weight(window: Callable[[np.ndarray], np.ndarray], bandwidth: float,
     return WeightFunction(ev, descriptor=f"kernel[b={bandwidth},center={center}]")
 
 
-def model_reciprocal_weight(j: int, density: Callable[[np.ndarray], np.ndarray],
-                            tag: str = "g") -> WeightFunction:
+def model_reciprocal_weight(j: int, density: Callable[[np.ndarray], np.ndarray]) -> WeightFunction:
     """phi(omega) = exp(i*j*omega) / g(omega); residual covariance weight."""
     def ev(w, j=j, g=density):
-        gv = np.asarray(g(w), dtype=float)
-        if np.any(gv <= 0):
-            raise InvalidInputError(f"model density {tag!r} is nonpositive on the grid")
-        return np.exp(1j * j * w) / gv
-    return WeightFunction(ev, descriptor=f"lag_exp[{j}]/{tag}")
+        return np.exp(1j * j * w) / _density_values(g(w), "model density g")
+    return WeightFunction(ev, descriptor=f"lag_exp[{j}]/g")
+
+
+def _density_values(values, name: str, theta=None) -> np.ndarray:
+    """A spectral density's values as floats, after checking that every one
+    is positive and finite; the error names the density (and its theta)."""
+    g = np.asarray(values, dtype=float)
+    if not np.all((g > 0) & (g < np.inf)):  # both comparisons are false at NaN
+        at = "" if theta is None else f" at theta={theta}"
+        raise InvalidInputError(f"{name} is not positive and finite on the grid{at}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -222,20 +230,19 @@ class OrthogonalSample:
 
     def __post_init__(self):
         self.shifted.setflags(write=False)
-        if self.M < 1:
-            raise ShiftRangeError("orthogonal sample needs M >= 1")
-        if self.M >= self.T / 2:
-            raise ShiftRangeError(f"M={self.M} must satisfy M < T/2 (T={self.T})")
+        _check_shift(self.T, self.M, "M", 1)
 
     @property
     def M(self) -> int:
         return self.shifted.shape[0]
 
 
-def _check_shift(T: int, r: int) -> int:
+def _check_shift(T: int, r: int, name: str = "shift r", lo: int = 0) -> int:
+    """``r`` as an int, after checking the range rule lo <= r < T/2 that every
+    shift, lag L and orthogonal-sample size M obeys."""
     r = int(r)
-    if r < 0 or r >= T / 2:
-        raise ShiftRangeError(f"shift r={r} out of range [0, T/2) for T={T}")
+    if r < lo or r >= T / 2:
+        raise ShiftRangeError(f"{name}={r} out of range [{lo}, T/2) for T={T}")
     return r
 
 

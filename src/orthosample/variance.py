@@ -11,8 +11,8 @@ from . import distributions as dist
 from .spectral import (
     DftGrid,
     OrthogonalSample,
-    ShiftRangeError,
     WeightFunction,
+    _check_shift,
     orthogonal_sample,
     weighted_average_run,
 )
@@ -87,14 +87,12 @@ def variance_estimate(sample: OrthogonalSample) -> VarianceEstimate:
 
 def variance_estimate_at(grid: DftGrid, phi: WeightFunction, r0: int,
                          M: int) -> VarianceEstimate:
-    """V-hat_M(omega_{r0}) = (T/M) * sum_{s=r0+1..r0+M} |A(phi; s)|^2."""
+    """V-hat_M(omega_{r0}) = (T/M) * sum_{s=r0+1..r0+M} |A(phi; s)|^2.
+
+    The window end r0 + M must lie below T/2, like every shift."""
     T = grid.T
-    if M < 1:
-        raise ShiftRangeError("M must be >= 1")
-    if r0 < 0 or r0 + M >= T / 2:
-        raise ShiftRangeError(
-            f"window r0+1..r0+M = {r0 + 1}..{r0 + M} exceeds T/2 (T={T})"
-        )
+    M = _check_shift(T, M, "M", 1)
+    r0 = _check_shift(T, r0, "r0")
     run = weighted_average_run(grid, phi, r0 + M)
     value = float(T / M * np.sum(np.abs(run[r0 + 1 :]) ** 2))
     return VarianceEstimate(value=value, M=M, T=T, shift_origin=r0)
@@ -158,15 +156,17 @@ class HotellingReport:
     p_value: float
 
 
-def hotelling_test(points, targets, cov: CovMatrixEstimate,
-                   condition_cap: float = 1e12) -> HotellingReport:
-    """T (A_T - A)' Sigma-hat^{-1} (A_T - A) against Hotelling T^2(p, 2M)."""
+def hotelling_test(points, targets, cov: CovMatrixEstimate) -> HotellingReport:
+    """T (A_T - A)' Sigma-hat^{-1} (A_T - A) against Hotelling T^2(p, 2M).
+
+    A covariance estimate whose condition number exceeds 1e12 counts as rank
+    deficient."""
     a = np.asarray(points, dtype=float) - np.asarray(targets, dtype=float)
     p = cov.p
     if a.shape != (p,):
         raise ValueError(f"points/targets must be length-{p} vectors")
     eigvals = np.linalg.eigvalsh(cov.matrix)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > condition_cap:
+    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > 1e12:
         raise DegenerateVarianceError(
             f"covariance estimate is rank deficient (smallest eigenvalue "
             f"{eigvals[0]:.3e}); increase M relative to p"

@@ -13,6 +13,7 @@ from .spectral import (
     DftGrid,
     InvalidInputError,
     WeightFunction,
+    _density_values,
     ar_spectral_density,
     ar_transfer,
     grid_frequencies,
@@ -53,12 +54,8 @@ class SpectralModel:
     name: str = "model"
 
     def density_on_grid(self, T: int, theta) -> np.ndarray:
-        f = np.asarray(self.density(grid_frequencies(T), np.asarray(theta, float)))
-        if np.any(f <= 0) or not np.all(np.isfinite(f)):
-            raise InvalidInputError(
-                f"{self.name}: spectral density nonpositive or non-finite at theta={theta}"
-            )
-        return f
+        return _density_values(self.density(grid_frequencies(T), np.asarray(theta, float)),
+                               f"{self.name} spectral density", theta)
 
 
 @dataclass(frozen=True)
@@ -200,9 +197,7 @@ def score_weight(model: SpectralModel, theta, coord: int) -> WeightFunction:
     th = np.asarray(theta, dtype=float)
 
     def ev(w, model=model, th=th, coord=coord):
-        f = np.asarray(model.density(w, th), dtype=float)
-        if np.any(f <= 0):
-            raise InvalidInputError(f"{model.name}: density nonpositive in score weight")
+        f = _density_values(model.density(w, th), f"{model.name} spectral density", th)
         g = np.asarray(model.gradient(w, th))[coord]
         return (-g / f**2).astype(complex)
 

@@ -307,6 +307,21 @@ class TestRunVerb:
         assert "config error" in err and "ORTHOSAMPLE_WORKERS" in err
         assert not (tmp_path / "res4.csv").exists()
 
+    def test_missing_out_directory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import orthosample.cli as cli
+
+        def never(cfg):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = table_uncorrelated_null\nT = 64\nnrep = 4\nM = 8\n")
+        out = tmp_path / "missing" / "x"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out.parent) in err
+        assert "Traceback" not in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment = table_uncorrelated_null\nfrobnicate = 1\n")

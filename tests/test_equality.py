@@ -25,8 +25,6 @@ class TestKernelSpec:
             KernelSpec(bandwidth=0.0)
         with pytest.raises(InvalidInputError):
             KernelSpec(bandwidth=1.0)
-        with pytest.raises(InvalidInputError):
-            KernelSpec(bandwidth=0.2, window="triangle")
 
     def test_weights_sum_to_one(self):
         for T, b in [(128, 0.1), (512, 0.1), (300, 0.15)]:

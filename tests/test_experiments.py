@@ -71,7 +71,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, raw", [("nrep", "ten"), ("T", "100, x"),
                                           ("search_set", "10..x"), ("search_set", "5.."),
-                                          ("gof_phi", "half")])
+                                          ("gof_phi", "half"), ("rho", "none"),
+                                          ("delta", "none")])
     def test_bad_value_names_key_and_value(self, key, raw):
         with pytest.raises(ConfigError, match=f"'{key}'.*'{raw}'"):
             parse_config(f"experiment = table_uncorrelated_null\n{key} = {raw}\n")

@@ -182,3 +182,19 @@ class TestWeights:
     def test_lag_weight_values(self):
         w = lag_weight(2)(np.array([0.5, 1.0]))
         np.testing.assert_allclose(w, np.exp(1j * 2 * np.array([0.5, 1.0])))
+
+    @pytest.mark.parametrize("l", [1, 17, 64, 129, 256])
+    def test_kernel_weight_matches_box_smoother(self, rng, l):
+        # 2 pi A(W((. - omega_l)/(2 pi b))/(2 pi b); 0) is the box-window
+        # estimate f_hat(omega_l); b T = 18.25 keeps every grid point off the
+        # window's edge
+        from orthosample.equality import KernelSpec, kernel_spectral_estimate
+        from orthosample.spectral import kernel_weight
+
+        T, b = 256, 0.0713
+        grid = dft(rng.standard_normal(T))
+        box = lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0)
+        got = 2 * np.pi * weighted_average(grid, kernel_weight(box, 2 * np.pi * b,
+                                                               2 * np.pi * l / T))
+        want = kernel_spectral_estimate(grid, KernelSpec(b))[l - 1]
+        assert abs(got - want) <= 1e-14 * abs(want)
