@@ -24,8 +24,6 @@ from .equality import (
 from .htests import (
     EmpiricalNull,
     TestReport,
-    block_bootstrap_null,
-    bootstrap_portmanteau_test,
     box_pierce,
     empirical_pvalue,
     goodness_of_fit_test,
@@ -94,7 +92,7 @@ __all__ = [
     "equality_test",
     "EmpiricalNull", "TestReport", "l2_stat", "portmanteau_test",
     "goodness_of_fit_test", "box_pierce", "robust_portmanteau",
-    "block_bootstrap_null", "bootstrap_portmanteau_test", "empirical_pvalue",
+    "empirical_pvalue",
     "MODEL_REGISTRY", "ModelSpec", "generate", "generate_batch", "generate_bivariate",
     "generate_bivariate_batch",
     "SelectionResult", "criterion", "select_M", "feasible_search_set",

@@ -115,7 +115,7 @@ def _beta(value: str):
 
 def report_to_dict(report: TestReport) -> dict:
     ref = report.null_ref
-    ref_desc = (f"{ref.kind} draws (n={ref.draws.size})"
+    ref_desc = (f"orthogonal draws (n={ref.draws.size})"
                 if hasattr(ref, "draws") else str(ref))
     return {
         "method": report.method,

@@ -6,7 +6,8 @@ shifted (orthogonal) copies of the same distance, with a power transform
 chosen to symmetrise the draws before a t reference is applied.
 
 Block contract: ``equality_block`` tests every pair of rows (X[i], Y[i]) of
-two (R, T) blocks of series at once and returns one report per pair;
+two (R, T) blocks of series at once and returns a ``BlockReport`` whose
+``tuning`` holds each row's exponent beta, z and draw moments;
 ``equality_test`` is its block of one.  A check that fails on any pair
 fails the whole block with the single-pair test's exception.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import distributions as dist
-from .htests import TestReport
+from .htests import BlockReport, TestReport
 from .spectral import (DftGrid, InvalidInputError, _check_shift,
                        _circular_convolve, _shift_chunks, as_block, as_series, dft_block)
 
@@ -116,25 +117,35 @@ def l2_distance_stat(fx: np.ndarray, fy: np.ndarray, T: int,
     return tuple(float(s) for s in _full_period(diff, T))
 
 
-def moment_estimates(draws: np.ndarray) -> tuple[float, float, float]:
-    """(mean, variance, third central moment) of the null draws."""
+def moment_estimates(draws: np.ndarray):
+    """(mean, variance, third central moment) of the null draws: arrays over
+    the rows of an (R, n) block of draws, floats for one row."""
     draws = np.asarray(draws, dtype=float)
-    mu = float(draws.mean())
-    var = float(np.mean((draws - mu) ** 2))
-    mu3 = float(np.mean((draws - mu) ** 3))
-    return mu, var, mu3
+    dev = draws - draws.mean(axis=-1, keepdims=True)
+    moments = draws.mean(axis=-1), np.mean(dev**2, axis=-1), np.mean(dev**3, axis=-1)
+    return tuple(map(float, moments)) if draws.ndim == 1 else moments
 
 
-def beta_hat(mu: float, var: float, mu3: float) -> float:
-    """Power-transform exponent 1 - mu * mu3 / (3 var^2), clamped to (0, 1]."""
-    if var <= 0:
+def _pow(x, y) -> np.ndarray:
+    """x ** y element by element, each a Python float power: numpy's ``**``
+    rounds some powers differently, and every row must keep its bits."""
+    x, y = np.broadcast_arrays(x, y)
+    return np.array(list(map(pow, x.ravel().tolist(), y.ravel().tolist()))).reshape(x.shape)
+
+
+def beta_hat(mu, var, mu3):
+    """Power-transform exponent 1 - mu * mu3 / (3 var^2), clamped to (0, 1]:
+    an array over arrays of moments, a float for one set; one warning names
+    the number of exponents clamped."""
+    if np.any(np.asarray(var) <= 0):
         raise ZeroDivisionError("zero variance in null draws; beta undefined")
-    b = 1.0 - mu * mu3 / (3.0 * var**2)
-    if b <= 0.0 or b > 1.0:
-        warnings.warn(f"transform exponent {b:.4g} outside (0, 1]; clamping",
-                      RuntimeWarning)
-        b = min(max(b, 1e-3), 1.0)
-    return float(b)
+    b = np.asarray(1.0 - np.multiply(mu, mu3) / (3.0 * _pow(var, 2.0)))
+    clamped = (b <= 0.0) | (b > 1.0)
+    if np.any(clamped):
+        warnings.warn(f"{np.count_nonzero(clamped)} of {b.size} transform exponents outside "
+                      f"(0, 1], first {b[clamped][0]:.4g}; clamping", RuntimeWarning)
+        b = np.clip(b, 1e-3, 1.0)
+    return float(b) if b.ndim == 0 else b
 
 
 def default_M(T: int) -> int:
@@ -153,9 +164,10 @@ def default_bandwidth(T: int) -> float:
 
 
 def equality_block(X, Y, b: float | None = None, M: int | None = None,
-                   beta: float | str = "estimate") -> list[TestReport]:
+                   beta: float | str = "estimate") -> BlockReport:
     """:func:`equality_test` on every pair of rows (X[i], Y[i]) of two (R, T)
-    blocks of series, one report per pair."""
+    blocks of series.  ``tuning`` holds the block's M and b and, per row,
+    beta, z and the moments mu, var and mu3 of the null draws."""
     X, Y = as_block(X), as_block(Y)
     if X.shape != Y.shape:
         raise InvalidInputError(f"series blocks differ in shape: {X.shape} vs {Y.shape}")
@@ -186,27 +198,21 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
             stat[rows] = _half_range(diff[:, 0], T)
         sums[:, rows, rs] = _full_period(diff, T)
     draws = sums[..., 1:].transpose(1, 2, 0).reshape(R, 2 * M)  # S_R(1), S_I(1), ...
-    return [_report(float(stat[i]), draws[i], M, kernel.bandwidth, beta) for i in range(R)]
-
-
-def _report(stat: float, draws: np.ndarray, M: int, b: float, beta) -> TestReport:
-    """The report of one pair from its statistic and its 2M null draws."""
     mu, var, mu3 = moment_estimates(draws)
-    beta_used = beta_hat(mu, var, mu3) if beta == "estimate" else float(beta)
+    beta_used = beta_hat(mu, var, mu3) if beta == "estimate" else np.full(R, float(beta))
 
     # moments of the transformed statistic by a second-order expansion
-    mu_b = mu**beta_used + 0.5 * beta_used * (beta_used - 1.0) * mu ** (beta_used - 2.0) * var
-    sd_b = beta_used * mu ** (beta_used - 1.0) * np.sqrt(var)
-    if sd_b <= 0:
+    mu_b = _pow(mu, beta_used) + 0.5 * beta_used * (beta_used - 1.0) * _pow(
+        mu, beta_used - 2.0) * var
+    sd_b = beta_used * _pow(mu, beta_used - 1.0) * np.sqrt(var)
+    if np.any(sd_b <= 0):
         raise ZeroDivisionError("degenerate transformed scale; test undefined")
-    z = (stat**beta_used - mu_b) / sd_b
+    z = (_pow(stat, beta_used) - mu_b) / sd_b
     law = dist.student_t(2 * M - 1)
     scale = np.sqrt(1.0 + 1.0 / (2.0 * M))
-    p = float(law.sf(z / scale))
-    return TestReport(statistic=stat, p_value=p, null_ref=law,
-                      method="spectral_equality",
-                      tuning={"M": M, "b": b, "beta": beta_used,
-                              "z": float(z), "mu": mu, "var": var, "mu3": mu3})
+    return BlockReport(statistics=stat, p_values=np.array([law.sf(v) for v in z / scale]),
+                       tuning={"M": M, "b": kernel.bandwidth, "beta": beta_used,
+                               "z": z, "mu": mu, "var": var, "mu3": mu3})
 
 
 def equality_test(x, y, b: float | None = None, M: int | None = None,
@@ -218,4 +224,9 @@ def equality_test(x, y, b: float | None = None, M: int | None = None,
     the right tail of a scaled t reference with 2M - 1 degrees of freedom.
     The block of one of :func:`equality_block`.
     """
-    return equality_block(as_series(x)[None], as_series(y)[None], b, M, beta)[0]
+    out = equality_block(as_series(x)[None], as_series(y)[None], b, M, beta)
+    M = out.tuning["M"]
+    return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
+                      null_ref=dist.student_t(2 * M - 1), method="spectral_equality",
+                      tuning={k: float(v[0]) if np.ndim(v) else v
+                              for k, v in out.tuning.items()})

@@ -23,14 +23,10 @@ import numpy as np
 
 from . import distributions as dist
 from .equality import equality_block
-from .htests import (
-    bootstrap_portmanteau_test,
-    box_pierce_block,
-    goodness_of_fit_block,
-    portmanteau_block,
-    robust_portmanteau_block,
-)
-from .models import BURN_IN, MODEL_REGISTRY, generate_batch, generate_bivariate_batch
+from .htests import (box_pierce_block, goodness_of_fit_block, portmanteau_block,
+                     robust_portmanteau_block)
+from .models import (BURN_IN, MODEL_REGISTRY, _check_bivariate, generate_batch,
+                     generate_bivariate_batch)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
 from .spectral import (
     ar_spectral_density,
@@ -83,8 +79,6 @@ class ExperimentConfig:
     L: int = 5
     b: float | None = None
     beta: float | str = "estimate"
-    B: int = 20
-    n_boot: int = 500
     methods: tuple = ("orthogonal",)
     alphas: tuple = (0.05, 0.10)
     seed: int = 0
@@ -117,11 +111,15 @@ class ExperimentConfig:
             raise ConfigError("methods must be a non-empty list of method names")
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+                raise ConfigError(f"unknown method {m!r}; choose methods from {tuple(METHODS)}")
             if METHODS[m].paired and self.experiment != "table_equality":
                 raise ConfigError(f"method {m!r} needs experiment table_equality")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            _check_bivariate(self.delta, self.rho)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         # "lo..hi" or a comma list in a config file, a tuple from code
         object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
         if self.experiment.startswith("table_gof"):
@@ -192,7 +190,7 @@ def _parse_value(key: str, raw):
         return tuple(int(s) for s in _split(raw))
     if key == "alphas":
         return tuple(float(s) for s in _split(raw))
-    if key in ("nrep", "p", "L", "B", "n_boot", "seed", "workers"):
+    if key in ("nrep", "p", "L", "seed", "workers"):
         return int(raw)
     if key == "M":
         return None if str(raw).lower() in ("select", "none") else int(raw)
@@ -263,18 +261,10 @@ def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) 
     return out.p_values.tolist()
 
 
-def _bootstrap_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
-    """One bootstrap test per series, resampling from its own generator
-    seeded by the replication's seed followed by 1."""
-    return [bootstrap_portmanteau_test(x, L=cfg.L, B=cfg.B, n_boot=cfg.n_boot,
-                                       rng=np.random.default_rng(seed + [1])).p_value
-            for x, seed in zip(series, seeds)]
-
-
 def _equality_values(cfg: ExperimentConfig, pair, seeds: list) -> list:
     """(p-value, beta-hat) of the equality test on each pair of rows."""
-    return [(report.p_value, report.tuning["beta"])
-            for report in equality_block(*pair, b=cfg.b, M=cfg.M, beta=cfg.beta)]
+    out = equality_block(*pair, b=cfg.b, M=cfg.M, beta=cfg.beta)
+    return list(zip(out.p_values.tolist(), out.tuning["beta"].tolist()))
 
 
 def _row(cell: tuple, alpha: float, hits, n: int, ms: float) -> ResultRow:
@@ -346,7 +336,6 @@ METHODS = {
         series, cfg.L).p_values.tolist()),
     "robust": Method(lambda cfg, series, seeds: robust_portmanteau_block(
         series, cfg.L).p_values.tolist()),
-    "bootstrap": Method(_bootstrap_pvalues),
     "qq_t10": Method(_t10_statistics, _qq_rows),
     "equality": Method(_equality_values, _equality_rows, paired=True),
 }

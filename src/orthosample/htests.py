@@ -1,13 +1,14 @@
 """Portmanteau and goodness-of-fit tests with orthogonal-sample empirical
-nulls, plus the Box-Pierce, robust Portmanteau and block-bootstrap baselines.
+nulls, plus the Box-Pierce and robust portmanteau baselines.
 
 Block contract: ``portmanteau_block``, ``goodness_of_fit_block``,
-``box_pierce_block`` and ``robust_portmanteau_block`` test every row of an
-(R, T) block of series at once (one DFT, one selection pass and one shift
-table for the orthogonal tests) and return a :class:`BlockReport`.  The
-single-series tests are their blocks of one, so row i of a block reports
-what the single-series test reports on series i.  A check that fails on any
-row fails the whole block with the single-series test's exception.
+``box_pierce_block`` and ``robust_portmanteau_block`` (and
+``equality.equality_block``) test every row of an (R, T) block of series at
+once (one DFT, one selection pass and one shift table for the orthogonal
+tests) and return a :class:`BlockReport`.  The single-series tests are their
+blocks of one, so row i of a block reports what the single-series test
+reports on series i.  A check that fails on any row fails the whole block
+with the single-series test's exception.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ __all__ = [
     "goodness_of_fit_test",
     "box_pierce",
     "robust_portmanteau",
-    "block_bootstrap_null",
     "empirical_pvalue",
-    "bootstrap_portmanteau_test",
 ]
 
 DEFAULT_ALPHAS = (0.05, 0.10)
@@ -52,10 +51,9 @@ DEFAULT_ALPHAS = (0.05, 0.10)
 
 @dataclass(frozen=True)
 class EmpiricalNull:
-    """Null-reference draws; 2M orthogonal-sample values or bootstrap draws."""
+    """Null-reference draws: the 2M orthogonal-sample values."""
 
     draws: np.ndarray
-    kind: str  # "orthogonal" | "bootstrap"
 
     def __post_init__(self):
         self.draws.setflags(write=False)
@@ -103,13 +101,15 @@ class BlockReport:
 
     ``statistics`` and ``p_values`` have one entry per row.  The orthogonal
     tests also give each row's M and its null draws: row i of ``draws``
-    starts with the 2 M_i draws of series i.
+    starts with the 2 M_i draws of series i.  ``tuning`` maps a name to a
+    per-row array or a constant of the block (the equality test's).
     """
 
     statistics: np.ndarray
     p_values: np.ndarray
     M: np.ndarray | None = None
     draws: np.ndarray | None = None
+    tuning: dict = field(default_factory=dict)
 
 
 def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
@@ -177,7 +177,7 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
 def _orthogonal_report(out: BlockReport, method: str, L: int, M_selected: bool) -> TestReport:
     """The report of one series tested as a block of one."""
     M = int(out.M[0])
-    null = EmpiricalNull(draws=out.draws[0, :2 * M], kind="orthogonal")
+    null = EmpiricalNull(draws=out.draws[0, :2 * M])
     return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
                       null_ref=null, method=method,
                       tuning={"L": L, "M_selected": M_selected, "M": M})
@@ -301,53 +301,3 @@ def robust_portmanteau(series, L: int = 5) -> TestReport:
     against chi-square(L)."""
     return _chi_square_report(robust_portmanteau_block(as_series(series)[None], L),
                               "robust_portmanteau", L)
-
-
-def _circular_block_resample(x: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
-    T = x.size
-    n_blocks = -(-T // B)
-    starts = rng.integers(0, T, size=n_blocks)
-    idx = (starts[:, None] + np.arange(B)[None, :]) % T
-    return x[idx].ravel()[:T]
-
-
-def block_bootstrap_null(series, vector_stat: Callable[[np.ndarray], np.ndarray],
-                         B: int, n_boot: int = 1000,
-                         rng: np.random.Generator | None = None) -> EmpiricalNull:
-    """Centralised block-bootstrap null for an L2 statistic T sum_j |v_j|^2.
-
-    ``vector_stat`` maps a series to the underlying complex vector (e.g. the
-    lag covariances A(e^{ij.})); resample vectors are centred at their
-    bootstrap mean before the L2 statistic is formed.
-    """
-    x = as_series(series)
-    T = x.size
-    if not 1 <= B <= T:
-        raise ShiftRangeError(f"block length B={B} out of range [1, {T}]")
-    if n_boot < 100:
-        raise ValueError("need at least 100 bootstrap replicates")
-    if rng is None:
-        rng = np.random.default_rng()
-    vecs = np.stack([
-        np.asarray(vector_stat(_circular_block_resample(x, B, rng)), dtype=complex)
-        for _ in range(n_boot)
-    ])
-    centred = vecs - vecs.mean(axis=0, keepdims=True)
-    draws = T * np.sum(np.abs(centred) ** 2, axis=1)
-    return EmpiricalNull(draws=draws, kind="bootstrap")
-
-
-def bootstrap_portmanteau_test(series, L: int = 5, B: int = 20,
-                               n_boot: int = 1000,
-                               rng: np.random.Generator | None = None) -> TestReport:
-    """Portmanteau Q statistic with block-bootstrap critical values."""
-    def lag_vector(x):
-        grid = dft(x, demean=True)
-        return _shift_table(grid, [lag_weight(j) for j in range(1, L + 1)], 0)[:, 0]
-
-    x = as_series(series)
-    stat = float(x.size * np.sum(np.abs(lag_vector(x)) ** 2))
-    null = block_bootstrap_null(x, lag_vector, B=B, n_boot=n_boot, rng=rng)
-    return TestReport(statistic=stat, p_value=empirical_pvalue(stat, null),
-                      null_ref=null, method="bootstrap_portmanteau",
-                      tuning={"L": L, "B": B, "n_boot": n_boot})

@@ -459,15 +459,21 @@ def generate(spec: ModelSpec, T: int, seed) -> SimOutput:
                      truncation_used=block.truncation_used)
 
 
+def _check_bivariate(delta: float, rho: float) -> None:
+    """ValueError naming the key unless corr(e, n) = rho lies in [-1, 1] and
+    Y's AR(2) coefficients (0.8, delta) are stationary."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho={rho}: innovation correlation must lie in [-1, 1]")
+    if not math.isfinite(delta) or _spectral_radius((0.8, delta)) >= 1.0:
+        raise ValueError(f"delta={delta}: (0.8, {delta}) is not a stationary AR(2)")
+
+
 def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
                              ) -> tuple[SimOutput, SimOutput]:
     """The X and Y paths of ``generate_bivariate`` for every seed, as the
     columns of two (T, R) blocks; column j is bit-identical to the pair
     drawn from seeds[j]."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("innovation correlation must lie in [-1, 1]")
-    if _spectral_radius((0.8, delta)) >= 1.0:
-        raise ValueError(f"(0.8, {delta}) is not a stationary AR(2)")
+    _check_bivariate(delta, rho)
     n = T + BURN_IN
     e, w = _draw([np.random.default_rng(s) for s in seeds], (_normal, n), (_normal, n))
     # eta = rho e + sqrt(1 - rho^2) w, built in w's storage

@@ -238,8 +238,10 @@ class OrthogonalSample:
 
 
 def _check_shift(T: int, r: int, name: str = "shift r", lo: int = 0) -> int:
-    """``r`` as an int, after checking the range rule lo <= r < T/2 that every
-    shift, lag L and orthogonal-sample size M obeys."""
+    """``r`` as an int, after checking that it is integral and obeys the range
+    rule lo <= r < T/2 that every shift, lag L and orthogonal-sample size M obeys."""
+    if int(r) != r:
+        raise ShiftRangeError(f"{name}={r} is not an integer, for T={T}")
     r = int(r)
     if r < lo or r >= T / 2:
         raise ShiftRangeError(f"{name}={r} out of range [{lo}, T/2) for T={T}")

@@ -349,13 +349,36 @@ class TestEqualityBlock:
             0.1, 0.5, T, [[18, T, r] for r in range(R)]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
-            reports = equality_block(X, Y, beta=beta)
+            block = equality_block(X, Y, beta=beta)
             singles = [equality_test(x, y, beta=beta) for x, y in zip(X, Y)]
-        assert len(reports) == R
-        for got, one in zip(reports, singles):
-            assert got.statistic == one.statistic
-            assert got.p_value == one.p_value
-            assert got.tuning == one.tuning
+        assert block.statistics.shape == block.p_values.shape == (R,)
+        assert list(block.tuning) == list(singles[0].tuning)
+        for i, one in enumerate(singles):
+            assert block.statistics[i] == one.statistic
+            assert block.p_values[i] == one.p_value
+            for key, value in one.tuning.items():
+                got = block.tuning[key]
+                assert (got if np.ndim(got) == 0 else got[i]) == value, key
+
+    @pytest.mark.parametrize("T", [128, 512, 1024])
+    @pytest.mark.parametrize("beta", ["estimate", 0.25])
+    def test_transform_keeps_the_scalar_bits(self, T, beta):
+        """beta-hat, z and the p-value of each row equal the one-pair formulas
+        on Python floats, bit for bit (numpy's ``**`` moves some of them)."""
+        X, Y = (np.ascontiguousarray(out.series.T) for out in generate_bivariate_batch(
+            0.1, 0.9, T, [[20, T, r] for r in range(43)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+            block = equality_block(X, Y, beta=beta)
+        t = block.tuning
+        M = t["M"]
+        for i, stat in enumerate(block.statistics.tolist()):
+            mu, var, mu3 = (float(t[k][i]) for k in ("mu", "var", "mu3"))
+            b = min(max(1.0 - mu * mu3 / (3.0 * var**2), 1e-3), 1.0) if beta == "estimate" else beta
+            mu_b = mu**b + 0.5 * b * (b - 1.0) * mu ** (b - 2.0) * var
+            z = (stat**b - mu_b) / (b * mu ** (b - 1.0) * math.sqrt(var))
+            p = student_t(2 * M - 1).sf(z / math.sqrt(1.0 + 1.0 / (2.0 * M)))
+            assert (t["beta"][i], t["z"][i], block.p_values[i]) == (b, z, p), i
 
     @pytest.mark.parametrize("T", [128, 512, 1024, 2**14])
     @pytest.mark.parametrize("k", range(3))

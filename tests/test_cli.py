@@ -330,7 +330,8 @@ class TestRunVerb:
 
     @pytest.mark.parametrize("line", ["nrep = ten", "search_set = 10..x",
                                       "search_set = 30..10", "search_set = 0,3",
-                                      "models = ", "methods = "])
+                                      "models = ", "methods = ", "methods = bootstrap",
+                                      "B = 20", "n_boot = 500"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment = table_uncorrelated_null\n{line}\n")

@@ -162,6 +162,9 @@ class TestEqualityTest:
         assert rep.method == "spectral_equality"
         assert rep.statistic >= 0
         assert 0.0 <= rep.p_value <= 1.0
+        assert list(rep.tuning) == ["M", "b", "beta", "z", "mu", "var", "mu3"]
+        assert type(rep.tuning["M"]) is int
+        assert all(type(v) is float for k, v in rep.tuning.items() if k != "M")
         assert rep.tuning["M"] == 12
         assert rep.tuning["b"] == 0.1
         assert 0.0 < rep.tuning["beta"] <= 1.0

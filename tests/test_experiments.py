@@ -68,6 +68,11 @@ class TestParseConfig:
             parse_config("experiment = qq_t10\nnrep\n")
         with pytest.raises(ConfigError):
             parse_config("{bad json")
+        with pytest.raises(ConfigError, match="unknown method 'bootstrap'"):
+            parse_config("experiment = table_uncorrelated_null\nmethods = bootstrap\n")
+        for line in ("B = 20", "n_boot = 500"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{line.split()[0]}'"):
+                parse_config(f"experiment = table_uncorrelated_null\n{line}\n")
 
     @pytest.mark.parametrize("key, raw", [("nrep", "ten"), ("T", "100, x"),
                                           ("search_set", "10..x"), ("search_set", "5.."),
@@ -90,13 +95,17 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, raw", [("T", "1"), ("T", "0"), ("T", "100, 1"),
                                           ("alphas", "1.5"), ("alphas", "0"),
-                                          ("alphas", "0.05, 1"), ("alphas", "-0.1")])
+                                          ("alphas", "0.05, 1"), ("alphas", "-0.1"),
+                                          ("rho", "2"), ("rho", "-1.5"), ("delta", "0.3"),
+                                          ("delta", "nan")])
     def test_lengths_and_levels_out_of_range(self, key, raw):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"experiment = table_uncorrelated_null\n{key} = {raw}\n")
         value = tuple(float(v) for v in raw.split(","))
         if key == "T":
             value = tuple(int(v) for v in value)
+        if key in ("rho", "delta"):
+            (value,) = value
         with pytest.raises(ConfigError, match=key):
             tiny_config(**{key: value})
 

@@ -7,8 +7,6 @@ from scipy import stats
 from orthosample import htests
 from orthosample.htests import (
     EmpiricalNull,
-    block_bootstrap_null,
-    bootstrap_portmanteau_test,
     box_pierce,
     empirical_pvalue,
     goodness_of_fit_test,
@@ -36,12 +34,12 @@ def flat_density(om):
 class TestEmpiricalNull:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EmpiricalNull(draws=np.array([]), kind="orthogonal")
+            EmpiricalNull(draws=np.array([]))
         with pytest.raises(ValueError):
-            EmpiricalNull(draws=np.array([1.0, np.nan]), kind="orthogonal")
+            EmpiricalNull(draws=np.array([1.0, np.nan]))
 
     def test_pvalue_counting(self):
-        null = EmpiricalNull(draws=np.array([1.0, 2.0, 3.0, 4.0]), kind="orthogonal")
+        null = EmpiricalNull(draws=np.array([1.0, 2.0, 3.0, 4.0]))
         assert empirical_pvalue(2.5, null) == 0.5
         assert empirical_pvalue(0.0, null) == 1.0
         assert empirical_pvalue(5.0, null) == 0.0
@@ -65,7 +63,7 @@ class TestPortmanteau:
         assert round(rep.p_value * 20) == pytest.approx(rep.p_value * 20, abs=1e-12)
 
     def test_rejection_is_strict(self):
-        null = EmpiricalNull(draws=np.arange(1.0, 21.0), kind="orthogonal")
+        null = EmpiricalNull(draws=np.arange(1.0, 21.0))
         from orthosample.htests import TestReport
 
         rep = TestReport(statistic=20.5, p_value=0.0, null_ref=null,
@@ -209,32 +207,3 @@ class TestBaselines:
                  for _ in range(2000)]
         _, p = stats.kstest(pvals, "uniform")
         assert p > 0.01
-
-
-class TestBootstrap:
-    def test_deterministic_given_rng(self, rng):
-        x = rng.standard_normal(120)
-        r1 = bootstrap_portmanteau_test(x, L=3, B=10, n_boot=200,
-                                        rng=np.random.default_rng(7))
-        r2 = bootstrap_portmanteau_test(x, L=3, B=10, n_boot=200,
-                                        rng=np.random.default_rng(7))
-        assert r1.p_value == r2.p_value
-        np.testing.assert_array_equal(r1.null_ref.draws, r2.null_ref.draws)
-
-    def test_null_properties(self, rng):
-        x = rng.standard_normal(100)
-        null = block_bootstrap_null(
-            x,
-            lambda y: np.array([np.mean(y[:-1] * y[1:])]),
-            B=10, n_boot=150, rng=np.random.default_rng(3),
-        )
-        assert null.kind == "bootstrap"
-        assert null.draws.shape == (150,)
-        assert np.all(null.draws >= 0)
-
-    def test_parameter_validation(self, rng):
-        x = rng.standard_normal(50)
-        with pytest.raises(ShiftRangeError):
-            block_bootstrap_null(x, lambda y: np.array([0.0]), B=0)
-        with pytest.raises(ValueError):
-            block_bootstrap_null(x, lambda y: np.array([0.0]), B=5, n_boot=10)

@@ -1,7 +1,9 @@
 """The input rules every entry point shares: the range rule lo <= M, L < T/2
-(ShiftRangeError) and the density rule, positive and finite on the grid
+for integral M and L (ShiftRangeError) and the density rule, positive and finite on the grid
 (InvalidInputError).  A single-series test and its block kernel raise the
 same exception with the same message, which names the value and T."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ def _equality(x, y, block, **kw):
 CASES = [(test, dict(M=0)) for test in (_portmanteau, _gof, _equality)]
 CASES += [(test, dict(M=T // 2)) for test in (_portmanteau, _gof, _equality)]
 CASES += [(test, dict(L=T // 2, M=5)) for test in (_portmanteau, _gof)]
+CASES += [(test, dict(M=10.9)) for test in (_portmanteau, _gof, _equality)]
 
 
 @pytest.mark.parametrize("test, kw", CASES,
@@ -55,6 +58,18 @@ def test_range_rule_same_error_single_and_block(rng, test, kw):
     assert str(block.value) == str(single.value)
     name = "L" if "L" in kw else "M"
     assert f"{name}={kw[name]} " in str(single.value) and f"T={T}" in str(single.value)
+
+
+@pytest.mark.parametrize("test", [_portmanteau, _gof, _equality])
+def test_numpy_integer_shift_accepted(rng, test):
+    x, y = rng.standard_normal((2, 3, T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+        one, want = (test(x[:1], y[:1], False, M=M) for M in (np.int64(10), 10))
+        block = test(x, y, True, M=np.int64(10))
+    assert one.tuning["M"] == 10 and type(one.tuning["M"]) is int
+    assert (one.statistic, one.p_value) == (want.statistic, want.p_value)
+    assert (block.statistics[0], block.p_values[0]) == (one.statistic, one.p_value)
 
 
 @pytest.mark.parametrize("density", [
