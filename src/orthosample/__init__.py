@@ -25,7 +25,6 @@ from .htests import (
     EmpiricalNull,
     TestReport,
     box_pierce,
-    empirical_pvalue,
     goodness_of_fit_test,
     l2_stat,
     portmanteau_test,
@@ -92,7 +91,6 @@ __all__ = [
     "equality_test",
     "EmpiricalNull", "TestReport", "l2_stat", "portmanteau_test",
     "goodness_of_fit_test", "box_pierce", "robust_portmanteau",
-    "empirical_pvalue",
     "MODEL_REGISTRY", "ModelSpec", "generate", "generate_batch", "generate_bivariate",
     "generate_bivariate_batch",
     "SelectionResult", "criterion", "select_M", "feasible_search_set",

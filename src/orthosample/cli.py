@@ -14,6 +14,7 @@ each cell's blocks of replications are spread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,8 @@ import numpy as np
 
 from .equality import equality_test
 from .experiments import ConfigError, emit, parse_config, parse_search_set, run_experiment
-from .htests import TestReport, box_pierce, goodness_of_fit_test, portmanteau_test, robust_portmanteau
+from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
+                     portmanteau_test, robust_portmanteau)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
 from .spectral import InvalidInputError, ShiftRangeError, dft, lag_weight
 from .whittle import ar_model, whittle_fit
@@ -145,12 +147,14 @@ def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
         report = robust_portmanteau(x, L=L)
     elif kind == "gof_ar1":
         model = ar_model(1)
-        fit = whittle_fit(dft(x), model)
+        grid = dft(x)  # one transform for the fit and the test
+        fit = whittle_fit(grid, model)
 
         def g(om, theta=fit.theta_hat, model=model):
             return model.density(np.asarray(om, dtype=float), theta)
 
-        report = goodness_of_fit_test(x, g, L=L, M=M)
+        block = _goodness_of_fit_coeffs(grid.coeffs[None], g, L, M, DEFAULT_SEARCH_SET, DEFAULT_P)
+        report = _orthogonal_report(block, "orthogonal_gof", L, M is None)
         out = report_to_dict(report)
         out["fitted_theta"] = [float(v) for v in np.atleast_1d(fit.theta_hat)]
         out["on_boundary"] = fit.on_boundary
@@ -160,7 +164,9 @@ def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
     return report_to_dict(report)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(prog="orthosample", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -186,9 +192,12 @@ def main(argv=None) -> int:
     p_sel.add_argument("--p", type=int, default=DEFAULT_P)
     p_sel.add_argument("--set", default=tuple(DEFAULT_SEARCH_SET), dest="search_set",
                        help="search set, e.g. 10..30 or 5,10,20")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
 
@@ -236,7 +245,3 @@ def main(argv=None) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,16 +22,16 @@ from . import distributions as dist
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M_block
 from .spectral import (
     DftGrid,
+    InvalidInputError,
     ShiftRangeError,
     WeightFunction,
     _check_shift,
+    _density_values,
     as_block,
     as_series,
     dft,
     dft_block,
     grid_frequencies,
-    lag_weight,
-    model_reciprocal_weight,
     shift_runs,
 )
 
@@ -43,7 +43,6 @@ __all__ = [
     "goodness_of_fit_test",
     "box_pierce",
     "robust_portmanteau",
-    "empirical_pvalue",
 ]
 
 DEFAULT_ALPHAS = (0.05, 0.10)
@@ -81,18 +80,17 @@ class TestReport:
         return {a: self.reject(a) for a in self.alphas}
 
 
-def empirical_pvalue(stat: float, null: EmpiricalNull) -> float:
-    """#{draws >= stat} / #draws."""
-    return float(np.count_nonzero(null.draws >= stat) / null.draws.size)
-
-
 def _shift_table(grid: DftGrid, phis: Sequence[WeightFunction], max_r: int) -> np.ndarray:
     """A(phi_j; r) for j = 1..L (rows) and r = 0..max_r (columns)."""
-    return shift_runs(grid.coeffs[None], _on_grid(phis, grid.T), max_r)[0]
+    weights = np.stack([phi.on_grid(grid.T) for phi in phis])
+    return shift_runs(grid.coeffs[None], weights, max_r)[0]
 
 
-def _on_grid(phis: Sequence[WeightFunction], T: int) -> np.ndarray:
-    return np.stack([phi.on_grid(T) for phi in phis])
+def _lag_rows(T: int, L: int) -> np.ndarray:
+    """e^{ij omega_k} for j = 1..L (rows) on the size-T grid, once 1 <= L < T/2 holds."""
+    j = np.arange(1, _check_shift(T, L, "L", 1) + 1)
+    rows = 1j * j[:, None] * grid_frequencies(T)
+    return np.exp(rows, out=rows)
 
 
 @dataclass(frozen=True)
@@ -187,10 +185,7 @@ def portmanteau_block(block, L: int = 5, M: int | None = None,
                       search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
     """:func:`portmanteau_test` on every row of an (R, T) block of series."""
     coeffs = dft_block(block, demean=True)
-    T = coeffs.shape[1]
-    _check_shift(T, L, "L", 1)
-    weights = _on_grid([lag_weight(j) for j in range(1, L + 1)], T)
-    return orthogonal_l2_block(coeffs, weights, M, search_set, p)
+    return orthogonal_l2_block(coeffs, _lag_rows(coeffs.shape[1], L), M, search_set, p)
 
 
 def portmanteau_test(series, L: int = 5, M: int | None = None,
@@ -209,12 +204,19 @@ def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray
                           L: int = 5, M: int | None = None,
                           search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
     """:func:`goodness_of_fit_test` on every row of an (R, T) block of series."""
-    coeffs = dft_block(block, demean=True)
+    return _goodness_of_fit_coeffs(dft_block(block, demean=True), null_density, L, M,
+                                   search_set, p)
+
+
+def _goodness_of_fit_coeffs(coeffs: np.ndarray, null_density, L, M, search_set, p) -> BlockReport:
+    """:func:`goodness_of_fit_block` given the block's (R, T) demeaned DFT coefficients."""
     T = coeffs.shape[1]
-    _check_shift(T, L, "L", 1)
-    gv = null_density(grid_frequencies(T))  # one density evaluation for all L weights
-    weights = _on_grid([model_reciprocal_weight(j, lambda w, gv=gv: gv)
-                        for j in range(1, L + 1)], T)
+    weights = _lag_rows(T, L)  # L is checked before g is evaluated
+    weights /= _density_values(null_density(grid_frequencies(T)), "model density g")
+    finite = np.all(np.isfinite(weights), axis=1)
+    if not finite.all():
+        raise InvalidInputError(f"weight 'lag_exp[{np.argmin(finite) + 1}]/g' "
+                                f"is non-finite on the size-{T} grid")
     return orthogonal_l2_block(coeffs, weights, M, search_set, p)
 
 

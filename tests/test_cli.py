@@ -1,10 +1,14 @@
 """Command line interface: verbs, data loading, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from orthosample import cli, htests, spectral
 from orthosample.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -12,7 +16,11 @@ from orthosample.cli import (
     DataError,
     load_series,
     main,
+    report_to_dict,
 )
+from orthosample.htests import goodness_of_fit_test
+from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set
+from orthosample.whittle import ar_model, whittle_fit
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
 
 
@@ -350,3 +358,72 @@ class TestRunVerb:
         assert len(paths) >= 10
         for path in paths:
             parse_config(open(path).read())
+
+
+def _main_output(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCachedParser:
+    def test_reused_parser_matches_fresh_parse(self, series_csv, capsys, monkeypatch):
+        f = series_csv
+        calls = [["test", "portmanteau", f, "--M", "8"], ["test", "portmanteau", f],
+                 ["selectM", f, "--set", "5,10"], ["selectM", f],
+                 ["test", "portmanteau", f, "--beta", "x"], ["test", "box_pierce", f]]
+        parser = cli._parser()
+        cached = [_main_output(argv, capsys) for argv in calls]
+        assert cli._parser() is parser
+        assert [c[0] for c in cached] == [EXIT_OK] * 4 + [EXIT_CONFIG, EXIT_OK]
+        assert json.loads(cached[0][1])["tuning"] == {"L": 5, "M_selected": False, "M": 8}
+        assert json.loads(cached[1][1])["tuning"]["M_selected"] is True
+        assert set(json.loads(cached[2][1])["criterion_curve"]) == {"5", "10"}
+        default_set = feasible_search_set(100, DEFAULT_SEARCH_SET, DEFAULT_P)
+        assert set(json.loads(cached[3][1])["criterion_curve"]) == set(map(str, default_set))
+        for argv in calls[:4] + calls[5:]:
+            assert cli._parser().parse_args(argv) == cli._parser.__wrapped__().parse_args(argv)
+        monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a new parser per call
+        assert [_main_output(argv, capsys) for argv in calls] == cached
+
+
+class TestGofTransformsOnce:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [[], ["--M", "10"], ["--L", "3"], ["--M", "7", "--L", "2"]])
+    def test_one_dft_and_same_json(self, tmp_path, capsys, monkeypatch, seed, extra):
+        rng = np.random.default_rng(seed)
+        x = np.convolve(rng.standard_normal(600), 0.5 ** np.arange(40), "valid")[:512]
+        path = tmp_path / "ar.csv"
+        path.write_text("x\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+        transforms = []
+
+        def counted(block, demean=True, dft_block=spectral.dft_block):
+            transforms.append(np.shape(block))
+            return dft_block(block, demean)
+
+        for module in (spectral, htests):
+            monkeypatch.setattr(module, "dft_block", counted)
+        assert main(["test", "gof_ar1", str(path)] + extra) == EXIT_OK
+        assert transforms == [(1, 512)]
+        monkeypatch.undo()
+
+        opts = dict(zip(extra[::2], map(int, extra[1::2])))
+        model = ar_model(1)
+        fit = whittle_fit(spectral.dft(x), model)
+        report = goodness_of_fit_test(x, lambda om: model.density(om, fit.theta_hat),
+                                      L=opts.get("--L", 5), M=opts.get("--M"))
+        want = report_to_dict(report)
+        want["fitted_theta"] = [float(v) for v in fit.theta_hat]
+        want["on_boundary"] = fit.on_boundary
+        assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
+
+
+def test_python_dash_m_runs_the_cli(series_csv, capsys):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orthosample", "test", "gof_ar1", series_csv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["test", "gof_ar1", series_csv]) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out

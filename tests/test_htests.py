@@ -8,7 +8,6 @@ from orthosample import htests
 from orthosample.htests import (
     EmpiricalNull,
     box_pierce,
-    empirical_pvalue,
     goodness_of_fit_test,
     l2_stat,
     orthogonal_l2_block,
@@ -38,12 +37,17 @@ class TestEmpiricalNull:
         with pytest.raises(ValueError):
             EmpiricalNull(draws=np.array([1.0, np.nan]))
 
-    def test_pvalue_counting(self):
-        null = EmpiricalNull(draws=np.array([1.0, 2.0, 3.0, 4.0]))
-        assert empirical_pvalue(2.5, null) == 0.5
-        assert empirical_pvalue(0.0, null) == 1.0
-        assert empirical_pvalue(5.0, null) == 0.0
-        assert empirical_pvalue(2.0, null) == 0.75  # ties count as >=
+    def test_block_counts_ties_as_exceedances(self, monkeypatch):
+        # all-zero coefficients: the statistic and every draw are 0, so each draw ties
+        zero = orthogonal_l2_block(np.zeros((2, 32), complex), np.ones((1, 32), complex), M=4)
+        assert np.array_equal(zero.p_values, [1.0, 1.0])
+        # p = #{draws >= stat} / 2M, the draws 1..4 (M = 2) against four statistics
+        stats = np.array([2.5, 0.0, 5.0, 2.0])
+        monkeypatch.setattr(htests, "_statistics", lambda tables, T: stats)
+        monkeypatch.setattr(htests, "_draws",
+                            lambda tables, T: np.tile([1.0, 2.0, 3.0, 4.0], (4, 1)))
+        out = orthogonal_l2_block(np.ones((4, 32), complex), np.ones((1, 32), complex), M=2)
+        assert np.array_equal(out.p_values, [0.5, 1.0, 0.0, 0.75])  # ties count as >=
 
 
 class TestPortmanteau:
