@@ -40,6 +40,7 @@ from .models import (
 )
 from .selection import SelectionResult, criterion, feasible_search_set, select_M
 from .spectral import (
+    DegenerateDataError,
     DftGrid,
     InvalidInputError,
     OrthogonalSample,
@@ -94,7 +95,7 @@ __all__ = [
     "MODEL_REGISTRY", "ModelSpec", "generate", "generate_batch", "generate_bivariate",
     "generate_bivariate_batch",
     "SelectionResult", "criterion", "select_M", "feasible_search_set",
-    "DftGrid", "InvalidInputError", "ShiftRangeError", "WeightFunction",
+    "DegenerateDataError", "DftGrid", "InvalidInputError", "ShiftRangeError", "WeightFunction",
     "OrthogonalSample", "dft", "grid_frequencies", "ar_transfer",
     "ar_spectral_density", "weighted_average",
     "weighted_average_run", "orthogonal_sample", "quadratic_form_oracle",

@@ -9,6 +9,7 @@ the CDFs; quantiles invert the CDF by bisection to 1e-10.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,7 +133,8 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class Dist:
-    """A calibration reference law with a cdf, survival function and quantile function."""
+    """A calibration reference law with a cdf, survival function and quantile
+    function; frozen and hashable, so its quantiles are cached per process."""
 
     family: str
     params: tuple
@@ -176,8 +178,13 @@ class Dist:
         raise ValueError(f"unknown family {self.family!r}")
 
     def quantile(self, q: float) -> float:
+        """The q quantile, inverted once per process for each (law, q)."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
+        return self._bisect(float(q))
+
+    @functools.lru_cache(maxsize=256)
+    def _bisect(self, q: float) -> float:
         lo, hi = -1.0, 1.0
         # expand a bracket, then bisect; cdf is monotone for every family
         for _ in range(200):

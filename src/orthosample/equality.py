@@ -22,8 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import distributions as dist
 from .htests import BlockReport, TestReport
-from .spectral import (DftGrid, InvalidInputError, _check_shift,
-                       _circular_convolve, _shift_chunks, as_block, as_series, dft_block)
+from .spectral import (DegenerateDataError, DftGrid, InvalidInputError, _check_shift,
+                       _circular_convolve, _shift_chunks, as_block, as_series, dft_block,
+                       grid_constant)
 
 __all__ = [
     "KernelSpec",
@@ -68,6 +69,13 @@ class KernelSpec:
         return w / (self.bandwidth * T)
 
 
+@grid_constant
+def _window_transform(kernel: KernelSpec, T: int) -> np.ndarray:
+    """The FFT of ``kernel.weights(T)``: convolving with the weights is
+    multiplying by it.  A read-only grid constant."""
+    return np.fft.fft(kernel.weights(T))
+
+
 def kernel_spectral_estimate(grid: DftGrid, kernel: KernelSpec, r: int = 0) -> np.ndarray:
     """Smoothed cross-shift spectral estimate on the full grid.
 
@@ -83,7 +91,7 @@ def kernel_spectral_estimate(grid: DftGrid, kernel: KernelSpec, r: int = 0) -> n
     about -omega_r / 2, which is frequency 0 only when r = 0.
     """
     u = grid.coeffs * np.conj(grid.shifted(_check_shift(grid.T, r)))
-    return _circular_convolve(u, np.fft.fft(kernel.weights(grid.T)))
+    return _circular_convolve(u, _window_transform(kernel, grid.T))
 
 
 def _half_range(diff: np.ndarray, T: int) -> np.ndarray:
@@ -138,7 +146,7 @@ def beta_hat(mu, var, mu3):
     an array over arrays of moments, a float for one set; one warning names
     the number of exponents clamped."""
     if np.any(np.asarray(var) <= 0):
-        raise ZeroDivisionError("zero variance in null draws; beta undefined")
+        raise DegenerateDataError("zero variance in null draws; beta undefined")
     b = np.asarray(1.0 - np.multiply(mu, mu3) / (3.0 * _pow(var, 2.0)))
     clamped = (b <= 0.0) | (b > 1.0)
     if np.any(clamped):
@@ -176,7 +184,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     if beta != "estimate" and not 0.0 < float(beta) <= 1.0:
         raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)
-    fw = np.fft.fft(kernel.weights(T))
+    fw = _window_transform(kernel, T)
 
     # the statistic and its draws (see ``l2_distance_stat``) from f_hat_x(.; r) - f_hat_y(.; r),
     # one transform per shift for both series.  J[0, i, r] is J_{k+r} of X[i] (J[1, i, r] of
@@ -206,7 +214,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
         mu, beta_used - 2.0) * var
     sd_b = beta_used * _pow(mu, beta_used - 1.0) * np.sqrt(var)
     if np.any(sd_b <= 0):
-        raise ZeroDivisionError("degenerate transformed scale; test undefined")
+        raise DegenerateDataError("degenerate transformed scale; test undefined")
     z = (_pow(stat, beta_used) - mu_b) / sd_b
     law = dist.student_t(2 * M - 1)
     scale = np.sqrt(1.0 + 1.0 / (2.0 * M))

@@ -21,6 +21,7 @@ import numpy as np
 from . import distributions as dist
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M_block
 from .spectral import (
+    DegenerateDataError,
     DftGrid,
     InvalidInputError,
     ShiftRangeError,
@@ -31,6 +32,7 @@ from .spectral import (
     as_series,
     dft,
     dft_block,
+    grid_constant,
     grid_frequencies,
     shift_runs,
 )
@@ -87,8 +89,14 @@ def _shift_table(grid: DftGrid, phis: Sequence[WeightFunction], max_r: int) -> n
 
 
 def _lag_rows(T: int, L: int) -> np.ndarray:
-    """e^{ij omega_k} for j = 1..L (rows) on the size-T grid, once 1 <= L < T/2 holds."""
-    j = np.arange(1, _check_shift(T, L, "L", 1) + 1)
+    """e^{ij omega_k} for j = 1..L (rows) on the size-T grid, once 1 <= L < T/2
+    holds; a read-only grid constant."""
+    return _lag_rows_on_grid(T, _check_shift(T, L, "L", 1))
+
+
+@grid_constant
+def _lag_rows_on_grid(T: int, L: int) -> np.ndarray:
+    j = np.arange(1, L + 1)
     rows = 1j * j[:, None] * grid_frequencies(T)
     return np.exp(rows, out=rows)
 
@@ -211,8 +219,9 @@ def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray
 def _goodness_of_fit_coeffs(coeffs: np.ndarray, null_density, L, M, search_set, p) -> BlockReport:
     """:func:`goodness_of_fit_block` given the block's (R, T) demeaned DFT coefficients."""
     T = coeffs.shape[1]
-    weights = _lag_rows(T, L)  # L is checked before g is evaluated
-    weights /= _density_values(null_density(grid_frequencies(T)), "model density g")
+    # L is checked before g is evaluated; the quotient is a copy of the shared rows
+    weights = _lag_rows(T, L) / _density_values(null_density(grid_frequencies(T)),
+                                                "model density g")
     finite = np.all(np.isfinite(weights), axis=1)
     if not finite.all():
         raise InvalidInputError(f"weight 'lag_exp[{np.argmin(finite) + 1}]/g' "
@@ -271,7 +280,7 @@ def box_pierce_block(block, L: int = 5) -> BlockReport:
     xc = _centred(block, L)
     c = _truncated_autocov(xc, L)
     if np.any(c[:, 0] == 0):
-        raise ZeroDivisionError("zero sample variance; Box-Pierce undefined")
+        raise DegenerateDataError("zero sample variance; Box-Pierce undefined")
     stats = xc.shape[1] / c[:, 0] ** 2 * np.sum(c[:, 1:] ** 2, axis=1)
     return _chi_square_block(stats, L)
 
@@ -292,7 +301,7 @@ def robust_portmanteau_block(block, L: int = 5) -> BlockReport:
     for j in range(1, L + 1):
         tau = _row_dots(sq[:, j:], sq[:, : T - j]) / (T - j)
         if np.any(tau == 0):
-            raise ZeroDivisionError(f"zero normaliser tau at lag {j}")
+            raise DegenerateDataError(f"zero normaliser tau at lag {j}")
         stats = stats + c[:, j] ** 2 / tau
     return _chi_square_block(T * stats, L)
 

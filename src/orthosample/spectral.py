@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,6 +44,9 @@ DEFAULT_ORACLE_BOUND = 256
 # tables, equality-test shifts): 256 KB, so at long T a block is one row and
 # needs no more memory than the single transforms it replaces.
 SHIFT_BLOCK_POINTS = 2**14
+# A grid constant (an array that depends on T and the tuning, not on the
+# data) is kept per process only up to this size, 2^17 complex points.
+GRID_CONSTANT_BYTES = 2**21
 
 
 class InvalidInputError(ValueError):
@@ -53,6 +57,11 @@ class ShiftRangeError(ValueError):
     """Raised when a shift r, lag count L or orthogonal-sample size M falls
     outside its range [lo, T/2) (lo = 0 for r, 1 for L and M), or when no M
     of a search set leaves its variance windows below T/2."""
+
+
+class DegenerateDataError(ZeroDivisionError):
+    """Raised when finite data leave a statistic undefined: a zero sample
+    variance or normaliser, or null draws without spread."""
 
 
 TimeSeries = np.ndarray
@@ -81,6 +90,29 @@ def _checked(values, ndim: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("series contains non-finite values")
     return x
+
+
+def grid_constant(build):
+    """Cache ``build``, a pure function of hashable arguments that returns an
+    array, once per process.  Every array it returns is read-only.  The cache
+    keeps the last array built, unless it is larger than
+    ``GRID_CONSTANT_BYTES``: that one is returned but not kept.  ``cache``
+    maps the kept argument tuple to its array."""
+    cache = {}
+
+    @functools.wraps(build)
+    def constant(*key):
+        value = cache.get(key)
+        if value is None:
+            value = build(*key)
+            value.setflags(write=False)
+            if value.nbytes <= GRID_CONSTANT_BYTES:
+                cache.clear()
+                cache[key] = value
+        return value
+
+    constant.cache = cache
+    return constant
 
 
 def grid_frequencies(T: int) -> np.ndarray:
@@ -147,10 +179,10 @@ def dft_block(block, demean: bool = True) -> np.ndarray:
     T = x.shape[1]
     if demean:
         x = x - x.mean(axis=1, keepdims=True)
-    # sum_t x_t e^{i t omega_q} = e^{i omega_q} * T * ifft(x)[q], q = k mod T
-    spec = T * np.fft.ifft(x, axis=-1)
-    k = np.arange(1, T + 1)
-    coeffs = np.exp(2j * np.pi * k / T) * spec[:, k % T]
+    # sum_t x_t e^{i t omega_k} = e^{i omega_k} * T * ifft(x)[k mod T]; index k - 1
+    # holds omega_k, so the ifft moves one place to the left
+    coeffs = np.roll(T * np.fft.ifft(x, axis=-1), -1, axis=-1)
+    np.multiply(np.exp(2j * np.pi * np.arange(1, T + 1) / T), coeffs, out=coeffs)
     coeffs *= 1.0 / np.sqrt(2.0 * np.pi * T)
     return coeffs
 

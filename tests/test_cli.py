@@ -227,6 +227,31 @@ class TestTestVerb:
         assert main(["test", "equality", bivariate_csv, "--beta", "0.5"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["tuning"]["beta"] == 0.5
 
+    @pytest.mark.parametrize("kind, columns, message", [
+        ("equality", 2, "zero variance in null draws; beta undefined"),
+        ("box_pierce", 1, "zero sample variance; Box-Pierce undefined"),
+        ("robust", 1, "zero normaliser tau at lag 1"),
+    ])
+    def test_degenerate_data_is_data_error(self, tmp_path, capsys, kind, columns, message):
+        # equal columns, or a constant series: the library raises DegenerateDataError
+        col = np.arange(64.0) % 7 if columns == 2 else np.ones(64)
+        path = tmp_path / "degenerate.csv"
+        path.write_text("\n".join(",".join([f"{v:g}"] * columns) for v in col) + "\n")
+        assert main(["test", kind, str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {message}\n"
+        assert captured.out == ""
+
+    def test_other_zero_division_is_not_a_data_error(self, series_csv, monkeypatch):
+        # only the degenerate-data class is bad input; any other division by
+        # zero is a fault and keeps its traceback
+        def faulty(x, L):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "box_pierce", faulty)
+        with pytest.raises(ZeroDivisionError, match="float division"):
+            main(["test", "box_pierce", series_csv])
+
     def test_unknown_kind_is_usage_error(self, series_csv):
         assert main(["test", "nonsense", series_csv]) == EXIT_CONFIG
 

@@ -65,10 +65,19 @@ class TestQuantiles:
             assert law.cdf(law.quantile(q)) == pytest.approx(q, abs=1e-7)
 
     def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            dist.normal().quantile(0.0)
-        with pytest.raises(ValueError):
-            dist.normal().quantile(1.2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                dist.normal().quantile(0.0)
+            with pytest.raises(ValueError):
+                dist.normal().quantile(1.2)
+
+    def test_cached_quantile_is_the_bisection(self):
+        law = dist.student_t(40)
+        q = law.quantile(np.float64(0.975))
+        assert type(q) is float
+        assert q == dist.Dist._bisect.__wrapped__(dist.student_t(40), 0.975)
+        assert law.quantile(0.975) == q
+        assert hash(law) == hash(dist.student_t(40))
 
 
 class TestLimitsAndIdentities:

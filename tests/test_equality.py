@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from orthosample import equality
 from orthosample.equality import (
     KernelSpec,
     beta_hat,
@@ -35,6 +36,29 @@ class TestKernelSpec:
     def test_too_few_grid_points_rejected(self):
         with pytest.raises(InvalidInputError):
             KernelSpec(bandwidth=0.01).weights(100)  # b*T < 4
+
+
+class TestWindowTransform:
+    @pytest.mark.parametrize("T", [100, 512, 2**14])
+    def test_read_only_fresh_build(self, T):
+        kernel = KernelSpec(bandwidth=default_bandwidth(T))
+        fw = equality._window_transform(kernel, T)
+        assert fw.tobytes() == np.fft.fft(kernel.weights(T)).tobytes()
+        assert not fw.flags.writeable
+        with pytest.raises(ValueError):
+            fw[0] = 0
+
+    def test_one_home_for_test_and_estimate(self, rng):
+        x, y = rng.standard_normal((2, 256))
+        equality.equality_test(x, y, b=0.125)
+        assert list(equality._window_transform.cache) == [(KernelSpec(0.125), 256)]
+        kernel_spectral_estimate(dft(x), KernelSpec(bandwidth=0.2))
+        assert list(equality._window_transform.cache) == [(KernelSpec(0.2), 256)]
+
+    def test_too_narrow_window_fails_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="b\\*T >= 4"):
+                equality._window_transform(KernelSpec(bandwidth=0.01), 100)
 
 
 class TestKernelEstimate:

@@ -1,5 +1,9 @@
 """Uncorrelatedness and goodness-of-fit tests with empirical nulls."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -103,6 +107,50 @@ class TestPortmanteau:
                 vals.append(rep.statistic / np.quantile(rep.null_ref.draws, 0.9))
             ratios[T] = np.mean(vals)
         assert ratios[400] > ratios[200]
+
+
+class TestLagRows:
+    @pytest.mark.parametrize("T", [100, 512, 2**14])
+    def test_read_only_fresh_build(self, T):
+        rows = htests._lag_rows(T, 5)
+        omega = 2.0 * np.pi * np.arange(1, T + 1) / T
+        want = np.exp(1j * np.arange(1, 6)[:, None] * omega)
+        assert rows.tobytes() == want.tobytes()
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        assert htests._lag_rows(T, 5.0) is rows
+
+    @pytest.mark.parametrize("L", [0, 50, 5.5])
+    def test_bad_L_fails_on_every_call(self, L):
+        htests._lag_rows(100, 5)
+        for _ in range(2):
+            with pytest.raises(ShiftRangeError):
+                htests._lag_rows(100, L)
+
+    def test_rows_beyond_the_bound_are_not_kept(self):
+        T = 2**15  # 5 rows of 2^15 points: 2.5 MB
+        assert not htests._lag_rows(T, 5).flags.writeable
+        assert all(key[0] != T for key in htests._lag_rows_on_grid.cache)
+
+    def test_gof_leaves_the_rows_for_portmanteau(self, rng, tmp_path):
+        # a gof test divides the shared rows by g; the portmanteau test after
+        # it must see the rows a fresh process builds
+        x = rng.standard_normal(300)
+        np.save(tmp_path / "x.npy", x)
+        goodness_of_fit_test(x, lambda om: ar_spectral_density(om, [0.4], 1.0), L=5)
+        rep = portmanteau_test(x, L=5)
+        here = [rep.statistic.hex(), rep.p_value.hex(), rep.null_ref.draws.tobytes().hex()]
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys, numpy as np; from orthosample import portmanteau_test; "
+                  "r = portmanteau_test(np.load(sys.argv[1]), L=5); "
+                  "print(r.statistic.hex(), r.p_value.hex(), r.null_ref.draws.tobytes().hex())")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.npy")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == here
 
 
 class TestL2Stat:

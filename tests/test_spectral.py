@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthosample import equality, htests
 from orthosample.spectral import (
+    GRID_CONSTANT_BYTES,
     InvalidInputError,
     ShiftRangeError,
     as_series,
     circular_autocov,
     constant_weight,
     dft,
+    dft_block,
+    grid_constant,
     grid_frequencies,
     lag_weight,
     orthogonal_sample,
@@ -75,6 +79,58 @@ class TestDft:
             as_series(np.zeros((50, 2)))
         with pytest.raises(InvalidInputError):
             dft([np.inf, 0.0, 1.0])
+
+
+class TestGridConstants:
+    @pytest.mark.parametrize("T", [100, 512, 2**14])
+    def test_dft_block_keeps_its_bits(self, rng, T):
+        # the reference: phase and wrap index built inline on every call
+        x = rng.standard_normal((3, T))
+        xc = x - x.mean(axis=1, keepdims=True)
+        k = np.arange(1, T + 1)
+        want = np.exp(2j * np.pi * k / T) * (T * np.fft.ifft(xc, axis=-1))[:, k % T]
+        want *= 1.0 / np.sqrt(2.0 * np.pi * T)
+        got = dft_block(x)
+        assert got.tobytes() == want.tobytes()
+        got[0, 0] = 0  # the coefficients are the caller's own array
+
+    def test_long_grid_is_not_kept(self):
+        # dft_block builds its phase on every call, and no grid constant of
+        # a T = 2^20 call stays behind
+        T = 2**20
+        dft(np.random.default_rng(5).standard_normal(T))
+        kernel = equality.KernelSpec(bandwidth=equality.default_bandwidth(T))
+        assert not equality._window_transform(kernel, T).flags.writeable
+        for constant in (htests._lag_rows_on_grid, equality._window_transform):
+            assert all(T not in key for key in constant.cache)
+
+    def test_cache_keeps_the_last_build(self):
+        built = []
+
+        @grid_constant
+        def ramp(n):
+            built.append(n)
+            return np.arange(float(n))
+
+        first = ramp(3)
+        assert ramp(3) is first and built == [3]
+        ramp(4)
+        assert list(ramp.cache) == [(4,)]
+        assert ramp(3) is not first and built == [3, 4, 3]
+
+    def test_oversized_result_is_returned_read_only_but_not_kept(self):
+        @grid_constant
+        def big(n):
+            return np.zeros(n, dtype=complex)
+
+        n = GRID_CONSTANT_BYTES // 16 + 1
+        out = big(n)
+        assert out.shape == (n,) and not out.flags.writeable
+        assert big.cache == {}
+        assert big(n) is not out
+        small = big(4)
+        big(n)  # an oversized build leaves the kept entry in place
+        assert big(4) is small
 
 
 class TestWeightedAverage:
