@@ -28,8 +28,7 @@ from .experiments import ConfigError, emit, parse_config, parse_search_set, run_
 from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
                      portmanteau_test, robust_portmanteau)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
-from .spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError, dft,
-                       lag_weight)
+from .spectral import DegenerateDataError, dft, lag_weight
 from .whittle import ar_model, whittle_fit
 
 EXIT_OK = 0
@@ -242,8 +241,7 @@ def main(argv=None) -> int:
     except (ConfigError,) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DegenerateDataError, InvalidInputError, ShiftRangeError,
-            ValueError) as e:
+    except (DegenerateDataError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_CONFIG

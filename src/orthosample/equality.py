@@ -157,8 +157,11 @@ def beta_hat(mu, var, mu3):
 
 
 def default_M(T: int) -> int:
-    """Number of shifts used for the null draws: 6 at T=128, 12 at T=512,
-    18 at T=1024, interpolated linearly in log2(T) elsewhere."""
+    """Number of shifts used for the null draws: 6 at T=128, 12 at T=512 and
+    18 at T=1024; at any other T, round(6 + 3 (log2(T) - 7)), clipped to
+    [2, floor(T/2) - 1].  That line passes through the 128 and 512 entries
+    but not the 1024 one (it gives 15 there), so the default is not
+    monotone in T: 15 at T=1023, 18 at 1024, 15 at 1025 and 18 at 2048."""
     table = {128: 6, 512: 12, 1024: 18}
     if T in table:
         return table[T]

@@ -16,22 +16,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import distributions as dist
 from .equality import equality_block
-from .htests import (box_pierce_block, goodness_of_fit_block, portmanteau_block,
+from .htests import (_lag_rows, box_pierce_block, goodness_of_fit_block, portmanteau_block,
                      robust_portmanteau_block)
 from .models import (BURN_IN, MODEL_REGISTRY, _check_bivariate, generate_batch,
                      generate_bivariate_batch)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
 from .spectral import (
+    DegenerateDataError,
     ar_spectral_density,
     dft_block,
-    lag_weight,
+    grid_constant,
     shift_runs,
 )
 
@@ -40,6 +40,8 @@ __all__ = [
     "ResultRow",
     "ResultTable",
     "ConfigError",
+    "Method",
+    "parse_search_set",
     "parse_config",
     "run_experiment",
     "emit",
@@ -235,7 +237,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**parsed)
 
 
-def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
+def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray) -> list:
     """The studentized lag-one statistic A(e^{i.}; 0) / sqrt(mean_r |A(e^{i.}; r)|^2)
     of every row of an (R, T) block."""
     M = cfg.M if cfg.M is not None else 5
@@ -243,12 +245,12 @@ def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> l
     # noticeably at moderate T, while the zero-frequency term is harmless
     # for the zero-mean pivot models
     coeffs = dft_block(series, demean=False)
-    runs = shift_runs(coeffs, lag_weight(1).on_grid(coeffs.shape[1])[None], M)[:, 0]
+    runs = shift_runs(coeffs, _lag_rows(coeffs.shape[1], 1), M)[:, 0]
     denom = np.sqrt(np.mean(np.abs(runs[:, 1:]) ** 2, axis=1))
     return (runs[:, 0].real / denom).tolist()
 
 
-def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) -> list:
+def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray) -> list:
     if cfg.experiment.startswith("table_gof"):
         def g(om, phi=cfg.gof_phi, sigma=cfg.gof_sigma):
             return ar_spectral_density(om, [phi], sigma)
@@ -261,7 +263,7 @@ def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray, seeds: list) 
     return out.p_values.tolist()
 
 
-def _equality_values(cfg: ExperimentConfig, pair, seeds: list) -> list:
+def _equality_values(cfg: ExperimentConfig, pair) -> list:
     """(p-value, beta-hat) of the equality test on each pair of rows."""
     out = equality_block(*pair, b=cfg.b, M=cfg.M, beta=cfg.beta)
     return list(zip(out.p_values.tolist(), out.tuning["beta"].tolist()))
@@ -294,15 +296,14 @@ def _equality_rows(cfg, table, cell, values, ms) -> None:
     _rate_rows(cfg, table, cell, values, ms)
 
 
-@lru_cache(maxsize=16)
-def _t10_reference(n: int) -> tuple:
-    """The t(10) quantiles at the n plotting positions (i - 1/2) / n, read-only
-    because every table with n statistics shares them, and the t(10)
-    two-sided 5% critical value."""
-    ref = dist.student_t(10)
-    quantiles = np.array([ref.quantile(q) for q in (np.arange(1, n + 1) - 0.5) / n])
-    quantiles.setflags(write=False)
-    return quantiles, ref.quantile(0.975)
+_T10 = dist.student_t(10)
+
+
+@grid_constant
+def _t10_quantiles(n: int) -> np.ndarray:
+    """The t(10) quantiles at the n plotting positions (i - 1/2) / n; a
+    read-only grid constant that every table with n statistics shares."""
+    return np.array([_T10.quantile(q) for q in (np.arange(1, n + 1) - 0.5) / n])
 
 
 def _qq_rows(cfg, table, cell, stats, ms) -> None:
@@ -314,14 +315,13 @@ def _qq_rows(cfg, table, cell, stats, ms) -> None:
         table.rows.append(ResultRow(*cell, np.nan, np.nan, np.nan, ms))
         return
     stats = np.sort(np.asarray(stats))
-    ref, crit = _t10_reference(stats.size)
-    table.quantile_pairs[f"{cell[0]}_T{cell[1]}"] = (stats, ref)
-    table.rows.append(_row(cell, 0.05, np.count_nonzero(np.abs(stats) > crit),
+    table.quantile_pairs[f"{cell[0]}_T{cell[1]}"] = (stats, _t10_quantiles(stats.size))
+    table.rows.append(_row(cell, 0.05, np.count_nonzero(np.abs(stats) > _T10.quantile(0.975)),
                            stats.size, ms))
 
 
 class Method(NamedTuple):
-    """How the cells of one method run. ``values(cfg, block, seeds)`` gives
+    """How the cells of one method run. ``values(cfg, block)`` gives
     one value per replication of a block: an (R, T) array of series, or a
     pair of them if ``paired``. ``rows(cfg, table, cell, values, time_ms)``
     adds the cell's rows to the table; ``values`` is None if the cell failed."""
@@ -332,9 +332,8 @@ class Method(NamedTuple):
 
 METHODS = {
     "orthogonal": Method(_orthogonal_pvalues),
-    "box_pierce": Method(lambda cfg, series, seeds: box_pierce_block(
-        series, cfg.L).p_values.tolist()),
-    "robust": Method(lambda cfg, series, seeds: robust_portmanteau_block(
+    "box_pierce": Method(lambda cfg, series: box_pierce_block(series, cfg.L).p_values.tolist()),
+    "robust": Method(lambda cfg, series: robust_portmanteau_block(
         series, cfg.L).p_values.tolist()),
     "qq_t10": Method(_t10_statistics, _qq_rows),
     "equality": Method(_equality_values, _equality_rows, paired=True),
@@ -354,7 +353,7 @@ def _block_values(job: tuple) -> list:
     else:
         block = np.ascontiguousarray(
             generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
-    return METHODS[method].values(cfg, block, seeds)
+    return METHODS[method].values(cfg, block)
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
@@ -364,8 +363,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     ``progress`` is called once per cell, inside the cell's wall clock, and
     once at the end.
 
-    A failing cell contributes rows with NaN rate instead of aborting the
-    whole run.
+    A cell that fails on bad input (a ValueError or DegenerateDataError)
+    contributes rows with NaN rate instead of aborting the whole run; any
+    other exception propagates.
     """
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr, flush=True)
@@ -392,8 +392,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
             try:
                 values = [v for block in run(_block_values, jobs) for v in block]
                 progress(f"cell {i + 1}/{len(cells)} {cell} done")
-            # InvalidInputError and ConfigError are ValueErrors
-            except (ValueError, ZeroDivisionError) as e:
+            # bad input: InvalidInputError, ShiftRangeError and ConfigError
+            # are ValueErrors; any other error is a fault and propagates
+            except (ValueError, DegenerateDataError) as e:
                 values = None
                 progress(f"cell {cell} failed: {e}")
             ms = (time.perf_counter() - start) * 1000.0

@@ -45,6 +45,12 @@ __all__ = [
     "goodness_of_fit_test",
     "box_pierce",
     "robust_portmanteau",
+    "BlockReport",
+    "orthogonal_l2_block",
+    "portmanteau_block",
+    "goodness_of_fit_block",
+    "box_pierce_block",
+    "robust_portmanteau_block",
 ]
 
 DEFAULT_ALPHAS = (0.05, 0.10)

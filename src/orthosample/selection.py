@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .spectral import DftGrid, ShiftRangeError, WeightFunction, _check_shift, weighted_average_run
 from .variance import DegenerateVarianceError
 
-__all__ = ["SelectionResult", "criterion", "select_M", "feasible_search_set",
+__all__ = ["SelectionResult", "criterion", "select_M", "select_M_block", "feasible_search_set",
            "DEFAULT_SEARCH_SET", "DEFAULT_P"]
 
 DEFAULT_SEARCH_SET = range(10, 31)

@@ -19,17 +19,24 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "InvalidInputError",
+    "ShiftRangeError",
+    "DegenerateDataError",
     "TimeSeries",
     "DftGrid",
     "WeightFunction",
     "OrthogonalSample",
     "as_series",
+    "as_block",
+    "grid_constant",
     "grid_frequencies",
     "ar_transfer",
     "ar_spectral_density",
     "dft",
+    "dft_block",
     "weighted_average",
     "weighted_average_run",
+    "shift_runs",
     "orthogonal_sample",
     "quadratic_form_oracle",
     "circular_autocov",

@@ -26,6 +26,7 @@ __all__ = [
     "variance_estimate_at",
     "studentize",
     "covariance_matrix_estimate",
+    "HotellingReport",
     "hotelling_test",
     "composite_variance",
 ]

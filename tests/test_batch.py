@@ -509,7 +509,7 @@ class TestBlockStatistics:
     def test_qq_pivot_rows_equal_single_series(self, R, T):
         block = _series_block(T, R, "pivot_ii")
         cfg = ExperimentConfig(experiment="qq_t10", models=("pivot_ii",), T=(T,), M=5)
-        got = experiments.METHODS["qq_t10"].values(cfg, block, None)
+        got = experiments.METHODS["qq_t10"].values(cfg, block)
         assert got == [_t10_pivot(x, 5) for x in block]
 
     @pytest.mark.parametrize("T", [100, 200, 500])

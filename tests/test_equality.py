@@ -163,6 +163,11 @@ class TestDefaults:
         assert default_bandwidth(256) == 0.15
         assert default_bandwidth(512) == 0.1
 
+    def test_off_table_line_misses_the_1024_entry(self):
+        # round(6 + 3 (log2 T - 7)) gives 15 near T = 1024, so the default
+        # steps up to the table's 18 at 1024 and back down after it
+        assert [default_M(T) for T in (1023, 1024, 1025, 2048)] == [15, 18, 15, 18]
+
 
 class TestEqualityTest:
     def test_symmetry(self):

@@ -17,6 +17,7 @@ from orthosample.experiments import (
     parse_config,
     run_experiment,
 )
+from orthosample.spectral import DegenerateDataError
 
 def quiet(msg):
     pass
@@ -219,6 +220,27 @@ class TestRunExperiment:
         # L exceeds T/2: the cell errors out but the run completes
         cfg = tiny_config(T=(8,), L=5, M=3)
         table = run_experiment(cfg, progress=quiet)
+        assert len(table.rows) == 2
+        assert all(np.isnan(r.rate) for r in table.rows)
+
+    def test_other_zero_division_propagates(self, monkeypatch):
+        # only bad input gives NaN rows; any other division by zero is a
+        # fault and leaves the run
+        def faulty(cfg, series):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setitem(experiments.METHODS, "box_pierce",
+                            experiments.Method(faulty))
+        with pytest.raises(ZeroDivisionError, match="float division"):
+            run_experiment(tiny_config(methods=("box_pierce",)), progress=quiet)
+
+    def test_degenerate_data_yields_nan_rows(self, monkeypatch):
+        def degenerate(cfg, series):
+            raise DegenerateDataError("zero sample variance; Box-Pierce undefined")
+
+        monkeypatch.setitem(experiments.METHODS, "box_pierce",
+                            experiments.Method(degenerate))
+        table = run_experiment(tiny_config(methods=("box_pierce",)), progress=quiet)
         assert len(table.rows) == 2
         assert all(np.isnan(r.rate) for r in table.rows)
 
