@@ -24,7 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .equality import equality_test
-from .experiments import ConfigError, emit, parse_config, parse_search_set, run_experiment
+from .experiments import ConfigError, _beta, emit, parse_config, parse_search_set, run_experiment
 from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
                      portmanteau_test, robust_portmanteau)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
@@ -94,36 +94,12 @@ def _first_bad_line(path: str, lines: list[str], ncol: int, header: bool) -> Dat
     raise AssertionError("no bad line")
 
 
-def _workers(value: str) -> int:
-    """The worker count from ORTHOSAMPLE_WORKERS: an integer >= 1."""
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ConfigError(
-            f"ORTHOSAMPLE_WORKERS must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ConfigError(f"ORTHOSAMPLE_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
-def _beta(value: str):
-    """The --beta value: "estimate" or a number."""
-    try:
-        return value if value == "estimate" else float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'estimate' or a number, got {value!r}") from None
-
-
 def report_to_dict(report: TestReport) -> dict:
-    ref = report.null_ref
-    ref_desc = (f"orthogonal draws (n={ref.draws.size})"
-                if hasattr(ref, "draws") else str(ref))
     return {
         "method": report.method,
         "statistic": report.statistic,
         "p_value": report.p_value,
-        "null_reference": ref_desc,
+        "null_reference": str(report.null_ref),
         "tuning": {k: (v if np.isscalar(v) else str(v))
                    for k, v in report.tuning.items()},
         "decisions": {str(a): bool(d) for a, d in report.decisions.items()},
@@ -214,8 +190,11 @@ def main(argv=None) -> int:
             if args.nrep is not None:
                 cfg = replace(cfg, nrep=args.nrep)
             workers_env = os.environ.get("ORTHOSAMPLE_WORKERS")
-            if workers_env:
-                cfg = replace(cfg, workers=_workers(workers_env))
+            try:
+                cfg = replace(cfg, workers=int(workers_env)) if workers_env else cfg
+            except ValueError:  # the config's worker-count rule, or not an integer
+                raise ConfigError("ORTHOSAMPLE_WORKERS must be an integer >= 1, "
+                                  f"got {workers_env!r}") from None
             table = run_experiment(cfg)
             for path in emit(table, args.out, json_too=args.json):
                 print(path)
@@ -238,10 +217,9 @@ def main(argv=None) -> int:
                                     sorted(sel.criterion_curve.items())},
             }, indent=1))
             return EXIT_OK
-    except (ConfigError,) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateDataError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_CONFIG

@@ -174,6 +174,12 @@ def default_bandwidth(T: int) -> float:
     return 0.15 if T < 512 else 0.1
 
 
+def _check_beta(beta) -> None:
+    """The exponent rule: beta is "estimate" or a number in (0, 1]."""
+    if beta != "estimate" and not 0.0 < float(beta) <= 1.0:
+        raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
+
+
 def equality_block(X, Y, b: float | None = None, M: int | None = None,
                    beta: float | str = "estimate") -> BlockReport:
     """:func:`equality_test` on every pair of rows (X[i], Y[i]) of two (R, T)
@@ -184,8 +190,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
         raise InvalidInputError(f"series blocks differ in shape: {X.shape} vs {Y.shape}")
     R, T = X.shape
     M = _check_shift(T, default_M(T) if M is None else M, "M", 1)
-    if beta != "estimate" and not 0.0 < float(beta) <= 1.0:
-        raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
+    _check_beta(beta)
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)
     fw = _window_transform(kernel, T)
 

@@ -21,14 +21,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .equality import equality_block
+from .equality import KernelSpec, _check_beta, equality_block
 from .htests import (_lag_rows, box_pierce_block, goodness_of_fit_block, portmanteau_block,
                      robust_portmanteau_block)
 from .models import (BURN_IN, MODEL_REGISTRY, _check_bivariate, generate_batch,
                      generate_bivariate_batch)
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _search_set
 from .spectral import (
     DegenerateDataError,
+    _integer,
     ar_spectral_density,
     dft_block,
     grid_constant,
@@ -96,8 +97,6 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
-        if self.nrep < 1:
-            raise ConfigError("nrep must be >= 1")
         if not self.T or min(self.T) < 2:
             raise ConfigError(f"T must be a non-empty list of lengths >= 2, got {self.T!r}")
         if not self.alphas or not all(0 < a < 1 for a in self.alphas):
@@ -116,14 +115,19 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose methods from {tuple(METHODS)}")
             if METHODS[m].paired and self.experiment != "table_equality":
                 raise ConfigError(f"method {m!r} needs experiment table_equality")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for key in ("nrep", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        # the owners' rules for the settings whose range does not depend on T
         try:
             _check_bivariate(self.delta, self.rho)
+            _check_beta(self.beta)
+            if self.b is not None:
+                KernelSpec(self.b)
+            object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
+            object.__setattr__(self, "p", _search_set(self.search_set, self.p)[1])
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        # "lo..hi" or a comma list in a config file, a tuple from code
-        object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
         if self.experiment.startswith("table_gof"):
             missing = [k for k in ("gof_phi", "gof_sigma") if getattr(self, k) is None]
             if missing:
@@ -165,23 +169,28 @@ def _split(v) -> list:
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
+def _int(raw, key: str) -> int:
+    """A config integer: a decimal string, or a number that obeys the integer rule."""
+    return int(raw) if isinstance(raw, str) else _integer(raw, key)
+
+
+def _beta(raw):
+    """A beta setting, in a config or after ``--beta``: "estimate" or a number."""
+    return raw if raw == "estimate" else float(raw)
+
+
 def parse_search_set(spec, name: str) -> tuple:
     """The M search set given as "lo..hi", a comma list or a sequence of
-    integers; a ConfigError naming ``name`` unless it is non-empty and every
-    M >= 1."""
+    integers, after the search-set rule; a ConfigError naming ``name`` if not."""
     try:
         if isinstance(spec, str) and ".." in spec:
             lo, hi = spec.split("..")
-            members = tuple(range(int(lo), int(hi) + 1))
+            members = range(int(lo), int(hi) + 1)
         else:
-            members = tuple(int(s) for s in _split(spec))
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {name!r}: {spec!r}; expected lo..hi or "
-                          f"a comma list of integers") from None
-    if not members or min(members) < 1:
-        raise ConfigError(f"bad value for {name!r}: {spec!r}; expected at least "
-                          f"one M >= 1")
-    return members
+            members = [_int(s, "M") for s in _split(spec)]
+        return _search_set(members, DEFAULT_P)[0]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value for {name!r}: {spec!r}; {e}") from None
 
 
 def _parse_value(key: str, raw):
@@ -189,19 +198,19 @@ def _parse_value(key: str, raw):
     if key in ("models", "methods"):
         return tuple(str(s) for s in _split(raw))
     if key == "T":
-        return tuple(int(s) for s in _split(raw))
+        return tuple(_int(s, key) for s in _split(raw))
     if key == "alphas":
         return tuple(float(s) for s in _split(raw))
     if key in ("nrep", "p", "L", "seed", "workers"):
-        return int(raw)
+        return _int(raw, key)
     if key == "M":
-        return None if str(raw).lower() in ("select", "none") else int(raw)
+        return None if str(raw).lower() in ("select", "none") else _int(raw, key)
     if key in ("b", "gof_phi", "gof_sigma"):
         return None if str(raw).lower() == "none" else float(raw)
     if key in ("rho", "delta"):
         return float(raw)
     if key == "beta":
-        return "estimate" if str(raw) == "estimate" else float(raw)
+        return _beta(raw)
     return raw
 
 

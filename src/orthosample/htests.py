@@ -28,6 +28,7 @@ from .spectral import (
     WeightFunction,
     _check_shift,
     _density_values,
+    _integer,
     as_block,
     as_series,
     dft,
@@ -68,6 +69,9 @@ class EmpiricalNull:
             raise ValueError("empirical null must contain at least one draw")
         if not np.all(np.isfinite(self.draws)):
             raise ValueError("empirical null contains non-finite draws")
+
+    def __str__(self):
+        return f"orthogonal draws (n={self.draws.size})"
 
 
 @dataclass(frozen=True)
@@ -261,12 +265,13 @@ def _truncated_autocov(xc: np.ndarray, max_lag: int) -> np.ndarray:
                      for j in range(max_lag + 1)], axis=1)
 
 
-def _centred(block, L: int) -> np.ndarray:
-    """The validated block less its row means, after checking 1 <= L < T."""
+def _centred(block, L: int) -> tuple[np.ndarray, int]:
+    """The validated block less its row means, and L as an int once 1 <= L < T."""
     x = as_block(block)
+    L = _integer(L, "L", x.shape[1])
     if L < 1 or L >= x.shape[1]:
         raise ShiftRangeError(f"L={L} out of range for T={x.shape[1]}")
-    return x - x.mean(axis=1, keepdims=True)
+    return x - x.mean(axis=1, keepdims=True), L
 
 
 def _chi_square_block(stats: np.ndarray, L: int) -> BlockReport:
@@ -283,7 +288,7 @@ def _chi_square_report(out: BlockReport, method: str, L: int) -> TestReport:
 
 def box_pierce_block(block, L: int = 5) -> BlockReport:
     """:func:`box_pierce` on every row of an (R, T) block of series."""
-    xc = _centred(block, L)
+    xc, L = _centred(block, L)
     c = _truncated_autocov(xc, L)
     if np.any(c[:, 0] == 0):
         raise DegenerateDataError("zero sample variance; Box-Pierce undefined")
@@ -299,7 +304,7 @@ def box_pierce(series, L: int = 5) -> TestReport:
 
 def robust_portmanteau_block(block, L: int = 5) -> BlockReport:
     """:func:`robust_portmanteau` on every row of an (R, T) block of series."""
-    xc = _centred(block, L)
+    xc, L = _centred(block, L)
     T = xc.shape[1]
     c = _truncated_autocov(xc, L)
     sq = xc**2

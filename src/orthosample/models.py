@@ -103,6 +103,8 @@ class ModelSpec:
         if "innovation" in p and p["innovation"] not in allowed:
             raise ValueError(f"innovation={p['innovation']!r} is not one of {allowed} "
                              f"for {self.tag}")
+        if p.get("innovation") == "arch" and "arch_alpha" not in p:
+            raise ValueError("innovation='arch' needs the ARCH coefficient arch_alpha")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def iid_t5() -> ModelSpec:
 
 
 def noncausal_linear(a: float, innovation: str = "normal",
-                     arch_alpha: float | None = None) -> ModelSpec:
+                     arch_alpha: float = 0.7) -> ModelSpec:
     """X_t = sum_{j>=0} a^j e_{t-j} - a/(1-a^2) e_{t+1}; uncorrelated by design.
 
     ``innovation`` is one of "normal", "t5", "arch" (ARCH(1) with coefficient
@@ -136,7 +138,7 @@ def noncausal_linear(a: float, innovation: str = "normal",
     """
     params = {"a": float(a), "innovation": innovation}
     if innovation == "arch":
-        params["arch_alpha"] = float(arch_alpha if arch_alpha is not None else 0.7)
+        params["arch_alpha"] = float(arch_alpha)
     return ModelSpec("noncausal_linear", params)
 
 
@@ -431,7 +433,7 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         trunc = _truncation_length(p["a"])
         if p["innovation"] == "arch":
             (z,) = _draw(rngs, (_normal, T + trunc + 1 + BURN_IN))
-            eps = _arch(z, p.get("arch_alpha", 0.0))
+            eps = _arch(z, p["arch_alpha"])
             burn = BURN_IN
         else:
             (eps,) = _draw(rngs, (_DRAWS[p["innovation"]], T + trunc + 1))

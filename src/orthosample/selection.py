@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import DftGrid, ShiftRangeError, WeightFunction, _check_shift, weighted_average_run
+from .spectral import (DftGrid, ShiftRangeError, WeightFunction, _check_shift, _integer,
+                       weighted_average_run)
 from .variance import DegenerateVarianceError
 
 __all__ = ["SelectionResult", "criterion", "select_M", "select_M_block", "feasible_search_set",
@@ -58,28 +59,33 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     return p / T * np.sum(score, axis=-1)
 
 
-def _check_p(p: int):
+def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) -> float:
+    """C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2:
+    :func:`select_M`'s curve at the one M."""
+    return select_M(grid, phi, (M,), p).criterion_curve[M]
+
+
+def _search_set(search_set, p, T: int | None = None) -> tuple:
+    """The search-set rule: (members, p) as ints once p >= 2, the set is non-empty with
+    every M >= 1 and, given T, the largest M's variance windows end below T/2."""
+    p = _integer(p, "p")
     if p < 2:
         raise ShiftRangeError("p must be >= 2")
-
-
-def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) -> float:
-    """C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2."""
-    T = grid.T
-    (M,) = _checked_members(T, (M,), p)
-    run = weighted_average_run(grid, phi, T // p + M)
-    return float(_criteria(run[None], T, (M,), p)[0, 0])
+    members = tuple(_integer(M, "M") for M in search_set)
+    if not members or min(members) < 1:
+        raise ShiftRangeError(f"search set {list(members)} must be non-empty with every M >= 1")
+    if T is not None:
+        _check_shift(T, T // p + max(members), f"window end (T/{p} + {max(members)})")
+    return members, p
 
 
 def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
                         p: int = DEFAULT_P) -> tuple:
     """Members of the search set whose variance windows stay below T/2."""
-    _check_p(p)
-    out = tuple(M for M in search_set if T // p + M < T / 2)
+    members, p = _search_set(search_set, p)
+    out = tuple(M for M in members if T // p + M < T / 2)
     if not out:
-        raise ShiftRangeError(
-            f"no feasible M in {list(search_set)} for T={T}, p={p}"
-        )
+        raise ShiftRangeError(f"no feasible M in {list(members)} for T={T}, p={p}")
     return out
 
 
@@ -88,26 +94,13 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
     """argmin of the criterion over the search set; ties go to the smallest M.
     The block of one of :func:`select_M_block`."""
     T = grid.T
-    members = _checked_members(T, search_set, p)
+    members, p = _search_set(search_set, p, T)
     run = weighted_average_run(grid, phi, T // p + max(members))
     chosen, curves, uniq = select_M_block(run[None], T, members, p)
     curve = dict(zip(uniq, curves[0].tolist()))
     return SelectionResult(chosen_M=int(chosen[0]),
                            criterion_curve={M: curve[M] for M in members},
                            search_set=members, p=p)
-
-
-def _checked_members(T: int, search_set, p: int) -> tuple:
-    """The search set as a tuple of ints, after checking p >= 2, that it is
-    non-empty with every M >= 1, and that the variance windows of its
-    largest M end below T/2."""
-    _check_p(p)
-    members = tuple(int(M) for M in search_set)
-    if not members or min(members) < 1:
-        raise ShiftRangeError(f"search set {list(members)} must be non-empty "
-                              f"with every M >= 1 (T={T})")
-    _check_shift(T, T // p + max(members), f"window end (T/{p} + {max(members)})")
-    return members
 
 
 def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
@@ -117,7 +110,8 @@ def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
     Returns the chosen M per row, the (R, |U|) criterion curves and U, the
     sorted distinct members of the search set.
     """
-    uniq = tuple(sorted(set(_checked_members(T, search_set, p))))
+    members, p = _search_set(search_set, p, T)
+    uniq = tuple(sorted(set(members)))
     curves = _criteria(runs, T, uniq, p)
     # argmin keeps the first, so the smallest, of equal minima
     chosen = np.asarray(uniq)[np.argmin(curves, axis=1)]

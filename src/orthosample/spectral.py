@@ -61,9 +61,9 @@ class InvalidInputError(ValueError):
 
 
 class ShiftRangeError(ValueError):
-    """Raised when a shift r, lag count L or orthogonal-sample size M falls
-    outside its range [lo, T/2) (lo = 0 for r, 1 for L and M), or when no M
-    of a search set leaves its variance windows below T/2."""
+    """Raised when a count or order is not integral, a shift r, lag count L or
+    orthogonal-sample size M falls outside its range [lo, T/2) (lo = 0 for r,
+    1 for L and M), or a search set breaks its rule or has no feasible M."""
 
 
 class DegenerateDataError(ZeroDivisionError):
@@ -167,7 +167,7 @@ class DftGrid:
 
     def shifted(self, r: int) -> np.ndarray:
         """Coefficients J(omega_{k+r}) for k = 1..T, indices wrapping mod T."""
-        return np.roll(self.coeffs, -int(r))
+        return np.roll(self.coeffs, -_integer(r, "shift r", self.T))
 
 
 def dft(series, demean: bool = True) -> DftGrid:
@@ -276,12 +276,21 @@ class OrthogonalSample:
         return self.shifted.shape[0]
 
 
+def _integer(value, name: str, T: int | None = None) -> int:
+    """The integer rule of every count and order: an integral ``value`` (say
+    5.0 or a numpy integer) as an int, any other a ShiftRangeError naming it."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ShiftRangeError(f"{name}={value} is not an integer" + (f", for T={T}" if T else ""))
+
+
 def _check_shift(T: int, r: int, name: str = "shift r", lo: int = 0) -> int:
-    """``r`` as an int, after checking that it is integral and obeys the range
-    rule lo <= r < T/2 that every shift, lag L and orthogonal-sample size M obeys."""
-    if int(r) != r:
-        raise ShiftRangeError(f"{name}={r} is not an integer, for T={T}")
-    r = int(r)
+    """``r`` as an int, after the integer rule and the range rule lo <= r < T/2
+    that every shift, lag L and orthogonal-sample size M obeys."""
+    r = _integer(r, name, T)
     if r < lo or r >= T / 2:
         raise ShiftRangeError(f"{name}={r} out of range [{lo}, T/2) for T={T}")
     return r
@@ -391,7 +400,7 @@ def circular_autocov(series, lag: int) -> float:
     """
     x = as_series(series)
     T = x.size
-    j = int(lag)
+    j = _integer(lag, "lag", T)
     if j < 0 or j >= T:
         raise ShiftRangeError(f"lag {j} out of range [0, T) for T={T}")
     x = x - x.mean()

@@ -14,6 +14,7 @@ from .spectral import (
     InvalidInputError,
     WeightFunction,
     _density_values,
+    _integer,
     ar_spectral_density,
     ar_transfer,
     grid_frequencies,
@@ -73,7 +74,7 @@ def ar_model(p: int, sigma: float | None = None) -> ARModel:
     theta = (phi_1..phi_p, sigma), or (phi_1..phi_p) when ``sigma`` is given.
     phi_m lies in the box |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.
     """
-    p = int(p)
+    p = _integer(p, "AR order p")
     if p < 1:
         raise ValueError("AR order must be >= 1")
     s0 = None if sigma is None else float(sigma)

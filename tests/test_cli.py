@@ -364,13 +364,16 @@ class TestRunVerb:
     @pytest.mark.parametrize("line", ["nrep = ten", "search_set = 10..x",
                                       "search_set = 30..10", "search_set = 0,3",
                                       "models = ", "methods = ", "methods = bootstrap",
-                                      "B = 20", "n_boot = 500"])
+                                      "B = 20", "n_boot = 500",
+                                      "beta = 2", "b = 1.5", "p = 1"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+        # tuning that fails at every T fails the config, before any cell runs
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment = table_uncorrelated_null\n{line}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "res5")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error" in err and line.split(" = ")[0] in err
+        assert err.startswith("config error") and line.split(" = ")[0] in err
+        assert "cell" not in err and not (tmp_path / "res5.csv").exists()
 
     def test_checked_in_configs_parse(self):
         import glob

@@ -1,9 +1,12 @@
 """Config parsing and the Monte Carlo experiment runner."""
 
+import importlib.util
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from orthosample.experiments import (
     parse_config,
     run_experiment,
 )
-from orthosample.spectral import DegenerateDataError
+from orthosample.htests import goodness_of_fit_test
+from orthosample.models import MODEL_REGISTRY, generate_batch
+from orthosample.spectral import DegenerateDataError, ar_spectral_density
 
 def quiet(msg):
     pass
@@ -135,6 +140,40 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="table_equality"):
             tiny_config(methods=("equality",))
 
+    @pytest.mark.parametrize("key, value", [("nrep", 10.7), ("T", [100.9]), ("L", 5.5),
+                                            ("M", 8.5), ("p", 4.5), ("seed", 1.5),
+                                            ("workers", 1.5), ("search_set", [10, 12.5])])
+    def test_json_numbers_obey_integer_rule(self, key, value):
+        text = json.dumps({"experiment": "table_uncorrelated_null", key: value})
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(text)
+
+    def test_integral_json_numbers_are_ints(self):
+        cfg = parse_config(json.dumps({"experiment": "table_uncorrelated_null", "nrep": 10.0,
+                                       "T": [100.0], "L": 5.0, "M": 8.0, "p": 4.0,
+                                       "search_set": [10.0, 12]}))
+        values = (cfg.nrep, cfg.T[0], cfg.L, cfg.M, cfg.p, *cfg.search_set)
+        assert values == (10, 100, 5, 8, 4, 10, 12)
+        assert all(type(v) is int for v in values)
+
+    def test_search_set_from_code_obeys_integer_rule(self):
+        with pytest.raises(ConfigError, match=r"'search_set'.*M=10\.5 is not an integer"):
+            tiny_config(search_set=(10.5, 12))
+        assert tiny_config(search_set=(10.0, np.int64(12)), p=4.0).search_set == (10, 12)
+        assert type(tiny_config(p=4.0).p) is int
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("beta", "2", r"beta=2\.0 outside \(0, 1\]"), ("beta", "0", "beta=0.0 outside"),
+        ("b", "1.5", "bandwidth must lie in"), ("b", "0", "bandwidth must lie in"),
+        ("p", "1", "p must be >= 2"), ("p", "0", "p must be >= 2")])
+    def test_tuning_independent_of_T_checked_up_front(self, key, raw, message):
+        # each fails for every T, so the config fails, not each of its cells
+        for experiment in ("table_equality", "table_uncorrelated_null"):
+            with pytest.raises(ConfigError, match=message):
+                parse_config(f"experiment = {experiment}\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=message):
+            tiny_config(**{key: float(raw) if key != "p" else int(raw)})
+
     @pytest.mark.parametrize("missing", ["gof_phi", "gof_sigma"])
     def test_gof_needs_null_parameters(self, missing):
         params = {"gof_phi": 0.6, "gof_sigma": 1.0}
@@ -223,6 +262,33 @@ class TestRunExperiment:
         assert len(table.rows) == 2
         assert all(np.isnan(r.rate) for r in table.rows)
 
+    def test_failing_qq_cell_yields_one_nan_row(self):
+        # M = 5 reaches T/2 at T = 8: that cell fails, the T = 64 cell runs
+        cfg = ExperimentConfig(experiment="qq_t10", models=("pivot_i",),
+                               T=(8, 64), nrep=5, M=5, seed=1)
+        failed, ok = run_experiment(cfg, progress=quiet).rows
+        assert (failed.model, failed.T, failed.method) == ("pivot_i", 8, "qq_t10")
+        assert np.isnan([failed.alpha, failed.rate, failed.se]).all()
+        assert ok.T == 64 and ok.alpha == 0.05 and np.isfinite(ok.rate)
+        assert list(run_experiment(cfg, progress=quiet).quantile_pairs) == ["pivot_i_T64"]
+
+    def test_gof_block_matches_single_tests(self):
+        # the rows' rates come from goodness_of_fit_test against the
+        # config's AR(gof_phi, gof_sigma) density, one series at a time
+        cfg = ExperimentConfig(experiment="table_gof_null", models=("ar_g_0.6",), T=(100,),
+                               nrep=7, gof_phi=0.6, gof_sigma=1.3, L=4, seed=5,
+                               alphas=(0.2, 0.5))
+        series = generate_batch(MODEL_REGISTRY["ar_g_0.6"], 100,
+                                [[5, 0, r] for r in range(7)]).series.T
+        want = [goodness_of_fit_test(x, lambda om: ar_spectral_density(om, [0.6], 1.3),
+                                     L=4, search_set=cfg.search_set, p=cfg.p).p_value
+                for x in series]
+        block = np.ascontiguousarray(series)
+        assert experiments.METHODS["orthogonal"].values(cfg, block) == want
+        rows = run_experiment(cfg, progress=quiet).rows
+        assert [r.rate for r in rows] == [100.0 * np.count_nonzero(np.array(want) < a) / 7
+                                          for a in (0.2, 0.5)]
+
     def test_other_zero_division_propagates(self, monkeypatch):
         # only bad input gives NaN rows; any other division by zero is a
         # fault and leaves the run
@@ -299,3 +365,19 @@ class TestEmit:
 
         with pytest.raises(ValueError):
             emit(ResultTable(), str(tmp_path / "x"))
+
+
+def test_benchmark_counts_the_cells_of_each_config(monkeypatch):
+    # the mc_tables workload counts a config's replications as cells times
+    # nrep, laying the cells out as run_experiment does
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert len(workloads.CONFIG_STEMS) == 10
+    for stem in workloads.CONFIG_STEMS:
+        cfg = replace(parse_config((root / "configs" / f"{stem}.cfg").read_text()), nrep=1)
+        cells = {(r.model, r.T, r.method) for r in run_experiment(cfg, progress=quiet).rows}
+        assert workloads.McTables.ops((stem, cfg)) == len(cells), stem

@@ -41,6 +41,9 @@ class TestEmpiricalNull:
         with pytest.raises(ValueError):
             EmpiricalNull(draws=np.array([1.0, np.nan]))
 
+    def test_describes_itself(self):
+        assert str(EmpiricalNull(draws=np.arange(1.0, 25.0))) == "orthogonal draws (n=24)"
+
     def test_block_counts_ties_as_exceedances(self, monkeypatch):
         # all-zero coefficients: the statistic and every draw are 0, so each draw ties
         zero = orthogonal_l2_block(np.zeros((2, 32), complex), np.ones((1, 32), complex), M=4)

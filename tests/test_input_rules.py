@@ -1,5 +1,6 @@
-"""The input rules every entry point shares: the range rule lo <= M, L < T/2
-for integral M and L (ShiftRangeError) and the density rule, positive and finite on the grid
+"""The input rules every entry point shares: the integer rule for every count
+and order, the range rule lo <= M, L < T/2 and the search-set rule
+(ShiftRangeError), and the density rule, positive and finite on the grid
 (InvalidInputError).  A single-series test and its block kernel raise the
 same exception with the same message, which names the value and T."""
 
@@ -10,12 +11,18 @@ import pytest
 
 from orthosample.equality import equality_block, equality_test
 from orthosample.htests import (
+    box_pierce,
+    box_pierce_block,
     goodness_of_fit_block,
     goodness_of_fit_test,
     portmanteau_block,
     portmanteau_test,
+    robust_portmanteau,
+    robust_portmanteau_block,
 )
-from orthosample.spectral import InvalidInputError, ShiftRangeError
+from orthosample.selection import criterion, feasible_search_set, select_M
+from orthosample.spectral import (InvalidInputError, ShiftRangeError, circular_autocov, dft,
+                                  lag_weight)
 from orthosample.whittle import ar_model, score_weight
 
 T = 64
@@ -39,10 +46,19 @@ def _equality(x, y, block, **kw):
     return equality_block(x, y, **kw) if block else equality_test(x[0], y[0], **kw)
 
 
+def _box_pierce(x, y, block, **kw):
+    return box_pierce_block(x, **kw) if block else box_pierce(x[0], **kw)
+
+
+def _robust(x, y, block, **kw):
+    return robust_portmanteau_block(x, **kw) if block else robust_portmanteau(x[0], **kw)
+
+
 CASES = [(test, dict(M=0)) for test in (_portmanteau, _gof, _equality)]
 CASES += [(test, dict(M=T // 2)) for test in (_portmanteau, _gof, _equality)]
 CASES += [(test, dict(L=T // 2, M=5)) for test in (_portmanteau, _gof)]
 CASES += [(test, dict(M=10.9)) for test in (_portmanteau, _gof, _equality)]
+CASES += [(test, dict(L=2.5)) for test in (_portmanteau, _gof, _box_pierce, _robust)]
 
 
 @pytest.mark.parametrize("test, kw", CASES,
@@ -88,3 +104,65 @@ def test_density_rule(rng, density):
         score_weight(bad, theta, 0).on_grid(T)
     with pytest.raises(InvalidInputError, match="bad_model spectral density"):
         bad.density_on_grid(T, theta)
+
+
+# The integer rule: every count and order (a shift, L, M, p, a search-set
+# member, a lag, an AR order) takes an integral value, say 5.0 or a numpy
+# integer, as that int and refuses any other with a ShiftRangeError naming it.
+
+@pytest.mark.parametrize("test", [_box_pierce, _robust])
+def test_baseline_integral_lag_count_accepted(rng, test):
+    x = rng.standard_normal((3, T))
+    one, want = (test(x[:1], None, False, L=L) for L in (5.0, 5))
+    assert (one.statistic, one.p_value) == (want.statistic, want.p_value)
+    block, want = (test(x, None, True, L=L) for L in (np.int64(5), 5))
+    assert np.array_equal(block.p_values, want.p_values)
+
+
+def test_search_set_member_obeys_integer_rule(rng):
+    x = rng.standard_normal(200)
+    grid = dft(x)
+    calls = [lambda: select_M(grid, lag_weight(1), (10.9,)),
+             lambda: criterion(grid, lag_weight(1), 10.9),
+             lambda: portmanteau_test(x, search_set=(10.9,)),
+             lambda: feasible_search_set(200, (10.9, 12))]
+    for call in calls:
+        with pytest.raises(ShiftRangeError, match=r"^M=10\.9 is not an integer$"):
+            call()
+
+
+@pytest.mark.parametrize("search_set", [(0, 12), (), (12, -1)])
+def test_feasible_search_set_obeys_search_set_rule(search_set):
+    with pytest.raises(ShiftRangeError, match="must be non-empty with every M >= 1"):
+        feasible_search_set(200, search_set)
+
+
+@pytest.mark.parametrize("p", [4.5, "4"])
+def test_p_obeys_integer_rule(rng, p):
+    with pytest.raises(ShiftRangeError, match=f"^p={p} is not an integer$"):
+        select_M(dft(rng.standard_normal(200)), lag_weight(1), p=p)
+
+
+def test_integral_floats_give_the_int_results(rng):
+    x = rng.standard_normal(200)
+    grid = dft(x)
+    assert (select_M(grid, lag_weight(1), (10.0, np.int64(12)), 4.0)
+            == select_M(grid, lag_weight(1), (10, 12), 4))
+    assert criterion(grid, lag_weight(1), 12.0) == criterion(grid, lag_weight(1), 12)
+    assert feasible_search_set(200, (10.0, 12.0), 4.0) == (10, 12)
+    got, want = (portmanteau_test(x, L=L, p=p, search_set=s)
+                 for L, p, s in ((5.0, 4.0, (10.0, 12.0)), (5, 4, (10, 12))))
+    assert (got.statistic, got.p_value, got.tuning["M"]) == (want.statistic, want.p_value,
+                                                              want.tuning["M"])
+
+
+def test_lag_shift_and_order_obey_integer_rule(rng):
+    x = rng.standard_normal(T)
+    with pytest.raises(ShiftRangeError, match=rf"^lag=2\.5 is not an integer, for T={T}$"):
+        circular_autocov(x, 2.5)
+    assert circular_autocov(x, 2.0) == circular_autocov(x, 2)
+    with pytest.raises(ShiftRangeError, match=r"shift r=2\.5 is not an integer"):
+        dft(x).shifted(2.5)
+    with pytest.raises(ShiftRangeError, match=r"AR order p=1\.5 is not an integer"):
+        ar_model(1.5)
+    assert ar_model(1.0).p == 1 and type(ar_model(np.int64(2)).p) is int

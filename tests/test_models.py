@@ -105,6 +105,13 @@ class TestStationarityChecks:
         with pytest.raises(ValueError, match=rf"\b{name}="):
             make(*args)
 
+    def test_arch_innovation_needs_its_coefficient(self):
+        # no fallback: without arch_alpha the innovations would be iid normal
+        with pytest.raises(ValueError, match="arch_alpha"):
+            ModelSpec("noncausal_linear", {"a": 0.6, "innovation": "arch"})
+        assert noncausal_linear(0.6, "arch").params["arch_alpha"] == 0.7
+        assert MODEL_REGISTRY["pivot_iii"].params["arch_alpha"] == 0.7
+
     def test_zero_noncausal_coefficient_is_white_noise(self):
         T, seed = 50, 1
         x = generate(noncausal_linear(0.0), T, seed=seed).series
