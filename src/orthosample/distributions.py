@@ -13,6 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .spectral import _integer
+
 __all__ = [
     "Dist",
     "normal",
@@ -235,9 +237,10 @@ def f_dist(d1: float, d2: float) -> Dist:
 
 
 def hotelling_t2(p: int, m: int) -> Dist:
-    """Hotelling T^2(p, m), defined through p*m/(m - p + 1) * F(p, m - p + 1)."""
+    """Hotelling T^2(p, m) = p*m/(m - p + 1) * F(p, m - p + 1), integral p and m."""
+    p, m = _integer(p, "p"), _integer(m, "m")
     if p <= 0 or m <= 0:
         raise ValueError("dimension and degrees of freedom must be positive")
     if m - p + 1 <= 0:
         raise ValueError(f"hotelling({p}, {m}) requires m - p + 1 > 0")
-    return Dist("hotelling", (int(p), int(m)))
+    return Dist("hotelling", (p, m))

@@ -1,11 +1,13 @@
 """Configuration-driven Monte Carlo experiment runner.
 
 Each experiment cell is a (model, T, method) triple run over many
-replications, generated and tested a block at a time; replication r of cell
-c is seeded from (base_seed, c, r), so results do not depend on how
-replications are grouped into blocks. With ``workers > 1`` one process pool
-serves the whole run: the cells run in order, and the blocks of each cell are
-spread over the pool. A cell's ``time_ms`` is its wall clock.
+replications. The cells of one (model, T) group test the same series (common
+random numbers), generated once, a block at a time; replication r of the
+group whose first cell is number c is seeded from (base_seed, c, r), so
+results do not depend on how replications are grouped into blocks. With
+``workers > 1`` one process pool serves the whole run: the groups run in
+order, and the blocks of each group are spread over the pool. A cell's
+``time_ms`` is an even share of its group's wall clock plus its own progress call.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
+        for key in ("T", "nrep", "L", "M", "p", "seed", "workers"):  # the integer rule
+            raw = getattr(self, key)
+            try:
+                value = (tuple(_integer(t, key) for t in raw) if key == "T" else
+                         raw if raw is None else _integer(raw, key))
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"bad value for {key!r}: {raw!r}; {e}") from None
+            object.__setattr__(self, key, value)
         if not self.T or min(self.T) < 2:
             raise ConfigError(f"T must be a non-empty list of lengths >= 2, got {self.T!r}")
         if not self.alphas or not all(0 < a < 1 for a in self.alphas):
@@ -115,9 +125,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose methods from {tuple(METHODS)}")
             if METHODS[m].paired and self.experiment != "table_equality":
                 raise ConfigError(f"method {m!r} needs experiment table_equality")
-        for key in ("nrep", "workers"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
+        for key, lo in (("nrep", 1), ("workers", 1), ("seed", 0)):
+            if getattr(self, key) < lo:
+                raise ConfigError(f"{key} must be >= {lo}")
         # the owners' rules for the settings whose range does not depend on T
         try:
             _check_bivariate(self.delta, self.rho)
@@ -169,9 +179,10 @@ def _split(v) -> list:
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-def _int(raw, key: str) -> int:
-    """A config integer: a decimal string, or a number that obeys the integer rule."""
-    return int(raw) if isinstance(raw, str) else _integer(raw, key)
+def _int(raw):
+    """A config integer from a decimal string; a number is left to the integer
+    rule of ``ExperimentConfig`` (for a search-set member, the search-set rule)."""
+    return int(raw) if isinstance(raw, str) else raw
 
 
 def _beta(raw):
@@ -187,7 +198,7 @@ def parse_search_set(spec, name: str) -> tuple:
             lo, hi = spec.split("..")
             members = range(int(lo), int(hi) + 1)
         else:
-            members = [_int(s, "M") for s in _split(spec)]
+            members = [_int(s) for s in _split(spec)]
         return _search_set(members, DEFAULT_P)[0]
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad value for {name!r}: {spec!r}; {e}") from None
@@ -198,13 +209,13 @@ def _parse_value(key: str, raw):
     if key in ("models", "methods"):
         return tuple(str(s) for s in _split(raw))
     if key == "T":
-        return tuple(_int(s, key) for s in _split(raw))
+        return tuple(_int(s) for s in _split(raw))
     if key == "alphas":
         return tuple(float(s) for s in _split(raw))
     if key in ("nrep", "p", "L", "seed", "workers"):
-        return _int(raw, key)
+        return _int(raw)
     if key == "M":
-        return None if str(raw).lower() in ("select", "none") else _int(raw, key)
+        return None if str(raw).lower() in ("select", "none") else _int(raw)
     if key in ("b", "gof_phi", "gof_sigma"):
         return None if str(raw).lower() == "none" else float(raw)
     if key in ("rho", "delta"):
@@ -350,31 +361,42 @@ METHODS = {
 
 
 def _block_values(job: tuple) -> list:
-    """The values of the replications ``reps`` of cell number ``index`` =
-    (model, T, method), generated and tested as one block. Replication r
-    draws from the seed [seed, index, r], and each series is a contiguous
-    row, as a single draw would be."""
-    cfg, index, (model, T, method), reps = job
-    seeds = [[cfg.seed, index, r] for r in reps]
-    if METHODS[method].paired:
+    """One entry per method of the (model, T) group whose first cell is number
+    ``first``, for its replications ``reps`` generated as one block: the
+    method's values, or the bad-input error it raised, returned so that it
+    crosses the process pool. Replication r draws from the seed [seed, first,
+    r], and each series is a contiguous row, as a single draw would be."""
+    cfg, first, (model, T), methods, reps = job
+    seeds = [[cfg.seed, first, r] for r in reps]
+    if METHODS[methods[0]].paired:
         block = [np.ascontiguousarray(out.series.T) for out in
                  generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds)]
     else:
         block = np.ascontiguousarray(
             generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
-    return METHODS[method].values(cfg, block)
+    entries = []
+    for method in methods:
+        try:
+            entries.append(METHODS[method].values(cfg, block))
+        # bad input: InvalidInputError, ShiftRangeError and ConfigError
+        # are ValueErrors; any other error is a fault and propagates
+        except (ValueError, DegenerateDataError) as e:
+            entries.append(e)
+    return entries
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     """Run every cell of the configured experiment, in order, and build its
-    rows. Each cell's replications run in blocks of at most ``BLOCK_POINTS``
-    points, over one process pool for the run when ``workers > 1``.
-    ``progress`` is called once per cell, inside the cell's wall clock, and
-    once at the end.
+    rows. The cells of a (model, T) group share its replications, which run
+    in blocks of at most ``BLOCK_POINTS`` points, over one process pool for
+    the run when ``workers > 1``. A cell's ``time_ms`` is its group's wall
+    clock divided by the group's cells, plus its own ``progress`` call:
+    ``progress`` is called once per cell and once at the end.
 
-    A cell that fails on bad input (a ValueError or DegenerateDataError)
-    contributes rows with NaN rate instead of aborting the whole run; any
-    other exception propagates.
+    A method that fails on bad input (a ValueError or DegenerateDataError)
+    gives its cell rows with NaN rate instead of aborting the whole run, and
+    leaves the other cells of its group as they are; any other exception
+    propagates.
     """
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr, flush=True)
@@ -388,26 +410,27 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
         cfg.experiment, cfg.methods)
     models = ((f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}",)
               if cfg.experiment == "table_equality" else cfg.models)
-    cells = [(m, T, meth) for m in models for T in cfg.T for meth in methods]
+    groups = [(m, T) for m in models for T in cfg.T]
+    ncells = len(groups) * len(methods)
 
     t0 = time.perf_counter()
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
-        for i, cell in enumerate(cells):
-            start = time.perf_counter()
-            size = max(1, BLOCK_POINTS // (cell[1] + BURN_IN))
-            jobs = [(cfg, i, cell, range(lo, min(lo + size, cfg.nrep)))
+        for g, (model, T) in enumerate(groups):
+            start, first = time.perf_counter(), g * len(methods)
+            size = max(1, BLOCK_POINTS // (T + BURN_IN))
+            jobs = [(cfg, first, (model, T), methods, range(lo, min(lo + size, cfg.nrep)))
                     for lo in range(0, cfg.nrep, size)]
-            try:
-                values = [v for block in run(_block_values, jobs) for v in block]
-                progress(f"cell {i + 1}/{len(cells)} {cell} done")
-            # bad input: InvalidInputError, ShiftRangeError and ConfigError
-            # are ValueErrors; any other error is a fault and propagates
-            except (ValueError, DegenerateDataError) as e:
-                values = None
-                progress(f"cell {cell} failed: {e}")
-            ms = (time.perf_counter() - start) * 1000.0
-            METHODS[cell[2]].rows(cfg, table, cell, values, ms)
+            blocks = list(run(_block_values, jobs))
+            share_ms = (time.perf_counter() - start) * 1000.0 / len(methods)
+            for j, method in enumerate(methods):
+                start, cell = time.perf_counter(), (model, T, method)
+                error = next((b[j] for b in blocks if isinstance(b[j], Exception)), None)
+                values = None if error else [v for b in blocks for v in b[j]]
+                progress(f"cell {cell} failed: {error}" if error else
+                         f"cell {first + j + 1}/{ncells} {cell} done")
+                ms = share_ms + (time.perf_counter() - start) * 1000.0
+                METHODS[method].rows(cfg, table, cell, values, ms)
     table.metadata["total_ms"] = (time.perf_counter() - t0) * 1000.0
     progress(f"experiment {cfg.experiment} finished: {len(table.rows)} rows")
     return table

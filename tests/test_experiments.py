@@ -1,7 +1,10 @@
 """Config parsing and the Monte Carlo experiment runner."""
 
+import functools
+import hashlib
 import importlib.util
 import json
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +23,8 @@ from orthosample.experiments import (
     parse_config,
     run_experiment,
 )
-from orthosample.htests import goodness_of_fit_test
+from orthosample.htests import (box_pierce_block, goodness_of_fit_test, portmanteau_block,
+                                robust_portmanteau_block)
 from orthosample.models import MODEL_REGISTRY, generate_batch
 from orthosample.spectral import DegenerateDataError, ar_spectral_density
 
@@ -103,14 +107,14 @@ class TestParseConfig:
                                           ("alphas", "1.5"), ("alphas", "0"),
                                           ("alphas", "0.05, 1"), ("alphas", "-0.1"),
                                           ("rho", "2"), ("rho", "-1.5"), ("delta", "0.3"),
-                                          ("delta", "nan")])
+                                          ("delta", "nan"), ("seed", "-1")])
     def test_lengths_and_levels_out_of_range(self, key, raw):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"experiment = table_uncorrelated_null\n{key} = {raw}\n")
         value = tuple(float(v) for v in raw.split(","))
         if key == "T":
             value = tuple(int(v) for v in value)
-        if key in ("rho", "delta"):
+        if key in ("rho", "delta", "seed"):
             (value,) = value
         with pytest.raises(ConfigError, match=key):
             tiny_config(**{key: value})
@@ -147,6 +151,9 @@ class TestParseConfig:
         text = json.dumps({"experiment": "table_uncorrelated_null", key: value})
         with pytest.raises(ConfigError, match=f"'{key}'"):
             parse_config(text)
+        # and built in code: nrep = 2.5 used to build, and its run raised TypeError
+        with pytest.raises(ConfigError, match=f"'{key}'.*is not an integer"):
+            tiny_config(**{key: value})
 
     def test_integral_json_numbers_are_ints(self):
         cfg = parse_config(json.dumps({"experiment": "table_uncorrelated_null", "nrep": 10.0,
@@ -155,6 +162,15 @@ class TestParseConfig:
         values = (cfg.nrep, cfg.T[0], cfg.L, cfg.M, cfg.p, *cfg.search_set)
         assert values == (10, 100, 5, 8, 4, 10, 12)
         assert all(type(v) is int for v in values)
+
+    def test_integral_numbers_from_code_are_ints(self):
+        cfg = tiny_config(T=[64.0], nrep=np.int64(6), L=5.0, M=8.0, p=4.0, seed=123.0,
+                          workers=1.0)
+        values = (*cfg.T, cfg.nrep, cfg.L, cfg.M, cfg.p, cfg.seed, cfg.workers)
+        assert values == (64, 6, 5, 8, 4, 123, 1) and all(type(v) is int for v in values)
+        strip = lambda t: [r.csv().rsplit(",", 1)[0] for r in t.rows]
+        assert strip(run_experiment(cfg, progress=quiet)) == strip(
+            run_experiment(tiny_config(), progress=quiet))
 
     def test_search_set_from_code_obeys_integer_rule(self):
         with pytest.raises(ConfigError, match=r"'search_set'.*M=10\.5 is not an integer"):
@@ -254,6 +270,84 @@ class TestRunExperiment:
         for row in table.rows:
             p = row.rate / 100
             assert row.se == pytest.approx(100 * np.sqrt(p * (1 - p) / 20), abs=1e-9)
+
+    def test_group_methods_share_their_replications(self):
+        # a (model, T) group is generated once, seeded from its first cell's
+        # index, and each method's rows come from its kernel on that block
+        methods = ("orthogonal", "box_pierce", "robust")
+        cfg = tiny_config(models=("x5", "normal"), T=(64, 100), nrep=9, methods=methods,
+                          alphas=(0.2, 0.5))
+        rows = run_experiment(cfg, progress=quiet).rows
+        groups = [(m, T) for m in cfg.models for T in cfg.T]
+        for g, (model, T) in enumerate(groups):
+            seeds = [[cfg.seed, 3 * g, r] for r in range(cfg.nrep)]
+            block = np.ascontiguousarray(generate_batch(MODEL_REGISTRY[model], T,
+                                                        seeds).series.T)
+            want = [portmanteau_block(block, L=cfg.L, M=cfg.M, search_set=cfg.search_set,
+                                      p=cfg.p).p_values.tolist(),
+                    box_pierce_block(block, cfg.L).p_values.tolist(),
+                    robust_portmanteau_block(block, cfg.L).p_values.tolist()]
+            job = (cfg, 3 * g, (model, T), methods, range(cfg.nrep))
+            assert experiments._block_values(job) == want
+            for j, pvals in enumerate(want):
+                cell_rows = rows[2 * (3 * g + j):2 * (3 * g + j) + 2]
+                assert [(r.model, r.T, r.method) for r in cell_rows] == [
+                    (model, T, methods[j])] * 2
+                assert [r.rate for r in cell_rows] == [
+                    100.0 * np.count_nonzero(np.array(pvals) < a) / cfg.nrep
+                    for a in cfg.alphas]
+
+    def test_group_results_do_not_depend_on_workers_or_block_size(self, monkeypatch):
+        cfg = tiny_config(models=("x5", "normal"), nrep=7,
+                          methods=("orthogonal", "box_pierce", "robust"))
+        strip = lambda t: [r.csv().rsplit(",", 1)[0] for r in t.rows]
+        whole = strip(run_experiment(cfg, progress=quiet))
+        # blocks of three replications: each group splits into three blocks
+        monkeypatch.setattr(experiments, "BLOCK_POINTS", 3 * (64 + experiments.BURN_IN))
+        for workers in (1, 2):
+            assert strip(run_experiment(replace(cfg, workers=workers), progress=quiet)) == whole
+
+    def test_method_failing_in_one_pool_block_fails_only_its_cell(self, monkeypatch):
+        # replication 6 of the x5 group is constant: Box-Pierce fails on the
+        # block that holds it, in a worker process
+        real = experiments.generate_batch
+
+        def with_constant_rep6(spec, T, seeds):
+            sim = real(spec, T, seeds)
+            series = sim.series.copy()
+            for j, seed in enumerate(seeds):
+                if spec is MODEL_REGISTRY["x5"] and seed[2] == 6:
+                    series[:, j] = 1.5
+            return replace(sim, series=series)
+
+        monkeypatch.setattr(experiments, "generate_batch", with_constant_rep6)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(experiments, "BLOCK_POINTS", 3 * (64 + experiments.BURN_IN))
+        cfg = tiny_config(models=("x5", "normal"), nrep=7, workers=2,
+                          methods=("box_pierce", "orthogonal"))
+        failed = {(r.model, r.method) for r in run_experiment(cfg, progress=quiet).rows
+                  if np.isnan(r.rate)}
+        assert failed == {("x5", "box_pierce")}
+
+    def test_group_time_is_split_over_its_cells(self):
+        calls = []
+
+        def progress(msg):
+            calls.append(msg)
+            if len(calls) == 2:  # the second cell's own progress call
+                time.sleep(0.25)
+
+        cfg = tiny_config(nrep=20, methods=("orthogonal", "box_pierce", "robust"))
+        table = run_experiment(cfg, progress=progress)
+        assert len(calls) == 3 + 1
+        time_ms = {r.method: r.time_ms for r in table.rows}
+        ortho, bp, robust = time_ms["orthogonal"], time_ms["box_pierce"], time_ms["robust"]
+        # an even share of the group's wall clock each, plus the cell's progress call
+        assert bp - ortho >= 250.0 and abs(robust - ortho) < 50.0
+        # the shares add up to the group's wall clock; the run's total adds
+        # only the building of the rows
+        assert 0.0 <= table.metadata["total_ms"] - (ortho + bp + robust) < 50.0
 
     def test_failing_cell_yields_nan_rows(self):
         # L exceeds T/2: the cell errors out but the run completes
@@ -381,3 +475,28 @@ def test_benchmark_counts_the_cells_of_each_config(monkeypatch):
         cfg = replace(parse_config((root / "configs" / f"{stem}.cfg").read_text()), nrep=1)
         cells = {(r.model, r.T, r.method) for r in run_experiment(cfg, progress=quiet).rows}
         assert workloads.McTables.ops((stem, cfg)) == len(cells), stem
+
+
+# The ten checked-in configs, at a small nrep: every row that is not
+# Box-Pierce or robust, the qq pairs and beta_hat_mean hash to the pin.
+PINNED_STEMS = ("equality_null", "equality_power", "gof_null_ar06_chi", "gof_null_ar06_gauss",
+                "gof_null_ar09_chi", "gof_power_phi03", "qq_t10", "uncorrelated_null_T100",
+                "uncorrelated_null_T500", "uncorrelated_power")
+PINNED_NREP = 10
+PINNED_DIGEST = "2eec925ef364c5ba"
+
+
+def test_pinned_rows_keep_their_bits():
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for stem in PINNED_STEMS:
+        cfg = parse_config((root / "configs" / f"{stem}.cfg").read_text())
+        table = run_experiment(replace(cfg, nrep=PINNED_NREP), progress=quiet)
+        h.update(stem.encode())
+        for r in table.rows:
+            if r.method not in ("box_pierce", "robust"):
+                h.update(repr((r.model, r.T, r.method, r.alpha, r.rate, r.se)).encode())
+        for label, (emp, ref) in table.quantile_pairs.items():
+            h.update(label.encode() + emp.tobytes() + ref.tobytes())
+        h.update(repr(table.metadata.get("beta_hat_mean")).encode())
+    assert h.hexdigest()[:16] == PINNED_DIGEST

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from orthosample.distributions import hotelling_t2
 from orthosample.equality import equality_block, equality_test
 from orthosample.htests import (
     box_pierce,
@@ -166,3 +167,12 @@ def test_lag_shift_and_order_obey_integer_rule(rng):
     with pytest.raises(ShiftRangeError, match=r"AR order p=1\.5 is not an integer"):
         ar_model(1.5)
     assert ar_model(1.0).p == 1 and type(ar_model(np.int64(2)).p) is int
+
+
+def test_hotelling_dimensions_obey_integer_rule():
+    with pytest.raises(ShiftRangeError, match=r"^p=2\.5 is not an integer$"):
+        hotelling_t2(2.5, 10.7)  # was hotelling(2, 10)
+    with pytest.raises(ShiftRangeError, match=r"^m=10\.7 is not an integer$"):
+        hotelling_t2(2, 10.7)
+    law = hotelling_t2(2.0, np.int64(10))
+    assert law == hotelling_t2(2, 10) and all(type(v) is int for v in law.params)
