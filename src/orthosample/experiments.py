@@ -54,9 +54,9 @@ __all__ = [
 CSV_HEADER = "model,T,method,alpha,rate,se,time_ms"
 # Points in each array of a block of replications generated together: the
 # recursions of a block run once per time step for all of its replications,
-# and each of its time-major arrays stays within 512 KB (59 replications at
-# T = 100, 32 at T = 1024).
-BLOCK_POINTS = 2**16
+# so a group runs in as few blocks as keep each within 1 MB, of even sizes
+# (2 x 100 replications at T = 100, nrep 200; 2 x 50 at T = 1024, nrep 100).
+BLOCK_POINTS = 2**17
 
 EXPERIMENTS = (
     "qq_t10",
@@ -360,14 +360,21 @@ METHODS = {
 }
 
 
+def _entropy_rows(seed: int, first: int, reps: range) -> np.ndarray:
+    """The uint32 words ``SeedSequence`` makes of [seed, first, r], a row per r:
+    the little-endian 32-bit words of seed (one for 0), then first and r."""
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    return np.array([[*words, first, r] for r in reps], dtype=np.uint32)
+
+
 def _block_values(job: tuple) -> list:
     """One entry per method of the (model, T) group whose first cell is number
     ``first``, for its replications ``reps`` generated as one block: the
     method's values, or the bad-input error it raised, returned so that it
-    crosses the process pool. Replication r draws from the seed [seed, first,
+    crosses the process pool. Replication r draws the stream of [seed, first,
     r], and each series is a contiguous row, as a single draw would be."""
     cfg, first, (model, T), methods, reps = job
-    seeds = [[cfg.seed, first, r] for r in reps]
+    seeds = _entropy_rows(cfg.seed, first, reps)
     if METHODS[methods[0]].paired:
         block = [np.ascontiguousarray(out.series.T) for out in
                  generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds)]
@@ -388,7 +395,8 @@ def _block_values(job: tuple) -> list:
 def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     """Run every cell of the configured experiment, in order, and build its
     rows. The cells of a (model, T) group share its replications, which run
-    in blocks of at most ``BLOCK_POINTS`` points, over one process pool for
+    in as few blocks as keep each within ``BLOCK_POINTS`` (T + BURN_IN points
+    a replication), sizes differing by at most one, over one process pool for
     the run when ``workers > 1``. A cell's ``time_ms`` is its group's wall
     clock divided by the group's cells, plus its own ``progress`` call:
     ``progress`` is called once per cell and once at the end.
@@ -418,9 +426,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
         run = pool.map if pool else map
         for g, (model, T) in enumerate(groups):
             start, first = time.perf_counter(), g * len(methods)
-            size = max(1, BLOCK_POINTS // (T + BURN_IN))
-            jobs = [(cfg, first, (model, T), methods, range(lo, min(lo + size, cfg.nrep)))
-                    for lo in range(0, cfg.nrep, size)]
+            n = min(cfg.nrep, -(-cfg.nrep * (T + BURN_IN) // BLOCK_POINTS))
+            jobs = [(cfg, first, (model, T), methods,
+                     range(b * cfg.nrep // n, (b + 1) * cfg.nrep // n)) for b in range(n)]
             blocks = list(run(_block_values, jobs))
             share_ms = (time.perf_counter() - start) * 1000.0 / len(methods)
             for j, method in enumerate(methods):

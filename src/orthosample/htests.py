@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M_block
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, _select
 from .spectral import (
     DegenerateDataError,
     DftGrid,
@@ -172,9 +172,9 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
     """
     R, T = coeffs.shape
     if M is None:
-        feasible = feasible_search_set(T, search_set, p)
+        feasible, p = _feasible(T, search_set, p)
         runs = shift_runs(coeffs, weights, T // p + max(feasible))
-        Ms = select_M_block(runs[:, 0], T, feasible, p)[0]
+        Ms = _select(runs[:, 0], T, feasible, p)[0]
     else:
         M = _check_shift(T, M, "M", 1)
         runs = shift_runs(coeffs, weights, M)

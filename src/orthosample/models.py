@@ -4,11 +4,14 @@ simulation studies.
 The generators work on blocks of replications: ``generate_batch(spec, T,
 seeds)`` returns a time-major (T, R) block whose column j depends only on
 (spec, T, seeds[j]).  Each replication draws its innovations from its own
-``default_rng(seeds[j])``, in a fixed order, into the column of a time-major
-array; the AR, ARCH and bivariate recursions then run once per time step
-across the whole block, with the same floating-point operations for every
-column.  So column j is bit-identical whatever the other seeds of the block,
-and ``generate(spec, T, seed)`` is the block of one.  Recursive models
+``default_rng(seeds[j])``, in a fixed order, into its own contiguous row of
+an (R, n) array, read time-major through the transpose; the AR, ARCH and
+bivariate recursions then run once per time step across the whole block,
+with the same floating-point operations for every column.  A seed may be a
+uint32 entropy row: the words of [seed, c, r] give the stream of
+``default_rng([seed, c, r])`` at less set-up cost.  So column j is
+bit-identical whatever the other seeds of the block, and ``generate(spec,
+T, seed)`` is the block of one.  Recursive models
 discard a 1000-sample burn-in; non-causal moving averages are truncated where
 the coefficients drop below 1e-10.
 
@@ -214,29 +217,29 @@ def _truncation_length(a: float) -> int:
     return max(1, math.ceil(math.log(TRUNCATION_TOL) / math.log(abs(a))))
 
 
-def _normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n)
+def _normal(rng: np.random.Generator, row: np.ndarray) -> None:
+    rng.standard_normal(out=row)
 
 
-def _t5(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_t(5, n)
+def _t5(rng: np.random.Generator, row: np.ndarray) -> None:
+    row[:] = rng.standard_t(5, row.size)
 
 
-def _chi2_1(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.chisquare(1, n)  # used raw (mean 1); statistics demean
+def _chi2_1(rng: np.random.Generator, row: np.ndarray) -> None:
+    row[:] = rng.chisquare(1, row.size)  # used raw (mean 1); statistics demean
 
 
 _DRAWS = {"normal": _normal, "t5": _t5, "chi2_1": _chi2_1}
 
 
 def _draw(rngs, *parts) -> list:
-    """One time-major (n, R) array per (draw, n) part; column j holds what
-    rngs[j] draws, the parts drawn in the listed order."""
-    out = [np.empty((n, len(rngs))) for _, n in parts]
+    """One time-major (n, R) view per (draw, n) part, of an (R, n) array
+    whose row j holds what rngs[j] draws, the parts drawn in the listed order."""
+    out = [np.empty((len(rngs), n)) for _, n in parts]
     for j, rng in enumerate(rngs):
-        for arr, (draw, n) in zip(out, parts):
-            arr[:, j] = draw(rng, n)
-    return out
+        for arr, (draw, _) in zip(out, parts):
+            draw(rng, arr[j])
+    return [arr.T for arr in out]
 
 
 def _over_time(body, z: np.ndarray) -> np.ndarray:
@@ -383,8 +386,9 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
 
     Column j is bit-identical to ``generate(spec, T, seeds[j]).series``: each
     replication draws its innovations from ``default_rng(seeds[j])`` in the
-    same order as a single draw, and the recursions give every column the
-    full loop's output (see the module docstring).
+    same order as a single draw, into a row per replication, and the
+    recursions give every column the full loop's output (see the module
+    docstring).  ``seeds`` may be uint32 entropy rows, one per replication.
     """
     if T < 2:
         raise ValueError("T must be >= 2")

@@ -79,14 +79,19 @@ def _search_set(search_set, p, T: int | None = None) -> tuple:
     return members, p
 
 
-def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
-                        p: int = DEFAULT_P) -> tuple:
-    """Members of the search set whose variance windows stay below T/2."""
+def _feasible(T: int, search_set, p) -> tuple:
+    """(members, p) of :func:`feasible_search_set`; they pass the rule given T."""
     members, p = _search_set(search_set, p)
     out = tuple(M for M in members if T // p + M < T / 2)
     if not out:
         raise ShiftRangeError(f"no feasible M in {list(members)} for T={T}, p={p}")
-    return out
+    return out, p
+
+
+def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
+                        p: int = DEFAULT_P) -> tuple:
+    """Members of the search set whose variance windows stay below T/2."""
+    return _feasible(T, search_set, p)[0]
 
 
 def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
@@ -96,7 +101,7 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
     T = grid.T
     members, p = _search_set(search_set, p, T)
     run = weighted_average_run(grid, phi, T // p + max(members))
-    chosen, curves, uniq = select_M_block(run[None], T, members, p)
+    chosen, curves, uniq = _select(run[None], T, members, p)
     curve = dict(zip(uniq, curves[0].tolist()))
     return SelectionResult(chosen_M=int(chosen[0]),
                            criterion_curve={M: curve[M] for M in members},
@@ -110,7 +115,11 @@ def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
     Returns the chosen M per row, the (R, |U|) criterion curves and U, the
     sorted distinct members of the search set.
     """
-    members, p = _search_set(search_set, p, T)
+    return _select(runs, T, *_search_set(search_set, p, T))
+
+
+def _select(runs: np.ndarray, T: int, members: tuple, p: int):
+    """:func:`select_M_block` on members and p that passed the rule given T."""
     uniq = tuple(sorted(set(members)))
     curves = _criteria(runs, T, uniq, p)
     # argmin keeps the first, so the smallest, of equal minima

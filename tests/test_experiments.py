@@ -25,7 +25,7 @@ from orthosample.experiments import (
 )
 from orthosample.htests import (box_pierce_block, goodness_of_fit_test, portmanteau_block,
                                 robust_portmanteau_block)
-from orthosample.models import MODEL_REGISTRY, generate_batch
+from orthosample.models import MODEL_REGISTRY, generate_batch, generate_bivariate_batch
 from orthosample.spectral import DegenerateDataError, ar_spectral_density
 
 def quiet(msg):
@@ -329,6 +329,52 @@ class TestRunExperiment:
         failed = {(r.model, r.method) for r in run_experiment(cfg, progress=quiet).rows
                   if np.isnan(r.rate)}
         assert failed == {("x5", "box_pierce")}
+
+    def test_groups_split_into_even_blocks(self, monkeypatch):
+        # nrep (T + 1000) / BLOCK_POINTS = 7/3 rounds up to three blocks, of
+        # sizes that differ by at most one
+        sizes, real = [], experiments._block_values
+
+        def recording(job):
+            sizes.append(job[-1])
+            return real(job)
+
+        monkeypatch.setattr(experiments, "_block_values", recording)
+        monkeypatch.setattr(experiments, "BLOCK_POINTS", 3 * (64 + experiments.BURN_IN))
+        run_experiment(tiny_config(nrep=7), progress=quiet)
+        assert len(sizes) == 3 and max(map(len, sizes)) - min(map(len, sizes)) <= 1
+        assert sorted(r for reps in sizes for r in reps) == list(range(7))
+
+    @pytest.mark.parametrize("seed", [0, 101, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_entropy_rows_give_the_list_seed_streams(self, seed):
+        rows = experiments._entropy_rows(seed, 3, range(5, 9))
+        assert rows.dtype == np.uint32
+        for r, row in zip(range(5, 9), rows):
+            want = np.random.default_rng([seed, 3, r]).bit_generator.state
+            assert np.random.default_rng(row).bit_generator.state == want
+
+    @pytest.mark.parametrize("experiment", ["table_uncorrelated_null", "table_equality"])
+    def test_large_seed_draws_the_list_seed_rows(self, experiment):
+        # 2^40 + 5 takes two words; a plain uint32 cast would wrap it to 5
+        seed, reps = 2**40 + 5, range(2, 6)
+        seeds = [[seed, 4, r] for r in reps]
+        if experiment == "table_equality":
+            cfg = ExperimentConfig(experiment=experiment, T=(128,), nrep=6, rho=0.5,
+                                   delta=0.1, seed=seed, beta=0.5)
+            model, methods = "pair", ("equality",)
+            block = [np.ascontiguousarray(out.series.T)
+                     for out in generate_bivariate_batch(0.1, 0.5, 128, seeds)]
+        else:
+            cfg = tiny_config(models=("x7",), nrep=6, seed=seed, methods=("box_pierce",))
+            model, methods = "x7", ("box_pierce",)
+            block = np.ascontiguousarray(generate_batch(MODEL_REGISTRY["x7"], 64,
+                                                        seeds).series.T)
+        want = [experiments.METHODS[methods[0]].values(cfg, block)]
+        assert experiments._block_values((cfg, 4, (model, cfg.T[0]), methods, reps)) == want
+        np.testing.assert_array_equal(
+            generate_batch(MODEL_REGISTRY["x7"], 64, experiments._entropy_rows(seed, 4, reps)
+                           ).series,
+            generate_batch(MODEL_REGISTRY["x7"], 64, seeds).series)
 
     def test_group_time_is_split_over_its_cells(self):
         calls = []

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from orthosample.htests import portmanteau_test
-from orthosample.models import MODEL_REGISTRY, generate
+from orthosample import selection
+from orthosample.htests import goodness_of_fit_block, portmanteau_block, portmanteau_test
+from orthosample.models import MODEL_REGISTRY, generate, generate_batch
 from orthosample.selection import (
     DEFAULT_P,
     criterion,
     feasible_search_set,
     select_M,
+    select_M_block,
 )
-from orthosample.spectral import ShiftRangeError, dft, lag_weight, weighted_average
+from orthosample.spectral import (ShiftRangeError, ar_spectral_density, dft, lag_weight,
+                                  shift_runs, weighted_average)
 from orthosample.variance import DegenerateVarianceError
 
 
@@ -109,6 +112,55 @@ class TestFeasibleSet:
         x = generate(MODEL_REGISTRY["normal"], 200, seed=5).series
         with pytest.raises(ShiftRangeError, match="p must be >= 2"):
             portmanteau_test(x, p=p)
+
+
+class TestSearchSetRuleRunsOnce:
+    """The search-set rule runs once per block and once per single-series
+    selection: the checked members and p are handed on, not checked again."""
+
+    @pytest.fixture
+    def rule_runs(self, monkeypatch):
+        runs, rule = [], selection._search_set
+
+        def counting(*args):
+            runs.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(selection, "_search_set", counting)
+        return runs
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        seeds = [[7, 0, r] for r in range(4)]
+        return np.ascontiguousarray(generate_batch(MODEL_REGISTRY["x5"], 100, seeds).series.T)
+
+    def test_once_per_block_and_per_selection(self, rule_runs, block):
+        def g(w):
+            return ar_spectral_density(w, [0.3], 1.0)
+
+        runs = shift_runs(dft(block[0]).coeffs[None], lag_weight(1).on_grid(100)[None], 49)
+        calls = [lambda: portmanteau_block(block, L=3),
+                 lambda: goodness_of_fit_block(block, g, L=3, search_set=(10.0, 12, 20), p=4.0),
+                 lambda: select_M(dft(block[0]), lag_weight(1), range(10, 25), 4),
+                 lambda: select_M_block(runs[:, 0], 100, range(10, 25), 4)]
+        for call in calls:
+            rule_runs.clear()
+            call()
+            assert len(rule_runs) == 1
+
+    def test_block_selection_keeps_its_checks(self, block):
+        # the rule still decides what fails, and which error comes first
+        for search_set, p, match in [((10.9,), 1, "p must be >= 2"),
+                                     ((10.9,), 4, "M=10.9 is not an integer"),
+                                     ((), 4, "must be non-empty"),
+                                     (range(30, 40), 4, "no feasible M")]:
+            with pytest.raises(ShiftRangeError, match=match):
+                portmanteau_block(block, L=3, search_set=search_set, p=p)
+        runs = np.ones((2, 60), dtype=complex)
+        with pytest.raises(ShiftRangeError, match="window end"):
+            select_M_block(runs, 100, (10, 25), 4)
+        with pytest.raises(ShiftRangeError, match="p must be >= 2"):
+            select_M_block(runs, 100, (10,), 1)
 
 
 @pytest.mark.slow
