@@ -37,6 +37,7 @@ from .spectral import (
     grid_constant,
     shift_runs,
 )
+from .variance import studentize_block, variance_block
 
 __all__ = [
     "ExperimentConfig",
@@ -258,16 +259,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray) -> list:
-    """The studentized lag-one statistic A(e^{i.}; 0) / sqrt(mean_r |A(e^{i.}; r)|^2)
-    of every row of an (R, T) block."""
+    """The lag-one statistic Re A(e^{i.}; 0) studentized against zero by its
+    V-hat_M(0), for every row of an (R, T) block."""
     M = cfg.M if cfg.M is not None else 5
     # raw transform: centering the series shifts the statistic's location
     # noticeably at moderate T, while the zero-frequency term is harmless
     # for the zero-mean pivot models
     coeffs = dft_block(series, demean=False)
-    runs = shift_runs(coeffs, _lag_rows(coeffs.shape[1], 1), M)[:, 0]
-    denom = np.sqrt(np.mean(np.abs(runs[:, 1:]) ** 2, axis=1))
-    return (runs[:, 0].real / denom).tolist()
+    T = coeffs.shape[1]
+    runs = shift_runs(coeffs, _lag_rows(T, 1), M)[:, 0]
+    stats, _ = studentize_block(runs[:, 0].real, 0.0, variance_block(runs[:, 1:], T), T)
+    return stats.tolist()
 
 
 def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray) -> list:

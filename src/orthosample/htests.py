@@ -14,7 +14,7 @@ with the single-series test's exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,16 +22,13 @@ from . import distributions as dist
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, _select
 from .spectral import (
     DegenerateDataError,
-    DftGrid,
     InvalidInputError,
     ShiftRangeError,
-    WeightFunction,
     _check_shift,
     _density_values,
     _integer,
     as_block,
     as_series,
-    dft,
     dft_block,
     grid_constant,
     grid_frequencies,
@@ -41,7 +38,6 @@ from .spectral import (
 __all__ = [
     "EmpiricalNull",
     "TestReport",
-    "l2_stat",
     "portmanteau_test",
     "goodness_of_fit_test",
     "box_pierce",
@@ -92,12 +88,6 @@ class TestReport:
         return {a: self.reject(a) for a in self.alphas}
 
 
-def _shift_table(grid: DftGrid, phis: Sequence[WeightFunction], max_r: int) -> np.ndarray:
-    """A(phi_j; r) for j = 1..L (rows) and r = 0..max_r (columns)."""
-    weights = np.stack([phi.on_grid(grid.T) for phi in phis])
-    return shift_runs(grid.coeffs[None], weights, max_r)[0]
-
-
 def _lag_rows(T: int, L: int) -> np.ndarray:
     """e^{ij omega_k} for j = 1..L (rows) on the size-T grid, once 1 <= L < T/2
     holds; a read-only grid constant."""
@@ -126,21 +116,6 @@ class BlockReport:
     M: np.ndarray | None = None
     draws: np.ndarray | None = None
     tuning: dict = field(default_factory=dict)
-
-
-def l2_stat(series, phis: Sequence[WeightFunction], r: int = 0,
-            demean: bool = True) -> tuple[float, float]:
-    """(S_R(r), S_I(r)) with S_R(r) = 2T sum_j |Re A(phi_j; r)|^2 etc.
-
-    r = 0 returns the test statistic S = T sum_j |A(phi_j)|^2 in the first
-    slot and 0 in the second.
-    """
-    grid = dft(series, demean=demean)
-    table = _shift_table(grid, phis, r)[None]
-    if r == 0:
-        return float(_statistics(table, grid.T)[0]), 0.0
-    s_r, s_i = _draws(table, grid.T)[0, -2:]
-    return float(s_r), float(s_i)
 
 
 def _statistics(tables: np.ndarray, T: int) -> np.ndarray:

@@ -359,25 +359,22 @@ def orthogonal_sample(grid: DftGrid, phi: WeightFunction, M: int) -> OrthogonalS
     return OrthogonalSample(base=complex(run[0]), shifted=run[1:].copy(), T=grid.T)
 
 
-def quadratic_form_oracle(series, phi: WeightFunction, r: int,
-                          demean: bool = True,
-                          oracle_bound: int = DEFAULT_ORACLE_BOUND) -> complex:
+def quadratic_form_oracle(series, phi: WeightFunction, r: int) -> complex:
     """O(T^2) direct evaluation of the quadratic form representation of A(phi; r).
 
     A(phi; r) = (1/(2 pi T)) sum_{t,tau} Phi(t - tau) x_t x_tau e^{-i tau omega_r}
     with Phi(u) = (1/T) sum_k phi(omega_k) e^{i u omega_k}; the 1/(2 pi) carries
-    the normalisation of the squared transform.  Test oracle only; refuses
-    series longer than ``oracle_bound``.
+    the normalisation of the squared transform, and x is demeaned.  Test
+    oracle only; refuses series longer than ``DEFAULT_ORACLE_BOUND``.
     """
     x = as_series(series)
     T = x.size
-    if T > oracle_bound:
+    if T > DEFAULT_ORACLE_BOUND:
         raise ShiftRangeError(
-            f"oracle refuses T={T} > bound {oracle_bound}; it is O(T^2) test code"
+            f"oracle refuses T={T} > bound {DEFAULT_ORACLE_BOUND}; it is O(T^2) test code"
         )
     r = _check_shift(T, r)
-    if demean:
-        x = x - x.mean()
+    x = x - x.mean()
     omega = grid_frequencies(T)
     w = phi.on_grid(T)
     u = np.arange(-(T - 1), T)  # all possible t - tau

@@ -1,5 +1,10 @@
 """Variance estimation from orthogonal samples, studentized statistics with
-fixed-M t calibration, and the multivariate Hotelling extension."""
+fixed-M t calibration, and the multivariate Hotelling extension.
+
+``variance_block`` and ``studentize_block`` hold the only V-hat_M and
+t-statistic arithmetic, for every row of a block at once; the single-series
+``variance_estimate``, ``variance_estimate_at`` and ``studentize`` are their
+blocks of one."""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ from .spectral import (
     OrthogonalSample,
     WeightFunction,
     _check_shift,
-    orthogonal_sample,
     weighted_average_run,
 )
 
@@ -22,13 +26,14 @@ __all__ = [
     "StudentizedReport",
     "CovMatrixEstimate",
     "DegenerateVarianceError",
+    "variance_block",
+    "studentize_block",
     "variance_estimate",
     "variance_estimate_at",
     "studentize",
     "covariance_matrix_estimate",
     "HotellingReport",
     "hotelling_test",
-    "composite_variance",
 ]
 
 
@@ -79,11 +84,30 @@ class CovMatrixEstimate:
         return self.matrix.shape[0]
 
 
+def variance_block(shifted: np.ndarray, T: int) -> np.ndarray:
+    """V-hat_M = (T/M) * sum_s |A(phi; s)|^2 for each row of an (R, M) block
+    whose row holds the M shifted weighted averages of one size-T series."""
+    return T / shifted.shape[-1] * np.sum(np.abs(shifted) ** 2, axis=-1)
+
+
+def studentize_block(points, target, variances, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T_M, sqrt(V-hat_M / T)) for each row of a block: the statistic
+    T_M = sqrt(T) (A_T - A) / sqrt(V-hat_M) of each point A_T against the
+    target A, and its standard error. A zero variance estimate on any row
+    fails the block."""
+    variances = np.asarray(variances)
+    if np.any(variances <= 0):
+        raise DegenerateVarianceError(
+            "orthogonal-sample variance estimate is zero; series may be degenerate"
+        )
+    scales = np.sqrt(variances / T)
+    return (points - target) / scales, scales
+
+
 def variance_estimate(sample: OrthogonalSample) -> VarianceEstimate:
     """V-hat_M(0) = (T/M) * sum_{r=1..M} |A(phi; r)|^2."""
-    M = sample.M
-    value = float(sample.T / M * np.sum(np.abs(sample.shifted) ** 2))
-    return VarianceEstimate(value=value, M=M, T=sample.T, shift_origin=0)
+    value = float(variance_block(sample.shifted, sample.T))
+    return VarianceEstimate(value=value, M=sample.M, T=sample.T, shift_origin=0)
 
 
 def variance_estimate_at(grid: DftGrid, phi: WeightFunction, r0: int,
@@ -95,7 +119,7 @@ def variance_estimate_at(grid: DftGrid, phi: WeightFunction, r0: int,
     M = _check_shift(T, M, "M", 1)
     r0 = _check_shift(T, r0, "r0")
     run = weighted_average_run(grid, phi, r0 + M)
-    value = float(T / M * np.sum(np.abs(run[r0 + 1 :]) ** 2))
+    value = float(variance_block(run[r0 + 1 :], T))
     return VarianceEstimate(value=value, M=M, T=T, shift_origin=r0)
 
 
@@ -107,13 +131,8 @@ def studentize(point: float, target: float, variance: VarianceEstimate,
     Two-sided p-values by default; intervals for the target at the requested
     confidence levels are returned alongside.
     """
-    if variance.value <= 0:
-        raise DegenerateVarianceError(
-            "orthogonal-sample variance estimate is zero; series may be degenerate"
-        )
+    stat, scale = studentize_block(point, target, variance.value, T)
     df = 2 * variance.M
-    scale = np.sqrt(variance.value / T)
-    stat = (point - target) / scale
     law = dist.student_t(df)
     if one_sided:
         p = law.sf(stat)
@@ -176,15 +195,3 @@ def hotelling_test(points, targets, cov: CovMatrixEstimate) -> HotellingReport:
     law = dist.hotelling_t2(p, 2 * cov.M)
     return HotellingReport(statistic=stat, p=p, df=2 * cov.M,
                            p_value=float(law.sf(stat)))
-
-
-def composite_variance(grid: DftGrid, phi_family, theta_hat, M: int) -> VarianceEstimate:
-    """Plug-in variance estimate V-hat_{theta-hat, M}(0) for a parameterized weight.
-
-    ``phi_family(theta)`` must return a WeightFunction; the orthogonal sample
-    is formed at the estimated parameter.
-    """
-    phi = phi_family(theta_hat)
-    if not isinstance(phi, WeightFunction):
-        raise TypeError("phi_family(theta) must return a WeightFunction")
-    return variance_estimate(orthogonal_sample(grid, phi, M))

@@ -24,7 +24,6 @@ from orthosample.equality import (
 from orthosample.distributions import student_t
 from orthosample.experiments import ExperimentConfig, run_experiment
 from orthosample.htests import (
-    _shift_table,
     box_pierce,
     box_pierce_block,
     goodness_of_fit_block,
@@ -54,9 +53,11 @@ from orthosample.spectral import (
     dft_block,
     lag_weight,
     model_reciprocal_weight,
+    orthogonal_sample,
     shift_runs,
     weighted_average_run,
 )
+from orthosample.variance import studentize, variance_estimate
 
 
 def quiet(msg):
@@ -279,7 +280,7 @@ class TestShiftTable:
         grid = dft(generate(MODEL_REGISTRY["x5"], T, seed=[10, T]).series)
         phis = [lag_weight(j) for j in range(1, 6)]
         phis.append(model_reciprocal_weight(2, lambda w: 1.5 + np.cos(w)))
-        table = _shift_table(grid, phis, 12)
+        table = shift_runs(grid.coeffs[None], np.stack([phi.on_grid(T) for phi in phis]), 12)[0]
         expected = np.stack([weighted_average_run(grid, phi, 12) for phi in phis])
         np.testing.assert_array_equal(table, expected)
 
@@ -477,9 +478,10 @@ def _ar06_density(w):
 
 
 def _t10_pivot(x, M):
-    """The qq_t10 statistic of one series, from the single-series functions."""
-    run = weighted_average_run(dft(x, demean=False), lag_weight(1), M)
-    return run[0].real / np.sqrt(np.mean(np.abs(run[1:]) ** 2))
+    """The qq_t10 statistic of one series, from the single-series functions:
+    Re A(e^{i.}; 0) of the raw transform, studentized against zero."""
+    sample = orthogonal_sample(dft(x, demean=False), lag_weight(1), M)
+    return studentize(sample.base.real, 0.0, variance_estimate(sample), x.size).statistic
 
 
 class TestBlockStatistics:

@@ -7,9 +7,11 @@ import json
 import multiprocessing
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from orthosample.htests import (box_pierce_block, goodness_of_fit_test, portmant
                                 robust_portmanteau_block)
 from orthosample.models import MODEL_REGISTRY, generate_batch, generate_bivariate_batch
 from orthosample.spectral import DegenerateDataError, ar_spectral_density
+from orthosample.variance import DegenerateVarianceError
 
 def quiet(msg):
     pass
@@ -412,6 +415,37 @@ class TestRunExperiment:
         assert ok.T == 64 and ok.alpha == 0.05 and np.isfinite(ok.rate)
         assert list(run_experiment(cfg, progress=quiet).quantile_pairs) == ["pivot_i_T64"]
 
+    def test_zero_variance_qq_row_fails_loudly(self, monkeypatch):
+        # an all-zero series has no variance estimate: the block raises, and
+        # the cell gives its NaN row with the cause, not a NaN statistic
+        cfg = ExperimentConfig(experiment="qq_t10", models=("pivot_i",), T=(64,), nrep=2,
+                               M=5, seed=1)
+        block = np.stack([np.zeros(64), np.random.default_rng(0).standard_normal(64)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVarianceError):
+                experiments.METHODS["qq_t10"].values(cfg, block)
+            monkeypatch.setattr(experiments, "generate_batch",
+                                lambda *args: SimpleNamespace(series=block.T))
+            entry, = experiments._block_values((cfg, 0, ("pivot_i", 64), ("qq_t10",),
+                                                range(2)))
+            assert isinstance(entry, DegenerateVarianceError)
+            messages = []
+            row, = run_experiment(cfg, progress=messages.append).rows
+        assert np.isnan([row.alpha, row.rate, row.se]).all()
+        assert "variance estimate is zero" in messages[0]
+
+    def test_qq_config_runs_without_warnings(self):
+        # a numpy warning in the qq statistics (a NaN from a zero variance)
+        # fails the run instead of being sorted into the pairs
+        root = Path(__file__).resolve().parents[1]
+        cfg = replace(parse_config((root / "configs" / "qq_t10.cfg").read_text()), nrep=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_experiment(cfg, progress=quiet)
+        assert len(table.rows) == 6 and all(np.isfinite(r.rate) for r in table.rows)
+        assert all(np.isfinite(emp).all() for emp, _ in table.quantile_pairs.values())
+
     def test_gof_block_matches_single_tests(self):
         # the rows' rates come from goodness_of_fit_test against the
         # config's AR(gof_phi, gof_sigma) density, one series at a time
@@ -529,7 +563,7 @@ PINNED_STEMS = ("equality_null", "equality_power", "gof_null_ar06_chi", "gof_nul
                 "gof_null_ar09_chi", "gof_power_phi03", "qq_t10", "uncorrelated_null_T100",
                 "uncorrelated_null_T500", "uncorrelated_power")
 PINNED_NREP = 10
-PINNED_DIGEST = "2eec925ef364c5ba"
+PINNED_DIGEST = "f4c31c05f9ca40ba"
 
 
 def test_pinned_rows_keep_their_bits():

@@ -17,7 +17,7 @@ FROZEN_EXPORTS = (
     "Dist", "normal", "student_t", "chi_square", "f_dist", "hotelling_t2",
     "KernelSpec", "kernel_spectral_estimate", "l2_distance_stat", "beta_hat",
     "equality_test",
-    "EmpiricalNull", "TestReport", "l2_stat", "portmanteau_test",
+    "EmpiricalNull", "TestReport", "portmanteau_test",
     "goodness_of_fit_test", "box_pierce", "robust_portmanteau",
     "MODEL_REGISTRY", "ModelSpec", "generate", "generate_batch", "generate_bivariate",
     "generate_bivariate_batch",
@@ -31,7 +31,7 @@ FROZEN_EXPORTS = (
     "VarianceEstimate", "CovMatrixEstimate", "StudentizedReport",
     "HotellingReport", "DegenerateVarianceError", "variance_estimate",
     "variance_estimate_at", "studentize", "covariance_matrix_estimate",
-    "hotelling_test", "composite_variance",
+    "hotelling_test",
     "SpectralModel", "ARModel", "WhittleFit", "ar_model",
     "whittle_objective", "whittle_fit", "score_weight",
     "whittle_score_variance",
@@ -65,7 +65,7 @@ def test_package_exports_exactly_the_module_lists():
 
 
 def test_earlier_exports_are_kept():
-    assert len(FROZEN_EXPORTS) == 67
+    assert len(FROZEN_EXPORTS) == 65
     assert not set(FROZEN_EXPORTS) - set(orthosample.__all__)
 
 

@@ -13,7 +13,6 @@ from orthosample.htests import (
     EmpiricalNull,
     box_pierce,
     goodness_of_fit_test,
-    l2_stat,
     orthogonal_l2_block,
     portmanteau_test,
     robust_portmanteau,
@@ -156,16 +155,16 @@ class TestLagRows:
         assert proc.stdout.split() == here
 
 
-class TestL2Stat:
-    def test_r0_and_shifted_slots(self, rng):
+class TestL2Statistic:
+    def test_statistic_and_shifted_draws(self, rng):
         x = rng.standard_normal(90)
         phis = [lag_weight(j) for j in (1, 2)]
-        s, zero = l2_stat(x, phis, r=0)
-        assert zero == 0.0
         grid = dft(x)
+        out = orthogonal_l2_block(grid.coeffs[None], np.stack([p.on_grid(90) for p in phis]),
+                                  M=3)
         want = 90 * sum(abs(weighted_average(grid, p, 0)) ** 2 for p in phis)
-        assert s == pytest.approx(want, rel=1e-10)
-        sr, si = l2_stat(x, phis, r=3)
+        assert out.statistics[0] == pytest.approx(want, rel=1e-10)
+        sr, si = out.draws[0, 4:6]  # S_R(3), S_I(3)
         wr = 2 * 90 * sum(weighted_average(grid, p, 3).real ** 2 for p in phis)
         wi = 2 * 90 * sum(weighted_average(grid, p, 3).imag ** 2 for p in phis)
         assert sr == pytest.approx(wr, rel=1e-10)

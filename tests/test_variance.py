@@ -8,16 +8,19 @@ from orthosample import distributions as dist
 from orthosample.spectral import (
     ShiftRangeError,
     dft,
+    dft_block,
     lag_weight,
     orthogonal_sample,
+    shift_runs,
     weighted_average,
 )
 from orthosample.variance import (
     DegenerateVarianceError,
     covariance_matrix_estimate,
-    composite_variance,
     hotelling_test,
     studentize,
+    studentize_block,
+    variance_block,
     variance_estimate,
     variance_estimate_at,
 )
@@ -109,6 +112,40 @@ class TestStudentize:
             studentize(0.0, 0.0, v, 50)
 
 
+class TestBlockKernels:
+    """Each row of the block kernels is the single-series estimate or
+    statistic of its series, bit for bit."""
+
+    def test_variance_rows_equal_single_estimates(self, rng):
+        T, M, r0 = 128, 10, 7
+        block = rng.standard_normal((20, T))
+        runs = shift_runs(dft_block(block), lag_weight(2).on_grid(T)[None], r0 + M)[:, 0]
+        at_zero = variance_block(runs[:, 1:M + 1], T)
+        at_r0 = variance_block(runs[:, r0 + 1:], T)
+        for i, x in enumerate(block):
+            grid = dft(x)
+            assert at_zero[i] == variance_estimate(
+                orthogonal_sample(grid, lag_weight(2), M)).value
+            assert at_r0[i] == variance_estimate_at(grid, lag_weight(2), r0, M).value
+
+    def test_statistic_rows_equal_studentize(self, rng):
+        T, M = 100, 8
+        block = rng.standard_normal((20, T))
+        runs = shift_runs(dft_block(block), lag_weight(1).on_grid(T)[None], M)[:, 0]
+        stats, scales = studentize_block(runs[:, 0].real, 0.1, variance_block(runs[:, 1:], T), T)
+        q = dist.student_t(2 * M).quantile(0.975)
+        for i, x in enumerate(block):
+            sample = orthogonal_sample(dft(x), lag_weight(1), M)
+            rep = studentize(sample.base.real, 0.1, variance_estimate(sample), T)
+            assert stats[i] == rep.statistic
+            assert rep.confidence_intervals[0.95] == (sample.base.real - q * scales[i],
+                                                      sample.base.real + q * scales[i])
+
+    def test_one_zero_variance_row_fails_the_block(self):
+        with pytest.raises(DegenerateVarianceError):
+            studentize_block(np.array([0.3, 0.0]), 0.0, np.array([1.2, 0.0]), 50)
+
+
 class TestCovarianceMatrix:
     def test_reduces_to_scalar_when_p1(self, rng):
         sample = make_sample(rng, M=10)
@@ -160,20 +197,6 @@ class TestHotelling:
         cov = covariance_matrix_estimate(samples)
         with pytest.raises(DegenerateVarianceError):
             hotelling_test([0.1, 0.1, 0.1], [0.0, 0.0, 0.0], cov)
-
-
-class TestComposite:
-    def test_matches_direct_evaluation(self, rng):
-        x = rng.standard_normal(128)
-        grid = dft(x)
-        v1 = composite_variance(grid, lambda th: lag_weight(int(th)), 2, M=9)
-        v2 = variance_estimate(orthogonal_sample(grid, lag_weight(2), 9))
-        assert v1.value == pytest.approx(v2.value, rel=1e-12)
-
-    def test_bad_family_rejected(self, rng):
-        grid = dft(rng.standard_normal(64))
-        with pytest.raises(TypeError):
-            composite_variance(grid, lambda th: th, 1.0, M=5)
 
 
 @pytest.mark.slow
