@@ -27,7 +27,7 @@ from .equality import equality_test
 from .experiments import ConfigError, _beta, emit, parse_config, parse_search_set, run_experiment
 from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
                      portmanteau_test, robust_portmanteau)
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _check_p, _clip, _select_M
 from .spectral import DegenerateDataError, dft, lag_weight
 from .whittle import ar_model, whittle_fit
 
@@ -122,14 +122,10 @@ def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
     elif kind == "robust":
         report = robust_portmanteau(x, L=L)
     elif kind == "gof_ar1":
-        model = ar_model(1)
         grid = dft(x)  # one transform for the fit and the test
-        fit = whittle_fit(grid, model)
-
-        def g(om, theta=fit.theta_hat, model=model):
-            return model.density(np.asarray(om, dtype=float), theta)
-
-        block = _goodness_of_fit_coeffs(grid.coeffs[None], g, L, M, DEFAULT_SEARCH_SET, DEFAULT_P)
+        fit = whittle_fit(grid, ar_model(1))
+        block = _goodness_of_fit_coeffs(grid.coeffs[None], fit.density, L, M,
+                                        DEFAULT_SEARCH_SET, DEFAULT_P)
         report = _orthogonal_report(block, "orthogonal_gof", L, M is None)
         out = report_to_dict(report)
         out["fitted_theta"] = [float(v) for v in np.atleast_1d(fit.theta_hat)]
@@ -207,9 +203,10 @@ def main(argv=None) -> int:
         if args.verb == "selectM":
             (x,) = load_series(args.datafile, columns=1)
             grid = dft(x, demean=True)
-            feasible = feasible_search_set(
-                grid.T, parse_search_set(args.search_set, "--set"), args.p)
-            sel = select_M(grid, lag_weight(1), feasible, args.p)
+            # the search-set rule runs once, in parse_search_set (as a config
+            # error, before --p is checked); the feasible clip reuses its members
+            members = parse_search_set(args.search_set, "--set")
+            sel = _select_M(grid, lag_weight(1), *_clip(grid.T, members, _check_p(args.p)))
             print(json.dumps({
                 "chosen_M": sel.chosen_M,
                 "p": sel.p,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -28,7 +27,7 @@ from .htests import (_lag_rows, box_pierce_block, goodness_of_fit_block, portman
                      robust_portmanteau_block)
 from .models import (BURN_IN, MODEL_REGISTRY, _check_bivariate, generate_batch,
                      generate_bivariate_batch)
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _search_set
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _check_p, _search_set
 from .spectral import (
     DegenerateDataError,
     _integer,
@@ -136,7 +135,7 @@ class ExperimentConfig:
             if self.b is not None:
                 KernelSpec(self.b)
             object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
-            object.__setattr__(self, "p", _search_set(self.search_set, self.p)[1])
+            object.__setattr__(self, "p", _check_p(self.p))
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if self.experiment.startswith("table_gof"):
@@ -424,6 +423,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     ncells = len(groups) * len(methods)
 
     t0 = time.perf_counter()
+    if cfg.workers > 1:  # imported here: it pulls in multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for g, (model, T) in enumerate(groups):

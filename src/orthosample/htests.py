@@ -197,16 +197,19 @@ def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray
                           L: int = 5, M: int | None = None,
                           search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
     """:func:`goodness_of_fit_test` on every row of an (R, T) block of series."""
-    return _goodness_of_fit_coeffs(dft_block(block, demean=True), null_density, L, M,
+    coeffs = dft_block(block, demean=True)
+    T = coeffs.shape[1]
+    _check_shift(T, L, "L", 1)  # L is checked before g is evaluated
+    return _goodness_of_fit_coeffs(coeffs, null_density(grid_frequencies(T)), L, M,
                                    search_set, p)
 
 
-def _goodness_of_fit_coeffs(coeffs: np.ndarray, null_density, L, M, search_set, p) -> BlockReport:
-    """:func:`goodness_of_fit_block` given the block's (R, T) demeaned DFT coefficients."""
+def _goodness_of_fit_coeffs(coeffs: np.ndarray, density, L, M, search_set, p) -> BlockReport:
+    """:func:`goodness_of_fit_block` given the block's (R, T) demeaned DFT
+    coefficients and the null density's values on the size-T grid."""
     T = coeffs.shape[1]
-    # L is checked before g is evaluated; the quotient is a copy of the shared rows
-    weights = _lag_rows(T, L) / _density_values(null_density(grid_frequencies(T)),
-                                                "model density g")
+    # the quotient is a copy of the shared rows
+    weights = _lag_rows(T, L) / _density_values(density, "model density g")
     finite = np.all(np.isfinite(weights), axis=1)
     if not finite.all():
         raise InvalidInputError(f"weight 'lag_exp[{np.argmin(finite) + 1}]/g' "

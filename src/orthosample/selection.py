@@ -65,12 +65,18 @@ def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) ->
     return select_M(grid, phi, (M,), p).criterion_curve[M]
 
 
-def _search_set(search_set, p, T: int | None = None) -> tuple:
-    """The search-set rule: (members, p) as ints once p >= 2, the set is non-empty with
-    every M >= 1 and, given T, the largest M's variance windows end below T/2."""
+def _check_p(p) -> int:
+    """p as an int once p >= 2: the first check of the search-set rule."""
     p = _integer(p, "p")
     if p < 2:
         raise ShiftRangeError("p must be >= 2")
+    return p
+
+
+def _search_set(search_set, p, T: int | None = None) -> tuple:
+    """The search-set rule: (members, p) as ints once p >= 2, the set is non-empty with
+    every M >= 1 and, given T, the largest M's variance windows end below T/2."""
+    p = _check_p(p)
     members = tuple(_integer(M, "M") for M in search_set)
     if not members or min(members) < 1:
         raise ShiftRangeError(f"search set {list(members)} must be non-empty with every M >= 1")
@@ -81,7 +87,11 @@ def _search_set(search_set, p, T: int | None = None) -> tuple:
 
 def _feasible(T: int, search_set, p) -> tuple:
     """(members, p) of :func:`feasible_search_set`; they pass the rule given T."""
-    members, p = _search_set(search_set, p)
+    return _clip(T, *_search_set(search_set, p))
+
+
+def _clip(T: int, members: tuple, p: int) -> tuple:
+    """:func:`_feasible` on members and p that passed the rule."""
     out = tuple(M for M in members if T // p + M < T / 2)
     if not out:
         raise ShiftRangeError(f"no feasible M in {list(members)} for T={T}, p={p}")
@@ -98,8 +108,12 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
              p: int = DEFAULT_P) -> SelectionResult:
     """argmin of the criterion over the search set; ties go to the smallest M.
     The block of one of :func:`select_M_block`."""
+    return _select_M(grid, phi, *_search_set(search_set, p, grid.T))
+
+
+def _select_M(grid: DftGrid, phi: WeightFunction, members: tuple, p: int) -> SelectionResult:
+    """:func:`select_M` on members and p that passed the rule given T."""
     T = grid.T
-    members, p = _search_set(search_set, p, T)
     run = weighted_average_run(grid, phi, T // p + max(members))
     chosen, curves, uniq = _select(run[None], T, members, p)
     curve = dict(zip(uniq, curves[0].tolist()))

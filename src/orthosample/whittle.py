@@ -112,15 +112,18 @@ def whittle_objective(grid: DftGrid, model: SpectralModel, theta) -> float:
 
 @dataclass(frozen=True)
 class WhittleFit:
-    """A Whittle fit; ``iterations`` counts the Newton steps taken."""
+    """A Whittle fit; ``iterations`` counts the Newton steps taken and
+    ``density`` holds the fitted density f(omega_k; theta_hat) on the grid."""
 
     theta_hat: np.ndarray
     objective_at_min: float
     iterations: int
     on_boundary: bool
+    density: np.ndarray
 
     def __post_init__(self):
         self.theta_hat.setflags(write=False)
+        self.density.setflags(write=False)
 
 
 def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
@@ -135,6 +138,13 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     are clipped into the box and halved until the objective does not rise.
     Iteration stops once a step moves phi by less than ``tol`` (Whittle 1953;
     Brockwell & Davis, Time Series: Theory and Methods, section 10.8).
+
+    Every trial builds A from the rows E_m = e^{i m omega_k} formed once per
+    fit, in the order of :func:`ar_transfer`, so no trial evaluates an
+    exponential.  The fitted density f = sigma^2 / (2 pi) / |A(phi_hat)|^2 is
+    formed once at the optimum, with :meth:`SpectralModel.density_on_grid`'s
+    check, and returned as ``density``, bit for bit that method's values;
+    ``objective_at_min`` is the Whittle objective computed from it.
     """
     if not isinstance(model, ARModel):
         raise TypeError(f"whittle_fit fits ar_model models, not {model.name!r}")
@@ -151,7 +161,9 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     scale = None if model.sigma is None else 2 * np.pi / model.sigma**2
 
     def profiled(phi):
-        A = ar_transfer(omega, phi)
+        A = np.ones(omega.shape, dtype=complex)
+        for c, e in zip(phi, E):
+            A = A - c * e
         q = np.mean(pgram * np.abs(A) ** 2)
         h = np.mean(np.log(np.abs(A) ** 2))
         return (np.log(q) if scale is None else scale * q) - h, A, q
@@ -188,9 +200,12 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
             break
 
     theta = np.append(phi, np.sqrt(2 * np.pi * q)) if model.sigma is None else phi
+    sigma = theta[-1] if model.sigma is None else model.sigma
+    f = _density_values(sigma**2 / (2 * np.pi) / np.abs(A) ** 2,
+                        f"{model.name} spectral density", theta)
     on_boundary = bool(np.any(np.minimum(phi - lo, hi - phi) < 10 * tol))
-    return WhittleFit(theta_hat=theta, objective_at_min=whittle_objective(grid, model, theta),
-                      iterations=iterations, on_boundary=on_boundary)
+    return WhittleFit(theta_hat=theta, objective_at_min=float(np.mean(pgram / f + np.log(f))),
+                      iterations=iterations, on_boundary=on_boundary, density=f)
 
 
 def score_weight(model: SpectralModel, theta, coord: int) -> WeightFunction:

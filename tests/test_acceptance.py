@@ -13,7 +13,6 @@ import pytest
 from scipy import stats
 
 from orthosample.equality import equality_test
-from orthosample.experiments import ExperimentConfig, run_experiment
 from orthosample.htests import goodness_of_fit_test, portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
 from orthosample.selection import feasible_search_set, select_M

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from orthosample import cli, htests, spectral
+from orthosample import cli, experiments, htests, models, selection, spectral, whittle
 from orthosample.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -18,8 +18,9 @@ from orthosample.cli import (
     main,
     report_to_dict,
 )
+from orthosample.experiments import parse_search_set
 from orthosample.htests import goodness_of_fit_test
-from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set
+from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
 from orthosample.whittle import ar_model, whittle_fit
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
 
@@ -288,6 +289,56 @@ class TestSelectMVerb:
         assert main(["selectM", str(path)]) == EXIT_DATA
 
 
+class TestSelectMRunsTheRuleOnce:
+    """``orthosample selectM`` runs the search-set rule once: the feasible
+    clip and the selection reuse the members it checked, and every error
+    keeps its text, exit code and precedence (a bad set before a bad p)."""
+
+    @pytest.fixture
+    def rule_runs(self, monkeypatch):
+        runs = []
+        for module in (selection, experiments):
+            def counting(*args, rule=module._search_set):
+                runs.append(args)
+                return rule(*args)
+
+            monkeypatch.setattr(module, "_search_set", counting)
+        return runs
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "10..15"], ["--set", "8,12,8"],
+                                       ["--p", "3", "--set", "20,5"], ["--p", "30"]])
+    def test_once_and_same_json(self, series_csv, capsys, rule_runs, extra):
+        assert main(["selectM", series_csv] + extra) == EXIT_OK
+        assert len(rule_runs) == 1
+        opts = dict(zip(extra[::2], extra[1::2]))
+        p = int(opts.get("--p", DEFAULT_P))
+        members = parse_search_set(opts.get("--set", tuple(DEFAULT_SEARCH_SET)), "--set")
+        (x,) = load_series(series_csv)
+        grid = spectral.dft(x)
+        sel = select_M(grid, spectral.lag_weight(1), feasible_search_set(grid.T, members, p), p)
+        want = {"chosen_M": sel.chosen_M, "p": sel.p,
+                "criterion_curve": {str(m): v for m, v in sorted(sel.criterion_curve.items())}}
+        assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
+
+    @pytest.mark.parametrize("extra, code, err", [
+        (["--p", "0"], EXIT_DATA, "data error: p must be >= 2"),
+        (["--set", "0,3"], EXIT_CONFIG, "config error: bad value for '--set': '0,3'; "
+                                        "search set [0, 3] must be non-empty with every M >= 1"),
+        (["--set", "5..3"], EXIT_CONFIG, "config error: bad value for '--set': '5..3'; "
+                                         "search set [] must be non-empty with every M >= 1"),
+        (["--p", "0", "--set", "0,3"], EXIT_CONFIG,
+         "config error: bad value for '--set': '0,3'; "
+         "search set [0, 3] must be non-empty with every M >= 1"),
+        (["--set", "40..45"], EXIT_DATA,
+         "data error: no feasible M in [40, 41, 42, 43, 44, 45] for T=100, p=4"),
+    ])
+    def test_errors_keep_their_text(self, series_csv, capsys, rule_runs, extra, code, err):
+        assert main(["selectM", series_csv] + extra) == code
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", err + "\n")
+        assert len(rule_runs) == 1
+
+
 class TestRunVerb:
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -444,6 +495,32 @@ class TestGofTransformsOnce:
         want["fitted_theta"] = [float(v) for v in fit.theta_hat]
         want["on_boundary"] = fit.on_boundary
         assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
+
+
+class TestGofUsesTheFittedDensity:
+    """``orthosample test gof_ar1`` takes the fitted density from the fit:
+    no AR transfer or density is evaluated outside it, and no objective."""
+
+    @pytest.mark.parametrize("extra", [[], ["--M", "10", "--L", "3"]])
+    def test_no_transfer_density_or_objective_call(self, tmp_path, capsys, monkeypatch,
+                                                   extra):
+        x = generate(MODEL_REGISTRY["ar_g_0.6"], 512, seed=5).series
+        path = tmp_path / "ar.csv"
+        path.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        calls = []
+        for module, name in [(spectral, "ar_transfer"), (spectral, "ar_spectral_density"),
+                             (whittle, "ar_transfer"), (whittle, "ar_spectral_density"),
+                             (whittle, "whittle_objective"),
+                             (models, "ar_spectral_density"),
+                             (experiments, "ar_spectral_density")]:
+            def counting(*args, name=name, f=getattr(module, name)):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert main(["test", "gof_ar1", str(path)] + extra) == EXIT_OK
+        assert calls == []
+        assert json.loads(capsys.readouterr().out)["method"] == "orthogonal_gof"
 
 
 def test_python_dash_m_runs_the_cli(series_csv, capsys):

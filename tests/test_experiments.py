@@ -1,5 +1,6 @@
 """Config parsing and the Monte Carlo experiment runner."""
 
+import concurrent.futures
 import functools
 import hashlib
 import importlib.util
@@ -247,7 +248,7 @@ class TestRunExperiment:
                 made.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         cfg = tiny_config(T=(64, 100), methods=("orthogonal", "box_pierce"))  # 4 cells
         run_experiment(replace(cfg, workers=1), progress=quiet)
         assert made == []
@@ -324,7 +325,7 @@ class TestRunExperiment:
             return replace(sim, series=series)
 
         monkeypatch.setattr(experiments, "generate_batch", with_constant_rep6)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         monkeypatch.setattr(experiments, "BLOCK_POINTS", 3 * (64 + experiments.BURN_IN))
         cfg = tiny_config(models=("x5", "normal"), nrep=7, workers=2,

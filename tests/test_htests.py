@@ -23,6 +23,7 @@ from orthosample.spectral import (
     ShiftRangeError,
     ar_spectral_density,
     dft,
+    grid_frequencies,
     lag_weight,
     model_reciprocal_weight,
     weighted_average,
@@ -223,6 +224,19 @@ class TestGoodnessOfFit:
         with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as block:
             htests.goodness_of_fit_block(rng.standard_normal((3, T)), density, L=3, M=5)
         assert str(block.value) == str(single.value)
+        # the same check on the density's grid values, as the gof_ar1 verb hands them
+        coeffs = dft(rng.standard_normal(T)).coeffs[None]
+        with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as values:
+            htests._goodness_of_fit_coeffs(coeffs, density(grid_frequencies(T)), 3, 5,
+                                           range(10, 31), 4)
+        assert str(values.value) == str(single.value)
+
+    def test_L_is_checked_before_the_density(self, rng):
+        def density(om):
+            raise AssertionError("density evaluated before the L check")
+
+        with pytest.raises(ShiftRangeError, match="L=40 out of range"):
+            htests.goodness_of_fit_block(rng.standard_normal((2, 64)), density, L=40, M=5)
 
     def test_report_fields(self, rng):
         rep = goodness_of_fit_test(rng.standard_normal(150), flat_density, L=5, M=12)

@@ -7,7 +7,6 @@ from orthosample import selection
 from orthosample.htests import goodness_of_fit_block, portmanteau_block, portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate, generate_batch
 from orthosample.selection import (
-    DEFAULT_P,
     criterion,
     feasible_search_set,
     select_M,

@@ -161,6 +161,42 @@ class TestFit:
         assert fit.objective_at_min <= best + 1e-12
 
 
+class TestFittedDensity:
+    """``WhittleFit.density`` and ``objective_at_min`` are, bit for bit, the
+    model's density on the grid and the Whittle objective at theta_hat."""
+
+    @pytest.mark.parametrize("spec, T", [
+        (MODEL_REGISTRY["ar_g_0.6"], 512), (MODEL_REGISTRY["ar_g_0.6"], 257),
+        (ar([0.5, 0.3]), 512), (ar([0.5, 0.3]), 100), (ar([-0.4]), 1000),
+    ])
+    @pytest.mark.parametrize("model", [ar_model(1), ar_model(2), ar_model(1, sigma=1.3),
+                                       ar_model(2, sigma=0.7)], ids=lambda m: m.name)
+    @pytest.mark.parametrize("demean", [True, False])
+    def test_bits_match_the_model(self, spec, T, model, demean):
+        grid = dft(generate(spec, T, seed=T).series, demean=demean)
+        fit = whittle_fit(grid, model)
+        want = model.density_on_grid(T, fit.theta_hat)
+        assert fit.density.dtype == want.dtype and fit.density.shape == (T,)
+        assert np.array_equal(fit.density.view(np.int64), want.view(np.int64))
+        assert fit.objective_at_min == whittle_objective(grid, model, fit.theta_hat)
+
+    @pytest.mark.parametrize("model", [ar_model(1), ar_model(1, sigma=2.0)],
+                             ids=lambda m: m.name)
+    def test_bits_match_on_the_box_edge(self, model):
+        x = np.cumsum(generate(MODEL_REGISTRY["normal"], 300, seed=4).series)
+        grid = dft(x)
+        fit = whittle_fit(grid, model)
+        assert fit.on_boundary and fit.theta_hat[0] == 0.95
+        want = model.density_on_grid(grid.T, fit.theta_hat)
+        assert np.array_equal(fit.density.view(np.int64), want.view(np.int64))
+        assert fit.objective_at_min == whittle_objective(grid, model, fit.theta_hat)
+
+    def test_density_is_read_only(self):
+        fit = whittle_fit(dft(SCALE_SERIES), ar_model(1))
+        with pytest.raises(ValueError):
+            fit.density[0] = 1.0
+
+
 class TestScoreVariance:
     def test_scalar_and_matrix_dispatch(self, rng):
         x = rng.standard_normal(512)
