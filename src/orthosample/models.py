@@ -7,13 +7,16 @@ seeds)`` returns a time-major (T, R) block whose column j depends only on
 ``default_rng(seeds[j])``, in a fixed order, into its own contiguous row of
 an (R, n) array, read time-major through the transpose; the AR, ARCH and
 bivariate recursions then run once per time step across the whole block,
-with the same floating-point operations for every column.  A seed may be a
-uint32 entropy row: the words of [seed, c, r] give the stream of
-``default_rng([seed, c, r])`` at less set-up cost.  So column j is
-bit-identical whatever the other seeds of the block, and ``generate(spec,
-T, seed)`` is the block of one.  Recursive models
-discard a 1000-sample burn-in; non-causal moving averages are truncated where
-the coefficients drop below 1e-10.
+with the same floating-point operations for every column.  The seeds may
+be an (R, n) uint32 block of entropy rows, such as the words of [seed, c, r]:
+then SeedSequence's hashing runs once across the block, PCG64's seeding step
+runs per row in Python ints, and one Generator is re-stated to each row's
+state, which equals ``default_rng(row)``'s (and so ``default_rng([seed, c,
+r])``'s) bit for bit, at a fraction of the set-up cost.  So column j is
+bit-identical whatever the other seeds of the block, and ``generate(spec, T,
+seed)`` is the block of one.  Recursive models discard a 1000-sample burn-in;
+non-causal moving averages are truncated where the coefficients drop below
+1e-10.
 
 Short, certified burn-in (the bracketing argument of monotone coupling from
 the past; Propp & Wilson 1996).  Each replication still draws all 1000 + T
@@ -43,6 +46,7 @@ The bounds:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -232,10 +236,65 @@ def _chi2_1(rng: np.random.Generator, row: np.ndarray) -> None:
 _DRAWS = {"normal": _normal, "t5": _t5, "chi2_1": _chi2_1}
 
 
-def _draw(rngs, *parts) -> list:
-    """One time-major (n, R) view per (draw, n) part, of an (R, n) array
-    whose row j holds what rngs[j] draws, the parts drawn in the listed order."""
-    out = [np.empty((len(rngs), n)) for _, n in parts]
+# SeedSequence's hash constants and PCG64's LCG multiplier, from numpy's
+# bit_generator and pcg64 sources (fixed by numpy's stream-compatibility policy)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.cache
+def _hash_steps(h: int, mult: int, count: int) -> tuple:
+    """SeedSequence's running hash constant before and after each of its
+    next ``count`` steps from h, as two (count, 1) uint32 columns."""
+    hs = np.array([h * pow(mult, k, 2**32) % 2**32 for k in range(count + 1)], np.uint32)
+    return hs[:-1, None], hs[1:, None]
+
+
+def _hashmix(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    v = (v ^ a) * b
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+def _entropy_streams(rows: np.ndarray):
+    """For each row of an (R, n) uint32 block of entropy rows in turn, one
+    Generator re-stated to ``default_rng(row)``'s PCG64 state.  SeedSequence's
+    pool mixing and ``generate_state(4, uint64)`` run once on the (R,) word
+    columns, the hashes of one source word into the four pool words as one
+    (4, R) step; PCG64's srandom (two 128-bit LCG steps) runs in Python ints."""
+    words = rows.T
+    a, b = _hash_steps(_INIT_A, _MULT_A, 16 + 4 * max(len(words) - 4, 0))
+    pool = np.zeros((4, len(rows)), np.uint32)
+    pool[:len(words)] = words[:4]
+    pool, c = _hashmix(pool, a[:4], b[:4]), 4
+    for i in range(4):  # mix every pool word into each of the others
+        k = [j for j in range(4) if j != i]
+        pool[k] = _mix(pool[k], _hashmix(pool[i], a[c:c + 3], b[c:c + 3]))
+        c += 3
+    for word in words[4:]:  # words past the pool go into every pool word
+        pool = _mix(pool, _hashmix(word, a[c:c + 4], b[c:c + 4]))
+        c += 4
+    w = _hashmix(np.tile(pool, (2, 1)), *_hash_steps(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    rng = np.random.Generator(np.random.PCG64(0))  # its seed is overwritten
+    bitgen = rng.bit_generator
+    for s0, s1, i0, i1 in zip(*(w[0::2] | w[1::2] << 32).tolist()):
+        inc = (i0 << 65 | i1 << 1 | 1) % 2**128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) % 2**128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _draw(seeds, *parts) -> list:
+    """One time-major (n, R) view per (draw, n) part, of an (R, n) array whose
+    row j holds what seeds[j]'s generator draws, the parts in listed order."""
+    out = [np.empty((len(seeds), n)) for _, n in parts]
+    rows = isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 and seeds.ndim == 2
+    rngs = _entropy_streams(seeds) if rows else map(np.random.default_rng, seeds)
     for j, rng in enumerate(rngs):
         for arr, (draw, _) in zip(out, parts):
             draw(rng, arr[j])
@@ -388,33 +447,34 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
     replication draws its innovations from ``default_rng(seeds[j])`` in the
     same order as a single draw, into a row per replication, and the
     recursions give every column the full loop's output (see the module
-    docstring).  ``seeds`` may be uint32 entropy rows, one per replication.
+    docstring).  ``seeds`` may be an (R, n) uint32 block of entropy rows,
+    whose generator states are built for the whole block at once and equal
+    ``default_rng(row)``'s.
     """
     if T < 2:
         raise ValueError("T must be >= 2")
-    rngs = [np.random.default_rng(s) for s in seeds]
     tag, p = spec.tag, spec.params
     n = T + BURN_IN
     burn, trunc = 0, 0
 
     if tag == "iid_normal":
-        (x,) = _draw(rngs, (_normal, T))
+        (x,) = _draw(seeds, (_normal, T))
     elif tag == "iid_t5":
-        (x,) = _draw(rngs, (_t5, T))
+        (x,) = _draw(seeds, (_t5, T))
     elif tag == "two_dependent":
-        (z,) = _draw(rngs, (_normal, T + 1))
+        (z,) = _draw(seeds, (_normal, T + 1))
         x = z[1:] * z[:-1]
     elif tag == "lobato_nonmartingale":
-        (z,) = _draw(rngs, (_normal, T + 2))
+        (z,) = _draw(seeds, (_normal, T + 2))
         zt, zm1, zm2 = z[2:], z[1:-1], z[:-2]
         x = zm1 * zm2 * (zm1 + zt + 1.0)
     elif tag == "arch1":
-        (z,) = _draw(rngs, (_normal, n))
+        (z,) = _draw(seeds, (_normal, n))
         x = _arch(z, p["alpha"])
         burn = BURN_IN
     elif tag == "arch_times_noncausal":
         J = _truncation_length(p["a"])
-        z, eps = _draw(rngs, (_normal, n), (_normal, T + J + 1))
+        z, eps = _draw(seeds, (_normal, n), (_normal, T + J + 1))
         v = _noncausal_filter(eps, p["a"], T, J)
         x = np.abs(_arch(z, p["alpha"])) * v
         burn, trunc = BURN_IN, J
@@ -423,31 +483,31 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         J1, J2 = _truncation_length(b1), _truncation_length(b2)
         # inner filter needs J2 extra history plus one future value
         n1 = T + J1 + 1
-        (z,) = _draw(rngs, (_normal, n1 + J2 + 1 + BURN_IN))
+        (z,) = _draw(seeds, (_normal, n1 + J2 + 1 + BURN_IN))
         u2 = _arch(z, p["arch_alpha"])
         u1 = _noncausal_filter(u2, b2, n1, J2)
         x = _noncausal_filter(u1, b1, T, J1)
         burn, trunc = BURN_IN, max(J1, J2)
     elif tag == "periodic_scaled":
-        (z,) = _draw(rngs, (_normal, T + 1))
+        (z,) = _draw(seeds, (_normal, T + 1))
         base = z[1:] * z[:-1]
         scale = np.resize(np.asarray(PERIODIC_SCALE, dtype=float), T)
         x = scale[:, None] * base
     elif tag == "noncausal_linear":
         trunc = _truncation_length(p["a"])
         if p["innovation"] == "arch":
-            (z,) = _draw(rngs, (_normal, T + trunc + 1 + BURN_IN))
+            (z,) = _draw(seeds, (_normal, T + trunc + 1 + BURN_IN))
             eps = _arch(z, p["arch_alpha"])
             burn = BURN_IN
         else:
-            (eps,) = _draw(rngs, (_DRAWS[p["innovation"]], T + trunc + 1))
+            (eps,) = _draw(seeds, (_DRAWS[p["innovation"]], T + trunc + 1))
         x = _noncausal_filter(eps, p["a"], T, trunc)
     elif tag == "ar":
-        (e,) = _draw(rngs, (_DRAWS[p["innovation"]], n))
+        (e,) = _draw(seeds, (_DRAWS[p["innovation"]], n))
         x = _ar(e, p["coeffs"])
         burn = BURN_IN
     elif tag == "ar_times_arch":
-        e, z = _draw(rngs, (_normal, n), (_normal, n))
+        e, z = _draw(seeds, (_normal, n), (_normal, n))
         x = _ar(e, p["coeffs"]) * np.abs(_arch(z, p["alpha"]))
         burn = BURN_IN
     else:
@@ -481,7 +541,7 @@ def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
     drawn from seeds[j]."""
     _check_bivariate(delta, rho)
     n = T + BURN_IN
-    e, w = _draw([np.random.default_rng(s) for s in seeds], (_normal, n), (_normal, n))
+    e, w = _draw(seeds, (_normal, n), (_normal, n))
     # eta = rho e + sqrt(1 - rho^2) w, built in w's storage
     w *= math.sqrt(max(0.0, 1.0 - rho * rho))
     w += rho * e

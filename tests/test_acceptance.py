@@ -43,6 +43,17 @@ def ar1_density(phi, sigma=1.0):
     return g
 
 
+def mc(rate, nrep, target=None):
+    """The Monte Carlo error of a rate in percent over nrep replications, as
+    printed text: its binomial SE, taken at the target when there is one,
+    and the rate's distance from the target in those SEs."""
+    p = (rate if target is None else target) / 100.0
+    se = 100.0 * np.sqrt(p * (1.0 - p) / nrep)
+    if target is None:
+        return f"SE {se:.2f}"
+    return f"SE {se:.2f}, z {(rate - target) / se:+.2f}"
+
+
 def rejection_rate(model, T, nrep, seed, test, alpha=0.05):
     hits = 0
     for r in range(nrep):
@@ -128,15 +139,15 @@ class TestCriterion3:
         for model, target, seed in (("normal", 6.52, 31), ("x3", 5.02, 32),
                                     ("x5", 4.26, 33), ("x7", 5.1, 34)):
             rate = rejection_rate(model, T, nrep, seed, port)
-            checks.append((f"{model} {rate:.2f} (target {target})",
+            checks.append((f"{model} {rate:.2f} (target {target}, {mc(rate, nrep, target)})",
                            abs(rate - target) <= 2.0))
         from orthosample.htests import box_pierce, robust_portmanteau
 
         bp = rejection_rate("x5", T, nrep, 35, lambda x: box_pierce(x, L=5))
-        checks.append((f"box-pierce x5 {bp:.2f} (>= 18)", bp >= 18.0))
+        checks.append((f"box-pierce x5 {bp:.2f} (>= 18, {mc(bp, nrep, 18.0)})", bp >= 18.0))
         rb = rejection_rate("normal", T, nrep, 36,
                             lambda x: robust_portmanteau(x, L=5))
-        checks.append((f"robust normal {rb:.2f} (target 5.42)",
+        checks.append((f"robust normal {rb:.2f} (target 5.42, {mc(rb, nrep, 5.42)})",
                        abs(rb - 5.42) <= 2.0))
         ok = all(c for _, c in checks)
         criterion_report(3, ok, "; ".join(msg for msg, _ in checks))
@@ -156,8 +167,9 @@ class TestCriterion4:
         ok = (abs(normal - 5.9) <= 2.5 and abs(x5 - 3.76) <= 2.5 and bp >= 40.0)
         criterion_report(
             4, ok,
-            f"T=500 levels: normal {normal:.2f} (5.9±2.5), x5 {x5:.2f} "
-            f"(3.76±2.5), box-pierce x5 {bp:.2f} (>= 40)",
+            f"T=500 levels: normal {normal:.2f} (5.9±2.5, {mc(normal, nrep, 5.9)}), "
+            f"x5 {x5:.2f} (3.76±2.5, {mc(x5, nrep, 3.76)}), "
+            f"box-pierce x5 {bp:.2f} (>= 40, {mc(bp, nrep, 40.0)})",
         )
         assert ok
 
@@ -172,8 +184,9 @@ class TestCriterion5:
         ok = rates[100] < rates[200] < rates[500] and rates[500] >= 90.0
         criterion_report(
             5, ok,
-            f"power on the AR(1) alternative: {rates[100]:.1f} < {rates[200]:.1f} "
-            f"< {rates[500]:.1f} with T=500 >= 90",
+            f"power on the AR(1) alternative: {rates[100]:.1f} ({mc(rates[100], nrep)}) "
+            f"< {rates[200]:.1f} ({mc(rates[200], nrep)}) < {rates[500]:.1f} with "
+            f"T=500 >= 90 ({mc(rates[500], nrep, 90.0)})",
         )
         assert ok
 
@@ -193,8 +206,9 @@ class TestCriterion6:
               and power >= 99.0)
         criterion_report(
             6, ok,
-            f"goodness of fit: null T=100 {null100:.2f} (2.32±2), "
-            f"T=500 {null500:.2f} (5.24±2), power vs phi=0.3 {power:.1f} (>= 99)",
+            f"goodness of fit: null T=100 {null100:.2f} (2.32±2, {mc(null100, nrep, 2.32)}), "
+            f"T=500 {null500:.2f} (5.24±2, {mc(null500, nrep, 5.24)}), "
+            f"power vs phi=0.3 {power:.1f} (>= 99, {mc(power, nrep, 99.0)})",
         )
         assert ok
 
@@ -228,8 +242,9 @@ class TestCriterion7:
         ok = abs(level - 3.8) <= 2.5 and power >= 97.0 and beta_mean > 0.25
         criterion_report(
             7, ok,
-            f"equality test: null level {level:.2f} (3.8±2.5), "
-            f"power {power:.1f} (>= 97), mean beta-hat {beta_mean:.3f} (> 0.25)",
+            f"equality test: null level {level:.2f} (3.8±2.5, {mc(level, nrep, 3.8)}), "
+            f"power {power:.1f} (>= 97, {mc(power, nrep, 97.0)}), "
+            f"mean beta-hat {beta_mean:.3f} (> 0.25)",
         )
         assert ok
 
@@ -252,7 +267,7 @@ class TestCriterion8:
         criterion_report(
             8, ok,
             f"selected M in [5, 20] on {100 * frac:.1f}% of {nrep} "
-            f"peaked-AR(2) replications (need >= 90%)",
+            f"peaked-AR(2) replications (need >= 90%, {mc(100 * frac, nrep, 90.0)})",
         )
         assert ok
 

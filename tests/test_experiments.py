@@ -349,7 +349,8 @@ class TestRunExperiment:
         assert len(sizes) == 3 and max(map(len, sizes)) - min(map(len, sizes)) <= 1
         assert sorted(r for reps in sizes for r in reps) == list(range(7))
 
-    @pytest.mark.parametrize("seed", [0, 101, 2**32 - 1, 2**32, 2**40 + 5])
+    @pytest.mark.parametrize("seed", [0, 101, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
+                                      2**96 + 1])
     def test_entropy_rows_give_the_list_seed_streams(self, seed):
         rows = experiments._entropy_rows(seed, 3, range(5, 9))
         assert rows.dtype == np.uint32
@@ -358,9 +359,12 @@ class TestRunExperiment:
             assert np.random.default_rng(row).bit_generator.state == want
 
     @pytest.mark.parametrize("experiment", ["table_uncorrelated_null", "table_equality"])
-    def test_large_seed_draws_the_list_seed_rows(self, experiment):
-        # 2^40 + 5 takes two words; a plain uint32 cast would wrap it to 5
-        seed, reps = 2**40 + 5, range(2, 6)
+    @pytest.mark.parametrize("seed", [2**40 + 5, 2**64 + 7])
+    def test_large_seed_draws_the_list_seed_rows(self, experiment, seed):
+        # 2^40 + 5 takes two words, and a plain uint32 cast would wrap it to
+        # 5; 2^64 + 7 takes three, so its rows of five words pass SeedSequence's
+        # four-word pool
+        reps = range(2, 6)
         seeds = [[seed, 4, r] for r in reps]
         if experiment == "table_equality":
             cfg = ExperimentConfig(experiment=experiment, T=(128,), nrep=6, rho=0.5,

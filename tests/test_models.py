@@ -12,7 +12,9 @@ from orthosample.models import (
     arch1,
     arch_times_noncausal,
     generate,
+    generate_batch,
     generate_bivariate,
+    generate_bivariate_batch,
     iid_normal,
     model_spectral_density,
     noncausal_linear,
@@ -20,6 +22,7 @@ from orthosample.models import (
     pseudo_linear,
     two_dependent,
     PERIODIC_SCALE,
+    _entropy_streams,
 )
 
 
@@ -215,3 +218,59 @@ class TestSpectralDensity:
     def test_non_ar_rejected(self):
         with pytest.raises(ValueError):
             model_spectral_density(iid_normal(), 1.0)
+
+
+def word_rows(R, words=(7, 2**32 - 1, 3)):
+    """R uint32 entropy rows [*words, r] and the same seeds as lists, whose
+    elements are single words, so both give the same SeedSequence entropy."""
+    lists = [[*words, r] for r in range(R)]
+    return np.array(lists, dtype=np.uint32), lists
+
+
+def blocks(tag, seeds):
+    """The T = 64 output blocks of a registry model, or of the bivariate pair
+    for "pair"."""
+    if tag == "pair":
+        return generate_bivariate_batch(0.1, 0.5, 64, seeds)
+    return [generate_batch(MODEL_REGISTRY[tag], 64, seeds)]
+
+
+class TestEntropyRows:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_states_equal_default_rng(self, n):
+        rows = np.random.default_rng(n).integers(0, 2**32, size=(40, n), dtype=np.uint32)
+        rows[0], rows[1], rows[2, ::2] = 0, 0xFFFFFFFF, 0
+        for row, rng in zip(rows, _entropy_streams(rows), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(row).bit_generator.state
+
+    def test_each_row_restarts_a_used_generator(self):
+        # a uint32 draw leaves half a 64-bit word buffered (has_uint32 = 1);
+        # the next row's state must not keep it
+        rows, _ = word_rows(4)
+        for row, rng in zip(rows, _entropy_streams(rows), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(row).bit_generator.state
+            rng.integers(0, 10, size=3, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("R", [1, 2, 7])
+    @pytest.mark.parametrize("tag", [*sorted(MODEL_REGISTRY), "pair"])
+    def test_row_columns_equal_list_seed_columns(self, tag, R):
+        rows, lists = word_rows(R)
+        for got, want in zip(blocks(tag, rows), blocks(tag, lists), strict=True):
+            assert got.series.tobytes() == want.series.tobytes()
+
+    @pytest.mark.parametrize("tag", ["t5", "x5", "x7", "ar_chi_0.9", "pivot_iii", "pair"])
+    def test_reversed_rows_reverse_the_columns(self, tag):
+        rows, _ = word_rows(7, words=(2**31, 11))
+        for fwd, back in zip(blocks(tag, rows), blocks(tag, rows[::-1]), strict=True):
+            assert back.series.tobytes() == fwd.series[:, ::-1].tobytes()
+
+    @pytest.mark.parametrize("tag", [*sorted(MODEL_REGISTRY), "pair"])
+    def test_empty_block_behaves_as_no_seeds(self, tag):
+        def outcome(seeds):
+            try:
+                return [out.series.shape for out in blocks(tag, seeds)]
+            except ValueError as e:
+                return str(e)
+
+        assert outcome(np.empty((0, 3), np.uint32)) == outcome([])
