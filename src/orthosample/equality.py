@@ -180,6 +180,22 @@ def _check_beta(beta) -> None:
         raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
 
 
+def _shift_products(J: np.ndarray, rows: slice, rs: slice, swap: bool = False) -> np.ndarray:
+    """J_k conj(J_{k+r}) for the shifts r in ``rs`` of the series in ``rows``,
+    formed in the buffer of the conj, one block of :func:`_shift_chunks`.
+
+    The explicit buffer keeps the bits from depending on the block's shape.
+    ``swap`` multiplies as conj(J_{k+r}) J_k, which rounds differently in the
+    last bits: it is what `J_k * conj(J_{k+r})` gave Y's products in one-row
+    blocks from T = 2^14 (256 KiB) on, through numpy's temporary elision, and
+    it is kept so those results keep their bits.
+    """
+    p = np.conj(J[rows, rs])
+    if swap:
+        return np.multiply(p, J[rows, :1], out=p)
+    return np.multiply(J[rows, :1], p, out=p)
+
+
 def equality_block(X, Y, b: float | None = None, M: int | None = None,
                    beta: float | str = "estimate") -> BlockReport:
     """:func:`equality_test` on every pair of rows (X[i], Y[i]) of two (R, T)
@@ -204,11 +220,8 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     J = sliding_window_view(ext, T, axis=-1)
     stat, sums = np.empty(R), np.empty((2, R, M + 1))
     for rows, rs in _shift_chunks(R, M + 1, T):
-        # the first product goes to a fresh C-ordered array: `*` may form it in
-        # place in the conj temporary, which moves the last bits at T = 2^14
-        jx = J[0, rows, rs]
-        u = np.multiply(J[0, rows, :1], np.conj(jx), out=np.empty(jx.shape, complex))
-        u -= J[1, rows, :1] * np.conj(J[1, rows, rs])
+        u = _shift_products(J[0], rows, rs)
+        u -= _shift_products(J[1], rows, rs, swap=T >= 2**14)
         diff = _circular_convolve(u, fw)
         if rs.start == 0:
             stat[rows] = _half_range(diff[:, 0], T)

@@ -376,7 +376,7 @@ def _arch(z: np.ndarray, alpha: float) -> np.ndarray:
     """ARCH(1) on the innovations z, x_t = sigma_t z_t: the rows after the
     burn-in of the full loop, certified from a short run for R >= 2."""
     R = z.shape[1]
-    if R == 1:
+    if R < 2:
         return _arch_full(z, alpha)
     s = BURN_IN - ARCH_K
     var = np.concatenate([np.ones(R), _arch_var_bound(z, alpha, s)])

@@ -48,8 +48,11 @@ __all__ = [
 
 DEFAULT_ORACLE_BOUND = 256
 # Complex points in a block of length-T rows transformed together (shift
-# tables, equality-test shifts): 256 KB, so at long T a block is one row and
-# needs no more memory than the single transforms it replaces.
+# tables, equality-test shifts): 256 KB for the rows of several series, four
+# times that for the rows of one.  At T = 2^14 a one-row FFT call costs about
+# 1.5 times as much per row as a call of 2-8 rows, so there a block is four
+# rows of one series; a row longer than four times the limit is its own block
+# and needs no more memory than the single transform it replaces.
 SHIFT_BLOCK_POINTS = 2**14
 # A grid constant (an array that depends on T and the tuning, not on the
 # data) is kept per process only up to this size, 2^17 complex points.
@@ -319,7 +322,8 @@ def shift_runs(coeffs: np.ndarray, weights: np.ndarray, max_r: int) -> np.ndarra
     phi_j(omega_k) on the grid, as an (R, L, max_r + 1) array.
 
     The coefficients are transformed once; the weighted rows phi_j J^(i) are
-    transformed as many at a time as ``SHIFT_BLOCK_POINTS`` holds.
+    transformed a block of :func:`_shift_chunks` at a time: at long T, several
+    rows of one series per FFT call.
     """
     R, T = coeffs.shape
     L = weights.shape[0]
@@ -343,11 +347,12 @@ def _circular_convolve(u: np.ndarray, fu: np.ndarray) -> np.ndarray:
 
 
 def _shift_chunks(R: int, L: int, T: int):
-    """(rows, inner) slices covering an (R, L) grid of length-T rows, at most
-    ``SHIFT_BLOCK_POINTS`` points each: whole rows at a time, else inner
-    elements of one row (one element when T alone exceeds the limit)."""
+    """(rows, inner) slices covering an (R, L) grid of length-T rows: whole
+    rows of several series up to ``SHIFT_BLOCK_POINTS`` points, else inner
+    elements of one series' row up to four times that (one element when T
+    alone exceeds it)."""
     reps = max(1, SHIFT_BLOCK_POINTS // (L * T))
-    inner = min(L, max(1, SHIFT_BLOCK_POINTS // T))
+    inner = min(L, max(1, 4 * SHIFT_BLOCK_POINTS // T))
     for i in range(0, R, reps):
         for j in range(0, L, inner):
             yield slice(i, i + reps), slice(j, j + inner)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orthosample import experiments, models
+from orthosample import experiments, models, spectral
 from orthosample.equality import (
     KernelSpec,
     beta_hat,
@@ -435,15 +435,57 @@ def _roll_reference(x, y):
 
 class TestShiftChunks:
     @pytest.mark.parametrize("R, L, T", [(1, 1, 64), (43, 7, 128), (5, 13, 1024),
-                                         (3, 19, 2**12), (2, 4, 2**14), (3, 2, 2**15)])
+                                         (3, 19, 2**12), (2, 4, 2**14), (3, 2, 2**15),
+                                         (1, 28, 2**14), (1, 46, 2**20)])
     def test_chunks_cover_each_cell_once_within_the_limit(self, R, L, T):
         hits = np.zeros((R, L), dtype=int)
         for rows, inner in _shift_chunks(R, L, T):
             cells = hits[rows, inner]
             cells += 1
-            if cells.size * T > SHIFT_BLOCK_POINTS:
-                assert cells.shape == (1, 1) and T > SHIFT_BLOCK_POINTS
+            # rows of several series share 2^14 points, one series' rows 2^16
+            limit = SHIFT_BLOCK_POINTS * (1 if cells.shape[0] > 1 else 4)
+            if cells.size * T > limit:
+                assert cells.shape == (1, 1) and T > limit
         np.testing.assert_array_equal(hits, 1)
+
+    @pytest.mark.parametrize("R, L, T, shape", [(43, 7, 128, (18, 7)), (3, 19, 2**10, (1, 19)),
+                                                (3, 19, 2**12, (1, 16)), (1, 28, 2**14, (1, 4)),
+                                                (3, 2, 2**15, (1, 2)), (1, 46, 2**20, (1, 1))])
+    def test_first_block_shape(self, R, L, T, shape):
+        rows, inner = next(_shift_chunks(R, L, T))
+        assert (len(range(R)[rows]), len(range(L)[inner])) == shape
+
+
+class TestShiftBlockSize:
+    """The shift-table twin of ``TestBlocking``: one row per FFT call gives
+    the bits of the blocked calls."""
+
+    @pytest.mark.parametrize("T", [1024, 2**13, 2**14])
+    @pytest.mark.parametrize("test", ["equality", "portmanteau", "gof"])
+    def test_results_do_not_depend_on_block_size(self, test, T, monkeypatch):
+        if test == "equality":
+            X, Y = (np.array(out.series.T) for out in generate_bivariate_batch(
+                0.1, 0.5, T, [[23, T, r] for r in range(3)]))
+            run = lambda: equality_block(X, Y)
+        elif test == "portmanteau":
+            block = _series_block(T, 3)
+            run = lambda: portmanteau_block(block, L=5)
+        else:
+            block = _series_block(T, 3, "ar_g_0.6")
+            run = lambda: goodness_of_fit_block(block, _ar06_density, L=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+            whole = run()
+            monkeypatch.setattr(spectral, "SHIFT_BLOCK_POINTS", 1)  # blocks of one row
+            single = run()
+
+        def bits(report):
+            fields = [report.statistics, report.p_values, report.M, report.draws,
+                      *report.tuning.values()]
+            return list(report.tuning), [None if f is None else np.asarray(f).tobytes()
+                                         for f in fields]
+
+        assert bits(single) == bits(whole)
 
 
 class TestBlocking:

@@ -177,6 +177,20 @@ class TestEqualityTest:
         assert r1.statistic == pytest.approx(r2.statistic, rel=1e-12)
         assert r1.p_value == pytest.approx(r2.p_value, rel=1e-9)
 
+    @pytest.mark.parametrize("T", [128, 1024, 2**13])
+    def test_swapping_the_series_keeps_every_bit(self, T):
+        # the difference of the two sides' products changes sign exactly, and
+        # the statistic and draws are sums of squares; from T = 2^14 the two
+        # sides' products are formed with their operands in different orders
+        # (see ``equality._shift_products``), so only T < 2^14 is pinned
+        for k in range(4):
+            xo, yo = generate_bivariate(0.05 * (k - 1), 0.3 * (k % 2), T, seed=[5, T, k])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+                r1 = equality_test(xo.series, yo.series)
+                r2 = equality_test(yo.series, xo.series)
+            assert (r1.statistic, r1.p_value, r1.tuning) == (r2.statistic, r2.p_value, r2.tuning)
+
     def test_scale_equivariance_beta_one(self):
         xo, yo = generate_bivariate(0.0, 0.0, 256, seed=11)
         c = 2.0
