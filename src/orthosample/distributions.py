@@ -22,7 +22,6 @@ __all__ = [
     "chi_square",
     "f_dist",
     "hotelling_t2",
-    "reg_inc_gamma",
     "reg_inc_beta",
 ]
 
@@ -65,19 +64,6 @@ def _gamma_cf(a: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             break
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def reg_inc_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -377,11 +377,9 @@ def _block_values(job: tuple) -> list:
     cfg, first, (model, T), methods, reps = job
     seeds = _entropy_rows(cfg.seed, first, reps)
     if METHODS[methods[0]].paired:
-        block = [np.ascontiguousarray(out.series.T) for out in
-                 generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds)]
+        block = [out.series for out in generate_bivariate_batch(cfg.delta, cfg.rho, T, seeds)]
     else:
-        block = np.ascontiguousarray(
-            generate_batch(MODEL_REGISTRY[model], T, seeds).series.T)
+        block = generate_batch(MODEL_REGISTRY[model], T, seeds).series
     entries = []
     for method in methods:
         try:

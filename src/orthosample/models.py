@@ -2,17 +2,18 @@
 simulation studies.
 
 The generators work on blocks of replications: ``generate_batch(spec, T,
-seeds)`` returns a time-major (T, R) block whose column j depends only on
-(spec, T, seeds[j]).  Each replication draws its innovations from its own
+seeds)`` returns an (R, T) block, one row per seed, whose row j depends only
+on (spec, T, seeds[j]).  Each replication draws its innovations from its own
 ``default_rng(seeds[j])``, in a fixed order, into its own contiguous row of
 an (R, n) array, read time-major through the transpose; the AR, ARCH and
-bivariate recursions then run once per time step across the whole block,
-with the same floating-point operations for every column.  The seeds may
+bivariate recursions then run time-major, once per time step across the
+whole block, with the same floating-point operations for every replication,
+and the generator transposes the result back to rows once.  The seeds may
 be an (R, n) uint32 block of entropy rows, such as the words of [seed, c, r]:
 then SeedSequence's hashing runs once across the block, PCG64's seeding step
 runs per row in Python ints, and one Generator is re-stated to each row's
 state, which equals ``default_rng(row)``'s (and so ``default_rng([seed, c,
-r])``'s) bit for bit, at a fraction of the set-up cost.  So column j is
+r])``'s) bit for bit, at a fraction of the set-up cost.  So row j is
 bit-identical whatever the other seeds of the block, and ``generate(spec, T,
 seed)`` is the block of one.  Recursive models discard a 1000-sample burn-in;
 non-causal moving averages are truncated where the coefficients drop below
@@ -28,9 +29,10 @@ IEEE rounding (for AR coefficients of alternating sign, after the exact sign
 flip y_t = (-1)^t x_t), so at every step the full loop's value lies between
 the two runs.  Where the two outputs agree bit for bit, and are not zero
 (whose sign the values do not pin), they are the full loop's output.  Every
-other column is recomputed by the full 1000-step loop, which is also what a
-block of one runs (on Python floats) and what an AR with coefficients of
-mixed sign runs.  So every column is bit-identical to the full recursion.
+other replication is recomputed by the full 1000-step loop, which is also
+what a block of one runs (on Python floats) and what an AR with coefficients
+of mixed sign runs.  So every replication is bit-identical to the full
+recursion.
 The bounds:
 
 - ARCH(1): sigma_t^2 >= 1, and sigma_s^2 <= 2 v_s, where v_{t+1} = 1 + alpha
@@ -52,8 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import ar_spectral_density
-
 __all__ = [
     "ModelSpec",
     "SimOutput",
@@ -61,7 +61,6 @@ __all__ = [
     "generate_batch",
     "generate_bivariate",
     "generate_bivariate_batch",
-    "model_spectral_density",
     "MODEL_REGISTRY",
     "iid_normal",
     "iid_t5",
@@ -116,8 +115,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SimOutput:
-    """A length-T series and its seed, or from the batch generators a
-    time-major (T, R) block and its list of R seeds."""
+    """A length-T series and its seed, or from the batch generators an
+    (R, T) block, one row per seed, and its list of R seeds."""
 
     series: np.ndarray
     seed: object
@@ -337,7 +336,7 @@ def _bracketed(z: np.ndarray, s: int, state: np.ndarray, run, full) -> np.ndarra
     miss = np.any((lo.view(np.int64) != hi.view(np.int64)) | (lo == 0.0), axis=0)
     if miss.any():
         lo[:, miss] = full(z[:, miss])
-    return np.ascontiguousarray(lo)
+    return lo
 
 
 def _arch_steps(x, alpha: float, var, sqrt) -> None:
@@ -441,12 +440,12 @@ def _noncausal_filter(eps: np.ndarray, a: float, T: int, J: int) -> np.ndarray:
 
 
 def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
-    """Draw one length-T realisation per seed as the columns of a (T, R) block.
+    """Draw one length-T realisation per seed as the rows of an (R, T) block.
 
-    Column j is bit-identical to ``generate(spec, T, seeds[j]).series``: each
+    Row j is bit-identical to ``generate(spec, T, seeds[j]).series``: each
     replication draws its innovations from ``default_rng(seeds[j])`` in the
     same order as a single draw, into a row per replication, and the
-    recursions give every column the full loop's output (see the module
+    recursions give every replication the full loop's output (see the module
     docstring).  ``seeds`` may be an (R, n) uint32 block of entropy rows,
     whose generator states are built for the whole block at once and equal
     ``default_rng(row)``'s.
@@ -513,14 +512,14 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
     else:
         raise ValueError(f"unknown model tag {tag!r}")
 
-    return SimOutput(series=np.ascontiguousarray(x, dtype=float), seed=list(seeds),
+    return SimOutput(series=np.ascontiguousarray(x.T, dtype=float), seed=list(seeds),
                      burn_in_used=burn, truncation_used=trunc)
 
 
 def generate(spec: ModelSpec, T: int, seed) -> SimOutput:
     """Draw a length-T realisation of the model; deterministic in (spec, T, seed)."""
     block = generate_batch(spec, T, [seed])
-    return SimOutput(series=block.series[:, 0], seed=seed,
+    return SimOutput(series=block.series[0], seed=seed,
                      burn_in_used=block.burn_in_used,
                      truncation_used=block.truncation_used)
 
@@ -537,8 +536,8 @@ def _check_bivariate(delta: float, rho: float) -> None:
 def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
                              ) -> tuple[SimOutput, SimOutput]:
     """The X and Y paths of ``generate_bivariate`` for every seed, as the
-    columns of two (T, R) blocks; column j is bit-identical to the pair
-    drawn from seeds[j]."""
+    rows of two (R, T) blocks; row j is bit-identical to the pair drawn from
+    seeds[j]."""
     _check_bivariate(delta, rho)
     n = T + BURN_IN
     e, w = _draw(seeds, (_normal, n), (_normal, n))
@@ -547,7 +546,8 @@ def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
     w += rho * e
     x = _ar(e, (0.8,))
     y = _ar(w, (0.8, delta))
-    return tuple(SimOutput(series=s, seed=list(seeds), burn_in_used=BURN_IN)
+    return tuple(SimOutput(series=np.ascontiguousarray(s.T, dtype=float), seed=list(seeds),
+                           burn_in_used=BURN_IN)
                  for s in (x, y))
 
 
@@ -556,16 +556,6 @@ def generate_bivariate(delta: float, rho: float, T: int, seed
     """X_t = 0.8 X_{t-1} + e_t and Y_t = 0.8 Y_{t-1} + delta Y_{t-2} + n_t,
     with jointly Gaussian unit-variance innovation pairs, corr(e, n) = rho.
     """
-    return tuple(SimOutput(series=s.series[:, 0], seed=seed, burn_in_used=BURN_IN)
+    return tuple(SimOutput(series=s.series[0], seed=seed, burn_in_used=BURN_IN)
                  for s in generate_bivariate_batch(delta, rho, T, [seed]))
 
-
-def model_spectral_density(spec: ModelSpec, omega) -> np.ndarray:
-    """Closed-form AR spectral density sigma^2/(2 pi) |1 - sum phi_m e^{im w}|^{-2}.
-
-    Only AR-tagged specs have one; chi-square(1) innovations carry variance 2.
-    """
-    if spec.tag != "ar":
-        raise ValueError(f"no closed-form spectral density for tag {spec.tag!r}")
-    sigma = math.sqrt(2.0) if spec.params["innovation"] == "chi2_1" else 1.0
-    return ar_spectral_density(omega, spec.params["coeffs"], sigma)

@@ -4,7 +4,8 @@ criterion.
 Block contract: :func:`select_M_block` chooses M for every row of an (R, n)
 block of shift runs from one cumsum; :func:`select_M` is its block of one and
 returns, for each series, the M and the criterion curve the block gives its
-row.
+row.  Every search set is clipped to its feasible members
+(:func:`feasible_search_set`); only a set with none raises.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import (DftGrid, ShiftRangeError, WeightFunction, _check_shift, _integer,
-                       weighted_average_run)
+from .spectral import DftGrid, ShiftRangeError, WeightFunction, _integer, weighted_average_run
 from .variance import DegenerateVarianceError
 
 __all__ = ["SelectionResult", "criterion", "select_M", "select_M_block", "feasible_search_set",
@@ -61,7 +61,7 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
 
 def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) -> float:
     """C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2:
-    :func:`select_M`'s curve at the one M."""
+    :func:`select_M`'s curve at the one M, which must be feasible."""
     return select_M(grid, phi, (M,), p).criterion_curve[M]
 
 
@@ -73,15 +73,13 @@ def _check_p(p) -> int:
     return p
 
 
-def _search_set(search_set, p, T: int | None = None) -> tuple:
-    """The search-set rule: (members, p) as ints once p >= 2, the set is non-empty with
-    every M >= 1 and, given T, the largest M's variance windows end below T/2."""
+def _search_set(search_set, p) -> tuple:
+    """The search-set rule: (members, p) as ints once p >= 2, and the set is
+    non-empty with every M >= 1."""
     p = _check_p(p)
     members = tuple(_integer(M, "M") for M in search_set)
     if not members or min(members) < 1:
         raise ShiftRangeError(f"search set {list(members)} must be non-empty with every M >= 1")
-    if T is not None:
-        _check_shift(T, T // p + max(members), f"window end (T/{p} + {max(members)})")
     return members, p
 
 
@@ -106,13 +104,14 @@ def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
 
 def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
              p: int = DEFAULT_P) -> SelectionResult:
-    """argmin of the criterion over the search set; ties go to the smallest M.
-    The block of one of :func:`select_M_block`."""
-    return _select_M(grid, phi, *_search_set(search_set, p, grid.T))
+    """argmin of the criterion over the feasible members of the search set
+    (:func:`feasible_search_set`); ties go to the smallest M.  The block of one
+    of :func:`select_M_block`."""
+    return _select_M(grid, phi, *_feasible(grid.T, search_set, p))
 
 
 def _select_M(grid: DftGrid, phi: WeightFunction, members: tuple, p: int) -> SelectionResult:
-    """:func:`select_M` on members and p that passed the rule given T."""
+    """:func:`select_M` on feasible members and p."""
     T = grid.T
     run = weighted_average_run(grid, phi, T // p + max(members))
     chosen, curves, uniq = _select(run[None], T, members, p)
@@ -124,16 +123,17 @@ def _select_M(grid: DftGrid, phi: WeightFunction, members: tuple, p: int) -> Sel
 
 def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
     """The criterion-minimising M for every row of an (R, n) block of shift
-    runs A(phi; 0..n-1), n > T/p + max M; ties go to the smallest M.
+    runs A(phi; 0..n-1), n > T/p + the largest feasible M, over the feasible
+    members of the search set; ties go to the smallest M.
 
     Returns the chosen M per row, the (R, |U|) criterion curves and U, the
-    sorted distinct members of the search set.
+    sorted distinct feasible members.
     """
-    return _select(runs, T, *_search_set(search_set, p, T))
+    return _select(runs, T, *_feasible(T, search_set, p))
 
 
 def _select(runs: np.ndarray, T: int, members: tuple, p: int):
-    """:func:`select_M_block` on members and p that passed the rule given T."""
+    """:func:`select_M_block` on feasible members and p."""
     uniq = tuple(sorted(set(members)))
     curves = _criteria(runs, T, uniq, p)
     # argmin keeps the first, so the smallest, of equal minima

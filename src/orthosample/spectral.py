@@ -22,7 +22,6 @@ __all__ = [
     "InvalidInputError",
     "ShiftRangeError",
     "DegenerateDataError",
-    "TimeSeries",
     "DftGrid",
     "WeightFunction",
     "OrthogonalSample",
@@ -74,10 +73,7 @@ class DegenerateDataError(ZeroDivisionError):
     variance or normaliser, or null draws without spread."""
 
 
-TimeSeries = np.ndarray
-
-
-def as_series(values) -> TimeSeries:
+def as_series(values) -> np.ndarray:
     """Validate and return a real observation record x_1..x_T.
 
     Requires a 1-D array with T >= 2 and all values finite.
@@ -142,7 +138,12 @@ def ar_transfer(omega, coeffs) -> np.ndarray:
 
 def ar_spectral_density(omega, coeffs, sigma: float) -> np.ndarray:
     """AR(p) spectral density sigma^2 / (2 pi) * |A(omega)|^{-2}."""
-    return sigma**2 / (2 * np.pi) / np.abs(ar_transfer(omega, coeffs)) ** 2
+    return _ar_density(ar_transfer(omega, coeffs), sigma)
+
+
+def _ar_density(A: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma^2 / (2 pi) * |A|^{-2} from the AR polynomial's values A."""
+    return sigma**2 / (2 * np.pi) / np.abs(A) ** 2
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from .spectral import (
     DftGrid,
     InvalidInputError,
     WeightFunction,
+    _ar_density,
     _density_values,
     _integer,
     ar_spectral_density,
@@ -90,7 +91,7 @@ def ar_model(p: int, sigma: float | None = None) -> ARModel:
     def gradient(w, th):
         phi, s = split(th)
         A = ar_transfer(w, phi)
-        f = ar_spectral_density(w, phi, s)
+        f = _ar_density(A, s)
         rows = [2 * f * np.real(np.conj(A) * np.exp(1j * m * w)) / np.abs(A) ** 2
                 for m in range(1, p + 1)]
         if s0 is None:
@@ -201,7 +202,7 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
 
     theta = np.append(phi, np.sqrt(2 * np.pi * q)) if model.sigma is None else phi
     sigma = theta[-1] if model.sigma is None else model.sigma
-    f = _density_values(sigma**2 / (2 * np.pi) / np.abs(A) ** 2,
+    f = _density_values(_ar_density(A, sigma),
                         f"{model.name} spectral density", theta)
     on_boundary = bool(np.any(np.minimum(phi - lo, hi - phi) < 10 * tol))
     return WhittleFit(theta_hat=theta, objective_at_min=float(np.mean(pgram / f + np.log(f))),

@@ -71,10 +71,10 @@ class TestGenerators:
     def test_batch_columns_equal_single_draws(self, tag, T, R):
         seeds = [[3, 1, r] for r in range(R)]
         block = generate_batch(MODEL_REGISTRY[tag], T, seeds)
-        assert block.series.shape == (T, R)
+        assert block.series.shape == (R, T)
         for j, seed in enumerate(seeds):
             one = generate(MODEL_REGISTRY[tag], T, seed)
-            np.testing.assert_array_equal(block.series[:, j], one.series)
+            np.testing.assert_array_equal(block.series[j], one.series)
             assert (block.burn_in_used, block.truncation_used) == (
                 one.burn_in_used, one.truncation_used)
 
@@ -86,8 +86,8 @@ class TestGenerators:
         bx, by = generate_bivariate_batch(delta, rho, T, seeds)
         for j, seed in enumerate(seeds):
             x, y = generate_bivariate(delta, rho, T, seed)
-            np.testing.assert_array_equal(bx.series[:, j], x.series)
-            np.testing.assert_array_equal(by.series[:, j], y.series)
+            np.testing.assert_array_equal(bx.series[j], x.series)
+            np.testing.assert_array_equal(by.series[j], y.series)
 
     @pytest.mark.parametrize("R", [1, 5])
     def test_arch_matches_scalar_loop(self, R):
@@ -101,7 +101,7 @@ class TestGenerators:
             for t in range(T + BURN_IN):
                 x[t] = math.sqrt(var) * z[t]
                 var = 1.0 + alpha * x[t] * x[t]
-            np.testing.assert_array_equal(block[:, j], x[BURN_IN:])
+            np.testing.assert_array_equal(block[j], x[BURN_IN:])
 
     @pytest.mark.parametrize("R", [1, 5])
     @pytest.mark.parametrize("coeffs", [(), (0.6,), (0.5, -0.3, 0.1)])
@@ -117,7 +117,7 @@ class TestGenerators:
                 for m in range(1, min(len(coeffs), t) + 1):
                     acc += coeffs[m - 1] * x[t - m]
                 x[t] = acc
-            np.testing.assert_array_equal(block[:, j], x[BURN_IN:])
+            np.testing.assert_array_equal(block[j], x[BURN_IN:])
 
     def test_bivariate_matches_scalar_loop(self):
         delta, rho, T, seed = 0.1, 0.6, 128, [8, 0]
@@ -346,7 +346,7 @@ class TestEqualityBlock:
                                       for R in (1, 2, 7, 43)] + [(2**14, 2)])
     @pytest.mark.parametrize("beta", ["estimate", 0.25])
     def test_rows_equal_single_tests(self, T, R, beta):
-        X, Y = (np.ascontiguousarray(out.series.T) for out in generate_bivariate_batch(
+        X, Y = (out.series for out in generate_bivariate_batch(
             0.1, 0.5, T, [[18, T, r] for r in range(R)]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
@@ -366,7 +366,7 @@ class TestEqualityBlock:
     def test_transform_keeps_the_scalar_bits(self, T, beta):
         """beta-hat, z and the p-value of each row equal the one-pair formulas
         on Python floats, bit for bit (numpy's ``**`` moves some of them)."""
-        X, Y = (np.ascontiguousarray(out.series.T) for out in generate_bivariate_batch(
+        X, Y = (out.series for out in generate_bivariate_batch(
             0.1, 0.9, T, [[20, T, r] for r in range(43)]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
@@ -394,7 +394,7 @@ class TestEqualityBlock:
         assert (report.tuning["mu"], report.tuning["var"], report.tuning["mu3"]) == (mu, var, mu3)
 
     def test_failing_pair_fails_the_block(self):
-        X, Y = (np.array(out.series.T) for out in generate_bivariate_batch(
+        X, Y = (np.array(out.series) for out in generate_bivariate_batch(
             0.0, 0.0, 128, [[19, r] for r in range(3)]))
         Y[1] = X[1]  # a pair with zero distance at every shift: no null variance
         with pytest.raises(ZeroDivisionError):
@@ -464,7 +464,7 @@ class TestShiftBlockSize:
     @pytest.mark.parametrize("test", ["equality", "portmanteau", "gof"])
     def test_results_do_not_depend_on_block_size(self, test, T, monkeypatch):
         if test == "equality":
-            X, Y = (np.array(out.series.T) for out in generate_bivariate_batch(
+            X, Y = (np.array(out.series) for out in generate_bivariate_batch(
                 0.1, 0.5, T, [[23, T, r] for r in range(3)]))
             run = lambda: equality_block(X, Y)
         elif test == "portmanteau":
@@ -512,7 +512,7 @@ class TestBlocking:
 
 def _series_block(T, R, tag="x5"):
     seeds = [[16, T, r] for r in range(R)]
-    return np.ascontiguousarray(generate_batch(MODEL_REGISTRY[tag], T, seeds).series.T)
+    return generate_batch(MODEL_REGISTRY[tag], T, seeds).series
 
 
 def _ar06_density(w):
@@ -605,7 +605,7 @@ class TestBlockStatistics:
         def with_constant_row(spec, T, seeds):
             sim = real(spec, T, seeds)
             series = sim.series.copy()
-            series[:, -1] = 1.5
+            series[-1] = 1.5
             return dataclasses.replace(sim, series=series)
 
         monkeypatch.setattr(experiments, "generate_batch", with_constant_row)

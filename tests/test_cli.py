@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from orthosample import cli, experiments, htests, models, selection, spectral, whittle
+from orthosample import cli, experiments, htests, selection, spectral, whittle
 from orthosample.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -511,7 +511,6 @@ class TestGofUsesTheFittedDensity:
         for module, name in [(spectral, "ar_transfer"), (spectral, "ar_spectral_density"),
                              (whittle, "ar_transfer"), (whittle, "ar_spectral_density"),
                              (whittle, "whittle_objective"),
-                             (models, "ar_spectral_density"),
                              (experiments, "ar_spectral_density")]:
             def counting(*args, name=name, f=getattr(module, name)):
                 calls.append(name)

@@ -285,8 +285,7 @@ class TestRunExperiment:
         groups = [(m, T) for m in cfg.models for T in cfg.T]
         for g, (model, T) in enumerate(groups):
             seeds = [[cfg.seed, 3 * g, r] for r in range(cfg.nrep)]
-            block = np.ascontiguousarray(generate_batch(MODEL_REGISTRY[model], T,
-                                                        seeds).series.T)
+            block = generate_batch(MODEL_REGISTRY[model], T, seeds).series
             want = [portmanteau_block(block, L=cfg.L, M=cfg.M, search_set=cfg.search_set,
                                       p=cfg.p).p_values.tolist(),
                     box_pierce_block(block, cfg.L).p_values.tolist(),
@@ -321,7 +320,7 @@ class TestRunExperiment:
             series = sim.series.copy()
             for j, seed in enumerate(seeds):
                 if spec is MODEL_REGISTRY["x5"] and seed[2] == 6:
-                    series[:, j] = 1.5
+                    series[j] = 1.5
             return replace(sim, series=series)
 
         monkeypatch.setattr(experiments, "generate_batch", with_constant_rep6)
@@ -370,13 +369,11 @@ class TestRunExperiment:
             cfg = ExperimentConfig(experiment=experiment, T=(128,), nrep=6, rho=0.5,
                                    delta=0.1, seed=seed, beta=0.5)
             model, methods = "pair", ("equality",)
-            block = [np.ascontiguousarray(out.series.T)
-                     for out in generate_bivariate_batch(0.1, 0.5, 128, seeds)]
+            block = [out.series for out in generate_bivariate_batch(0.1, 0.5, 128, seeds)]
         else:
             cfg = tiny_config(models=("x7",), nrep=6, seed=seed, methods=("box_pierce",))
             model, methods = "x7", ("box_pierce",)
-            block = np.ascontiguousarray(generate_batch(MODEL_REGISTRY["x7"], 64,
-                                                        seeds).series.T)
+            block = generate_batch(MODEL_REGISTRY["x7"], 64, seeds).series
         want = [experiments.METHODS[methods[0]].values(cfg, block)]
         assert experiments._block_values((cfg, 4, (model, cfg.T[0]), methods, reps)) == want
         np.testing.assert_array_equal(
@@ -431,7 +428,7 @@ class TestRunExperiment:
             with pytest.raises(DegenerateVarianceError):
                 experiments.METHODS["qq_t10"].values(cfg, block)
             monkeypatch.setattr(experiments, "generate_batch",
-                                lambda *args: SimpleNamespace(series=block.T))
+                                lambda *args: SimpleNamespace(series=block))
             entry, = experiments._block_values((cfg, 0, ("pivot_i", 64), ("qq_t10",),
                                                 range(2)))
             assert isinstance(entry, DegenerateVarianceError)
@@ -458,7 +455,7 @@ class TestRunExperiment:
                                nrep=7, gof_phi=0.6, gof_sigma=1.3, L=4, seed=5,
                                alphas=(0.2, 0.5))
         series = generate_batch(MODEL_REGISTRY["ar_g_0.6"], 100,
-                                [[5, 0, r] for r in range(7)]).series.T
+                                [[5, 0, r] for r in range(7)]).series
         want = [goodness_of_fit_test(x, lambda om: ar_spectral_density(om, [0.6], 1.3),
                                      L=4, search_set=cfg.search_set, p=cfg.p).p_value
                 for x in series]

@@ -1,5 +1,7 @@
 """Every top-level import of the package is used: a name a module imports
-appears in its code or in its ``__all__``."""
+appears in its code or in its ``__all__``.  And every private name one module
+imports from another is a named one: a new cross-module private import fails
+until it is added to ``PRIVATE_IMPORTS``."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,55 @@ def test_no_unused_top_level_import(path):
 ])
 def test_scan_finds_what_it_should(source, unused):
     assert unused_imports(source) == unused
+
+
+# (importing module, "module._name") for every ``from .module import _name``
+PRIVATE_IMPORTS = sorted([
+    # the input rules, checked where the input arrives
+    *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests",
+                                          "selection", "whittle")],
+    *[(m, "spectral._check_shift") for m in ("equality", "htests", "variance")],
+    *[(m, "spectral._density_values") for m in ("htests", "whittle")],
+    ("experiments", "equality._check_beta"),
+    ("experiments", "models._check_bivariate"),
+    ("experiments", "selection._check_p"),
+    ("experiments", "selection._search_set"),
+    ("htests", "selection._feasible"),
+    # the shared kernels
+    ("equality", "spectral._circular_convolve"),
+    ("equality", "spectral._shift_chunks"),
+    ("experiments", "htests._lag_rows"),
+    ("htests", "selection._select"),
+    ("whittle", "spectral._ar_density"),
+    # the pieces the CLI composes
+    ("cli", "experiments._beta"),
+    ("cli", "htests._goodness_of_fit_coeffs"),
+    ("cli", "htests._orthogonal_report"),
+    ("cli", "selection._check_p"),
+    ("cli", "selection._clip"),
+    ("cli", "selection._select_M"),
+])
+
+
+def private_imports(source: str) -> list[str]:
+    """"module._name" for every relative import of a private name in
+    ``source``, at any depth."""
+    return [f"{node.module or ''}.{a.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_private_imports_are_the_named_ones():
+    found = sorted((path.stem, name) for path in SOURCES
+                   for name in private_imports(path.read_text(encoding="utf-8")))
+    assert found == PRIVATE_IMPORTS
+
+
+@pytest.mark.parametrize("source, names", [
+    ("from .spectral import _integer, dft\n", ["spectral._integer"]),
+    ("from .a import (b, _c as d)\nfrom . import _e\n", ["a._c", "._e"]),
+    ("def f():\n    from .a import _b\n", ["a._b"]),
+    ("from a import _b\nimport _c\nfrom .a import b\n", []),
+])
+def test_private_scan_finds_what_it_should(source, names):
+    assert private_imports(source) == names

@@ -1,9 +1,12 @@
 """Data-driven choice of the number of shifts M."""
 
+import json
+
 import numpy as np
 import pytest
 
 from orthosample import selection
+from orthosample.cli import EXIT_OK, main
 from orthosample.htests import goodness_of_fit_block, portmanteau_block, portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate, generate_batch
 from orthosample.selection import (
@@ -13,7 +16,7 @@ from orthosample.selection import (
     select_M_block,
 )
 from orthosample.spectral import (ShiftRangeError, ar_spectral_density, dft, lag_weight,
-                                  shift_runs, weighted_average)
+                                  shift_runs, weighted_average, weighted_average_run)
 from orthosample.variance import DegenerateVarianceError
 
 
@@ -113,6 +116,42 @@ class TestFeasibleSet:
             portmanteau_test(x, p=p)
 
 
+class TestOneSearchSetPolicy:
+    """Every M search keeps the feasible members of its set, as the CLI and
+    the test kernels do; only a set with none raises."""
+
+    @pytest.mark.parametrize("T", [100, 118, 120])
+    def test_default_set_is_clipped_everywhere(self, T, tmp_path, capsys):
+        x = generate(MODEL_REGISTRY["normal"], T, seed=[31, T]).series
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(repr(v) for v in x.tolist()) + "\n")
+        assert main(["selectM", str(path)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        cli_curve = {int(m): v for m, v in printed["criterion_curve"].items()}
+
+        grid, phi = dft(x), lag_weight(1)
+        sel = select_M(grid, phi)
+        feasible = feasible_search_set(T)
+        assert sel.search_set == feasible == tuple(cli_curve)
+        assert sel.chosen_M == printed["chosen_M"] == portmanteau_test(x).tuning["M"]
+        assert sel.criterion_curve == cli_curve
+        assert {M: criterion(grid, phi, M) for M in feasible} == cli_curve
+        run = weighted_average_run(grid, phi, T // 4 + max(feasible))
+        chosen, curves, members = select_M_block(run[None], T, range(10, 31))
+        assert chosen[0] == sel.chosen_M
+        assert dict(zip(members, curves[0].tolist())) == cli_curve
+
+    def test_no_feasible_member_raises(self, rng):
+        grid, phi = dft(rng.standard_normal(100)), lag_weight(1)
+        run = weighted_average_run(grid, phi, 49)[None]
+        for call in [lambda: select_M(grid, phi, range(30, 40)),
+                     lambda: criterion(grid, phi, 30),
+                     lambda: select_M_block(run, 100, range(30, 40), 4),
+                     lambda: criterion(dft(rng.standard_normal(60)), phi, 20, 4)]:
+            with pytest.raises(ShiftRangeError, match="no feasible M"):
+                call()
+
+
 class TestSearchSetRuleRunsOnce:
     """The search-set rule runs once per block and once per single-series
     selection: the checked members and p are handed on, not checked again."""
@@ -131,7 +170,7 @@ class TestSearchSetRuleRunsOnce:
     @pytest.fixture(scope="class")
     def block(self):
         seeds = [[7, 0, r] for r in range(4)]
-        return np.ascontiguousarray(generate_batch(MODEL_REGISTRY["x5"], 100, seeds).series.T)
+        return generate_batch(MODEL_REGISTRY["x5"], 100, seeds).series
 
     def test_once_per_block_and_per_selection(self, rule_runs, block):
         def g(w):
@@ -156,8 +195,9 @@ class TestSearchSetRuleRunsOnce:
             with pytest.raises(ShiftRangeError, match=match):
                 portmanteau_block(block, L=3, search_set=search_set, p=p)
         runs = np.ones((2, 60), dtype=complex)
-        with pytest.raises(ShiftRangeError, match="window end"):
-            select_M_block(runs, 100, (10, 25), 4)
+        # M = 25 is infeasible at T = 100, p = 4: the set is clipped to (10,)
+        chosen, _, members = select_M_block(runs, 100, (10, 25), 4)
+        assert members == (10,) and chosen.tolist() == [10, 10]
         with pytest.raises(ShiftRangeError, match="p must be >= 2"):
             select_M_block(runs, 100, (10,), 1)
 
