@@ -27,8 +27,8 @@ from .equality import equality_test
 from .experiments import ConfigError, _beta, emit, parse_config, parse_search_set, run_experiment
 from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
                      portmanteau_test, robust_portmanteau)
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _check_p, _clip, _select_M
-from .spectral import DegenerateDataError, dft, lag_weight
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, select_M
+from .spectral import dft, lag_weight
 from .whittle import ar_model, whittle_fit
 
 EXIT_OK = 0
@@ -203,10 +203,9 @@ def main(argv=None) -> int:
         if args.verb == "selectM":
             (x,) = load_series(args.datafile, columns=1)
             grid = dft(x, demean=True)
-            # the search-set rule runs once, in parse_search_set (as a config
-            # error, before --p is checked); the feasible clip reuses its members
-            members = parse_search_set(args.search_set, "--set")
-            sel = _select_M(grid, lag_weight(1), *_clip(grid.T, members, _check_p(args.p)))
+            # a bad --set is a config error, found before a bad --p
+            sel = select_M(grid, lag_weight(1), parse_search_set(args.search_set, "--set"),
+                           args.p)
             print(json.dumps({
                 "chosen_M": sel.chosen_M,
                 "p": sel.p,
@@ -217,6 +216,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateDataError, ValueError) as e:
+    except ValueError as e:  # DegenerateDataError included
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

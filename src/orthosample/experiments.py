@@ -27,9 +27,8 @@ from .htests import (_lag_rows, box_pierce_block, goodness_of_fit_block, portman
                      robust_portmanteau_block)
 from .models import (BURN_IN, MODEL_REGISTRY, _check_bivariate, generate_batch,
                      generate_bivariate_batch)
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _check_p, _search_set
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _search_set
 from .spectral import (
-    DegenerateDataError,
     _integer,
     ar_spectral_density,
     dft_block,
@@ -125,9 +124,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose methods from {tuple(METHODS)}")
             if METHODS[m].paired and self.experiment != "table_equality":
                 raise ConfigError(f"method {m!r} needs experiment table_equality")
-        for key, lo in (("nrep", 1), ("workers", 1), ("seed", 0)):
-            if getattr(self, key) < lo:
+        for key, lo in (("nrep", 1), ("workers", 1), ("seed", 0), ("L", 1), ("M", 1)):
+            if getattr(self, key) is not None and getattr(self, key) < lo:
                 raise ConfigError(f"{key} must be >= {lo}")
+        # the null's AR(1) must be stationary, the rule ModelSpec applies to AR coefficients
+        if self.gof_phi is not None and not abs(self.gof_phi) < 1:
+            raise ConfigError(f"gof_phi={self.gof_phi} is not a stationary AR(1) coefficient")
+        if self.gof_sigma is not None and not 0 < self.gof_sigma < np.inf:
+            raise ConfigError(f"gof_sigma={self.gof_sigma} must be finite and > 0")
         # the owners' rules for the settings whose range does not depend on T
         try:
             _check_bivariate(self.delta, self.rho)
@@ -135,7 +139,7 @@ class ExperimentConfig:
             if self.b is not None:
                 KernelSpec(self.b)
             object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
-            object.__setattr__(self, "p", _check_p(self.p))
+            object.__setattr__(self, "p", _search_set(self.search_set, self.p)[1])
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if self.experiment.startswith("table_gof"):
@@ -384,9 +388,9 @@ def _block_values(job: tuple) -> list:
     for method in methods:
         try:
             entries.append(METHODS[method].values(cfg, block))
-        # bad input: InvalidInputError, ShiftRangeError and ConfigError
-        # are ValueErrors; any other error is a fault and propagates
-        except (ValueError, DegenerateDataError) as e:
+        # bad input: InvalidInputError, ShiftRangeError, DegenerateDataError
+        # and ConfigError are ValueErrors; any other error is a fault and propagates
+        except ValueError as e:
             entries.append(e)
     return entries
 
@@ -400,10 +404,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     clock divided by the group's cells, plus its own ``progress`` call:
     ``progress`` is called once per cell and once at the end.
 
-    A method that fails on bad input (a ValueError or DegenerateDataError)
-    gives its cell rows with NaN rate instead of aborting the whole run, and
-    leaves the other cells of its group as they are; any other exception
-    propagates.
+    A method that fails on bad input (a ValueError or DegenerateDataError,
+    which is one) gives its cell rows with NaN rate instead of aborting the
+    whole run, and leaves the other cells of its group as they are; any other
+    exception propagates.
     """
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr, flush=True)

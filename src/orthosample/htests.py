@@ -8,7 +8,8 @@ once (one DFT, one selection pass and one shift table for the orthogonal
 tests) and return a :class:`BlockReport`.  The single-series tests are their
 blocks of one, so row i of a block reports what the single-series test
 reports on series i.  A check that fails on any row fails the whole block
-with the single-series test's exception.
+with the single-series test's exception; a constant series, or a degenerate
+selection window, raises ``spectral.DegenerateDataError``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import distributions as dist
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, _select
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M_block
 from .spectral import (
     DegenerateDataError,
     InvalidInputError,
@@ -149,7 +150,7 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
     if M is None:
         feasible, p = _feasible(T, search_set, p)
         runs = shift_runs(coeffs, weights, T // p + max(feasible))
-        Ms = _select(runs[:, 0], T, feasible, p)[0]
+        Ms = select_M_block(runs[:, 0], T, feasible, p)[0]
     else:
         M = _check_shift(T, M, "M", 1)
         runs = shift_runs(coeffs, weights, M)

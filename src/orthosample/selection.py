@@ -4,8 +4,11 @@ criterion.
 Block contract: :func:`select_M_block` chooses M for every row of an (R, n)
 block of shift runs from one cumsum; :func:`select_M` is its block of one and
 returns, for each series, the M and the criterion curve the block gives its
-row.  Every search set is clipped to its feasible members
-(:func:`feasible_search_set`); only a set with none raises.
+row.  Each public function takes a raw search set and p and applies the
+search-set rule and the feasible clip itself: every search set is clipped to
+its feasible members (:func:`feasible_search_set`), and only a set with none
+raises.  A variance window that is not positive raises
+``spectral.DegenerateDataError``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import DftGrid, ShiftRangeError, WeightFunction, _integer, weighted_average_run
-from .variance import DegenerateVarianceError
+from .spectral import (DegenerateDataError, DftGrid, ShiftRangeError, WeightFunction, _integer,
+                       weighted_average_run)
 
 __all__ = ["SelectionResult", "criterion", "select_M", "select_M_block", "feasible_search_set",
            "DEFAULT_SEARCH_SET", "DEFAULT_P"]
@@ -49,7 +52,7 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     windows *= (T / Ms)[:, None]
     degenerate = np.any(windows <= 0, axis=(0, 2))
     if degenerate.any():
-        raise DegenerateVarianceError(
+        raise DegenerateDataError(
             f"degenerate variance window encountered for M={Ms[degenerate.argmax()]}"
         )
     # the score (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2, in the windows' storage
@@ -65,18 +68,12 @@ def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) ->
     return select_M(grid, phi, (M,), p).criterion_curve[M]
 
 
-def _check_p(p) -> int:
-    """p as an int once p >= 2: the first check of the search-set rule."""
-    p = _integer(p, "p")
-    if p < 2:
-        raise ShiftRangeError("p must be >= 2")
-    return p
-
-
 def _search_set(search_set, p) -> tuple:
     """The search-set rule: (members, p) as ints once p >= 2, and the set is
     non-empty with every M >= 1."""
-    p = _check_p(p)
+    p = _integer(p, "p")
+    if p < 2:
+        raise ShiftRangeError("p must be >= 2")
     members = tuple(_integer(M, "M") for M in search_set)
     if not members or min(members) < 1:
         raise ShiftRangeError(f"search set {list(members)} must be non-empty with every M >= 1")
@@ -85,11 +82,7 @@ def _search_set(search_set, p) -> tuple:
 
 def _feasible(T: int, search_set, p) -> tuple:
     """(members, p) of :func:`feasible_search_set`; they pass the rule given T."""
-    return _clip(T, *_search_set(search_set, p))
-
-
-def _clip(T: int, members: tuple, p: int) -> tuple:
-    """:func:`_feasible` on members and p that passed the rule."""
+    members, p = _search_set(search_set, p)
     out = tuple(M for M in members if T // p + M < T / 2)
     if not out:
         raise ShiftRangeError(f"no feasible M in {list(members)} for T={T}, p={p}")
@@ -107,14 +100,9 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
     """argmin of the criterion over the feasible members of the search set
     (:func:`feasible_search_set`); ties go to the smallest M.  The block of one
     of :func:`select_M_block`."""
-    return _select_M(grid, phi, *_feasible(grid.T, search_set, p))
-
-
-def _select_M(grid: DftGrid, phi: WeightFunction, members: tuple, p: int) -> SelectionResult:
-    """:func:`select_M` on feasible members and p."""
-    T = grid.T
-    run = weighted_average_run(grid, phi, T // p + max(members))
-    chosen, curves, uniq = _select(run[None], T, members, p)
+    members, p = _feasible(grid.T, search_set, p)
+    run = weighted_average_run(grid, phi, grid.T // p + max(members))
+    chosen, curves, uniq = select_M_block(run[None], grid.T, members, p)
     curve = dict(zip(uniq, curves[0].tolist()))
     return SelectionResult(chosen_M=int(chosen[0]),
                            criterion_curve={M: curve[M] for M in members},
@@ -129,11 +117,7 @@ def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
     Returns the chosen M per row, the (R, |U|) criterion curves and U, the
     sorted distinct feasible members.
     """
-    return _select(runs, T, *_feasible(T, search_set, p))
-
-
-def _select(runs: np.ndarray, T: int, members: tuple, p: int):
-    """:func:`select_M_block` on feasible members and p."""
+    members, p = _feasible(T, search_set, p)
     uniq = tuple(sorted(set(members)))
     curves = _criteria(runs, T, uniq, p)
     # argmin keeps the first, so the smallest, of equal minima

@@ -68,9 +68,11 @@ class ShiftRangeError(ValueError):
     1 for L and M), or a search set breaks its rule or has no feasible M."""
 
 
-class DegenerateDataError(ZeroDivisionError):
+class DegenerateDataError(ValueError, ZeroDivisionError):
     """Raised when finite data leave a statistic undefined: a zero sample
-    variance or normaliser, or null draws without spread."""
+    variance or normaliser, null draws without spread, a zero variance
+    estimate or variance window, or a rank-deficient covariance estimate.
+    It is bad input (a ValueError) and a division by zero."""
 
 
 def as_series(values) -> np.ndarray:

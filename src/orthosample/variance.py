@@ -4,7 +4,8 @@ fixed-M t calibration, and the multivariate Hotelling extension.
 ``variance_block`` and ``studentize_block`` hold the only V-hat_M and
 t-statistic arithmetic, for every row of a block at once; the single-series
 ``variance_estimate``, ``variance_estimate_at`` and ``studentize`` are their
-blocks of one."""
+blocks of one.  A zero variance estimate and a rank-deficient covariance
+estimate raise ``spectral.DegenerateDataError``."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import distributions as dist
 from .spectral import (
+    DegenerateDataError,
     DftGrid,
     OrthogonalSample,
     WeightFunction,
@@ -25,7 +27,6 @@ __all__ = [
     "VarianceEstimate",
     "StudentizedReport",
     "CovMatrixEstimate",
-    "DegenerateVarianceError",
     "variance_block",
     "studentize_block",
     "variance_estimate",
@@ -35,10 +36,6 @@ __all__ = [
     "HotellingReport",
     "hotelling_test",
 ]
-
-
-class DegenerateVarianceError(ValueError):
-    """All orthogonal-sample entries vanished; no studentization is possible."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def studentize_block(points, target, variances, T: int) -> tuple[np.ndarray, np.
     fails the block."""
     variances = np.asarray(variances)
     if np.any(variances <= 0):
-        raise DegenerateVarianceError(
+        raise DegenerateDataError(
             "orthogonal-sample variance estimate is zero; series may be degenerate"
         )
     scales = np.sqrt(variances / T)
@@ -187,7 +184,7 @@ def hotelling_test(points, targets, cov: CovMatrixEstimate) -> HotellingReport:
         raise ValueError(f"points/targets must be length-{p} vectors")
     eigvals = np.linalg.eigvalsh(cov.matrix)
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > 1e12:
-        raise DegenerateVarianceError(
+        raise DegenerateDataError(
             f"covariance estimate is rank deficient (smallest eigenvalue "
             f"{eigvals[0]:.3e}); increase M relative to p"
         )

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from orthosample import cli, experiments, htests, selection, spectral, whittle
+from orthosample import cli, experiments, htests, spectral, whittle
 from orthosample.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -289,27 +289,15 @@ class TestSelectMVerb:
         assert main(["selectM", str(path)]) == EXIT_DATA
 
 
-class TestSelectMRunsTheRuleOnce:
-    """``orthosample selectM`` runs the search-set rule once: the feasible
-    clip and the selection reuse the members it checked, and every error
-    keeps its text, exit code and precedence (a bad set before a bad p)."""
-
-    @pytest.fixture
-    def rule_runs(self, monkeypatch):
-        runs = []
-        for module in (selection, experiments):
-            def counting(*args, rule=module._search_set):
-                runs.append(args)
-                return rule(*args)
-
-            monkeypatch.setattr(module, "_search_set", counting)
-        return runs
+class TestSelectMOutputAndErrors:
+    """``orthosample selectM`` prints ``select_M``'s choice and curve over the
+    feasible members of the set, and every error keeps its text, exit code
+    and precedence (a bad set before a bad p)."""
 
     @pytest.mark.parametrize("extra", [[], ["--set", "10..15"], ["--set", "8,12,8"],
                                        ["--p", "3", "--set", "20,5"], ["--p", "30"]])
-    def test_once_and_same_json(self, series_csv, capsys, rule_runs, extra):
+    def test_same_json(self, series_csv, capsys, extra):
         assert main(["selectM", series_csv] + extra) == EXIT_OK
-        assert len(rule_runs) == 1
         opts = dict(zip(extra[::2], extra[1::2]))
         p = int(opts.get("--p", DEFAULT_P))
         members = parse_search_set(opts.get("--set", tuple(DEFAULT_SEARCH_SET)), "--set")
@@ -332,11 +320,10 @@ class TestSelectMRunsTheRuleOnce:
         (["--set", "40..45"], EXIT_DATA,
          "data error: no feasible M in [40, 41, 42, 43, 44, 45] for T=100, p=4"),
     ])
-    def test_errors_keep_their_text(self, series_csv, capsys, rule_runs, extra, code, err):
+    def test_errors_keep_their_text(self, series_csv, capsys, extra, code, err):
         assert main(["selectM", series_csv] + extra) == code
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", err + "\n")
-        assert len(rule_runs) == 1
 
 
 class TestRunVerb:
@@ -416,7 +403,10 @@ class TestRunVerb:
                                       "search_set = 30..10", "search_set = 0,3",
                                       "models = ", "methods = ", "methods = bootstrap",
                                       "B = 20", "n_boot = 500",
-                                      "beta = 2", "b = 1.5", "p = 1"])
+                                      "beta = 2", "b = 1.5", "p = 1",
+                                      "L = 0", "L = -2", "M = 0", "gof_sigma = 0",
+                                      "gof_sigma = nan", "gof_sigma = -1",
+                                      "gof_phi = 1.5"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         # tuning that fails at every T fails the config, before any cell runs
         cfg = tmp_path / "bad.cfg"

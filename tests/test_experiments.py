@@ -30,7 +30,6 @@ from orthosample.htests import (box_pierce_block, goodness_of_fit_test, portmant
                                 robust_portmanteau_block)
 from orthosample.models import MODEL_REGISTRY, generate_batch, generate_bivariate_batch
 from orthosample.spectral import DegenerateDataError, ar_spectral_density
-from orthosample.variance import DegenerateVarianceError
 
 def quiet(msg):
     pass
@@ -111,14 +110,22 @@ class TestParseConfig:
                                           ("alphas", "1.5"), ("alphas", "0"),
                                           ("alphas", "0.05, 1"), ("alphas", "-0.1"),
                                           ("rho", "2"), ("rho", "-1.5"), ("delta", "0.3"),
-                                          ("delta", "nan"), ("seed", "-1")])
+                                          ("delta", "nan"), ("seed", "-1"),
+                                          # these ran to the end: NaN rows, or
+                                          # gof_sigma = -1 as if it were 1
+                                          ("L", "0"), ("L", "-2"), ("M", "0"),
+                                          ("gof_sigma", "0"), ("gof_sigma", "nan"),
+                                          ("gof_sigma", "-1"), ("gof_phi", "1.5")])
     def test_lengths_and_levels_out_of_range(self, key, raw):
-        with pytest.raises(ConfigError, match=key):
-            parse_config(f"experiment = table_uncorrelated_null\n{key} = {raw}\n")
+        for head in ("experiment = table_uncorrelated_null\n",
+                     "experiment = table_gof_null\nmodels = ar_g_0.6\n"
+                     "gof_phi = 0.6\ngof_sigma = 1\n"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(f"{head}{key} = {raw}\n")
         value = tuple(float(v) for v in raw.split(","))
         if key == "T":
             value = tuple(int(v) for v in value)
-        if key in ("rho", "delta", "seed"):
+        if key not in ("T", "alphas"):
             (value,) = value
         with pytest.raises(ConfigError, match=key):
             tiny_config(**{key: value})
@@ -425,13 +432,13 @@ class TestRunExperiment:
         block = np.stack([np.zeros(64), np.random.default_rng(0).standard_normal(64)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateVarianceError):
+            with pytest.raises(DegenerateDataError):
                 experiments.METHODS["qq_t10"].values(cfg, block)
             monkeypatch.setattr(experiments, "generate_batch",
                                 lambda *args: SimpleNamespace(series=block))
             entry, = experiments._block_values((cfg, 0, ("pivot_i", 64), ("qq_t10",),
                                                 range(2)))
-            assert isinstance(entry, DegenerateVarianceError)
+            assert isinstance(entry, DegenerateDataError)
             messages = []
             row, = run_experiment(cfg, progress=messages.append).rows
         assert np.isnan([row.alpha, row.rate, row.se]).all()

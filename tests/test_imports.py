@@ -58,22 +58,17 @@ PRIVATE_IMPORTS = sorted([
     *[(m, "spectral._density_values") for m in ("htests", "whittle")],
     ("experiments", "equality._check_beta"),
     ("experiments", "models._check_bivariate"),
-    ("experiments", "selection._check_p"),
     ("experiments", "selection._search_set"),
     ("htests", "selection._feasible"),
     # the shared kernels
     ("equality", "spectral._circular_convolve"),
     ("equality", "spectral._shift_chunks"),
     ("experiments", "htests._lag_rows"),
-    ("htests", "selection._select"),
     ("whittle", "spectral._ar_density"),
     # the pieces the CLI composes
     ("cli", "experiments._beta"),
     ("cli", "htests._goodness_of_fit_coeffs"),
     ("cli", "htests._orthogonal_report"),
-    ("cli", "selection._check_p"),
-    ("cli", "selection._clip"),
-    ("cli", "selection._select_M"),
 ])
 
 

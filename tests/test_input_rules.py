@@ -1,8 +1,9 @@
 """The input rules every entry point shares: the integer rule for every count
 and order, the range rule lo <= M, L < T/2 and the search-set rule
-(ShiftRangeError), and the density rule, positive and finite on the grid
-(InvalidInputError).  A single-series test and its block kernel raise the
-same exception with the same message, which names the value and T."""
+(ShiftRangeError), the density rule, positive and finite on the grid
+(InvalidInputError), and the degenerate-data rule (DegenerateDataError).  A
+single-series test and its block kernel raise the same exception with the
+same message, which names the value and T."""
 
 import warnings
 
@@ -22,8 +23,9 @@ from orthosample.htests import (
     robust_portmanteau_block,
 )
 from orthosample.selection import criterion, feasible_search_set, select_M
-from orthosample.spectral import (InvalidInputError, ShiftRangeError, circular_autocov, dft,
-                                  lag_weight)
+from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
+                                  circular_autocov, dft, lag_weight)
+from orthosample.variance import CovMatrixEstimate, hotelling_test, studentize_block
 from orthosample.whittle import ar_model, score_weight
 
 T = 64
@@ -176,3 +178,35 @@ def test_hotelling_dimensions_obey_integer_rule():
         hotelling_t2(2, 10.7)
     law = hotelling_t2(2.0, np.int64(10))
     assert law == hotelling_t2(2, 10) and all(type(v) is int for v in law.params)
+
+
+CONSTANT = np.ones(80)
+NOISE = np.random.default_rng(0).standard_normal(128)
+DEGENERATE = {
+    "box_pierce": (lambda: box_pierce(CONSTANT),
+                   "zero sample variance; Box-Pierce undefined"),
+    "robust_portmanteau": (lambda: robust_portmanteau(CONSTANT),
+                           "zero normaliser tau at lag 1"),
+    "equality_test": (lambda: equality_test(NOISE, NOISE),
+                      "zero variance in null draws; beta undefined"),
+    "studentize_block": (lambda: studentize_block(np.ones(2), 0.0, np.array([1.0, 0.0]), 64),
+                         "orthogonal-sample variance estimate is zero; series may be degenerate"),
+    "hotelling_test": (lambda: hotelling_test([0.1, 0.1], [0.0, 0.0],
+                                              CovMatrixEstimate(np.diag([1.0, 0.0]), 5, 64)),
+                       "covariance estimate is rank deficient (smallest eigenvalue 0.000e+00); "
+                       "increase M relative to p"),
+    "selection": (lambda: select_M(dft(CONSTANT), lag_weight(1), (4,), 4),
+                  "degenerate variance window encountered for M=4"),
+}
+
+
+@pytest.mark.parametrize("site", DEGENERATE)
+def test_degenerate_data_is_one_error(site):
+    # one class at every raise site: bad input (a ValueError) and a division
+    # by zero, so either kind of handler catches it
+    call, message = DEGENERATE[site]
+    with pytest.raises(DegenerateDataError) as caught:
+        call()
+    assert isinstance(caught.value, ValueError)
+    assert isinstance(caught.value, ZeroDivisionError)
+    assert str(caught.value) == message

@@ -1,7 +1,13 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and its error lists name
+every exception the package defines."""
 
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
+
+import orthosample
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +22,14 @@ def test_quick_tour_runs(capsys):
     assert not namespace["fit"].on_boundary
     for name in ("pt", "gof", "eq"):
         assert 0.0 <= namespace[name].p_value <= 1.0
+
+
+def test_every_exception_class_is_documented():
+    text = README.read_text(encoding="utf-8")
+    defined = [name for info in pkgutil.iter_modules(orthosample.__path__)
+               if not info.name.startswith("_")
+               for name, obj in vars(importlib.import_module(f"orthosample.{info.name}")).items()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__ == f"orthosample.{info.name}"]
+    assert {"DataError", "ConfigError", "DegenerateDataError"} <= set(defined)
+    assert not [name for name in defined if f"`{name}`" not in text]

