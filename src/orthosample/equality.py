@@ -228,6 +228,9 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
         sums[:, rows, rs] = _full_period(diff, T)
     draws = sums[..., 1:].transpose(1, 2, 0).reshape(R, 2 * M)  # S_R(1), S_I(1), ...
     mu, var, mu3 = moment_estimates(draws)
+    if np.any(var <= 0):  # e.g. X[i] == Y[i]: every draw is zero and no power is defined
+        raise DegenerateDataError("zero variance in null draws; "
+                                  + ("beta" if beta == "estimate" else "test") + " undefined")
     beta_used = beta_hat(mu, var, mu3) if beta == "estimate" else np.full(R, float(beta))
 
     # moments of the transformed statistic by a second-order expansion

@@ -412,10 +412,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr, flush=True)
     cfg = config
-    table = ResultTable(metadata={
-        "experiment": cfg.experiment, "seed": cfg.seed, "nrep": cfg.nrep,
-        "config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-    })
+    table = ResultTable(metadata={"experiment": cfg.experiment, "seed": cfg.seed,
+                                  "nrep": cfg.nrep})
 
     methods = {"qq_t10": ("qq_t10",), "table_equality": ("equality",)}.get(
         cfg.experiment, cfg.methods)
@@ -465,7 +463,7 @@ def emit(table: ResultTable, out_prefix: str, json_too: bool = False) -> list:
     if json_too:
         json_path = f"{out_prefix}.json"
         payload = {
-            "metadata": {k: v for k, v in table.metadata.items() if k != "config"},
+            "metadata": table.metadata,
             "rows": [row.__dict__ for row in table.rows],
         }
         with open(json_path, "w", encoding="utf-8") as fh:

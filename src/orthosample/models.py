@@ -62,17 +62,6 @@ __all__ = [
     "generate_bivariate",
     "generate_bivariate_batch",
     "MODEL_REGISTRY",
-    "iid_normal",
-    "iid_t5",
-    "noncausal_linear",
-    "two_dependent",
-    "lobato_nonmartingale",
-    "arch1",
-    "arch_times_noncausal",
-    "pseudo_linear",
-    "periodic_scaled",
-    "ar",
-    "ar_times_arch",
 ]
 
 BURN_IN = 1000
@@ -80,6 +69,14 @@ ARCH_K = 100  # steps of the short ARCH burn-in
 _BOUND_CHUNK = 30  # steps per chunk of the ARCH variance bound; divides BURN_IN - ARCH_K
 TRUNCATION_TOL = 1e-10
 _INNOVATIONS = {"ar": ("normal", "chi2_1"), "noncausal_linear": ("normal", "t5", "arch")}
+# the parameter names of each tag's spec; noncausal_linear with innovation
+# "arch" also holds the ARCH coefficient arch_alpha
+_PARAMS = {
+    "iid_normal": (), "iid_t5": (), "two_dependent": (), "lobato_nonmartingale": (),
+    "periodic_scaled": (), "arch1": ("alpha",), "arch_times_noncausal": ("alpha", "a"),
+    "pseudo_linear": ("b1", "b2", "arch_alpha"), "noncausal_linear": ("a", "innovation"),
+    "ar": ("coeffs", "innovation"), "ar_times_arch": ("coeffs", "alpha"),
+}
 PERIODIC_SCALE = (1, 1, 1, 2, 3, 1, 1, 1, 1, 2, 4, 6)
 
 
@@ -91,11 +88,23 @@ def _spectral_radius(coeffs) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A data-generating process: its tag and exactly the parameters the tag
+    takes (see the README's models table), checked when the spec is built."""
+
     tag: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         p = self.params
+        if self.tag not in _PARAMS:
+            raise ValueError(f"unknown model tag {self.tag!r}; known tags: "
+                             f"{', '.join(sorted(_PARAMS))}")
+        names = _PARAMS[self.tag]
+        if self.tag == "noncausal_linear" and p.get("innovation") == "arch":
+            names += ("arch_alpha",)
+        if set(p) != set(names):
+            raise ValueError(f"model tag {self.tag!r} takes the parameters {sorted(names)}, "
+                             f"got {sorted(p)}")
         if "coeffs" in p and _spectral_radius(p["coeffs"]) >= 1.0:
             raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
         for name in ("alpha", "arch_alpha"):
@@ -109,8 +118,6 @@ class ModelSpec:
         if "innovation" in p and p["innovation"] not in allowed:
             raise ValueError(f"innovation={p['innovation']!r} is not one of {allowed} "
                              f"for {self.tag}")
-        if p.get("innovation") == "arch" and "arch_alpha" not in p:
-            raise ValueError("innovation='arch' needs the ARCH coefficient arch_alpha")
 
 
 @dataclass(frozen=True)
@@ -127,90 +134,26 @@ class SimOutput:
         self.series.setflags(write=False)
 
 
-def iid_normal() -> ModelSpec:
-    return ModelSpec("iid_normal")
-
-
-def iid_t5() -> ModelSpec:
-    return ModelSpec("iid_t5")
-
-
-def noncausal_linear(a: float, innovation: str = "normal",
-                     arch_alpha: float = 0.7) -> ModelSpec:
-    """X_t = sum_{j>=0} a^j e_{t-j} - a/(1-a^2) e_{t+1}; uncorrelated by design.
-
-    ``innovation`` is one of "normal", "t5", "arch" (ARCH(1) with coefficient
-    ``arch_alpha``).
-    """
-    params = {"a": float(a), "innovation": innovation}
-    if innovation == "arch":
-        params["arch_alpha"] = float(arch_alpha)
-    return ModelSpec("noncausal_linear", params)
-
-
-def two_dependent() -> ModelSpec:
-    """X_t = Z_t Z_{t-1}."""
-    return ModelSpec("two_dependent")
-
-
-def lobato_nonmartingale() -> ModelSpec:
-    """X_t = Z_{t-1} Z_{t-2} (Z_{t-1} + Z_t + 1); nonlinear, non-martingale."""
-    return ModelSpec("lobato_nonmartingale")
-
-
-def arch1(alpha: float = 0.8) -> ModelSpec:
-    """ARCH(1): X_t = sigma_t Z_t with sigma_t^2 = 1 + alpha X_{t-1}^2."""
-    return ModelSpec("arch1", {"alpha": float(alpha)})
-
-
-def arch_times_noncausal(alpha: float = 0.8, a: float = 0.8) -> ModelSpec:
-    """X_t = |ARCH_t| * V_t with V an independent non-causal series."""
-    return ModelSpec("arch_times_noncausal", {"alpha": float(alpha), "a": float(a)})
-
-
-def pseudo_linear(b1: float = -0.8, b2: float = -0.6,
-                  arch_alpha: float = 0.5) -> ModelSpec:
-    """Two nested non-causal filters driven by an ARCH core."""
-    return ModelSpec("pseudo_linear", {"b1": float(b1), "b2": float(b2),
-                                       "arch_alpha": float(arch_alpha)})
-
-
-def periodic_scaled() -> ModelSpec:
-    """s_t * Z_t Z_{t-1} with the deterministic period-12 scale sequence."""
-    return ModelSpec("periodic_scaled")
-
-
-def ar(coeffs, innovation: str = "normal") -> ModelSpec:
-    """AR(p) recursion; ``innovation`` is "normal" or "chi2_1" (used raw)."""
-    return ModelSpec("ar", {"coeffs": tuple(float(c) for c in coeffs),
-                            "innovation": innovation})
-
-
-def ar_times_arch(coeffs, alpha: float = 0.8) -> ModelSpec:
-    """AR path multiplied by |ARCH| of an independent ARCH(alpha) process."""
-    return ModelSpec("ar_times_arch", {"coeffs": tuple(float(c) for c in coeffs),
-                                       "alpha": float(alpha)})
-
-
 # Named specs matching the simulation studies.
 MODEL_REGISTRY = {
-    "normal": iid_normal(),
-    "t5": iid_t5(),
-    "x3": two_dependent(),
-    "x4": lobato_nonmartingale(),
-    "x5": arch1(0.8),
-    "x6": arch_times_noncausal(0.8, 0.8),
-    "x7": pseudo_linear(-0.8, -0.6, 0.5),
-    "x8": periodic_scaled(),
-    "y1": ar([-0.2]),
-    "y2": ar_times_arch([-0.2], 0.8),
-    "y3": ar_times_arch([0.5], 0.8),
-    "ar_g_0.6": ar([0.6]),
-    "ar_chi_0.6": ar([0.6], innovation="chi2_1"),
-    "ar_chi_0.9": ar([0.9], innovation="chi2_1"),
-    "pivot_i": iid_normal(),
-    "pivot_ii": noncausal_linear(0.6, innovation="t5"),
-    "pivot_iii": noncausal_linear(0.6, innovation="arch", arch_alpha=0.7),
+    "normal": ModelSpec("iid_normal"),
+    "t5": ModelSpec("iid_t5"),
+    "x3": ModelSpec("two_dependent"),
+    "x4": ModelSpec("lobato_nonmartingale"),
+    "x5": ModelSpec("arch1", {"alpha": 0.8}),
+    "x6": ModelSpec("arch_times_noncausal", {"alpha": 0.8, "a": 0.8}),
+    "x7": ModelSpec("pseudo_linear", {"b1": -0.8, "b2": -0.6, "arch_alpha": 0.5}),
+    "x8": ModelSpec("periodic_scaled"),
+    "y1": ModelSpec("ar", {"coeffs": (-0.2,), "innovation": "normal"}),
+    "y2": ModelSpec("ar_times_arch", {"coeffs": (-0.2,), "alpha": 0.8}),
+    "y3": ModelSpec("ar_times_arch", {"coeffs": (0.5,), "alpha": 0.8}),
+    "ar_g_0.6": ModelSpec("ar", {"coeffs": (0.6,), "innovation": "normal"}),
+    "ar_chi_0.6": ModelSpec("ar", {"coeffs": (0.6,), "innovation": "chi2_1"}),
+    "ar_chi_0.9": ModelSpec("ar", {"coeffs": (0.9,), "innovation": "chi2_1"}),
+    "pivot_i": ModelSpec("iid_normal"),
+    "pivot_ii": ModelSpec("noncausal_linear", {"a": 0.6, "innovation": "t5"}),
+    "pivot_iii": ModelSpec("noncausal_linear", {"a": 0.6, "innovation": "arch",
+                                                "arch_alpha": 0.7}),
 }
 
 
@@ -509,8 +452,6 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
         e, z = _draw(seeds, (_normal, n), (_normal, n))
         x = _ar(e, p["coeffs"]) * np.abs(_arch(z, p["alpha"]))
         burn = BURN_IN
-    else:
-        raise ValueError(f"unknown model tag {tag!r}")
 
     return SimOutput(series=np.ascontiguousarray(x.T, dtype=float), seed=list(seeds),
                      burn_in_used=burn, truncation_used=trunc)

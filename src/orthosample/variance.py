@@ -178,10 +178,11 @@ def hotelling_test(points, targets, cov: CovMatrixEstimate) -> HotellingReport:
 
     A covariance estimate whose condition number exceeds 1e12 counts as rank
     deficient."""
-    a = np.asarray(points, dtype=float) - np.asarray(targets, dtype=float)
     p = cov.p
-    if a.shape != (p,):
+    points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
+    if points.shape != (p,) or targets.shape != (p,):  # before numpy broadcasts them
         raise ValueError(f"points/targets must be length-{p} vectors")
+    a = points - targets
     eigvals = np.linalg.eigvalsh(cov.matrix)
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > 1e12:
         raise DegenerateDataError(

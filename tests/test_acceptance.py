@@ -252,9 +252,9 @@ class TestCriterion7:
 @pytest.mark.slow
 class TestCriterion8:
     def test_selection_lands_in_range(self, criterion_report):
-        from orthosample.models import ar
+        from orthosample.models import ModelSpec
 
-        spec = ar([1.5, -0.75])
+        spec = ModelSpec("ar", {"coeffs": (1.5, -0.75), "innovation": "normal"})
         T, p, nrep = 200, 4, 200
         feas = feasible_search_set(T, range(2, 61), p)
         hits = 0

@@ -36,8 +36,7 @@ from orthosample.htests import (
 from orthosample.models import (
     BURN_IN,
     MODEL_REGISTRY,
-    arch1,
-    ar,
+    ModelSpec,
     generate,
     generate_batch,
     generate_bivariate,
@@ -93,7 +92,7 @@ class TestGenerators:
     def test_arch_matches_scalar_loop(self, R):
         alpha, T = 0.8, 200
         seeds = [[6, r] for r in range(R)]
-        block = generate_batch(arch1(alpha), T, seeds).series
+        block = generate_batch(ModelSpec("arch1", {"alpha": alpha}), T, seeds).series
         for j, seed in enumerate(seeds):
             z = np.random.default_rng(seed).standard_normal(T + BURN_IN)
             x = np.empty(T + BURN_IN)
@@ -108,7 +107,8 @@ class TestGenerators:
     def test_ar_matches_scalar_loop(self, R, coeffs):
         T = 150
         seeds = [[7, r] for r in range(R)]
-        block = generate_batch(ar(coeffs, innovation="chi2_1"), T, seeds).series
+        spec = ModelSpec("ar", {"coeffs": coeffs, "innovation": "chi2_1"})
+        block = generate_batch(spec, T, seeds).series
         for j, seed in enumerate(seeds):
             eps = np.random.default_rng(seed).chisquare(1, T + BURN_IN)
             x = np.zeros(T + BURN_IN)
@@ -325,7 +325,8 @@ class TestEqualityShifts:
     @pytest.mark.parametrize("T", [128, 512, 1024, 2**14])
     @pytest.mark.parametrize("beta", ["estimate", 0.25])
     def test_matches_per_shift_loop(self, T, beta):
-        x, y = (generate(ar([0.6]), T, seed=[11, T, k]).series for k in range(2))
+        spec = MODEL_REGISTRY["ar_g_0.6"]
+        x, y = (generate(spec, T, seed=[11, T, k]).series for k in range(2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
             report = equality_test(x, y, beta=beta)

@@ -243,6 +243,16 @@ class TestTestVerb:
         assert captured.err == f"data error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("beta", ["0.5", "1"])
+    def test_degenerate_pair_with_fixed_beta_is_data_error(self, tmp_path, capsys, beta):
+        # equal columns with a fixed exponent: exit 3, not a traceback
+        path = tmp_path / "equal.csv"
+        path.write_text("".join(f"{v:g},{v:g}\n" for v in np.arange(64.0) % 7))
+        assert main(["test", "equality", str(path), "--beta", beta]) == EXIT_DATA == 3
+        captured = capsys.readouterr()
+        assert captured.err == "data error: zero variance in null draws; test undefined\n"
+        assert captured.out == ""
+
     def test_other_zero_division_is_not_a_data_error(self, series_csv, monkeypatch):
         # only the degenerate-data class is bad input; any other division by
         # zero is a fault and keeps its traceback

@@ -16,7 +16,7 @@ from orthosample.equality import (
     l2_distance_stat,
     moment_estimates,
 )
-from orthosample.models import generate_bivariate, iid_normal, generate
+from orthosample.models import MODEL_REGISTRY, generate_bivariate, generate
 from orthosample.spectral import InvalidInputError, ShiftRangeError, dft
 
 
@@ -64,7 +64,7 @@ class TestWindowTransform:
 class TestKernelEstimate:
     def test_white_noise_level(self):
         # for iid data the smoothed estimate approaches sigma^2 / (2 pi)
-        x = generate(iid_normal(), 4096, seed=3).series
+        x = generate(MODEL_REGISTRY["normal"], 4096, seed=3).series
         f = kernel_spectral_estimate(dft(x), KernelSpec(bandwidth=0.1)).real
         assert np.mean(f) == pytest.approx(1.0 / (2 * np.pi), rel=0.05)
         assert np.std(f) < 0.1 / (2 * np.pi)

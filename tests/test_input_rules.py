@@ -24,7 +24,7 @@ from orthosample.htests import (
 )
 from orthosample.selection import criterion, feasible_search_set, select_M
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
-                                  circular_autocov, dft, lag_weight)
+                                  WeightFunction, circular_autocov, dft, lag_weight)
 from orthosample.variance import CovMatrixEstimate, hotelling_test, studentize_block
 from orthosample.whittle import ar_model, score_weight
 
@@ -210,3 +210,59 @@ def test_degenerate_data_is_one_error(site):
     assert isinstance(caught.value, ValueError)
     assert isinstance(caught.value, ZeroDivisionError)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0, "estimate"])
+@pytest.mark.parametrize("block", [False, True], ids=["test", "block"])
+def test_equal_pair_is_degenerate_for_every_beta(beta, block):
+    # equal series give all-zero draws: no power of their mean is defined
+    x = np.stack([NOISE, NOISE[::-1]])
+    message = "zero variance in null draws; " + ("beta" if beta == "estimate" else "test")
+    with pytest.raises(DegenerateDataError, match=f"^{message} undefined$"):
+        _equality(x, x, block, beta=beta)
+
+
+@pytest.mark.parametrize("name", ["L", "M"])
+@pytest.mark.parametrize("value", [None, "ten", float("nan"), float("inf")], ids=repr)
+def test_non_numeric_count_obeys_integer_rule(rng, name, value):
+    # int(value) fails outright here, rather than giving an int that differs
+    x = rng.standard_normal(T)
+    if name == "L":
+        call = lambda: portmanteau_test(x, L=value, M=5)
+    else:  # M = None selects M in the tests, so ask the criterion for it
+        call = lambda: criterion(dft(x), lag_weight(1), value)
+    with pytest.raises(ShiftRangeError, match=rf"^{name}={value} is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize("test", [_box_pierce, _robust])
+@pytest.mark.parametrize("L", [0, T])
+def test_baseline_lag_count_obeys_range_rule(rng, test, L):
+    x = rng.standard_normal((3, T))
+    for block in (False, True):
+        with pytest.raises(ShiftRangeError, match=rf"^L={L} out of range for T={T}$"):
+            test(x if block else x[:1], None, block, L=L)
+
+
+@pytest.mark.parametrize("lag", [-1, T])
+def test_autocov_lag_obeys_range_rule(rng, lag):
+    with pytest.raises(ShiftRangeError, match=rf"^lag {lag} out of range \[0, T\) for T={T}$"):
+        circular_autocov(rng.standard_normal(T), lag)
+
+
+@pytest.mark.parametrize("test", [_portmanteau, _gof])
+@pytest.mark.parametrize("M", [5, None])
+def test_overflowing_draws_are_refused(rng, test, M):
+    # finite input whose squared transforms overflow: the null would hold inf
+    x = 1e200 * rng.standard_normal((3, T))
+    for block in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(ValueError, match="^empirical null contains non-finite draws$"):
+                test(x if block else x[:1], None, block, M=M)
+
+
+def test_scalar_weight_is_broadcast_on_the_grid():
+    vals = WeightFunction(lambda w: 2.0, "two").on_grid(T)
+    assert vals.shape == (T,) and vals.dtype == complex
+    assert np.all(vals == 2.0)

@@ -7,19 +7,10 @@ from orthosample.models import (
     BURN_IN,
     MODEL_REGISTRY,
     ModelSpec,
-    ar,
-    ar_times_arch,
-    arch1,
-    arch_times_noncausal,
     generate,
     generate_batch,
     generate_bivariate,
     generate_bivariate_batch,
-    iid_normal,
-    noncausal_linear,
-    periodic_scaled,
-    pseudo_linear,
-    two_dependent,
     PERIODIC_SCALE,
     _entropy_streams,
 )
@@ -44,12 +35,12 @@ class TestBasics:
         assert not np.array_equal(out1.series, out3.series)
 
     def test_seed_may_be_sequence(self):
-        a = generate(iid_normal(), 50, seed=[1, 2, 3])
-        b = generate(iid_normal(), 50, seed=[1, 2, 3])
+        a = generate(MODEL_REGISTRY["normal"], 50, seed=[1, 2, 3])
+        b = generate(MODEL_REGISTRY["normal"], 50, seed=[1, 2, 3])
         np.testing.assert_array_equal(a.series, b.series)
 
     def test_iid_normal_moments(self):
-        x = generate(iid_normal(), 100_000, seed=5).series
+        x = generate(MODEL_REGISTRY["normal"], 100_000, seed=5).series
         T = x.size
         assert abs(x.mean()) < 4 / np.sqrt(T)
         assert abs(x.var() - 1.0) < 4 * np.sqrt(2 / T)
@@ -70,57 +61,71 @@ class TestBasics:
         with pytest.raises(ValueError):
             generate(ModelSpec("no_such_model"), 100, seed=0)
         with pytest.raises(ValueError):
-            generate(iid_normal(), 1, seed=0)
+            generate(MODEL_REGISTRY["normal"], 1, seed=0)
 
 
 class TestStationarityChecks:
     def test_nonstationary_ar_rejected(self):
-        with pytest.raises(ValueError):
-            ar([1.0])
-        with pytest.raises(ValueError):
-            ar([1.5, -0.5])  # root on the unit circle
+        with pytest.raises(ValueError, match="not stationary"):
+            ModelSpec("ar", {"coeffs": (1.0,), "innovation": "normal"})
+        with pytest.raises(ValueError, match="not stationary"):  # root on the unit circle
+            ModelSpec("ar", {"coeffs": (1.5, -0.5), "innovation": "normal"})
 
     def test_stationary_ar_accepted(self):
-        ar([0.9])
-        ar([1.5, -0.75])
+        ModelSpec("ar", {"coeffs": (0.9,), "innovation": "normal"})
+        ModelSpec("ar", {"coeffs": (1.5, -0.75), "innovation": "normal"})
 
     def test_arch_and_noncausal_bounds(self):
-        with pytest.raises(ValueError):
-            arch1(1.0)
-        with pytest.raises(ValueError):
-            noncausal_linear(1.2)
+        with pytest.raises(ValueError, match=r"\balpha="):
+            ModelSpec("arch1", {"alpha": 1.0})
+        with pytest.raises(ValueError, match=r"\ba="):
+            ModelSpec("noncausal_linear", {"a": 1.2, "innovation": "normal"})
 
-    @pytest.mark.parametrize("make, args, name", [
-        (ar_times_arch, ([1.5],), "coeffs"),
-        (ar_times_arch, ([0.5], 1.2), "alpha"),
-        (arch1, (-0.1,), "alpha"),
-        (arch1, (float("nan"),), "alpha"),
-        (arch_times_noncausal, (1.0, 0.5), "alpha"),
-        (arch_times_noncausal, (0.5, 1.0), "a"),
-        (pseudo_linear, (-1.2, -0.6, 0.5), "b1"),
-        (pseudo_linear, (-0.8, 1.0, 0.5), "b2"),
-        (pseudo_linear, (-0.8, -0.6, 1.5), "arch_alpha"),
-        (noncausal_linear, (0.6, "arch", 1.1), "arch_alpha"),
-        (noncausal_linear, (0.6, "chi2_1"), "innovation"),
-        (ar, ([0.5], "t5"), "innovation"),
+    @pytest.mark.parametrize("tag, params, name", [
+        ("ar_times_arch", {"coeffs": (1.5,), "alpha": 0.8}, "coeffs"),
+        ("ar_times_arch", {"coeffs": (0.5,), "alpha": 1.2}, "alpha"),
+        ("arch1", {"alpha": -0.1}, "alpha"),
+        ("arch1", {"alpha": float("nan")}, "alpha"),
+        ("arch_times_noncausal", {"alpha": 1.0, "a": 0.5}, "alpha"),
+        ("arch_times_noncausal", {"alpha": 0.5, "a": 1.0}, "a"),
+        ("pseudo_linear", {"b1": -1.2, "b2": -0.6, "arch_alpha": 0.5}, "b1"),
+        ("pseudo_linear", {"b1": -0.8, "b2": 1.0, "arch_alpha": 0.5}, "b2"),
+        ("pseudo_linear", {"b1": -0.8, "b2": -0.6, "arch_alpha": 1.5}, "arch_alpha"),
+        ("noncausal_linear", {"a": 0.6, "innovation": "arch", "arch_alpha": 1.1}, "arch_alpha"),
+        ("noncausal_linear", {"a": 0.6, "innovation": "chi2_1"}, "innovation"),
+        ("ar", {"coeffs": (0.5,), "innovation": "t5"}, "innovation"),
     ])
-    def test_bad_parameters_rejected_at_construction(self, make, args, name):
+    def test_bad_parameters_rejected_at_construction(self, tag, params, name):
         with pytest.raises(ValueError, match=rf"\b{name}="):
-            make(*args)
+            ModelSpec(tag, params)
+
+    @pytest.mark.parametrize("tag, params", [
+        ("no_such_model", {}),
+        ("ar", {"coeffs": (0.5,)}),
+        ("arch1", {}),
+        ("arch1", {"alhpa": 0.9}),
+        ("iid_normal", {"alpha": 0.5}),
+    ], ids=["unknown_tag", "missing_innovation", "missing_alpha", "misspelt_alpha",
+            "extra_alpha"])
+    def test_parameter_set_checked_at_construction(self, tag, params):
+        # a spec that generate could not run fails when it is built, naming its tag
+        with pytest.raises(ValueError, match=f"'{tag}'"):
+            ModelSpec(tag, params)
 
     def test_arch_innovation_needs_its_coefficient(self):
         # no fallback: without arch_alpha the innovations would be iid normal
         with pytest.raises(ValueError, match="arch_alpha"):
             ModelSpec("noncausal_linear", {"a": 0.6, "innovation": "arch"})
-        assert noncausal_linear(0.6, "arch").params["arch_alpha"] == 0.7
         assert MODEL_REGISTRY["pivot_iii"].params["arch_alpha"] == 0.7
 
     def test_zero_noncausal_coefficient_is_white_noise(self):
         T, seed = 50, 1
-        x = generate(noncausal_linear(0.0), T, seed=seed).series
+        x = generate(ModelSpec("noncausal_linear", {"a": 0.0, "innovation": "normal"}),
+                     T, seed=seed).series
         # J = 1: the draws cover t = 0 .. T + 1 and x_t = e_t
         np.testing.assert_array_equal(x, np.random.default_rng(seed).standard_normal(T + 2)[1:-1])
-        assert np.all(np.isfinite(generate(pseudo_linear(0.0, 0.0), T, seed=seed).series))
+        spec = ModelSpec("pseudo_linear", {"b1": 0.0, "b2": 0.0, "arch_alpha": 0.5})
+        assert np.all(np.isfinite(generate(spec, T, seed=seed).series))
 
 
 @pytest.mark.slow
@@ -135,11 +140,11 @@ class TestUncorrelatedModels:
         assert np.all(np.abs(rho) < band), rho
 
     def test_two_dependent_second_moment(self):
-        x = generate(two_dependent(), 100_000, seed=3).series
+        x = generate(MODEL_REGISTRY["x3"], 100_000, seed=3).series
         assert abs(np.mean(x**2) - 1.0) < 0.05
 
     def test_noncausal_kills_correlation(self):
-        x = generate(noncausal_linear(0.6, innovation="t5"), 100_000, seed=9).series
+        x = generate(MODEL_REGISTRY["pivot_ii"], 100_000, seed=9).series
         rho = sample_autocorr(x, range(1, 6))
         assert np.all(np.abs(rho) < 4 / np.sqrt(x.size)), rho
 
@@ -154,7 +159,7 @@ class TestUncorrelatedModels:
 class TestPeriodicModel:
     def test_period12_variance_profile(self):
         T = 120_000
-        x = generate(periodic_scaled(), T, seed=13).series
+        x = generate(MODEL_REGISTRY["x8"], T, seed=13).series
         by_phase = x.reshape(-1, 12)
         profile = np.mean(by_phase**2, axis=0)
         scale_sq = np.asarray(PERIODIC_SCALE, dtype=float) ** 2

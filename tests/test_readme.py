@@ -33,3 +33,24 @@ def test_every_exception_class_is_documented():
                and obj.__module__ == f"orthosample.{info.name}"]
     assert {"DataError", "ConfigError", "DegenerateDataError"} <= set(defined)
     assert not [name for name in defined if f"`{name}`" not in text]
+
+
+def test_models_table_names_every_registry_spec():
+    # each row's registry names share the row's tag and parameter names
+    from orthosample.models import _PARAMS, MODEL_REGISTRY
+
+    section = README.read_text(encoding="utf-8").split("## Models\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()
+            if line.startswith("| `")]
+    listed = {}
+    for names, tag, params, _ in rows:
+        for name in re.findall(r"`([^`]+)`", names):
+            listed[name] = (tag.strip().strip("`"), set(re.findall(r"`([^`]+)`", params)))
+    assert sorted(listed) == sorted(MODEL_REGISTRY)
+    assert {tag for tag, _ in listed.values()} == set(_PARAMS)
+    for name, spec in MODEL_REGISTRY.items():
+        assert listed[name] == (spec.tag, set(spec.params)), name
+    namespace = {}
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(example, str(README), "exec"), namespace)
+    assert namespace["x"].shape == (200,)

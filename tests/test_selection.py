@@ -7,7 +7,7 @@ import pytest
 
 from orthosample.cli import EXIT_OK, main
 from orthosample.htests import goodness_of_fit_block, portmanteau_block, portmanteau_test
-from orthosample.models import MODEL_REGISTRY, generate, generate_batch
+from orthosample.models import MODEL_REGISTRY, ModelSpec, generate, generate_batch
 from orthosample.selection import (
     criterion,
     feasible_search_set,
@@ -193,10 +193,7 @@ class TestCurveShape:
     def test_u_shape_on_peaked_ar2(self):
         # sharp-spectrum AR(2): the averaged criterion curve rises at both
         # ends of the search range with an interior minimum
-        spec = MODEL_REGISTRY["normal"]
-        from orthosample.models import ar
-
-        spec = ar([1.5, -0.75])
+        spec = ModelSpec("ar", {"coeffs": (1.5, -0.75), "innovation": "normal"})
         feas = feasible_search_set(200, range(2, 61), 4)
         curves = []
         for r in range(100):

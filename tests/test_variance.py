@@ -16,6 +16,7 @@ from orthosample.spectral import (
     weighted_average,
 )
 from orthosample.variance import (
+    CovMatrixEstimate,
     covariance_matrix_estimate,
     hotelling_test,
     studentize,
@@ -189,6 +190,17 @@ class TestHotelling:
         rep = hotelling_test(points, [0.0, 0.0], cov)
         assert rep.p == 2 and rep.df == 40
         assert 0.0 <= rep.p_value <= 1.0
+
+    @pytest.mark.parametrize("points, targets", [
+        ([0.1], [0.0, 0.0]), ([0.1, 0.1], [0.0]), ([[0.1, 0.1]], [0.0, 0.0]),
+        ([0.1, 0.1, 0.1], [0.0, 0.0, 0.0]),
+    ])
+    def test_vectors_must_have_length_p(self, points, targets):
+        # each vector is checked before subtracting, so numpy cannot broadcast
+        # a short one up to length p
+        cov = CovMatrixEstimate(np.eye(2), 5, 64)
+        with pytest.raises(ValueError, match="^points/targets must be length-2 vectors$"):
+            hotelling_test(points, targets, cov)
 
     def test_rank_deficiency_detected(self, rng):
         # more functionals than shifts can support: p = 3, M = 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthosample.models import MODEL_REGISTRY, ar, generate
+from orthosample.models import MODEL_REGISTRY, ModelSpec, generate
 from orthosample.spectral import InvalidInputError, dft, grid_frequencies
 from orthosample.variance import CovMatrixEstimate, VarianceEstimate
 from orthosample.whittle import (
@@ -19,6 +19,7 @@ from orthosample.whittle import (
 
 
 SCALE_SERIES = generate(MODEL_REGISTRY["ar_g_0.6"], 256, seed=3).series
+AR2 = ModelSpec("ar", {"coeffs": (0.5, 0.3), "innovation": "normal"})
 
 
 class TestModels:
@@ -139,7 +140,7 @@ class TestFit:
         assert not fit.on_boundary
 
     def test_ar2_fit_is_causal_and_beats_profiled_grid(self):
-        x = generate(ar([0.5, 0.3]), 512, seed=52).series
+        x = generate(AR2, 512, seed=52).series
         grid = dft(x)
         model = ar_model(2)
         fit = whittle_fit(grid, model)
@@ -167,7 +168,8 @@ class TestFittedDensity:
 
     @pytest.mark.parametrize("spec, T", [
         (MODEL_REGISTRY["ar_g_0.6"], 512), (MODEL_REGISTRY["ar_g_0.6"], 257),
-        (ar([0.5, 0.3]), 512), (ar([0.5, 0.3]), 100), (ar([-0.4]), 1000),
+        (AR2, 512), (AR2, 100),
+        (ModelSpec("ar", {"coeffs": (-0.4,), "innovation": "normal"}), 1000),
     ])
     @pytest.mark.parametrize("model", [ar_model(1), ar_model(2), ar_model(1, sigma=1.3),
                                        ar_model(2, sigma=0.7)], ids=lambda m: m.name)
