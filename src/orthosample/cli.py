@@ -8,7 +8,8 @@ Verbs:
 Exit codes: 0 success, 2 configuration/usage error, 3 data error.
 The ORTHOSAMPLE_WORKERS environment variable overrides the configured
 worker count: the processes of the one pool that serves a run, over which
-each cell's blocks of replications are spread.
+each cell's blocks of replications are spread. It obeys the config's
+worker-count rule, as a ``workers`` line in a config file would.
 """
 
 from __future__ import annotations
@@ -186,11 +187,10 @@ def main(argv=None) -> int:
             if args.nrep is not None:
                 cfg = replace(cfg, nrep=args.nrep)
             workers_env = os.environ.get("ORTHOSAMPLE_WORKERS")
-            try:
-                cfg = replace(cfg, workers=int(workers_env)) if workers_env else cfg
-            except ValueError:  # the config's worker-count rule, or not an integer
-                raise ConfigError("ORTHOSAMPLE_WORKERS must be an integer >= 1, "
-                                  f"got {workers_env!r}") from None
+            try:  # the config's worker-count rule
+                cfg = replace(cfg, workers=workers_env) if workers_env else cfg
+            except ConfigError as e:
+                raise ConfigError(f"ORTHOSAMPLE_WORKERS={workers_env!r}: {e}") from None
             table = run_experiment(cfg)
             for path in emit(table, args.out, json_too=args.json):
                 print(path)

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,41 +71,101 @@ class ConfigError(ValueError):
     pass
 
 
+def _split(v) -> list:
+    """A list entry: a comma-separated string, a list, tuple or range, or one value."""
+    if isinstance(v, str):
+        return [s.strip() for s in v.split(",") if s.strip()]
+    return list(v) if isinstance(v, (list, tuple, range)) else [v]
+
+
+def _count(name: str) -> Callable:
+    """The integer rule (``spectral._integer``) of a config integer; a string
+    is read as an int, or else as a float, so a long seed stays exact."""
+    def rule(raw):
+        if isinstance(raw, str):
+            try:
+                raw = int(raw)
+            except ValueError:
+                raw = float(raw)
+        return _integer(raw, name)
+    return rule
+
+
+def _optional(rule: Callable, words=("none",)) -> Callable:
+    return lambda raw: None if str(raw).lower() in words else rule(raw)
+
+
+def _listed(rule: Callable) -> Callable:
+    return lambda raw: tuple(rule(s) for s in _split(raw))
+
+
+def _beta(raw):
+    """A beta setting, in a config or after ``--beta``: "estimate" or a number."""
+    return raw if raw == "estimate" else float(raw)
+
+
+def _search_members(spec) -> tuple:
+    """The search-set rule of "lo..hi", a list or one M; each M and end an integer."""
+    if isinstance(spec, str) and ".." in spec:
+        lo, hi = map(_count("M"), spec.split(".."))
+        spec = range(lo, hi + 1)
+    return _search_set(map(_count("M"), _split(spec)), DEFAULT_P)[0]
+
+
+def _apply(key: str, rule: Callable, raw):
+    """``rule(raw)``, or a ConfigError naming ``key``, ``raw`` and the cause."""
+    try:
+        return rule(raw)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad value for {key!r}: {raw!r}; {e}") from None
+
+
+def parse_search_set(spec, name: str) -> tuple:
+    """The M search set ``spec`` after its rule, or a ConfigError naming ``name``."""
+    return _apply(name, _search_members, spec)
+
+
+def _key(default, rule: Callable):
+    """A config key's field: its default and its rule (see ExperimentConfig)."""
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte Carlo experiment. Its fields are the rule table, the one home
+    of each key's conversion: a file's string, a JSON value and a value in code
+    go to the key's rule, which names the key if it refuses one; the range
+    checks follow, on the normalised fields."""
+
     experiment: str
-    models: tuple = ("normal",)
-    T: tuple = (100,)
-    nrep: int = 100
-    M: int | None = None  # None means data-driven selection
-    search_set: tuple = tuple(DEFAULT_SEARCH_SET)
-    p: int = DEFAULT_P
-    L: int = 5
-    b: float | None = None
-    beta: float | str = "estimate"
-    methods: tuple = ("orthogonal",)
-    alphas: tuple = (0.05, 0.10)
-    seed: int = 0
-    workers: int = 1
+    models: tuple = _key(("normal",), _listed(str))
+    T: tuple = _key((100,), _listed(_count("T")))
+    nrep: int = _key(100, _count("nrep"))
+    # None means data-driven selection
+    M: int | None = _key(None, _optional(_count("M"), ("select", "none")))
+    search_set: tuple = _key(tuple(DEFAULT_SEARCH_SET), _search_members)
+    p: int = _key(DEFAULT_P, _count("p"))
+    L: int = _key(5, _count("L"))
+    b: float | None = _key(None, _optional(float))
+    beta: float | str = _key("estimate", _beta)
+    methods: tuple = _key(("orthogonal",), _listed(str))
+    alphas: tuple = _key((0.05, 0.10), _listed(float))
+    seed: int = _key(0, _count("seed"))
+    workers: int = _key(1, _count("workers"))
     # goodness-of-fit null: spectral density sigma^2/(2 pi) |1 - phi e^{iw}|^{-2}
-    gof_phi: float | None = None
-    gof_sigma: float | None = None
+    gof_phi: float | None = _key(None, _optional(float))
+    gof_sigma: float | None = _key(None, _optional(float))
     # equality-test data: X ~ AR(0.8), Y ~ AR2(0.8, delta), corr(innov) = rho
-    rho: float = 0.0
-    delta: float = 0.0
+    rho: float = _key(0.0, float)
+    delta: float = _key(0.0, float)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
-        for key in ("T", "nrep", "L", "M", "p", "seed", "workers"):  # the integer rule
-            raw = getattr(self, key)
-            try:
-                value = (tuple(_integer(t, key) for t in raw) if key == "T" else
-                         raw if raw is None else _integer(raw, key))
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}; {e}") from None
-            object.__setattr__(self, key, value)
+        for f in fields(self)[1:]:  # every key but experiment, in field order
+            object.__setattr__(self, f.name, _apply(f.name, f.metadata["rule"],
+                                                    getattr(self, f.name)))
         if not self.T or min(self.T) < 2:
             raise ConfigError(f"T must be a non-empty list of lengths >= 2, got {self.T!r}")
         if not self.alphas or not all(0 < a < 1 for a in self.alphas):
@@ -138,8 +198,7 @@ class ExperimentConfig:
             _check_beta(self.beta)
             if self.b is not None:
                 KernelSpec(self.b)
-            object.__setattr__(self, "search_set", parse_search_set(self.search_set, "search_set"))
-            object.__setattr__(self, "p", _search_set(self.search_set, self.p)[1])
+            _search_set(self.search_set, self.p)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if self.experiment.startswith("table_gof"):
@@ -176,61 +235,9 @@ class ResultTable:
             yield line if include_time else line.rsplit(",", 1)[0]
 
 
-def _split(v) -> list:
-    """A list entry: a comma-separated string, a list or tuple, or one value."""
-    if isinstance(v, str):
-        return [s.strip() for s in v.split(",") if s.strip()]
-    return list(v) if isinstance(v, (list, tuple)) else [v]
-
-
-def _int(raw):
-    """A config integer from a decimal string; a number is left to the integer
-    rule of ``ExperimentConfig`` (for a search-set member, the search-set rule)."""
-    return int(raw) if isinstance(raw, str) else raw
-
-
-def _beta(raw):
-    """A beta setting, in a config or after ``--beta``: "estimate" or a number."""
-    return raw if raw == "estimate" else float(raw)
-
-
-def parse_search_set(spec, name: str) -> tuple:
-    """The M search set given as "lo..hi", a comma list or a sequence of
-    integers, after the search-set rule; a ConfigError naming ``name`` if not."""
-    try:
-        if isinstance(spec, str) and ".." in spec:
-            lo, hi = spec.split("..")
-            members = range(int(lo), int(hi) + 1)
-        else:
-            members = [_int(s) for s in _split(spec)]
-        return _search_set(members, DEFAULT_P)[0]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad value for {name!r}: {spec!r}; {e}") from None
-
-
-def _parse_value(key: str, raw):
-    """Coerce one config entry; lists may be comma-separated strings."""
-    if key in ("models", "methods"):
-        return tuple(str(s) for s in _split(raw))
-    if key == "T":
-        return tuple(_int(s) for s in _split(raw))
-    if key == "alphas":
-        return tuple(float(s) for s in _split(raw))
-    if key in ("nrep", "p", "L", "seed", "workers"):
-        return _int(raw)
-    if key == "M":
-        return None if str(raw).lower() in ("select", "none") else _int(raw)
-    if key in ("b", "gof_phi", "gof_sigma"):
-        return None if str(raw).lower() == "none" else float(raw)
-    if key in ("rho", "delta"):
-        return float(raw)
-    if key == "beta":
-        return _beta(raw)
-    return raw
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse key=value lines, or a JSON object if the text starts with '{'."""
+    """Collect key=value lines, or a JSON object if the text starts with '{',
+    and build the config from them: each value goes to its key's rule."""
     text = text.strip()
     entries = {}
     if text.startswith("{"):
@@ -249,16 +256,10 @@ def parse_config(text: str) -> ExperimentConfig:
             entries[key.strip()] = value.strip()
     if "experiment" not in entries:
         raise ConfigError("config must set 'experiment'")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    parsed = {}
-    for key, value in entries.items():
-        if key not in known:
+    for key in entries:
+        if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            parsed[key] = _parse_value(key, value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from None
-    return ExperimentConfig(**parsed)
+    return ExperimentConfig(**entries)
 
 
 def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray) -> list:

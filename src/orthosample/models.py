@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,13 +90,14 @@ def _spectral_radius(coeffs) -> float:
 @dataclass(frozen=True)
 class ModelSpec:
     """A data-generating process: its tag and exactly the parameters the tag
-    takes (see the README's models table), checked when the spec is built."""
+    takes (see the README's models table), checked and kept read-only when built."""
 
     tag: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        p = self.params
+        p = MappingProxyType(dict(self.params))
+        object.__setattr__(self, "params", p)
         if self.tag not in _PARAMS:
             raise ValueError(f"unknown model tag {self.tag!r}; known tags: "
                              f"{', '.join(sorted(_PARAMS))}")
@@ -118,6 +120,9 @@ class ModelSpec:
         if "innovation" in p and p["innovation"] not in allowed:
             raise ValueError(f"innovation={p['innovation']!r} is not one of {allowed} "
                              f"for {self.tag}")
+
+    def __reduce__(self):  # a mapping proxy does not pickle
+        return ModelSpec, (self.tag, dict(self.params))
 
 
 @dataclass(frozen=True)

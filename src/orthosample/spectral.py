@@ -284,9 +284,9 @@ class OrthogonalSample:
 
 def _integer(value, name: str, T: int | None = None) -> int:
     """The integer rule of every count and order: an integral ``value`` (say
-    5.0 or a numpy integer) as an int, any other a ShiftRangeError naming it."""
+    5.0 or a numpy integer, not a bool) as an int, any other a ShiftRangeError naming it."""
     try:
-        if int(value) == value:
+        if int(value) == value and not isinstance(value, (bool, np.bool_)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -364,16 +364,17 @@ class TestRunVerb:
         rate = float(lines[1].split(",")[4])
         assert min(abs(rate - v) for v in (0.0, 100 / 3, 200 / 3, 100.0)) < 1e-3
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["2", "2.0"])  # the config's rule: 2.0 is 2
+    def test_workers_env_override(self, tmp_path, monkeypatch, value):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "experiment = table_uncorrelated_null\n"
             "models = normal\nT = 64\nnrep = 4\nM = 8\nseed = 5\n"
         )
-        monkeypatch.setenv("ORTHOSAMPLE_WORKERS", "2")
+        monkeypatch.setenv("ORTHOSAMPLE_WORKERS", value)
         assert main(["run", str(cfg), "--out", str(tmp_path / "res3")]) == EXIT_OK
 
-    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3", "true"])
     def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys,
                                              value):
         cfg = tmp_path / "exp.cfg"
@@ -385,7 +386,7 @@ class TestRunVerb:
         out = tmp_path / "res4"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error" in err and "ORTHOSAMPLE_WORKERS" in err
+        assert "config error" in err and "ORTHOSAMPLE_WORKERS" in err and "workers" in err
         assert not (tmp_path / "res4.csv").exists()
 
     def test_missing_out_directory_is_config_error(self, tmp_path, capsys, monkeypatch):

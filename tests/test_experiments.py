@@ -157,9 +157,13 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [("nrep", 10.7), ("T", [100.9]), ("L", 5.5),
                                             ("M", 8.5), ("p", 4.5), ("seed", 1.5),
-                                            ("workers", 1.5), ("search_set", [10, 12.5])])
+                                            ("workers", 1.5), ("search_set", [10, 12.5]),
+                                            # int(True) == True, yet a boolean is no count
+                                            ("nrep", True), ("seed", False),
+                                            ("L", np.True_), ("T", [np.True_])])
     def test_json_numbers_obey_integer_rule(self, key, value):
-        text = json.dumps({"experiment": "table_uncorrelated_null", key: value})
+        text = json.dumps({"experiment": "table_uncorrelated_null", key: value},
+                          default=lambda v: v.item())
         with pytest.raises(ConfigError, match=f"'{key}'"):
             parse_config(text)
         # and built in code: nrep = 2.5 used to build, and its run raised TypeError
@@ -210,6 +214,97 @@ class TestParseConfig:
                              T=(100,), nrep=2, **params)
         with pytest.raises(ConfigError, match="gof_phi and gof_sigma"):
             parse_config("experiment = table_gof_power\nmodels = ar_g_0.6\n")
+
+
+# Each key has one rule, whatever the source: a file's line, a JSON value and
+# a value in code. (key, file, JSON, code, field) for values that build, and
+# (key, file, JSON, code) for values that each source must refuse.
+HEAD = {"experiment": "table_gof_null", "models": "ar_g_0.6", "gof_phi": 0.6, "gof_sigma": 1}
+GOOD_VALUES = [
+    ("experiment", "table_gof_power", "table_gof_power", "table_gof_power", "table_gof_power"),
+    ("models", "normal", ["normal"], "normal", ("normal",)),
+    ("models", "normal, x5", ["normal", "x5"], ("normal", "x5"), ("normal", "x5")),
+    ("T", "64, 128.0", [64, 128.0], (64.0, np.int64(128)), (64, 128)),
+    ("T", "1e2", 100.0, "100", (100,)),
+    ("nrep", "5.0", 5.0, "5", 5),
+    ("M", "select", None, "none", None),
+    ("M", "8.0", 8, 8.0, 8),
+    ("search_set", "10.0..20", [10, 11.0, *range(12, 21)], "10..20", tuple(range(10, 21))),
+    ("search_set", "7, 9", "7, 9", [7, 9.0], (7, 9)),
+    ("p", "4.0", 4, np.int64(4), 4),
+    ("L", "5.0", 5.0, "5", 5),
+    ("b", "0.3", 0.3, "0.3", 0.3),
+    ("b", "none", None, None, None),
+    ("beta", "0.5", 0.5, "0.5", 0.5),
+    ("beta", "estimate", "estimate", "estimate", "estimate"),
+    ("methods", "box_pierce", ["box_pierce"], "box_pierce", ("box_pierce",)),
+    ("alphas", "0.05", 0.05, 0.05, (0.05,)),
+    ("alphas", "0.01, 0.1", [0.01, 0.1], (0.01, "0.1"), (0.01, 0.1)),
+    ("seed", "12345678901234567890", 12345678901234567890, "12345678901234567890",
+     12345678901234567890),
+    ("seed", "1e1", 10.0, 10, 10),
+    ("workers", "2", 2, "2.0", 2),
+    ("gof_phi", "0.5", 0.5, "0.5", 0.5),
+    ("gof_sigma", "2", 2, "2.0", 2.0),
+    ("rho", "0.5", 0.5, "0.5", 0.5),
+    ("delta", "-0.1", -0.1, "-0.1", -0.1),
+]
+BAD_VALUES = [
+    ("experiment", "custom", "custom", "custom"),
+    ("models", "martian", ["normal", "martian"], "martian"),
+    ("T", "100, x", [100, "x"], (100, 10.5)),
+    ("T", "1", [64, 1], 1),
+    ("nrep", "ten", True, "10.5"),
+    ("nrep", "0", 0.0, "-1"),
+    ("M", "8.5", 8.5, "eight"),
+    ("search_set", "10..x", [10, 12.5], "30..10"),
+    ("search_set", "10.5..20", "5..", (0, 3)),
+    ("p", "1", 4.5, "4.5"),
+    ("L", "2.5", 0, True),
+    ("b", "1.5", "half", 0),
+    ("beta", "2", "x", 0),
+    ("methods", "bootstrap", ["equality"], "sorcery"),
+    ("alphas", "0.05, 1", [0.05, "x"], 1.5),
+    ("seed", "-1", True, "1.5"),
+    ("workers", "0", 1.5, "two"),
+    ("gof_phi", "half", 1.5, "1.5"),
+    ("gof_sigma", "0", -1, "nan"),
+    ("rho", "none", 2, "2"),
+    ("delta", "nan", "none", 0.3),
+]
+
+
+def _from_every_source(key, file, json_value, code_value) -> list:
+    """A file's line, a JSON value and a value in code for ``key`` over HEAD,
+    each built into a config: a thunk per source."""
+    head = {k: v for k, v in HEAD.items() if k != key}
+    lines = "".join(f"{k} = {v}\n" for k, v in {**head, key: file}.items())
+    text = json.dumps({**head, key: json_value}, default=lambda v: v.item())
+    return [lambda: parse_config(lines), lambda: parse_config(text),
+            lambda: ExperimentConfig(**{**head, key: code_value})]
+
+
+class TestOneRulePerKey:
+    @pytest.mark.parametrize("key, file, json_value, code_value, want", GOOD_VALUES)
+    def test_every_source_builds_the_same_config(self, key, file, json_value, code_value,
+                                                 want):
+        configs = [build() for build in _from_every_source(key, file, json_value, code_value)]
+        assert configs[0] == configs[1] == configs[2]
+        # repr tells 5 from 5.0, which == does not
+        assert all(repr(getattr(cfg, key)) == repr(want) for cfg in configs)
+
+    @pytest.mark.parametrize("key, file, json_value, code_value", BAD_VALUES)
+    def test_every_source_refuses_a_bad_value(self, key, file, json_value, code_value):
+        # a refused conversion quotes the key; three range messages name it by
+        # what it holds
+        name = {"models": "model tag", "methods": "method", "b": "bandwidth"}.get(key, key)
+        for build in _from_every_source(key, file, json_value, code_value):
+            with pytest.raises(ConfigError, match=rf"'{key}'|\b{name}\b"):
+                build()
+
+    def test_every_key_is_covered(self):
+        keys = set(ExperimentConfig.__dataclass_fields__)
+        assert {case[0] for case in GOOD_VALUES} == {case[0] for case in BAD_VALUES} == keys
 
 
 class TestRunExperiment:

@@ -223,9 +223,11 @@ def test_equal_pair_is_degenerate_for_every_beta(beta, block):
 
 
 @pytest.mark.parametrize("name", ["L", "M"])
-@pytest.mark.parametrize("value", [None, "ten", float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("value", [None, "ten", float("nan"), float("inf"), True, np.True_],
+                         ids=repr)
 def test_non_numeric_count_obeys_integer_rule(rng, name, value):
-    # int(value) fails outright here, rather than giving an int that differs
+    # int(value) fails outright here, rather than giving an int that differs;
+    # a boolean is refused although int(True) == True
     x = rng.standard_normal(T)
     if name == "L":
         call = lambda: portmanteau_test(x, L=value, M=5)

@@ -1,5 +1,7 @@
 """Simulation model generators: reproducibility, moments, stationarity."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,27 @@ class TestStationarityChecks:
         # a spec that generate could not run fails when it is built, naming its tag
         with pytest.raises(ValueError, match=f"'{tag}'"):
             ModelSpec(tag, params)
+
+    def test_params_are_a_read_only_copy(self):
+        # a spec changed after its checks would fail deep in a generator, for
+        # every later user of a shared registry spec
+        with pytest.raises(TypeError):
+            MODEL_REGISTRY["x5"].params["alpha"] = 1.5
+        assert MODEL_REGISTRY["x5"].params["alpha"] == 0.8
+        assert np.all(np.isfinite(generate(MODEL_REGISTRY["x5"], 100, seed=1).series))
+        params = {"coeffs": (0.5,), "alpha": 0.8}
+        spec = ModelSpec("ar_times_arch", params)
+        params["alpha"] = 1.5
+        del params["coeffs"]
+        assert spec == MODEL_REGISTRY["y3"] and dict(spec.params) == {"coeffs": (0.5,), "alpha": 0.8}
+
+    @pytest.mark.parametrize("tag", sorted(MODEL_REGISTRY))
+    def test_spec_pickles(self, tag):
+        spec = MODEL_REGISTRY[tag]
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.params == spec.params
+        with pytest.raises(TypeError):
+            copy.params["x"] = 1.0
 
     def test_arch_innovation_needs_its_coefficient(self):
         # no fallback: without arch_alpha the innovations would be iid normal
