@@ -6,10 +6,9 @@ Verbs:
   selectM <datafile>            data-driven choice of the number of shifts
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data error.
-The ORTHOSAMPLE_WORKERS environment variable overrides the configured
-worker count: the processes of the one pool that serves a run, over which
-each cell's blocks of replications are spread. It obeys the config's
-worker-count rule, as a ``workers`` line in a config file would.
+The options have no rules of their own: each number, like ORTHOSAMPLE_WORKERS
+(which overrides the configured worker count, the processes of the one pool
+that serves a run), obeys the rule of the config key of its name.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .equality import equality_test
-from .experiments import ConfigError, _beta, emit, parse_config, parse_search_set, run_experiment
+from .experiments import (ConfigError, ExperimentConfig, _apply, emit, parse_config,
+                          parse_search_set, run_experiment)
 from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
                      portmanteau_test, robust_portmanteau)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, select_M
@@ -107,8 +107,7 @@ def report_to_dict(report: TestReport) -> dict:
     }
 
 
-def run_single_test(kind: str, path: str, M=None, L: int = 5, b=None,
-                    beta="estimate") -> dict:
+def run_single_test(kind: str, path: str, M, L: int, b, beta) -> dict:
     if kind == "equality":
         x, y = load_series(path, columns=2)
         report = equality_test(x, y, b=b, M=M, beta=beta)
@@ -148,21 +147,19 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="results", help="output path prefix")
     p_run.add_argument("--json", action="store_true", help="also write JSON")
-    p_run.add_argument("--nrep", type=int, default=None,
-                       help="override replication count (e.g. paper scale)")
+    p_run.add_argument("--nrep", help="override replication count (e.g. paper scale)")
 
     p_test = sub.add_parser("test", help="run one test on a data file")
     p_test.add_argument("kind", choices=TEST_KINDS)
     p_test.add_argument("datafile")
-    p_test.add_argument("--M", type=int, default=None)
-    p_test.add_argument("--L", type=int, default=5)
-    p_test.add_argument("--b", type=float, default=None)
-    p_test.add_argument("--beta", type=_beta, default="estimate",
-                        help='"estimate" or a number')
+    p_test.add_argument("--M", default=None)
+    p_test.add_argument("--L", default=5)
+    p_test.add_argument("--b", default=None)
+    p_test.add_argument("--beta", default="estimate", help='"estimate" or a number')
 
     p_sel = sub.add_parser("selectM", help="choose the number of shifts")
     p_sel.add_argument("datafile")
-    p_sel.add_argument("--p", type=int, default=DEFAULT_P)
+    p_sel.add_argument("--p", default=DEFAULT_P)
     p_sel.add_argument("--set", default=tuple(DEFAULT_SEARCH_SET), dest="search_set",
                        help="search set, e.g. 10..30 or 5,10,20")
     return parser
@@ -175,6 +172,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
 
     try:
+        opts = {k: _apply(f"--{k}", ExperimentConfig.__dataclass_fields__[k].metadata["rule"], v)
+                for k, v in vars(args).items() if k in ("M", "L", "b", "beta", "p")}
         if args.verb == "run":
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -184,28 +183,24 @@ def main(argv=None) -> int:
             out_dir = os.path.dirname(args.out) or "."
             if not os.path.isdir(out_dir):
                 raise ConfigError(f"--out: directory {out_dir!r} does not exist")
-            if args.nrep is not None:
-                cfg = replace(cfg, nrep=args.nrep)
-            workers_env = os.environ.get("ORTHOSAMPLE_WORKERS")
-            try:  # the config's worker-count rule
-                cfg = replace(cfg, workers=workers_env) if workers_env else cfg
-            except ConfigError as e:
-                raise ConfigError(f"ORTHOSAMPLE_WORKERS={workers_env!r}: {e}") from None
-            table = run_experiment(cfg)
-            for path in emit(table, args.out, json_too=args.json):
+            for source, key, raw in (("--nrep", "nrep", args.nrep), ("ORTHOSAMPLE_WORKERS",
+                                     "workers", os.environ.get("ORTHOSAMPLE_WORKERS") or None)):
+                try:
+                    cfg = cfg if raw is None else replace(cfg, **{key: raw})
+                except ConfigError as e:
+                    raise ConfigError(f"{source}={raw!r}: {e}") from None
+            for path in emit(run_experiment(cfg), args.out, json_too=args.json):
                 print(path)
             return EXIT_OK
         if args.verb == "test":
-            result = run_single_test(args.kind, args.datafile, M=args.M,
-                                     L=args.L, b=args.b, beta=args.beta)
-            print(json.dumps(result, indent=1))
+            print(json.dumps(run_single_test(args.kind, args.datafile, **opts), indent=1))
             return EXIT_OK
         if args.verb == "selectM":
             (x,) = load_series(args.datafile, columns=1)
             grid = dft(x, demean=True)
             # a bad --set is a config error, found before a bad --p
             sel = select_M(grid, lag_weight(1), parse_search_set(args.search_set, "--set"),
-                           args.p)
+                           opts["p"])
             print(json.dumps({
                 "chosen_M": sel.chosen_M,
                 "p": sel.p,

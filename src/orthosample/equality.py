@@ -23,8 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import distributions as dist
 from .htests import BlockReport, TestReport
 from .spectral import (DegenerateDataError, DftGrid, InvalidInputError, _check_shift,
-                       _circular_convolve, _shift_chunks, as_block, as_series, dft_block,
-                       grid_constant)
+                       _circular_convolve, _real, _shift_chunks, as_block, as_series,
+                       dft_block, grid_constant)
 
 __all__ = [
     "KernelSpec",
@@ -53,7 +53,7 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self):
-        if not np.isfinite(self.bandwidth) or not 0.0 < self.bandwidth < 1.0:
+        if not 0.0 < _real(self.bandwidth, "bandwidth b") < 1.0:
             raise InvalidInputError("bandwidth must lie in (0, 1)")
 
     def weights(self, T: int) -> np.ndarray:
@@ -174,10 +174,11 @@ def default_bandwidth(T: int) -> float:
     return 0.15 if T < 512 else 0.1
 
 
-def _check_beta(beta) -> None:
-    """The exponent rule: beta is "estimate" or a number in (0, 1]."""
-    if beta != "estimate" and not 0.0 < float(beta) <= 1.0:
-        raise InvalidInputError(f"beta={float(beta)} outside (0, 1]")
+def _check_beta(beta) -> float | str:
+    """The exponent rule: beta is "estimate" or a real number in (0, 1], as a float."""
+    if beta != "estimate" and not 0.0 < (beta := _real(beta, "beta")) <= 1.0:
+        raise InvalidInputError(f"beta={beta} outside (0, 1]")
+    return beta
 
 
 def _shift_products(J: np.ndarray, rows: slice, rs: slice, swap: bool = False) -> np.ndarray:
@@ -206,7 +207,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
         raise InvalidInputError(f"series blocks differ in shape: {X.shape} vs {Y.shape}")
     R, T = X.shape
     M = _check_shift(T, default_M(T) if M is None else M, "M", 1)
-    _check_beta(beta)
+    beta = _check_beta(beta)
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)
     fw = _window_transform(kernel, T)
 
@@ -214,8 +215,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     # one transform per shift for both series.  J[0, i, r] is J_{k+r} of X[i] (J[1, i, r] of
     # Y[i]): a window on the row and its first M points, filled in place to save a block copy.
     ext = np.empty((2, R, T + M), dtype=complex)
-    for s, Z in enumerate((X, Y)):
-        ext[s, :, :T] = dft_block(Z)
+    ext[..., :T] = dft_block(np.concatenate((X, Y))).reshape(2, R, T)
     ext[..., T:] = ext[..., :M]
     J = sliding_window_view(ext, T, axis=-1)
     stat, sums = np.empty(R), np.empty((2, R, M + 1))
@@ -231,7 +231,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     if np.any(var <= 0):  # e.g. X[i] == Y[i]: every draw is zero and no power is defined
         raise DegenerateDataError("zero variance in null draws; "
                                   + ("beta" if beta == "estimate" else "test") + " undefined")
-    beta_used = beta_hat(mu, var, mu3) if beta == "estimate" else np.full(R, float(beta))
+    beta_used = beta_hat(mu, var, mu3) if beta == "estimate" else np.full(R, beta)
 
     # moments of the transformed statistic by a second-order expansion
     mu_b = _pow(mu, beta_used) + 0.5 * beta_used * (beta_used - 1.0) * _pow(

@@ -28,13 +28,8 @@ from .htests import (_lag_rows, box_pierce_block, goodness_of_fit_block, portman
 from .models import (BURN_IN, MODEL_REGISTRY, _check_bivariate, generate_batch,
                      generate_bivariate_batch)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _search_set
-from .spectral import (
-    _integer,
-    ar_spectral_density,
-    dft_block,
-    grid_constant,
-    shift_runs,
-)
+from .spectral import (_check_shift, _integer, _real, ar_spectral_density, dft_block,
+                       grid_constant, shift_runs)
 from .variance import studentize_block, variance_block
 
 __all__ = [
@@ -57,14 +52,10 @@ CSV_HEADER = "model,T,method,alpha,rate,se,time_ms"
 # (2 x 100 replications at T = 100, nrep 200; 2 x 50 at T = 1024, nrep 100).
 BLOCK_POINTS = 2**17
 
-EXPERIMENTS = (
-    "qq_t10",
-    "table_equality",
-    "table_uncorrelated_null",
-    "table_uncorrelated_power",
-    "table_gof_null",
-    "table_gof_power",
-)
+# Each experiment and the methods of its cells; () for the configured methods
+EXPERIMENTS = {"qq_t10": ("qq_t10",), "table_equality": ("equality",),
+               "table_uncorrelated_null": (), "table_uncorrelated_power": (),
+               "table_gof_null": (), "table_gof_power": ()}
 
 
 class ConfigError(ValueError):
@@ -78,17 +69,16 @@ def _split(v) -> list:
     return list(v) if isinstance(v, (list, tuple, range)) else [v]
 
 
-def _count(name: str) -> Callable:
-    """The integer rule (``spectral._integer``) of a config integer; a string
-    is read as an int, or else as a float, so a long seed stays exact."""
-    def rule(raw):
+def _number(rule: Callable, name: str) -> Callable:
+    """The rule (``_integer`` or ``_real``) of key ``name``; a string is read as int or float."""
+    def read(raw):
         if isinstance(raw, str):
             try:
-                raw = int(raw)
+                raw = int(raw)  # so a long seed stays exact
             except ValueError:
                 raw = float(raw)
-        return _integer(raw, name)
-    return rule
+        return rule(raw, name)
+    return read
 
 
 def _optional(rule: Callable, words=("none",)) -> Callable:
@@ -100,16 +90,16 @@ def _listed(rule: Callable) -> Callable:
 
 
 def _beta(raw):
-    """A beta setting, in a config or after ``--beta``: "estimate" or a number."""
-    return raw if raw == "estimate" else float(raw)
+    """A beta setting: "estimate" or a real number."""
+    return raw if raw == "estimate" else _number(_real, "beta")(raw)
 
 
 def _search_members(spec) -> tuple:
     """The search-set rule of "lo..hi", a list or one M; each M and end an integer."""
     if isinstance(spec, str) and ".." in spec:
-        lo, hi = map(_count("M"), spec.split(".."))
+        lo, hi = map(_number(_integer, "M"), spec.split(".."))
         spec = range(lo, hi + 1)
-    return _search_set(map(_count("M"), _split(spec)), DEFAULT_P)[0]
+    return _search_set(map(_number(_integer, "M"), _split(spec)), DEFAULT_P)[0]
 
 
 def _apply(key: str, rule: Callable, raw):
@@ -133,36 +123,36 @@ def _key(default, rule: Callable):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment. Its fields are the rule table, the one home
-    of each key's conversion: a file's string, a JSON value and a value in code
-    go to the key's rule, which names the key if it refuses one; the range
-    checks follow, on the normalised fields."""
+    of each key's conversion: a file's string, a JSON value, a value in code and
+    a command line option go to the key's rule, which names the key (or option)
+    if it refuses one; the range checks follow, on the normalised fields."""
 
     experiment: str
     models: tuple = _key(("normal",), _listed(str))
-    T: tuple = _key((100,), _listed(_count("T")))
-    nrep: int = _key(100, _count("nrep"))
+    T: tuple = _key((100,), _listed(_number(_integer, "T")))
+    nrep: int = _key(100, _number(_integer, "nrep"))
     # None means data-driven selection
-    M: int | None = _key(None, _optional(_count("M"), ("select", "none")))
+    M: int | None = _key(None, _optional(_number(_integer, "M"), ("select", "none")))
     search_set: tuple = _key(tuple(DEFAULT_SEARCH_SET), _search_members)
-    p: int = _key(DEFAULT_P, _count("p"))
-    L: int = _key(5, _count("L"))
-    b: float | None = _key(None, _optional(float))
+    p: int = _key(DEFAULT_P, _number(_integer, "p"))
+    L: int = _key(5, _number(_integer, "L"))
+    b: float | None = _key(None, _optional(_number(_real, "b")))
     beta: float | str = _key("estimate", _beta)
     methods: tuple = _key(("orthogonal",), _listed(str))
-    alphas: tuple = _key((0.05, 0.10), _listed(float))
-    seed: int = _key(0, _count("seed"))
-    workers: int = _key(1, _count("workers"))
+    alphas: tuple = _key((0.05, 0.10), _listed(_number(_real, "alphas")))
+    seed: int = _key(0, _number(_integer, "seed"))
+    workers: int = _key(1, _number(_integer, "workers"))
     # goodness-of-fit null: spectral density sigma^2/(2 pi) |1 - phi e^{iw}|^{-2}
-    gof_phi: float | None = _key(None, _optional(float))
-    gof_sigma: float | None = _key(None, _optional(float))
+    gof_phi: float | None = _key(None, _optional(_number(_real, "gof_phi")))
+    gof_sigma: float | None = _key(None, _optional(_number(_real, "gof_sigma")))
     # equality-test data: X ~ AR(0.8), Y ~ AR2(0.8, delta), corr(innov) = rho
-    rho: float = _key(0.0, float)
-    delta: float = _key(0.0, float)
+    rho: float = _key(0.0, _number(_real, "rho"))
+    delta: float = _key(0.0, _number(_real, "delta"))
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose from {EXPERIMENTS}")
+                              f"choose from {tuple(EXPERIMENTS)}")
         for f in fields(self)[1:]:  # every key but experiment, in field order
             object.__setattr__(self, f.name, _apply(f.name, f.metadata["rule"],
                                                     getattr(self, f.name)))
@@ -177,7 +167,7 @@ class ExperimentConfig:
             for m in self.models:
                 if m not in MODEL_REGISTRY:
                     raise ConfigError(f"unknown model tag {m!r}")
-        if not self.methods and self.experiment not in ("qq_t10", "table_equality"):
+        if not (methods := EXPERIMENTS[self.experiment] or self.methods):
             raise ConfigError("methods must be a non-empty list of method names")
         for m in self.methods:
             if m not in METHODS:
@@ -192,13 +182,18 @@ class ExperimentConfig:
             raise ConfigError(f"gof_phi={self.gof_phi} is not a stationary AR(1) coefficient")
         if self.gof_sigma is not None and not 0 < self.gof_sigma < np.inf:
             raise ConfigError(f"gof_sigma={self.gof_sigma} must be finite and > 0")
-        # the owners' rules for the settings whose range does not depend on T
+        # the owners' rules for the settings whose range does not depend on T, and the
+        # range rule 1 <= L, M < T/2 where it fails at every T (at the largest) for the
+        # methods that take it; the Box-Pierce and robust baselines take 1 <= L < T
         try:
             _check_bivariate(self.delta, self.rho)
             _check_beta(self.beta)
             if self.b is not None:
                 KernelSpec(self.b)
             _search_set(self.search_set, self.p)
+            for key, users in (("L", {"orthogonal"}), ("M", {"orthogonal", "qq_t10", "equality"})):
+                if getattr(self, key) is not None and users & set(methods):
+                    _check_shift(max(self.T), getattr(self, key), key, 1)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if self.experiment.startswith("table_gof"):
@@ -416,8 +411,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     table = ResultTable(metadata={"experiment": cfg.experiment, "seed": cfg.seed,
                                   "nrep": cfg.nrep})
 
-    methods = {"qq_t10": ("qq_t10",), "table_equality": ("equality",)}.get(
-        cfg.experiment, cfg.methods)
+    methods = EXPERIMENTS[cfg.experiment] or cfg.methods
     models = ((f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}",)
               if cfg.experiment == "table_equality" else cfg.models)
     groups = [(m, T) for m in models for T in cfg.T]

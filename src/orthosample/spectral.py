@@ -293,6 +293,19 @@ def _integer(value, name: str, T: int | None = None) -> int:
     raise ShiftRangeError(f"{name}={value} is not an integer" + (f", for T={T}" if T else ""))
 
 
+def _real(value, name: str) -> float:
+    """The real-number rule of every real setting: a finite number, not a bool or a string."""
+    try:
+        x = None if isinstance(value, (bool, np.bool_, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None:
+        raise InvalidInputError(f"{name}={value!r} is not a real number")
+    if not np.isfinite(x):
+        raise InvalidInputError(f"{name}={value} is not finite")
+    return x
+
+
 def _check_shift(T: int, r: int, name: str = "shift r", lo: int = 0) -> int:
     """``r`` as an int, after the integer rule and the range rule lo <= r < T/2
     that every shift, lag L and orthogonal-sample size M obeys."""

@@ -1,5 +1,7 @@
 """Command line interface: verbs, data loading, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosample import cli, experiments, htests, spectral, whittle
 from orthosample.cli import (
@@ -417,7 +421,8 @@ class TestRunVerb:
                                       "beta = 2", "b = 1.5", "p = 1",
                                       "L = 0", "L = -2", "M = 0", "gof_sigma = 0",
                                       "gof_sigma = nan", "gof_sigma = -1",
-                                      "gof_phi = 1.5"])
+                                      "gof_phi = 1.5", "beta = true", "rho = nan",
+                                      "L = 5\nT = 3", "M = 60\nT = 100"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         # tuning that fails at every T fails the config, before any cell runs
         cfg = tmp_path / "bad.cfg"
@@ -444,6 +449,66 @@ def _main_output(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    """A series, a pair of series and a run config, written once for the module."""
+    path = tmp_path_factory.mktemp("options")
+    x = generate(MODEL_REGISTRY["normal"], 100, seed=1).series
+    (path / "x.csv").write_text("\n".join(f"{v:.10g}" for v in x) + "\n")
+    xo, yo = generate_bivariate(0.0, 0.0, 128, seed=2)
+    (path / "xy.csv").write_text("\n".join(f"{a:.10g},{b:.10g}"
+                                           for a, b in zip(xo.series, yo.series)) + "\n")
+    (path / "exp.cfg").write_text("experiment = table_uncorrelated_null\n"
+                                  "models = normal\nT = 64\nnrep = 4\nM = 8\nseed = 5\n")
+    return path
+
+
+def _main_quietly(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each number option with the arguments before it and a valid value: the
+# option takes the spellings of its config key and obeys its rule.
+OPTIONS = [(["run", "exp.cfg"], "nrep", 3), (["test", "portmanteau", "x.csv"], "M", 8),
+           (["test", "portmanteau", "x.csv"], "L", 3), (["test", "equality", "xy.csv"], "b", 0.25),
+           (["test", "equality", "xy.csv"], "beta", 1), (["selectM", "x.csv"], "p", 4)]
+
+
+@pytest.mark.parametrize("kind", ["boolean", "non-finite", "number"])
+@pytest.mark.parametrize("head, option, valid", OPTIONS, ids=[o for _, o, _ in OPTIONS])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_one_rule_per_number_option(data_dir, head, option, valid, kind, data):
+    # a boolean word or a non-finite value is a configuration error naming the
+    # option; any spelling of a valid number gives that number's output
+    words = {"boolean": ["true", "True", "false"],
+             "non-finite": ["nan", "inf", "-inf", "NaN", "Infinity"],
+             "number": [str(valid), repr(float(valid)), f"{float(valid):e}", f"+{valid}"]}
+    value = data.draw(st.sampled_from(words[kind]), label=option)
+
+    def run(v, out):
+        argv = [str(data_dir / a) if "." in a else a for a in head] + [f"--{option}={v}"]
+        if head[0] == "run":
+            argv += ["--out", str(data_dir / out)]
+        code, stdout, err = _main_quietly(argv)
+        if head[0] == "run" and code == EXIT_OK:  # the rows, less their time_ms
+            stdout = [line.rsplit(",", 1)[0] for line in
+                      (data_dir / f"{out}.csv").read_text().splitlines()]
+        return code, stdout, err
+
+    if kind == "number":
+        assert run(value, "got") == run(valid, "want")
+        assert run(valid, "want")[0] == EXIT_OK
+    else:
+        code, stdout, err = run(value, "got")
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err.startswith("config error") and f"--{option}" in err
 
 
 class TestCachedParser:

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosample import experiments
 from orthosample.experiments import (
@@ -129,6 +131,37 @@ class TestParseConfig:
             (value,) = value
         with pytest.raises(ConfigError, match=key):
             tiny_config(**{key: value})
+
+    # the range rule 1 <= L, M < T/2 of the methods that use it, refused where
+    # it fails at every T: L and a fixed M for the orthogonal tests, a fixed M
+    # for qq_t10 and the equality test
+    @pytest.mark.parametrize("text, message", [
+        ("T = 3\nL = 5", r"^L=5 out of range \[1, T/2\) for T=3$"),
+        ("T = 100\nM = 60", r"^M=60 out of range \[1, T/2\) for T=100$"),
+        ("T = 8, 10\nL = 5\nM = 3", r"^L=5 out of range \[1, T/2\) for T=10$"),
+        ("T = 100, 64\nL = 50\nM = 50", r"^L=50 out of range"),  # L first
+        ("experiment = table_gof_null\nmodels = ar_g_0.6\ngof_phi = 0.6\ngof_sigma = 1\n"
+         "T = 100\nM = 60", r"^M=60 out of range"),
+        ("experiment = table_uncorrelated_power\nT = 100\nL = 50\n"
+         "methods = box_pierce, orthogonal", r"^L=50 out of range"),
+        ("experiment = qq_t10\nmodels = pivot_i\nT = 8\nM = 5", r"^M=5 out of range"),
+        ("experiment = table_equality\nT = 100\nM = 60", r"^M=60 out of range"),
+    ])
+    def test_shift_range_failing_at_every_T_is_refused(self, text, message):
+        head = "" if "experiment" in text else "experiment = table_uncorrelated_null\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(head + text)
+
+    @pytest.mark.parametrize("text", [
+        "T = 8, 64\nL = 5\nM = 3",  # the T = 8 cells give NaN rows
+        "T = 8\nL = 5\nmethods = box_pierce, robust",  # the baselines take L < T
+        "experiment = qq_t10\nmodels = pivot_i\nT = 8\nL = 5\nM = 3",  # L unused
+        "experiment = table_equality\nT = 100\nL = 60",  # L unused
+        "T = 100\nM = 60\nmethods = box_pierce",  # M unused
+    ])
+    def test_shift_range_passing_at_some_T_or_unused_builds(self, text):
+        head = "" if "experiment" in text else "experiment = table_uncorrelated_null\n"
+        parse_config(head + text)
 
     @pytest.mark.parametrize("key", ["models", "methods"])
     @pytest.mark.parametrize("experiment", ["table_uncorrelated_null", "table_gof_null"])
@@ -271,7 +304,36 @@ BAD_VALUES = [
     ("gof_sigma", "0", -1, "nan"),
     ("rho", "none", 2, "2"),
     ("delta", "nan", "none", 0.3),
+    # a real refuses a boolean, a NaN and an infinity from every source
+    ("b", "nan", True, float("nan")),
+    ("beta", "true", True, np.True_),
+    ("alphas", "inf", [0.05, True], float("inf")),
+    ("gof_phi", "-inf", False, np.True_),
+    ("gof_sigma", "inf", True, np.True_),
+    ("rho", "nan", True, np.True_),
+    ("delta", "true", False, np.False_),
 ]
+# A valid value of every numeric key, integral where the key's range allows
+NUMBERS = {"T": 64, "nrep": 5, "M": 8, "search_set": 12, "p": 4, "L": 5, "seed": 7,
+           "workers": 1, "b": 0.25, "beta": 1, "alphas": 0.05, "gof_phi": 0,
+           "gof_sigma": 2, "rho": 1, "delta": 0}
+
+
+def _spellings(kind: str, valid) -> tuple:
+    """The values of one class as a file's line, a JSON value and a value in
+    code can hold them: booleans, non-finite floats, numeric strings of
+    ``valid`` or other spellings of the number ``valid``."""
+    if kind == "boolean":
+        return ["true", "True", "false"], [True, False], [True, False, np.True_, np.False_]
+    if kind == "non-finite":
+        nan, inf = float("nan"), float("inf")
+        return ["nan", "inf", "-inf", "NaN"], [nan, inf, -inf], [nan, -inf, np.float64(nan)]
+    strings = [str(valid), repr(float(valid)), f"{float(valid):e}"]
+    if kind == "string":
+        return strings, strings, strings
+    numbers = [valid, float(valid), np.float64(valid)]
+    integers = [np.int64(valid)] if float(valid).is_integer() else []
+    return strings, numbers, numbers + integers
 
 
 def _from_every_source(key, file, json_value, code_value) -> list:
@@ -301,6 +363,27 @@ class TestOneRulePerKey:
         for build in _from_every_source(key, file, json_value, code_value):
             with pytest.raises(ConfigError, match=rf"'{key}'|\b{name}\b"):
                 build()
+
+    @pytest.mark.parametrize("kind", ["boolean", "non-finite", "string", "number"])
+    @pytest.mark.parametrize("key", sorted(NUMBERS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_one_rule_per_number_from_every_source(self, key, kind, data):
+        # a boolean and a non-finite float are refused naming the key; a
+        # numeric string, which every source may hold, and any other spelling
+        # of a valid number build the config of that number
+        file, json_value, code_value = (data.draw(st.sampled_from(values), label=source)
+                                        for values, source in zip(_spellings(
+                                            kind, NUMBERS[key]), ("file", "JSON", "code")))
+        builds = _from_every_source(key, file, json_value, code_value)
+        if kind in ("boolean", "non-finite"):
+            for build in builds:
+                with pytest.raises(ConfigError, match=f"^bad value for '{key}'"):
+                    build()
+            return
+        want = ExperimentConfig(**{**HEAD, key: NUMBERS[key]})
+        for cfg in (build() for build in builds):
+            assert cfg == want and repr(getattr(cfg, key)) == repr(getattr(want, key))
 
     def test_every_key_is_covered(self):
         keys = set(ExperimentConfig.__dataclass_fields__)
@@ -503,11 +586,12 @@ class TestRunExperiment:
         assert 0.0 <= table.metadata["total_ms"] - (ortho + bp + robust) < 50.0
 
     def test_failing_cell_yields_nan_rows(self):
-        # L exceeds T/2: the cell errors out but the run completes
-        cfg = tiny_config(T=(8,), L=5, M=3)
+        # L exceeds T/2 at T = 8 only: that cell errors out but the run completes
+        cfg = tiny_config(T=(8, 64), L=5, M=3)
         table = run_experiment(cfg, progress=quiet)
-        assert len(table.rows) == 2
-        assert all(np.isnan(r.rate) for r in table.rows)
+        assert len(table.rows) == 4
+        assert all(np.isnan(r.rate) for r in table.rows[:2])
+        assert not any(np.isnan(r.rate) for r in table.rows[2:])
 
     def test_failing_qq_cell_yields_one_nan_row(self):
         # M = 5 reaches T/2 at T = 8: that cell fails, the T = 64 cell runs

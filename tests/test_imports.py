@@ -54,7 +54,9 @@ PRIVATE_IMPORTS = sorted([
     # the input rules, checked where the input arrives
     *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests",
                                           "selection", "whittle")],
-    *[(m, "spectral._check_shift") for m in ("equality", "htests", "variance")],
+    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests",
+                                              "variance")],
+    *[(m, "spectral._real") for m in ("equality", "experiments")],
     *[(m, "spectral._density_values") for m in ("htests", "whittle")],
     ("experiments", "equality._check_beta"),
     ("experiments", "models._check_bivariate"),
@@ -66,7 +68,7 @@ PRIVATE_IMPORTS = sorted([
     ("experiments", "htests._lag_rows"),
     ("whittle", "spectral._ar_density"),
     # the pieces the CLI composes
-    ("cli", "experiments._beta"),
+    ("cli", "experiments._apply"),
     ("cli", "htests._goodness_of_fit_coeffs"),
     ("cli", "htests._orthogonal_report"),
 ])

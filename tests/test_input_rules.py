@@ -1,14 +1,18 @@
 """The input rules every entry point shares: the integer rule for every count
 and order, the range rule lo <= M, L < T/2 and the search-set rule
-(ShiftRangeError), the density rule, positive and finite on the grid
-(InvalidInputError), and the degenerate-data rule (DegenerateDataError).  A
-single-series test and its block kernel raise the same exception with the
-same message, which names the value and T."""
+(ShiftRangeError), the real-number rule for every real setting and the
+density rule, positive and finite on the grid (InvalidInputError), and the
+degenerate-data rule (DegenerateDataError).  A single-series test and its
+block kernel raise the same exception with the same message, which names the
+value and T."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosample.distributions import hotelling_t2
 from orthosample.equality import equality_block, equality_test
@@ -235,6 +239,65 @@ def test_non_numeric_count_obeys_integer_rule(rng, name, value):
         call = lambda: criterion(dft(x), lag_weight(1), value)
     with pytest.raises(ShiftRangeError, match=rf"^{name}={value} is not an integer"):
         call()
+
+
+# One rule per number: every numeric argument of the tests obeys its rule, the
+# integer rule for a count and the real-number rule for a real (the equality
+# test's b and beta: a finite number, not a bool or a string, taken as a
+# float), with one outcome per class of value whatever the argument. A
+# boolean, a numeric string and a non-finite float are refused with the rule's
+# error, which names the argument; another spelling of a valid number (an
+# int, a float or a numpy number, an integral float for a count) gives the
+# number's results.
+COUNT = {"error": ShiftRangeError, "refused": "is not an integer",
+         "non-finite": "is not an integer"}
+REAL = {"error": InvalidInputError, "refused": "is not a real number",
+        "non-finite": "is not finite"}
+# (test, argument, the name its error gives, a valid value, the rule)
+ARGUMENTS = [
+    (_equality, "M", "M", 10, COUNT),
+    (_equality, "b", "bandwidth b", 0.25, REAL),
+    (_equality, "beta", "beta", 1, REAL),
+    *[(test, "L", "L", 3, COUNT) for test in (_portmanteau, _gof, _box_pierce, _robust)],
+    *[(test, arg, arg, valid, COUNT) for test in (_portmanteau, _gof)
+      for arg, valid in (("M", 10), ("p", 4))],
+    *[(test, "search_set", "M", 12, COUNT) for test in (_portmanteau, _gof)],
+]
+XY = np.random.default_rng(2016).standard_normal((2, 3, T))
+
+
+def value_class(kind: str, valid):
+    """The values of one class: booleans, non-finite floats, numeric strings of
+    ``valid`` or other spellings of the number ``valid``."""
+    if kind == "boolean":
+        return st.sampled_from([True, False, np.True_, np.False_])
+    if kind == "non-finite":
+        return st.sampled_from([np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf)])
+    if kind == "string":
+        return st.sampled_from([str(valid), repr(float(valid))])
+    integers = [int(valid), np.int64(valid)] if float(valid).is_integer() else []
+    return st.sampled_from([valid, float(valid), np.float64(valid), *integers])
+
+
+@pytest.mark.parametrize("kind", ["boolean", "non-finite", "string", "number"])
+@pytest.mark.parametrize("test, arg, name, valid, rule", ARGUMENTS,
+                         ids=[f"{t.__name__[1:]}-{a}" for t, a, *_ in ARGUMENTS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_one_rule_per_library_number(test, arg, name, valid, rule, kind, data):
+    value = data.draw(value_class(kind, valid), label=arg)
+    kw = lambda v: {arg: (v,) if arg == "search_set" else v}
+    x, y = XY
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+        if kind == "number":
+            got, want = (test(x[:1], y[:1], False, **kw(v)) for v in (value, valid))
+            assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+            return
+        message = rf"^{re.escape(name)}=.* {rule['refused' if kind != 'non-finite' else kind]}"
+        for block in (False, True):
+            with pytest.raises(rule["error"], match=message):
+                test(x if block else x[:1], y if block else y[:1], block, **kw(value))
 
 
 @pytest.mark.parametrize("test", [_box_pierce, _robust])
