@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .spectral import _integer
+from .spectral import _integer, _real
 
 __all__ = [
     "Dist",
@@ -205,21 +205,22 @@ def normal() -> Dist:
 
 
 def student_t(df: float) -> Dist:
-    if df <= 0:
+    if (df := _real(df, "df")) <= 0:
         raise ValueError("t degrees of freedom must be positive")
-    return Dist("t", (float(df),))
+    return Dist("t", (df,))
 
 
 def chi_square(df: float) -> Dist:
-    if df <= 0:
+    if (df := _real(df, "df")) <= 0:
         raise ValueError("chi-square degrees of freedom must be positive")
-    return Dist("chi2", (float(df),))
+    return Dist("chi2", (df,))
 
 
 def f_dist(d1: float, d2: float) -> Dist:
+    d1, d2 = _real(d1, "d1"), _real(d2, "d2")
     if d1 <= 0 or d2 <= 0:
         raise ValueError("F degrees of freedom must be positive")
-    return Dist("F", (float(d1), float(d2)))
+    return Dist("F", (d1, d2))
 
 
 def hotelling_t2(p: int, m: int) -> Dist:

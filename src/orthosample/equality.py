@@ -22,14 +22,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import distributions as dist
 from .htests import BlockReport, TestReport
-from .spectral import (DegenerateDataError, DftGrid, InvalidInputError, _check_shift,
+from .spectral import (DegenerateDataError, InvalidInputError, _check_shift,
                        _circular_convolve, _real, _shift_chunks, as_block, as_series,
                        dft_block, grid_constant)
 
 __all__ = [
     "KernelSpec",
-    "kernel_spectral_estimate",
-    "l2_distance_stat",
     "moment_estimates",
     "beta_hat",
     "equality_test",
@@ -76,53 +74,24 @@ def _window_transform(kernel: KernelSpec, T: int) -> np.ndarray:
     return np.fft.fft(kernel.weights(T))
 
 
-def kernel_spectral_estimate(grid: DftGrid, kernel: KernelSpec, r: int = 0) -> np.ndarray:
-    """Smoothed cross-shift spectral estimate on the full grid.
-
-    f_hat(omega_l; r) = (1/(bT)) sum_{k=1..T} W(delta_lk / b)
-    J(omega_k) conj(J(omega_{k+r})), computed by circular convolution, where
-    delta_lk = min(|l - k|, T - |l - k|) / T is the cyclic distance between
-    omega_l and omega_k as a fraction of the full range, the unit of the
-    bandwidth b (see ``KernelSpec.weights``).
-    Index l-1 of the result holds frequency omega_l = 2 pi l / T.
-
-    For a real series J(omega_{-k}) = conj(J(omega_k)), so
-    f_hat(omega_{-l}; r) = f_hat(omega_{l-r}; r): the estimate is symmetric
-    about -omega_r / 2, which is frequency 0 only when r = 0.
-    """
-    u = grid.coeffs * np.conj(grid.shifted(_check_shift(grid.T, r)))
-    return _circular_convolve(u, _window_transform(kernel, grid.T))
-
-
 def _half_range(diff: np.ndarray, T: int) -> np.ndarray:
+    """The statistic S = (2/T) sum_{j=1..T/2} |d_j|^2 of the difference d of
+    two unshifted estimates on the grid.  A real series' estimate is symmetric
+    about frequency 0, so the half range covers each distinct value once."""
     return 2.0 / T * np.sum(np.abs(diff[..., :T // 2]) ** 2, axis=-1)
 
 
 def _full_period(diff: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The null draws (S_R, S_I) = (2/T) sum_{j=1..T} (Re d_j)^2 and the
+    imaginary analogue, of the difference d of two estimates at shift r > 0.
+
+    For a real series J(omega_{-k}) = conj(J(omega_k)), so f_hat(omega_{-l}; r)
+    = f_hat(omega_{l-r}; r): a shifted estimate is symmetric about -omega_r / 2,
+    not about 0.  So the sum runs over one full period: the half range
+    j = 1..T/2 would drop the values just below frequency 0 and count some
+    near pi twice."""
     return (2.0 / T * np.sum(diff.real**2, axis=-1),
             2.0 / T * np.sum(diff.imag**2, axis=-1))
-
-
-def l2_distance_stat(fx: np.ndarray, fy: np.ndarray, T: int,
-                     r: int = 0) -> tuple[float, float]:
-    """Integrated squared distance between two smoothed estimates.
-
-    With d_j = fx_j - fy_j on the grid j = 1..T (``kernel_spectral_estimate``
-    estimates of real series at shift r):
-
-    r = 0: S = (2/T) sum_{j=1..T/2} |d_j|^2, second slot 0.  The estimates
-    are symmetric about frequency 0, so the half range covers each distinct
-    value once.
-    r > 0: the pair (S_R, S_I) = (2/T) sum_{j=1..T} (Re d_j)^2 and the
-    imaginary analogue, which calibrate the null distribution of S.  A
-    shifted estimate is symmetric about -omega_r / 2, not about 0, so the
-    sum runs over one full period: the half range j = 1..T/2 would drop the
-    values just below frequency 0 and count some near pi twice.
-    """
-    diff = np.asarray(fx) - np.asarray(fy)
-    if r == 0:
-        return float(_half_range(diff, T)), 0.0
-    return tuple(float(s) for s in _full_period(diff, T))
 
 
 def moment_estimates(draws: np.ndarray):
@@ -211,7 +180,9 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     kernel = KernelSpec(bandwidth=default_bandwidth(T) if b is None else b)
     fw = _window_transform(kernel, T)
 
-    # the statistic and its draws (see ``l2_distance_stat``) from f_hat_x(.; r) - f_hat_y(.; r),
+    # the statistic (``_half_range``) and its draws (``_full_period``) from the difference
+    # f_hat_x(.; r) - f_hat_y(.; r) of the smoothed estimates f_hat(omega_l; r) =
+    # sum_k w[(l - k) mod T] J_k conj(J_{k+r}), with the weights w of ``KernelSpec.weights``,
     # one transform per shift for both series.  J[0, i, r] is J_{k+r} of X[i] (J[1, i, r] of
     # Y[i]): a window on the row and its first M points, filled in place to save a block copy.
     ext = np.empty((2, R, T + M), dtype=complex)

@@ -55,6 +55,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .spectral import _real
+
 __all__ = [
     "ModelSpec",
     "SimOutput",
@@ -96,8 +98,8 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        p = MappingProxyType(dict(self.params))
-        object.__setattr__(self, "params", p)
+        p = dict(self.params)
+        object.__setattr__(self, "params", MappingProxyType(p))
         if self.tag not in _PARAMS:
             raise ValueError(f"unknown model tag {self.tag!r}; known tags: "
                              f"{', '.join(sorted(_PARAMS))}")
@@ -109,6 +111,9 @@ class ModelSpec:
                              f"got {sorted(p)}")
         if "coeffs" in p and _spectral_radius(p["coeffs"]) >= 1.0:
             raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
+        for name in ("alpha", "arch_alpha", "a", "b1", "b2"):
+            if name in p:  # the read-only view shows the checked float
+                p[name] = _real(p[name], name)
         for name in ("alpha", "arch_alpha"):
             if name in p and not 0.0 <= p[name] < 1.0:
                 raise ValueError(f"ARCH coefficient {name}={p[name]} must lie in [0, 1)")

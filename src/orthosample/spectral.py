@@ -37,15 +37,9 @@ __all__ = [
     "weighted_average_run",
     "shift_runs",
     "orthogonal_sample",
-    "quadratic_form_oracle",
-    "circular_autocov",
     "lag_weight",
-    "constant_weight",
-    "kernel_weight",
-    "model_reciprocal_weight",
 ]
 
-DEFAULT_ORACLE_BOUND = 256
 # Complex points in a block of length-T rows transformed together (shift
 # tables, equality-test shifts): 256 KB for the rows of several series, four
 # times that for the rows of one.  At T = 2^14 a one-row FFT call costs about
@@ -230,31 +224,6 @@ def lag_weight(j: int) -> WeightFunction:
     return WeightFunction(lambda w, j=j: np.exp(1j * j * w), descriptor=f"lag_exp[{j}]")
 
 
-def constant_weight(c: complex = 1.0) -> WeightFunction:
-    return WeightFunction(lambda w, c=c: np.full_like(w, c, dtype=complex),
-                          descriptor=f"const[{c}]")
-
-
-def _cyclic_distance(omega: np.ndarray, center: float) -> np.ndarray:
-    """Signed distance omega - center wrapped into (-pi, pi]."""
-    return np.mod(omega - center + np.pi, 2.0 * np.pi) - np.pi
-
-
-def kernel_weight(window: Callable[[np.ndarray], np.ndarray], bandwidth: float,
-                  center: float) -> WeightFunction:
-    """phi(omega) = W((omega - center)/b) / b with cyclic frequency distance."""
-    def ev(w, window=window, b=bandwidth, c=center):
-        return window(_cyclic_distance(w, c) / b).astype(complex) / b
-    return WeightFunction(ev, descriptor=f"kernel[b={bandwidth},center={center}]")
-
-
-def model_reciprocal_weight(j: int, density: Callable[[np.ndarray], np.ndarray]) -> WeightFunction:
-    """phi(omega) = exp(i*j*omega) / g(omega); residual covariance weight."""
-    def ev(w, j=j, g=density):
-        return np.exp(1j * j * w) / _density_values(g(w), "model density g")
-    return WeightFunction(ev, descriptor=f"lag_exp[{j}]/g")
-
-
 def _density_values(values, name: str, theta=None) -> np.ndarray:
     """A spectral density's values as floats, after checking that every one
     is positive and finite; the error names the density (and its theta)."""
@@ -378,54 +347,3 @@ def orthogonal_sample(grid: DftGrid, phi: WeightFunction, M: int) -> OrthogonalS
     """The orthogonal sample {A(phi; r)}_{r=1..M} plus the base statistic."""
     run = weighted_average_run(grid, phi, M)
     return OrthogonalSample(base=complex(run[0]), shifted=run[1:].copy(), T=grid.T)
-
-
-def quadratic_form_oracle(series, phi: WeightFunction, r: int) -> complex:
-    """O(T^2) direct evaluation of the quadratic form representation of A(phi; r).
-
-    A(phi; r) = (1/(2 pi T)) sum_{t,tau} Phi(t - tau) x_t x_tau e^{-i tau omega_r}
-    with Phi(u) = (1/T) sum_k phi(omega_k) e^{i u omega_k}; the 1/(2 pi) carries
-    the normalisation of the squared transform, and x is demeaned.  Test
-    oracle only; refuses series longer than ``DEFAULT_ORACLE_BOUND``.
-    """
-    x = as_series(series)
-    T = x.size
-    if T > DEFAULT_ORACLE_BOUND:
-        raise ShiftRangeError(
-            f"oracle refuses T={T} > bound {DEFAULT_ORACLE_BOUND}; it is O(T^2) test code"
-        )
-    r = _check_shift(T, r)
-    x = x - x.mean()
-    omega = grid_frequencies(T)
-    w = phi.on_grid(T)
-    u = np.arange(-(T - 1), T)  # all possible t - tau
-    Phi = (w[None, :] * np.exp(1j * np.outer(u, omega))).sum(axis=1) / T
-    t = np.arange(1, T + 1)
-    mod = np.exp(-1j * t * omega[r - 1]) if r > 0 else np.ones(T)
-    total = 0.0 + 0.0j
-    for ti in range(T):
-        total += x[ti] * np.sum(Phi[ti - np.arange(T) + (T - 1)] * x * mod)
-    return complex(total / (2.0 * np.pi * T))
-
-
-def circular_autocov(series, lag: int) -> float:
-    """Circular sample autocovariance at ``lag`` under the spectral scaling.
-
-    Returns (c~(j) + c~(T-j)) / (2 pi) with c~(j) = (1/T) sum_{t=1..T-j}
-    x_t x_{t+j} on the demeaned series, computed by direct time-domain sums.
-    Exactly equals the real part of A(e^{ij.}; 0) on the demeaned grid; the
-    1/(2 pi) matches the normalisation of the squared transform.
-    """
-    x = as_series(series)
-    T = x.size
-    j = _integer(lag, "lag", T)
-    if j < 0 or j >= T:
-        raise ShiftRangeError(f"lag {j} out of range [0, T) for T={T}")
-    x = x - x.mean()
-
-    def ctilde(m: int) -> float:
-        if m >= T:
-            return 0.0
-        return float(np.dot(x[: T - m], x[m:]) / T)
-
-    return (ctilde(j) + ctilde(T - j)) / (2.0 * np.pi)

@@ -3,9 +3,9 @@ fixed-M t calibration, and the multivariate Hotelling extension.
 
 ``variance_block`` and ``studentize_block`` hold the only V-hat_M and
 t-statistic arithmetic, for every row of a block at once; the single-series
-``variance_estimate``, ``variance_estimate_at`` and ``studentize`` are their
-blocks of one.  A zero variance estimate and a rank-deficient covariance
-estimate raise ``spectral.DegenerateDataError``."""
+``variance_estimate`` and ``studentize`` are their blocks of one.  A zero
+variance estimate and a rank-deficient covariance estimate raise
+``spectral.DegenerateDataError``."""
 
 from __future__ import annotations
 
@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
-from .spectral import (
-    DegenerateDataError,
-    DftGrid,
-    OrthogonalSample,
-    WeightFunction,
-    _check_shift,
-    weighted_average_run,
-)
+from .spectral import DegenerateDataError, OrthogonalSample
 
 __all__ = [
     "VarianceEstimate",
@@ -30,7 +23,6 @@ __all__ = [
     "variance_block",
     "studentize_block",
     "variance_estimate",
-    "variance_estimate_at",
     "studentize",
     "covariance_matrix_estimate",
     "HotellingReport",
@@ -40,18 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """V-hat_M = (T/M) * sum of |A(phi; s)|^2 over an M-long shift window.
+    """V-hat_M = (T/M) * sum_{s=1..M} |A(phi; s)|^2.
 
-    ``shift_origin`` is 0 for the variance at frequency zero and r for the
-    window starting after shift r.  The estimand is the long-run variance
-    V(omega_{r0}) of the underlying functional, which involves the fourth
-    order spectrum and is never evaluated directly.
+    The estimand is the long-run variance V of the underlying functional,
+    which involves the fourth order spectrum and is never evaluated directly.
     """
 
     value: float
     M: int
     T: int
-    shift_origin: int = 0
 
     def __post_init__(self):
         if self.value < 0:
@@ -104,20 +93,7 @@ def studentize_block(points, target, variances, T: int) -> tuple[np.ndarray, np.
 def variance_estimate(sample: OrthogonalSample) -> VarianceEstimate:
     """V-hat_M(0) = (T/M) * sum_{r=1..M} |A(phi; r)|^2."""
     value = float(variance_block(sample.shifted, sample.T))
-    return VarianceEstimate(value=value, M=sample.M, T=sample.T, shift_origin=0)
-
-
-def variance_estimate_at(grid: DftGrid, phi: WeightFunction, r0: int,
-                         M: int) -> VarianceEstimate:
-    """V-hat_M(omega_{r0}) = (T/M) * sum_{s=r0+1..r0+M} |A(phi; s)|^2.
-
-    The window end r0 + M must lie below T/2, like every shift."""
-    T = grid.T
-    M = _check_shift(T, M, "M", 1)
-    r0 = _check_shift(T, r0, "r0")
-    run = weighted_average_run(grid, phi, r0 + M)
-    value = float(variance_block(run[r0 + 1 :], T))
-    return VarianceEstimate(value=value, M=M, T=T, shift_origin=r0)
+    return VarianceEstimate(value=value, M=sample.M, T=sample.T)
 
 
 def studentize(point: float, target: float, variance: VarianceEstimate,

@@ -16,6 +16,7 @@ from .spectral import (
     _ar_density,
     _density_values,
     _integer,
+    _real,
     ar_spectral_density,
     ar_transfer,
     grid_frequencies,
@@ -78,7 +79,9 @@ def ar_model(p: int, sigma: float | None = None) -> ARModel:
     p = _integer(p, "AR order p")
     if p < 1:
         raise ValueError("AR order must be >= 1")
-    s0 = None if sigma is None else float(sigma)
+    s0 = None if sigma is None else _real(sigma, "sigma")
+    if s0 is not None and s0 <= 0:
+        raise ValueError(f"sigma={s0} must be positive")
 
     def split(th):
         th = np.asarray(th, dtype=float)

@@ -12,17 +12,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import circular_autocov, constant_weight, quadratic_form_oracle
 from orthosample.equality import equality_test
 from orthosample.htests import goodness_of_fit_test, portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
 from orthosample.selection import feasible_search_set, select_M
 from orthosample.spectral import (
-    circular_autocov,
-    constant_weight,
     dft,
     lag_weight,
     orthogonal_sample,
-    quadratic_form_oracle,
     weighted_average,
     weighted_average_run,
 )

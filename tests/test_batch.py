@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import kernel_spectral_estimate, l2_distance_stat, model_reciprocal_weight
 from orthosample import experiments, models, spectral
 from orthosample.equality import (
     KernelSpec,
@@ -17,8 +18,6 @@ from orthosample.equality import (
     default_M,
     equality_block,
     equality_test,
-    kernel_spectral_estimate,
-    l2_distance_stat,
     moment_estimates,
 )
 from orthosample.distributions import student_t
@@ -51,7 +50,6 @@ from orthosample.spectral import (
     dft,
     dft_block,
     lag_weight,
-    model_reciprocal_weight,
     orthogonal_sample,
     shift_runs,
     weighted_average_run,

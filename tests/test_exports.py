@@ -15,8 +15,7 @@ NUMERICAL = (distributions, equality, htests, models, selection, spectral, varia
 # the package's exports before they were built from the module lists
 FROZEN_EXPORTS = (
     "Dist", "normal", "student_t", "chi_square", "f_dist", "hotelling_t2",
-    "KernelSpec", "kernel_spectral_estimate", "l2_distance_stat", "beta_hat",
-    "equality_test",
+    "KernelSpec", "beta_hat", "equality_test",
     "EmpiricalNull", "TestReport", "portmanteau_test",
     "goodness_of_fit_test", "box_pierce", "robust_portmanteau",
     "MODEL_REGISTRY", "ModelSpec", "generate", "generate_batch", "generate_bivariate",
@@ -25,12 +24,9 @@ FROZEN_EXPORTS = (
     "DegenerateDataError", "DftGrid", "InvalidInputError", "ShiftRangeError", "WeightFunction",
     "OrthogonalSample", "dft", "grid_frequencies", "ar_transfer",
     "ar_spectral_density", "weighted_average",
-    "weighted_average_run", "orthogonal_sample", "quadratic_form_oracle",
-    "circular_autocov", "lag_weight", "constant_weight", "kernel_weight",
-    "model_reciprocal_weight",
+    "weighted_average_run", "orthogonal_sample", "lag_weight",
     "VarianceEstimate", "CovMatrixEstimate", "StudentizedReport",
-    "HotellingReport", "variance_estimate",
-    "variance_estimate_at", "studentize", "covariance_matrix_estimate",
+    "HotellingReport", "variance_estimate", "studentize", "covariance_matrix_estimate",
     "hotelling_test",
     "SpectralModel", "ARModel", "WhittleFit", "ar_model",
     "whittle_objective", "whittle_fit", "score_weight",
@@ -65,7 +61,7 @@ def test_package_exports_exactly_the_module_lists():
 
 
 def test_earlier_exports_are_kept():
-    assert len(FROZEN_EXPORTS) == 64
+    assert len(FROZEN_EXPORTS) == 56
     assert not set(FROZEN_EXPORTS) - set(orthosample.__all__)
 
 

@@ -54,9 +54,9 @@ PRIVATE_IMPORTS = sorted([
     # the input rules, checked where the input arrives
     *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests",
                                           "selection", "whittle")],
-    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests",
-                                              "variance")],
-    *[(m, "spectral._real") for m in ("equality", "experiments")],
+    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests")],
+    *[(m, "spectral._real") for m in ("distributions", "equality", "experiments", "models",
+                                       "whittle")],
     *[(m, "spectral._density_values") for m in ("htests", "whittle")],
     ("experiments", "equality._check_beta"),
     ("experiments", "models._check_bivariate"),

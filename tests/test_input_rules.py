@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthosample.distributions import hotelling_t2
+from orthosample.distributions import chi_square, f_dist, hotelling_t2, student_t
 from orthosample.equality import equality_block, equality_test
 from orthosample.htests import (
     box_pierce,
@@ -26,9 +26,10 @@ from orthosample.htests import (
     robust_portmanteau,
     robust_portmanteau_block,
 )
+from orthosample.models import ModelSpec
 from orthosample.selection import criterion, feasible_search_set, select_M
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
-                                  WeightFunction, circular_autocov, dft, lag_weight)
+                                  WeightFunction, dft, lag_weight)
 from orthosample.variance import CovMatrixEstimate, hotelling_test, studentize_block
 from orthosample.whittle import ar_model, score_weight
 
@@ -163,11 +164,8 @@ def test_integral_floats_give_the_int_results(rng):
                                                               want.tuning["M"])
 
 
-def test_lag_shift_and_order_obey_integer_rule(rng):
+def test_shift_and_order_obey_integer_rule(rng):
     x = rng.standard_normal(T)
-    with pytest.raises(ShiftRangeError, match=rf"^lag=2\.5 is not an integer, for T={T}$"):
-        circular_autocov(x, 2.5)
-    assert circular_autocov(x, 2.0) == circular_autocov(x, 2)
     with pytest.raises(ShiftRangeError, match=r"shift r=2\.5 is not an integer"):
         dft(x).shifted(2.5)
     with pytest.raises(ShiftRangeError, match=r"AR order p=1\.5 is not an integer"):
@@ -300,6 +298,65 @@ def test_one_rule_per_library_number(test, arg, name, valid, rule, kind, data):
                 test(x if block else x[:1], y if block else y[:1], block, **kw(value))
 
 
+# The reals of the public constructors obey the real-number rule too: the
+# degrees of freedom of a reference law, the fixed sigma of an AR model and the
+# ARCH and non-causal coefficients of a ModelSpec.  Each is kept as the float.
+# (constructor, the name its error gives, a valid value, what to compare)
+CONSTRUCTORS = [
+    (student_t, "df", 10, lambda law: law.params),
+    (chi_square, "df", 5, lambda law: law.params),
+    (lambda d1: f_dist(d1, 3.0), "d1", 2, lambda law: law.params),
+    (lambda d2: f_dist(2.0, d2), "d2", 3, lambda law: law.params),
+    (lambda sigma: ar_model(1, sigma=sigma), "sigma", 2, lambda m: (m.sigma, m.name)),
+    *[(lambda v, tag=tag, params=params, name=name: ModelSpec(tag, {**params, name: v}),
+       name, 0.5, lambda spec: dict(spec.params))
+      for tag, params, name in [
+          ("arch1", {}, "alpha"),
+          ("noncausal_linear", {"innovation": "arch", "a": 0.6}, "arch_alpha"),
+          ("noncausal_linear", {"innovation": "normal"}, "a"),
+          ("pseudo_linear", {"b2": -0.6, "arch_alpha": 0.5}, "b1"),
+          ("pseudo_linear", {"b1": -0.8, "arch_alpha": 0.5}, "b2"),
+      ]],
+]
+
+
+@pytest.mark.parametrize("kind", ["boolean", "non-finite", "string", "number"])
+@pytest.mark.parametrize("build, name, valid, key", CONSTRUCTORS,
+                         ids=[f"{i}-{c[1]}" for i, c in enumerate(CONSTRUCTORS)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_one_rule_per_constructor_real(build, name, valid, key, kind, data):
+    value = data.draw(value_class(kind, valid), label=name)
+    if kind == "number":
+        assert repr(key(build(value))) == repr(key(build(float(valid))))  # floats, not numpy's
+        return
+    message = rf"^{name}=.* {REAL['refused' if kind != 'non-finite' else kind]}$"
+    with pytest.raises(InvalidInputError, match=message):
+        build(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: student_t(True), "df=True is not a real number"),
+    (lambda: student_t(np.inf), "df=inf is not finite"),
+    (lambda: chi_square(True), "df=True is not a real number"),
+    (lambda: f_dist(True, 3.0), "d1=True is not a real number"),
+    (lambda: ar_model(1, sigma=True), "sigma=True is not a real number"),
+    (lambda: ar_model(1, sigma=np.nan), "sigma=nan is not finite"),
+    (lambda: ModelSpec("arch1", {"alpha": False}), "alpha=False is not a real number"),
+    (lambda: ModelSpec("arch1", {"alpha": "0.5"}), "alpha='0.5' is not a real number"),
+], ids=["t_bool", "t_inf", "chi2_bool", "f_bool", "sigma_bool", "sigma_nan", "alpha_bool",
+        "alpha_string"])
+def test_constructor_real_refused(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("sigma", [-2.0, 0])
+def test_ar_model_sigma_must_be_positive(sigma):
+    with pytest.raises(ValueError, match=rf"^sigma={float(sigma)} must be positive$"):
+        ar_model(1, sigma=sigma)
+
+
 @pytest.mark.parametrize("test", [_box_pierce, _robust])
 @pytest.mark.parametrize("L", [0, T])
 def test_baseline_lag_count_obeys_range_rule(rng, test, L):
@@ -307,12 +364,6 @@ def test_baseline_lag_count_obeys_range_rule(rng, test, L):
     for block in (False, True):
         with pytest.raises(ShiftRangeError, match=rf"^L={L} out of range for T={T}$"):
             test(x if block else x[:1], None, block, L=L)
-
-
-@pytest.mark.parametrize("lag", [-1, T])
-def test_autocov_lag_obeys_range_rule(rng, lag):
-    with pytest.raises(ShiftRangeError, match=rf"^lag {lag} out of range \[0, T\) for T={T}$"):
-        circular_autocov(rng.standard_normal(T), lag)
 
 
 @pytest.mark.parametrize("test", [_portmanteau, _gof])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import quadratic_form_oracle
 from orthosample.htests import (
     box_pierce,
     goodness_of_fit_test,
@@ -16,7 +17,6 @@ from orthosample.spectral import (
     ar_spectral_density,
     dft,
     lag_weight,
-    quadratic_form_oracle,
     weighted_average,
 )
 

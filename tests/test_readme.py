@@ -1,5 +1,6 @@
-"""The README's library quick tour runs as written, and its error lists name
-every exception the package defines."""
+"""The README's library quick tour runs as written, its API table lists the
+package's exports, and its error lists name every exception the package
+defines."""
 
 import importlib
 import inspect
@@ -22,6 +23,21 @@ def test_quick_tour_runs(capsys):
     assert not namespace["fit"].on_boundary
     for name in ("pt", "gof", "eq"):
         assert 0.0 <= namespace[name].p_value <= 1.0
+
+
+def test_api_table_lists_every_export_under_its_module():
+    section = README.read_text(encoding="utf-8").split("## API\n", 1)[1].split("\n## ", 1)[0]
+    listed, module = {}, None
+    for line in section.splitlines():
+        if line.startswith("### "):
+            module = line.strip("# `")
+        elif line.startswith("| `"):
+            listed.setdefault(module, []).append(line.split("`")[1])
+    names = [name for rows in listed.values() for name in rows]
+    # both ways, and each name once
+    assert sorted(names) == sorted(set(orthosample.__all__) - {"__version__"})
+    for module, rows in listed.items():
+        assert set(rows) == set(getattr(orthosample, module).__all__), module
 
 
 def test_every_exception_class_is_documented():

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import circular_autocov, constant_weight, quadratic_form_oracle
 from orthosample import equality, htests
 from orthosample.spectral import (
     GRID_CONSTANT_BYTES,
     InvalidInputError,
     ShiftRangeError,
     as_series,
-    circular_autocov,
-    constant_weight,
     dft,
     dft_block,
     grid_constant,
     grid_frequencies,
     lag_weight,
     orthogonal_sample,
-    quadratic_form_oracle,
     weighted_average,
     weighted_average_run,
 )
@@ -174,10 +172,6 @@ class TestWeightedAverage:
                     q = quadratic_form_oracle(x, phi, r)
                     assert abs(a - q) <= 1e-8 * max(1.0, abs(a))
 
-    def test_oracle_refuses_long_series(self, rng):
-        with pytest.raises(ShiftRangeError):
-            quadratic_form_oracle(rng.standard_normal(300), lag_weight(1), 1)
-
     def test_shift_range_enforced(self, rng):
         grid = dft(rng.standard_normal(20))
         with pytest.raises(ShiftRangeError):
@@ -245,8 +239,8 @@ class TestWeights:
         # 2 pi A(W((. - omega_l)/(2 pi b))/(2 pi b); 0) is the box-window
         # estimate f_hat(omega_l); b T = 18.25 keeps every grid point off the
         # window's edge
-        from orthosample.equality import KernelSpec, kernel_spectral_estimate
-        from orthosample.spectral import kernel_weight
+        from oracles import kernel_spectral_estimate, kernel_weight
+        from orthosample.equality import KernelSpec
 
         T, b = 256, 0.0713
         grid = dft(rng.standard_normal(T))

