@@ -23,8 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import distributions as dist
 from .htests import BlockReport, TestReport
 from .spectral import (DegenerateDataError, InvalidInputError, _check_shift,
-                       _circular_convolve, _real, _shift_chunks, as_block, as_series,
-                       dft_block, grid_constant)
+                       _circular_convolve, _dft_into, _real, _shift_chunks, as_block,
+                       as_series, grid_constant)
 
 __all__ = [
     "KernelSpec",
@@ -183,16 +183,17 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     # the statistic (``_half_range``) and its draws (``_full_period``) from the difference
     # f_hat_x(.; r) - f_hat_y(.; r) of the smoothed estimates f_hat(omega_l; r) =
     # sum_k w[(l - k) mod T] J_k conj(J_{k+r}), with the weights w of ``KernelSpec.weights``,
-    # one transform per shift for both series.  J[0, i, r] is J_{k+r} of X[i] (J[1, i, r] of
-    # Y[i]): a window on the row and its first M points, filled in place to save a block copy.
-    ext = np.empty((2, R, T + M), dtype=complex)
-    ext[..., :T] = dft_block(np.concatenate((X, Y))).reshape(2, R, T)
-    ext[..., T:] = ext[..., :M]
+    # one transform per shift for both series.  Row i of ``ext`` holds the DFT of X[i], row
+    # R + i that of Y[i], each followed by its first M points, so J[i, r] = J_{k+r} of X[i]
+    # (J[R + i, r] of Y[i]) is a window on the row.  The DFTs are written straight into it.
+    ext = np.empty((2 * R, T + M), dtype=complex)
+    _dft_into(ext[:, :T], X, Y)
+    ext[:, T:] = ext[:, :M]
     J = sliding_window_view(ext, T, axis=-1)
     stat, sums = np.empty(R), np.empty((2, R, M + 1))
     for rows, rs in _shift_chunks(R, M + 1, T):
-        u = _shift_products(J[0], rows, rs)
-        u -= _shift_products(J[1], rows, rs, swap=T >= 2**14)
+        u = _shift_products(J[:R], rows, rs)
+        u -= _shift_products(J[R:], rows, rs, swap=T >= 2**14)
         diff = _circular_convolve(u, fw)
         if rs.start == 0:
             stat[rows] = _half_range(diff[:, 0], T)

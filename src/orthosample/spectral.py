@@ -45,7 +45,10 @@ __all__ = [
 # times that for the rows of one.  At T = 2^14 a one-row FFT call costs about
 # 1.5 times as much per row as a call of 2-8 rows, so there a block is four
 # rows of one series; a row longer than four times the limit is its own block
-# and needs no more memory than the single transform it replaces.
+# and needs no more memory than the single transform it replaces.  The DFT of
+# a block takes its rows in chunks of at most this many points (one row when T
+# exceeds it) through one work buffer, writing each chunk straight into its
+# destination.
 SHIFT_BLOCK_POINTS = 2**14
 # A grid constant (an array that depends on T and the tuning, not on the
 # data) is kept per process only up to this size, 2^17 complex points.
@@ -183,15 +186,41 @@ def dft_block(block, demean: bool = True) -> np.ndarray:
     """The DFT coefficients of every row of an (R, T) block of series, as an
     (R, T) array whose row i is ``dft(block[i], demean).coeffs``."""
     x = as_block(block)
-    T = x.shape[1]
-    if demean:
-        x = x - x.mean(axis=1, keepdims=True)
+    return _dft_into(np.empty(x.shape, dtype=complex), x, demean=demean)
+
+
+def _dft_into(out: np.ndarray, *blocks: np.ndarray, demean: bool = True) -> np.ndarray:
+    """Write :func:`dft_block` of the checked (R_i, T) ``blocks``, their rows in
+    turn, into the rows of ``out``, an (sum R_i, T) complex array or slice.
+
+    The phase is built once; the rows are transformed a chunk of at most
+    ``SHIFT_BLOCK_POINTS`` points (at least one row) at a time in one work
+    buffer.  A row's FFT and mean do not depend on the chunk, so neither do
+    its bits.
+    """
+    T = out.shape[1]
     # sum_t x_t e^{i t omega_k} = e^{i omega_k} * T * ifft(x)[k mod T]; index k - 1
     # holds omega_k, so the ifft moves one place to the left
-    coeffs = np.roll(T * np.fft.ifft(x, axis=-1), -1, axis=-1)
-    np.multiply(np.exp(2j * np.pi * np.arange(1, T + 1) / T), coeffs, out=coeffs)
-    coeffs *= 1.0 / np.sqrt(2.0 * np.pi * T)
-    return coeffs
+    phase = 2j * np.pi * np.arange(1, T + 1)
+    phase /= T
+    np.exp(phase, out=phase)
+    scale = 1.0 / np.sqrt(2.0 * np.pi * T)
+    reps = max(1, SHIFT_BLOCK_POINTS // T)
+    buf = np.empty((min(reps, len(out)), T), dtype=complex)
+    start = 0
+    for rows in (x[i:i + reps] for x in blocks for i in range(0, len(x), reps)):
+        u, dest = buf[:len(rows)], out[start:start + len(rows)]
+        start += len(rows)
+        if demean:
+            np.subtract(rows, rows.mean(axis=1, keepdims=True), out=u)
+        else:
+            u[...] = rows
+        np.fft.ifft(u, axis=-1, out=u)
+        np.multiply(T, u[:, 1:], out=dest[:, :-1])
+        np.multiply(T, u[:, :1], out=dest[:, -1:])
+        np.multiply(phase, dest, out=dest)
+        dest *= scale
+    return out
 
 
 @dataclass(frozen=True)

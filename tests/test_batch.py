@@ -4,6 +4,7 @@ statistics against loop and single-series references."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -485,6 +486,59 @@ class TestShiftBlockSize:
                                          for f in fields]
 
         assert bits(single) == bits(whole)
+
+
+class TestDftChunkSize:
+    """The DFT twin of ``TestShiftBlockSize``: a block transformed one row
+    per chunk gives the bits of the chunked transform."""
+
+    @pytest.mark.parametrize("T", [100, 1024, 2**14])
+    @pytest.mark.parametrize("R", [1, 3, 43])
+    @pytest.mark.parametrize("demean", [True, False])
+    def test_rows_do_not_depend_on_chunk_size(self, R, T, demean, monkeypatch):
+        block = _series_block(T, R)
+        whole = dft_block(block, demean)
+        monkeypatch.setattr(spectral, "SHIFT_BLOCK_POINTS", 1)  # chunks of one row
+        assert dft_block(block, demean).tobytes() == whole.tobytes()
+
+
+def _traced_peak_mib(run) -> float:
+    """The tracemalloc peak of the second of two calls of ``run``, in MiB above
+    what was allocated when it started; the first call builds the grid
+    constants that stay."""
+    run()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestTransformMemory:
+    """Traced peaks are deterministic for a numpy build, so they are pinned:
+    the transforms write into their destination a chunk of rows at a time."""
+
+    def test_equality_block_holds_one_copy_of_its_transforms(self):
+        T = 1024
+        X, Y = (np.array(out.series) for out in generate_bivariate_batch(
+            0.1, 0.5, T, [[7, T, r] for r in range(50)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # beta clamping
+            peak = _traced_peak_mib(lambda: equality_block(X, Y))
+        # the (100, T + M) shift buffer alone is 1.59 MiB: a second copy
+        # of both sides' transforms would pass the bound
+        assert peak <= 3.5
+
+    def test_one_row_dft_needs_no_extra_copy(self):
+        x = np.random.default_rng(3).standard_normal((1, 2**14))
+        # result, phase and one row's work buffer: 0.75 MiB, so one more
+        # row-sized copy would pass the bound
+        assert _traced_peak_mib(lambda: dft_block(x)) <= 0.88
 
 
 class TestBlocking:

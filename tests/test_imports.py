@@ -64,6 +64,7 @@ PRIVATE_IMPORTS = sorted([
     ("htests", "selection._feasible"),
     # the shared kernels
     ("equality", "spectral._circular_convolve"),
+    ("equality", "spectral._dft_into"),
     ("equality", "spectral._shift_chunks"),
     ("experiments", "htests._lag_rows"),
     ("whittle", "spectral._ar_density"),
