@@ -48,9 +48,11 @@ __all__ = [
 CSV_HEADER = "model,T,method,alpha,rate,se,time_ms"
 # Points in each array of a block of replications generated together: the
 # recursions of a block run once per time step for all of its replications,
-# so a group runs in as few blocks as keep each within 1 MB, of even sizes
-# (2 x 100 replications at T = 100, nrep 200; 2 x 50 at T = 1024, nrep 100).
-BLOCK_POINTS = 2**17
+# so a group runs in as few blocks as keep each within 2 MB, of even sizes.
+# Every checked-in config at its desk nrep runs one block a group (at most
+# 200 x 1200 points, qq_t10 at T = 200); at paper nrep a group splits into
+# ceil(nrep (T + 1000) / 2^18) blocks, such as 4 x 125 at T = 1024, nrep 500.
+BLOCK_POINTS = 2**18
 
 # Each experiment and the methods of its cells; () for the configured methods
 EXPERIMENTS = {"qq_t10": ("qq_t10",), "table_equality": ("equality",),

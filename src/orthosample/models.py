@@ -369,8 +369,10 @@ def _ar(e: np.ndarray, coeffs) -> np.ndarray:
     if R == 1 or sign is None or (K := _ar_short_steps(coeffs)) >= BURN_IN - p:
         return _ar_full(e, coeffs)
     s = BURN_IN - K
-    # sum |phi_m| <= rho < 1 for sign-monotone coefficients
-    bound = 2.0 * np.abs(e[:s]).max(axis=0) / (1.0 - sum(abs(c) for c in coeffs))
+    # max |e_t| as max(max e, -min e), with no |e| copy; sum |phi_m| <= rho < 1
+    # for sign-monotone coefficients
+    top = np.maximum(e[:s].max(axis=0), -e[:s].min(axis=0))
+    bound = 2.0 * top / (1.0 - sum(abs(c) for c in coeffs))
     edge = sign[::-1, None] * bound  # rows: lags p .. 1
     return _bracketed(e, s, np.concatenate([-edge, edge], axis=1),
                       lambda x: _ar_steps(x, coeffs, p),
@@ -488,18 +490,22 @@ def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
                              ) -> tuple[SimOutput, SimOutput]:
     """The X and Y paths of ``generate_bivariate`` for every seed, as the
     rows of two (R, T) blocks; row j is bit-identical to the pair drawn from
-    seeds[j]."""
+    seeds[j].
+
+    At most both innovation blocks, one recursion's bracket and X's series
+    are alive at once: X's series is copied out of its bracket, and its
+    innovations dropped, before Y's recursion runs."""
     _check_bivariate(delta, rho)
     n = T + BURN_IN
     e, w = _draw(seeds, (_normal, n), (_normal, n))
-    # eta = rho e + sqrt(1 - rho^2) w, built in w's storage
+    # eta = rho e + sqrt(1 - rho^2) w, built in w's storage a row at a time
     w *= math.sqrt(max(0.0, 1.0 - rho * rho))
-    w += rho * e
-    x = _ar(e, (0.8,))
-    y = _ar(w, (0.8, delta))
-    return tuple(SimOutput(series=np.ascontiguousarray(s.T, dtype=float), seed=list(seeds),
-                           burn_in_used=BURN_IN)
-                 for s in (x, y))
+    for j in range(w.shape[1]):
+        w[:, j] += rho * e[:, j]
+    x = np.ascontiguousarray(_ar(e, (0.8,)).T)
+    del e
+    y = np.ascontiguousarray(_ar(w, (0.8, delta)).T)
+    return tuple(SimOutput(series=s, seed=list(seeds), burn_in_used=BURN_IN) for s in (x, y))
 
 
 def generate_bivariate(delta: float, rho: float, T: int, seed

@@ -541,6 +541,16 @@ class TestTransformMemory:
         assert _traced_peak_mib(lambda: dft_block(x)) <= 0.88
 
 
+class TestGeneratorMemory:
+    def test_bivariate_block_drops_x_before_y_runs(self):
+        T = 1024
+        seeds = [[7, T, r] for r in range(100)]
+        peak = _traced_peak_mib(lambda: generate_bivariate_batch(0.1, 0.9, T, seeds))
+        # both innovation blocks (3.09 MiB), X's bracket (2.04) and X's
+        # series (0.78): a second innovation-sized copy (1.54) would pass the bound
+        assert peak <= 6.2
+
+
 class TestBlocking:
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(experiment="table_uncorrelated_null", models=("x5", "x7"),

@@ -533,6 +533,21 @@ class TestRunExperiment:
         assert len(sizes) == 3 and max(map(len, sizes)) - min(map(len, sizes)) <= 1
         assert sorted(r for reps in sizes for r in reps) == list(range(7))
 
+    def test_desk_configs_run_one_block_per_group(self, monkeypatch):
+        # every checked-in config at its desk nrep runs each (model, T) group
+        # as one block of all its replications; the stand-in only records
+        jobs = []
+        monkeypatch.setattr(experiments, "_block_values",
+                            lambda job: jobs.append(job) or [ValueError("not run")] * len(job[3]))
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert len(paths) == 10
+        for path in paths:
+            cfg = parse_config(path.read_text())
+            jobs.clear()
+            run_experiment(cfg, progress=quiet)
+            groups = {job[2] for job in jobs}
+            assert [job[-1] for job in jobs] == [range(cfg.nrep)] * len(groups), path.name
+
     @pytest.mark.parametrize("seed", [0, 101, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
                                       2**96 + 1])
     def test_entropy_rows_give_the_list_seed_streams(self, seed):
