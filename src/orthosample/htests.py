@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import distributions as dist
-from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M_block
+from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, _select_block
 from .spectral import (
     DegenerateDataError,
     InvalidInputError,
@@ -78,7 +78,6 @@ class TestReport:
     null_ref: object  # Dist or EmpiricalNull
     method: str
     tuning: dict = field(default_factory=dict)
-    alphas: tuple = DEFAULT_ALPHAS
 
     def reject(self, alpha: float) -> bool:
         # strict inequality: reject at level alpha iff 1 - F(stat) < alpha
@@ -86,7 +85,7 @@ class TestReport:
 
     @property
     def decisions(self) -> dict:
-        return {a: self.reject(a) for a in self.alphas}
+        return {a: self.reject(a) for a in DEFAULT_ALPHAS}
 
 
 def _lag_rows(T: int, L: int) -> np.ndarray:
@@ -150,7 +149,7 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
     if M is None:
         feasible, p = _feasible(T, search_set, p)
         runs = shift_runs(coeffs, weights, T // p + max(feasible))
-        Ms = select_M_block(runs[:, 0], T, feasible, p)[0]
+        Ms = _select_block(runs[:, 0], T, feasible, p)[0]
     else:
         M = _check_shift(T, M, "M", 1)
         runs = shift_runs(coeffs, weights, M)

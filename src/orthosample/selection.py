@@ -5,9 +5,10 @@ Block contract: :func:`select_M_block` chooses M for every row of an (R, n)
 block of shift runs from one cumsum; :func:`select_M` is its block of one and
 returns, for each series, the M and the criterion curve the block gives its
 row.  Each public function takes a raw search set and p and applies the
-search-set rule and the feasible clip itself: every search set is clipped to
-its feasible members (:func:`feasible_search_set`), and only a set with none
-raises.  A variance window that is not positive raises
+search-set rule and the feasible clip itself, once: every search set is
+clipped to its feasible members, those whose variance windows stay below
+T/2, and only a set with none raises.  ``SelectionResult.search_set`` reports
+the feasible members.  A variance window that is not positive raises
 ``spectral.DegenerateDataError``.
 """
 
@@ -21,8 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .spectral import (DegenerateDataError, DftGrid, ShiftRangeError, WeightFunction, _integer,
                        weighted_average_run)
 
-__all__ = ["SelectionResult", "criterion", "select_M", "select_M_block", "feasible_search_set",
-           "DEFAULT_SEARCH_SET", "DEFAULT_P"]
+__all__ = ["SelectionResult", "select_M", "select_M_block", "DEFAULT_SEARCH_SET", "DEFAULT_P"]
 
 DEFAULT_SEARCH_SET = range(10, 31)
 DEFAULT_P = 4
@@ -62,12 +62,6 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     return p / T * np.sum(score, axis=-1)
 
 
-def criterion(grid: DftGrid, phi: WeightFunction, M: int, p: int = DEFAULT_P) -> float:
-    """C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 / V-hat_M(omega_r) - 1)^2:
-    :func:`select_M`'s curve at the one M, which must be feasible."""
-    return select_M(grid, phi, (M,), p).criterion_curve[M]
-
-
 def _search_set(search_set, p) -> tuple:
     """The search-set rule: (members, p) as ints once p >= 2, and the set is
     non-empty with every M >= 1."""
@@ -81,7 +75,8 @@ def _search_set(search_set, p) -> tuple:
 
 
 def _feasible(T: int, search_set, p) -> tuple:
-    """(members, p) of :func:`feasible_search_set`; they pass the rule given T."""
+    """(members, p) after the search-set rule, with the members kept that are
+    feasible given T: those whose variance windows stay below T/2."""
     members, p = _search_set(search_set, p)
     out = tuple(M for M in members if T // p + M < T / 2)
     if not out:
@@ -89,20 +84,14 @@ def _feasible(T: int, search_set, p) -> tuple:
     return out, p
 
 
-def feasible_search_set(T: int, search_set=DEFAULT_SEARCH_SET,
-                        p: int = DEFAULT_P) -> tuple:
-    """Members of the search set whose variance windows stay below T/2."""
-    return _feasible(T, search_set, p)[0]
-
-
 def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
              p: int = DEFAULT_P) -> SelectionResult:
-    """argmin of the criterion over the feasible members of the search set
-    (:func:`feasible_search_set`); ties go to the smallest M.  The block of one
-    of :func:`select_M_block`."""
+    """argmin of the criterion C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 /
+    V-hat_M(omega_r) - 1)^2 over the feasible members of the search set; ties
+    go to the smallest M.  The block of one of :func:`select_M_block`."""
     members, p = _feasible(grid.T, search_set, p)
     run = weighted_average_run(grid, phi, grid.T // p + max(members))
-    chosen, curves, uniq = select_M_block(run[None], grid.T, members, p)
+    chosen, curves, uniq = _select_block(run[None], grid.T, members, p)
     curve = dict(zip(uniq, curves[0].tolist()))
     return SelectionResult(chosen_M=int(chosen[0]),
                            criterion_curve={M: curve[M] for M in members},
@@ -117,7 +106,12 @@ def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
     Returns the chosen M per row, the (R, |U|) criterion curves and U, the
     sorted distinct feasible members.
     """
-    members, p = _feasible(T, search_set, p)
+    return _select_block(runs, T, *_feasible(T, search_set, p))
+
+
+def _select_block(runs: np.ndarray, T: int, members: tuple, p: int):
+    """:func:`select_M_block` given feasible ``members`` and p that have
+    passed the search-set rule (:func:`_feasible`)."""
     uniq = tuple(sorted(set(members)))
     curves = _criteria(runs, T, uniq, p)
     # argmin keeps the first, so the smallest, of equal minima

@@ -1,5 +1,5 @@
-"""Whittle likelihood objective, low-dimensional fitting, and the
-score-variance orthogonal-sample estimator."""
+"""Whittle fitting of AR(p) spectral models, with sigma^2 profiled out, and
+the score-variance orthogonal-sample estimator."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .spectral import (
     _ar_density,
     _density_values,
     _integer,
-    _real,
     ar_spectral_density,
     ar_transfer,
     grid_frequencies,
@@ -34,7 +33,6 @@ __all__ = [
     "ARModel",
     "WhittleFit",
     "ar_model",
-    "whittle_objective",
     "whittle_fit",
     "score_weight",
     "whittle_score_variance",
@@ -63,55 +61,35 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class ARModel(SpectralModel):
-    """An AR(p) spectral model built by :func:`ar_model`; ``sigma`` is the
-    fixed innovation scale, or None when it is fitted."""
+    """An AR(p) spectral model built by :func:`ar_model`."""
 
     p: int = 1
-    sigma: float | None = None
 
 
-def ar_model(p: int, sigma: float | None = None) -> ARModel:
-    """AR(p) density sigma^2 / (2 pi) * |1 - sum_m phi_m e^{i m omega}|^{-2}.
+def ar_model(p: int) -> ARModel:
+    """AR(p) density sigma^2 / (2 pi) * |1 - sum_m phi_m e^{i m omega}|^{-2}
+    with theta = (phi_1..phi_p, sigma).
 
-    theta = (phi_1..phi_p, sigma), or (phi_1..phi_p) when ``sigma`` is given.
     phi_m lies in the box |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.
     """
     p = _integer(p, "AR order p")
     if p < 1:
         raise ValueError("AR order must be >= 1")
-    s0 = None if sigma is None else _real(sigma, "sigma")
-    if s0 is not None and s0 <= 0:
-        raise ValueError(f"sigma={s0} must be positive")
-
-    def split(th):
-        th = np.asarray(th, dtype=float)
-        return (th[:p], th[p]) if s0 is None else (th, s0)
 
     def density(w, th):
-        phi, s = split(th)
-        return ar_spectral_density(w, phi, s)
+        th = np.asarray(th, dtype=float)
+        return ar_spectral_density(w, th[:p], th[p])
 
     def gradient(w, th):
-        phi, s = split(th)
-        A = ar_transfer(w, phi)
-        f = _ar_density(A, s)
+        th = np.asarray(th, dtype=float)
+        A = ar_transfer(w, th[:p])
+        f = _ar_density(A, th[p])
         rows = [2 * f * np.real(np.conj(A) * np.exp(1j * m * w)) / np.abs(A) ** 2
                 for m in range(1, p + 1)]
-        if s0 is None:
-            rows.append(2 * f / s)
-        return np.stack(rows)
+        return np.stack(rows + [2 * f / th[p]])
 
     bounds = tuple((-0.95 * comb(p, m), 0.95 * comb(p, m)) for m in range(1, p + 1))
-    if s0 is None:
-        return ARModel(density, gradient, p + 1, bounds + ((0.0, np.inf),), f"ar{p}", p)
-    return ARModel(density, gradient, p, bounds, f"ar{p}[sigma={s0}]", p, s0)
-
-
-def whittle_objective(grid: DftGrid, model: SpectralModel, theta) -> float:
-    """(1/T) sum_{k=1..T} (|J_k|^2 / f(omega_k; theta) + log f(omega_k; theta))."""
-    f = model.density_on_grid(grid.T, theta)
-    periodogram = np.abs(grid.coeffs) ** 2
-    return float(np.mean(periodogram / f + np.log(f)))
+    return ARModel(density, gradient, p + 1, bounds + ((0.0, np.inf),), f"ar{p}", p)
 
 
 @dataclass(frozen=True)
@@ -131,17 +109,19 @@ class WhittleFit:
 
 
 def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
-    """Minimise the Whittle objective of an AR(p) model on its box.
+    """Minimise the Whittle objective (1/T) sum_k (I_k / f_k + log f_k) of
+    an AR(p) model over theta = (phi, sigma), phi on its box.
 
     With I_k = |J_k|^2, A = A_phi(omega_k) and Q(phi) = mean(I |A|^2), the
     objective is 2 pi Q / sigma^2 + log sigma^2 - mean(log |A|^2) - log 2 pi.
-    A free sigma is profiled out in closed form, sigma^2 = 2 pi Q(phi),
-    leaving log Q - mean(log |A|^2) to minimise over phi.  Q is quadratic in
-    phi, and its minimiser, the Yule-Walker solve on the circular periodogram
-    autocovariances c_j = mean(I_k cos(j omega_k)), seeds Newton steps that
-    are clipped into the box and halved until the objective does not rise.
-    Iteration stops once a step moves phi by less than ``tol`` (Whittle 1953;
-    Brockwell & Davis, Time Series: Theory and Methods, section 10.8).
+    sigma is profiled out in closed form, sigma^2 = 2 pi Q(phi), leaving the
+    one objective log Q - mean(log |A|^2) to minimise over phi.  Q is
+    quadratic in phi, and its minimiser, the Yule-Walker solve on the circular
+    periodogram autocovariances c_j = mean(I_k cos(j omega_k)), seeds Newton
+    steps that are clipped into the box and halved until the objective does
+    not rise.  Iteration stops once a step moves phi by less than ``tol``
+    (Whittle 1953; Brockwell & Davis, Time Series: Theory and Methods,
+    section 10.8).
 
     Every trial builds A from the rows E_m = e^{i m omega_k} formed once per
     fit, in the order of :func:`ar_transfer`, so no trial evaluates an
@@ -162,7 +142,6 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
         raise InvalidInputError("periodogram is zero on the whole grid; nothing to fit")
     hess_q = 2 * acov[np.abs(lags[:, None] - lags[None, :])]
     lo, hi = np.array(model.bounds[:p]).T
-    scale = None if model.sigma is None else 2 * np.pi / model.sigma**2
 
     def profiled(phi):
         A = np.ones(omega.shape, dtype=complex)
@@ -170,18 +149,14 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
             A = A - c * e
         q = np.mean(pgram * np.abs(A) ** 2)
         h = np.mean(np.log(np.abs(A) ** 2))
-        return (np.log(q) if scale is None else scale * q) - h, A, q
+        return np.log(q) - h, A, q
 
     def newton_step(A, q):
         grad_q = -2 * np.mean(pgram * np.real(np.conj(A) * E), axis=1)
         grad_h = -2 * np.mean(np.real(E / A), axis=1)
         hess_h = -2 * np.mean(np.real(E[:, None] * E[None, :] / A**2), axis=2)
-        if scale is None:
-            grad = grad_q / q - grad_h
-            hess = hess_q / q - np.outer(grad_q, grad_q) / q**2 - hess_h
-        else:
-            grad = scale * grad_q - grad_h
-            hess = scale * hess_q - hess_h
+        grad = grad_q / q - grad_h
+        hess = hess_q / q - np.outer(grad_q, grad_q) / q**2 - hess_h
         return -np.linalg.solve(hess, grad)
 
     phi = np.clip(np.linalg.solve(hess_q, 2 * acov[1:]), lo, hi)
@@ -203,10 +178,8 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
         if moved < tol:
             break
 
-    theta = np.append(phi, np.sqrt(2 * np.pi * q)) if model.sigma is None else phi
-    sigma = theta[-1] if model.sigma is None else model.sigma
-    f = _density_values(_ar_density(A, sigma),
-                        f"{model.name} spectral density", theta)
+    theta = np.append(phi, np.sqrt(2 * np.pi * q))
+    f = _density_values(_ar_density(A, theta[-1]), f"{model.name} spectral density", theta)
     on_boundary = bool(np.any(np.minimum(phi - lo, hi - phi) < 10 * tol))
     return WhittleFit(theta_hat=theta, objective_at_min=float(np.mean(pgram / f + np.log(f))),
                       iterations=iterations, on_boundary=on_boundary, density=f)

@@ -73,6 +73,14 @@ def variance_estimate_at(grid, phi: WeightFunction, r0: int, M: int) -> float:
     return float(variance_block(weighted_average_run(grid, phi, r0 + M)[r0 + 1:], grid.T))
 
 
+def whittle_objective(grid, model, theta) -> float:
+    """(1/T) sum_{k=1..T} (|J_k|^2 / f(omega_k; theta) + log f(omega_k; theta)),
+    the Whittle objective a fit's ``objective_at_min`` is checked against."""
+    f = model.density_on_grid(grid.T, theta)
+    periodogram = np.abs(grid.coeffs) ** 2
+    return float(np.mean(periodogram / f + np.log(f)))
+
+
 def kernel_spectral_estimate(grid, kernel, r: int = 0) -> np.ndarray:
     """The box-window estimate f_hat(omega_l; r) = sum_k w[(l - k) mod T]
     J_k conj(J_{k+r}) on the full grid, with the weights w of

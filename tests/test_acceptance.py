@@ -16,7 +16,7 @@ from oracles import circular_autocov, constant_weight, quadratic_form_oracle
 from orthosample.equality import equality_test
 from orthosample.htests import goodness_of_fit_test, portmanteau_test
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
-from orthosample.selection import feasible_search_set, select_M
+from orthosample.selection import _feasible, select_M
 from orthosample.spectral import (
     dft,
     lag_weight,
@@ -254,7 +254,7 @@ class TestCriterion8:
 
         spec = ModelSpec("ar", {"coeffs": (1.5, -0.75), "innovation": "normal"})
         T, p, nrep = 200, 4, 200
-        feas = feasible_search_set(T, range(2, 61), p)
+        feas = _feasible(T, range(2, 61), p)[0]
         hits = 0
         for r in range(nrep):
             grid = dft(generate(spec, T, seed=[81, r]).series)

@@ -42,7 +42,7 @@ from orthosample.models import (
     generate_bivariate,
     generate_bivariate_batch,
 )
-from orthosample.selection import criterion, feasible_search_set, select_M, select_M_block
+from orthosample.selection import _feasible, select_M, select_M_block
 from orthosample.spectral import (
     SHIFT_BLOCK_POINTS,
     InvalidInputError,
@@ -270,7 +270,7 @@ class TestSelection:
         run = weighted_average_run(grid, phi, T // p + max(search_set))
         for M in search_set:
             assert sel.criterion_curve[M] == _criterion_loop(run, T, M, p)
-            assert criterion(grid, phi, M, p) == sel.criterion_curve[M]
+            assert select_M(grid, phi, (M,), p).criterion_curve[M] == sel.criterion_curve[M]
 
 
 class TestShiftTable:
@@ -651,7 +651,7 @@ class TestBlockStatistics:
         T, p = 200, 4
         search_set = (24, 12, 30, 12, 10, 24, 17)
         block = _series_block(T, 59, "ar_g_0.6")
-        feasible = feasible_search_set(T, search_set, p)
+        feasible = _feasible(T, search_set, p)[0]
         runs = shift_runs(dft_block(block), lag_weight(1).on_grid(T)[None],
                           T // p + max(feasible))[:, 0]
         chosen, curves, members = select_M_block(runs, T, feasible, p)

@@ -24,7 +24,7 @@ from orthosample.cli import (
 )
 from orthosample.experiments import parse_search_set
 from orthosample.htests import goodness_of_fit_test
-from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, feasible_search_set, select_M
+from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M
 from orthosample.whittle import ar_model, whittle_fit
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
 
@@ -317,7 +317,7 @@ class TestSelectMOutputAndErrors:
         members = parse_search_set(opts.get("--set", tuple(DEFAULT_SEARCH_SET)), "--set")
         (x,) = load_series(series_csv)
         grid = spectral.dft(x)
-        sel = select_M(grid, spectral.lag_weight(1), feasible_search_set(grid.T, members, p), p)
+        sel = select_M(grid, spectral.lag_weight(1), _feasible(grid.T, members, p)[0], p)
         want = {"chosen_M": sel.chosen_M, "p": sel.p,
                 "criterion_curve": {str(m): v for m, v in sorted(sel.criterion_curve.items())}}
         assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
@@ -524,7 +524,7 @@ class TestCachedParser:
         assert json.loads(cached[0][1])["tuning"] == {"L": 5, "M_selected": False, "M": 8}
         assert json.loads(cached[1][1])["tuning"]["M_selected"] is True
         assert set(json.loads(cached[2][1])["criterion_curve"]) == {"5", "10"}
-        default_set = feasible_search_set(100, DEFAULT_SEARCH_SET, DEFAULT_P)
+        default_set = _feasible(100, DEFAULT_SEARCH_SET, DEFAULT_P)[0]
         assert set(json.loads(cached[3][1])["criterion_curve"]) == set(map(str, default_set))
         for argv in calls[:4] + calls[5:]:
             assert cli._parser().parse_args(argv) == cli._parser.__wrapped__().parse_args(argv)
@@ -576,7 +576,6 @@ class TestGofUsesTheFittedDensity:
         calls = []
         for module, name in [(spectral, "ar_transfer"), (spectral, "ar_spectral_density"),
                              (whittle, "ar_transfer"), (whittle, "ar_spectral_density"),
-                             (whittle, "whittle_objective"),
                              (experiments, "ar_spectral_density")]:
             def counting(*args, name=name, f=getattr(module, name)):
                 calls.append(name)

@@ -77,11 +77,11 @@ class TestPortmanteau:
         null = EmpiricalNull(draws=np.arange(1.0, 21.0))
         from orthosample.htests import TestReport
 
-        rep = TestReport(statistic=20.5, p_value=0.0, null_ref=null,
-                         method="x", alphas=(0.0, 0.05))
+        rep = TestReport(statistic=20.5, p_value=0.0, null_ref=null, method="x")
         assert not rep.reject(0.0)  # p < alpha must be strict
         assert rep.reject(0.05)
-        assert rep.decisions == {0.0: False, 0.05: True}
+        rep = TestReport(statistic=1.5, p_value=0.05, null_ref=null, method="x")
+        assert rep.decisions == {0.05: False, 0.10: True}
 
     def test_scale_invariant_pvalue(self, rng):
         x = rng.standard_normal(100)

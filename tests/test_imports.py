@@ -55,13 +55,13 @@ PRIVATE_IMPORTS = sorted([
     *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests",
                                           "selection", "whittle")],
     *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests")],
-    *[(m, "spectral._real") for m in ("distributions", "equality", "experiments", "models",
-                                       "whittle")],
+    *[(m, "spectral._real") for m in ("distributions", "equality", "experiments", "models")],
     *[(m, "spectral._density_values") for m in ("htests", "whittle")],
     ("experiments", "equality._check_beta"),
     ("experiments", "models._check_bivariate"),
     ("experiments", "selection._search_set"),
     ("htests", "selection._feasible"),
+    ("htests", "selection._select_block"),
     # the shared kernels
     ("equality", "spectral._circular_convolve"),
     ("equality", "spectral._dft_into"),

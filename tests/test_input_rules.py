@@ -27,7 +27,7 @@ from orthosample.htests import (
     robust_portmanteau_block,
 )
 from orthosample.models import ModelSpec
-from orthosample.selection import criterion, feasible_search_set, select_M
+from orthosample.selection import _feasible, select_M
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
                                   WeightFunction, dft, lag_weight)
 from orthosample.variance import CovMatrixEstimate, hotelling_test, studentize_block
@@ -131,9 +131,8 @@ def test_search_set_member_obeys_integer_rule(rng):
     x = rng.standard_normal(200)
     grid = dft(x)
     calls = [lambda: select_M(grid, lag_weight(1), (10.9,)),
-             lambda: criterion(grid, lag_weight(1), 10.9),
              lambda: portmanteau_test(x, search_set=(10.9,)),
-             lambda: feasible_search_set(200, (10.9, 12))]
+             lambda: _feasible(200, (10.9, 12), 4)]
     for call in calls:
         with pytest.raises(ShiftRangeError, match=r"^M=10\.9 is not an integer$"):
             call()
@@ -142,7 +141,7 @@ def test_search_set_member_obeys_integer_rule(rng):
 @pytest.mark.parametrize("search_set", [(0, 12), (), (12, -1)])
 def test_feasible_search_set_obeys_search_set_rule(search_set):
     with pytest.raises(ShiftRangeError, match="must be non-empty with every M >= 1"):
-        feasible_search_set(200, search_set)
+        _feasible(200, search_set, 4)
 
 
 @pytest.mark.parametrize("p", [4.5, "4"])
@@ -156,8 +155,9 @@ def test_integral_floats_give_the_int_results(rng):
     grid = dft(x)
     assert (select_M(grid, lag_weight(1), (10.0, np.int64(12)), 4.0)
             == select_M(grid, lag_weight(1), (10, 12), 4))
-    assert criterion(grid, lag_weight(1), 12.0) == criterion(grid, lag_weight(1), 12)
-    assert feasible_search_set(200, (10.0, 12.0), 4.0) == (10, 12)
+    assert (select_M(grid, lag_weight(1), (12.0,)).criterion_curve[12]
+            == select_M(grid, lag_weight(1), (12,)).criterion_curve[12])
+    assert _feasible(200, (10.0, 12.0), 4.0) == ((10, 12), 4)
     got, want = (portmanteau_test(x, L=L, p=p, search_set=s)
                  for L, p, s in ((5.0, 4.0, (10.0, 12.0)), (5, 4, (10, 12))))
     assert (got.statistic, got.p_value, got.tuning["M"]) == (want.statistic, want.p_value,
@@ -171,6 +171,25 @@ def test_shift_and_order_obey_integer_rule(rng):
     with pytest.raises(ShiftRangeError, match=r"AR order p=1\.5 is not an integer"):
         ar_model(1.5)
     assert ar_model(1.0).p == 1 and type(ar_model(np.int64(2)).p) is int
+
+
+@pytest.mark.parametrize("p, error, message", [
+    (True, ShiftRangeError, "AR order p=True is not an integer"),
+    ("2", ShiftRangeError, "AR order p=2 is not an integer"),
+    (np.nan, ShiftRangeError, "AR order p=nan is not an integer"),
+    (0, ValueError, "AR order must be >= 1"),
+    (-1, ValueError, "AR order must be >= 1"),
+], ids=["bool", "string", "nan", "zero", "negative"])
+def test_ar_model_order_refused(p, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ar_model(p)
+
+
+def test_ar_model_takes_only_the_order():
+    # sigma is always fitted: theta = (phi_1..phi_p, sigma)
+    with pytest.raises(TypeError):
+        ar_model(1, sigma=1.0)
+    assert ar_model(2).param_dim == 3
 
 
 def test_hotelling_dimensions_obey_integer_rule():
@@ -233,8 +252,8 @@ def test_non_numeric_count_obeys_integer_rule(rng, name, value):
     x = rng.standard_normal(T)
     if name == "L":
         call = lambda: portmanteau_test(x, L=value, M=5)
-    else:  # M = None selects M in the tests, so ask the criterion for it
-        call = lambda: criterion(dft(x), lag_weight(1), value)
+    else:  # M = None selects M in the tests, so ask the M search for it
+        call = lambda: select_M(dft(x), lag_weight(1), (value,))
     with pytest.raises(ShiftRangeError, match=rf"^{name}={value} is not an integer"):
         call()
 
@@ -299,15 +318,14 @@ def test_one_rule_per_library_number(test, arg, name, valid, rule, kind, data):
 
 
 # The reals of the public constructors obey the real-number rule too: the
-# degrees of freedom of a reference law, the fixed sigma of an AR model and the
-# ARCH and non-causal coefficients of a ModelSpec.  Each is kept as the float.
+# degrees of freedom of a reference law and the ARCH and non-causal
+# coefficients of a ModelSpec.  Each is kept as the float.
 # (constructor, the name its error gives, a valid value, what to compare)
 CONSTRUCTORS = [
     (student_t, "df", 10, lambda law: law.params),
     (chi_square, "df", 5, lambda law: law.params),
     (lambda d1: f_dist(d1, 3.0), "d1", 2, lambda law: law.params),
     (lambda d2: f_dist(2.0, d2), "d2", 3, lambda law: law.params),
-    (lambda sigma: ar_model(1, sigma=sigma), "sigma", 2, lambda m: (m.sigma, m.name)),
     *[(lambda v, tag=tag, params=params, name=name: ModelSpec(tag, {**params, name: v}),
        name, 0.5, lambda spec: dict(spec.params))
       for tag, params, name in [
@@ -340,21 +358,12 @@ def test_one_rule_per_constructor_real(build, name, valid, key, kind, data):
     (lambda: student_t(np.inf), "df=inf is not finite"),
     (lambda: chi_square(True), "df=True is not a real number"),
     (lambda: f_dist(True, 3.0), "d1=True is not a real number"),
-    (lambda: ar_model(1, sigma=True), "sigma=True is not a real number"),
-    (lambda: ar_model(1, sigma=np.nan), "sigma=nan is not finite"),
     (lambda: ModelSpec("arch1", {"alpha": False}), "alpha=False is not a real number"),
     (lambda: ModelSpec("arch1", {"alpha": "0.5"}), "alpha='0.5' is not a real number"),
-], ids=["t_bool", "t_inf", "chi2_bool", "f_bool", "sigma_bool", "sigma_nan", "alpha_bool",
-        "alpha_string"])
+], ids=["t_bool", "t_inf", "chi2_bool", "f_bool", "alpha_bool", "alpha_string"])
 def test_constructor_real_refused(call, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()
-
-
-@pytest.mark.parametrize("sigma", [-2.0, 0])
-def test_ar_model_sigma_must_be_positive(sigma):
-    with pytest.raises(ValueError, match=rf"^sigma={float(sigma)} must be positive$"):
-        ar_model(1, sigma=sigma)
 
 
 @pytest.mark.parametrize("test", [_box_pierce, _robust])

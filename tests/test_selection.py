@@ -5,15 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from orthosample import experiments, selection
 from orthosample.cli import EXIT_OK, main
-from orthosample.htests import goodness_of_fit_block, portmanteau_block, portmanteau_test
+from orthosample.htests import (goodness_of_fit_block, goodness_of_fit_test, portmanteau_block,
+                                portmanteau_test)
 from orthosample.models import MODEL_REGISTRY, ModelSpec, generate, generate_batch
-from orthosample.selection import (
-    criterion,
-    feasible_search_set,
-    select_M,
-    select_M_block,
-)
+from orthosample.selection import (DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M,
+                                   select_M_block)
 from orthosample.spectral import (DegenerateDataError, ShiftRangeError, ar_spectral_density, dft,
                                   lag_weight, shift_runs, weighted_average,
                                   weighted_average_run)
@@ -35,30 +33,32 @@ def naive_criterion(x, M, p):
 
 
 class TestCriterion:
+    """C(M) at one M: the curve ``select_M`` gives over the set {M}."""
+
     def test_matches_naive_form(self, rng):
         x = rng.standard_normal(80)
         for M, p in [(3, 4), (8, 4), (5, 8)]:
-            got = criterion(dft(x), lag_weight(1), M, p)
+            got = select_M(dft(x), lag_weight(1), (M,), p).criterion_curve[M]
             assert got == pytest.approx(naive_criterion(x, M, p), rel=1e-10)
 
     def test_nonnegative_and_scale_invariant(self, rng):
         x = rng.standard_normal(120)
-        c1 = criterion(dft(x), lag_weight(1), 6, 4)
-        c2 = criterion(dft(3.7 * x), lag_weight(1), 6, 4)
+        c1 = select_M(dft(x), lag_weight(1), (6,), 4).criterion_curve[6]
+        c2 = select_M(dft(3.7 * x), lag_weight(1), (6,), 4).criterion_curve[6]
         assert c1 >= 0
         assert c2 == pytest.approx(c1, rel=1e-10)
 
     def test_window_preconditions(self, rng):
         grid = dft(rng.standard_normal(60))
         with pytest.raises(ShiftRangeError):
-            criterion(grid, lag_weight(1), 20, 4)  # 15 + 20 >= 30
+            select_M(grid, lag_weight(1), (20,), 4)  # 15 + 20 >= 30
         with pytest.raises(ShiftRangeError):
-            criterion(grid, lag_weight(1), 5, 1)  # p < 2
+            select_M(grid, lag_weight(1), (5,), 1)  # p < 2
 
     def test_degenerate_series_raises(self):
         x = np.ones(80)
         with pytest.raises(DegenerateDataError):
-            criterion(dft(x), lag_weight(1), 4, 4)
+            select_M(dft(x), lag_weight(1), (4,), 4)
 
 
 class TestSelectM:
@@ -80,7 +80,8 @@ class TestSelectM:
         grid = dft(rng.standard_normal(150))
         sel = select_M(grid, lag_weight(1), [4, 8, 12], 4)
         for M, val in sel.criterion_curve.items():
-            assert val == pytest.approx(criterion(grid, lag_weight(1), M, 4), rel=1e-12)
+            assert val == pytest.approx(
+                select_M(grid, lag_weight(1), (M,), 4).criterion_curve[M], rel=1e-12)
 
     def test_negation_invariance(self, rng):
         x = rng.standard_normal(160)
@@ -96,20 +97,20 @@ class TestSelectM:
 class TestFeasibleSet:
     def test_clipping_at_small_T(self):
         # T = 100, p = 4: windows need 25 + M < 50, so M <= 24
-        feas = feasible_search_set(100, range(10, 31), 4)
+        feas = _feasible(100, range(10, 31), 4)[0]
         assert feas == tuple(range(10, 25))
 
     def test_full_set_at_large_T(self):
-        assert feasible_search_set(500, range(10, 31), 4) == tuple(range(10, 31))
+        assert _feasible(500, range(10, 31), 4)[0] == tuple(range(10, 31))
 
     def test_infeasible_raises(self):
         with pytest.raises(ShiftRangeError):
-            feasible_search_set(40, range(10, 31), 2)
+            _feasible(40, range(10, 31), 2)
 
     @pytest.mark.parametrize("p", [0, 1])
     def test_p_checked_before_use(self, p):
         with pytest.raises(ShiftRangeError, match="p must be >= 2"):
-            feasible_search_set(200, range(10, 31), p)
+            _feasible(200, range(10, 31), p)
         x = generate(MODEL_REGISTRY["normal"], 200, seed=5).series
         with pytest.raises(ShiftRangeError, match="p must be >= 2"):
             portmanteau_test(x, p=p)
@@ -130,11 +131,11 @@ class TestOneSearchSetPolicy:
 
         grid, phi = dft(x), lag_weight(1)
         sel = select_M(grid, phi)
-        feasible = feasible_search_set(T)
+        feasible = _feasible(T, DEFAULT_SEARCH_SET, DEFAULT_P)[0]
         assert sel.search_set == feasible == tuple(cli_curve)
         assert sel.chosen_M == printed["chosen_M"] == portmanteau_test(x).tuning["M"]
         assert sel.criterion_curve == cli_curve
-        assert {M: criterion(grid, phi, M) for M in feasible} == cli_curve
+        assert {M: select_M(grid, phi, (M,)).criterion_curve[M] for M in feasible} == cli_curve
         run = weighted_average_run(grid, phi, T // 4 + max(feasible))
         chosen, curves, members = select_M_block(run[None], T, range(10, 31))
         assert chosen[0] == sel.chosen_M
@@ -144,9 +145,9 @@ class TestOneSearchSetPolicy:
         grid, phi = dft(rng.standard_normal(100)), lag_weight(1)
         run = weighted_average_run(grid, phi, 49)[None]
         for call in [lambda: select_M(grid, phi, range(30, 40)),
-                     lambda: criterion(grid, phi, 30),
+                     lambda: select_M(grid, phi, (30,)),
                      lambda: select_M_block(run, 100, range(30, 40), 4),
-                     lambda: criterion(dft(rng.standard_normal(60)), phi, 20, 4)]:
+                     lambda: select_M(dft(rng.standard_normal(60)), phi, (20,), 4)]:
             with pytest.raises(ShiftRangeError, match="no feasible M"):
                 call()
 
@@ -188,13 +189,62 @@ class TestSearchSetRuleInBlocks:
             select_M_block(runs, 100, (10,), 1)
 
 
+class TestSearchSetRuleRunsOnce:
+    """Each M search runs the search-set rule once.  The CLI's selectM runs
+    it twice: ``parse_search_set`` refuses a bad --set as a config error, and
+    ``select_M`` runs its own search."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(search_set, p, rule=selection._search_set):
+            calls.append(1)
+            return rule(search_set, p)
+
+        for module in (selection, experiments):
+            monkeypatch.setattr(module, "_search_set", counted)
+        return calls
+
+    def test_once_per_search(self, passes):
+        T = 200
+        block = generate_batch(MODEL_REGISTRY["ar_g_0.6"], T, [[41, r] for r in range(3)]).series
+        x = block[0]
+
+        def g(w):
+            return ar_spectral_density(w, [0.6], 1.0)
+
+        runs = shift_runs(dft(block[0]).coeffs[None], lag_weight(1).on_grid(T)[None],
+                          T // DEFAULT_P + max(DEFAULT_SEARCH_SET))[:, 0]
+        calls = {"select_M": lambda: select_M(dft(x), lag_weight(1)),
+                 "select_M_block": lambda: select_M_block(runs, T, DEFAULT_SEARCH_SET),
+                 "portmanteau_test": lambda: portmanteau_test(x),
+                 "portmanteau_block": lambda: portmanteau_block(block),
+                 "goodness_of_fit_test": lambda: goodness_of_fit_test(x, g),
+                 "goodness_of_fit_block": lambda: goodness_of_fit_block(block, g, p=4.0)}
+        counts = {}
+        for name, call in calls.items():
+            passes.clear()
+            call()
+            counts[name] = len(passes)
+        assert counts == dict.fromkeys(calls, 1)
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "10..15"]])
+    def test_twice_for_select_m_verb(self, passes, tmp_path, capsys, extra):
+        x = generate(MODEL_REGISTRY["normal"], 200, seed=43).series
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(repr(v) for v in x.tolist()) + "\n")
+        assert main(["selectM", str(path)] + extra) == EXIT_OK
+        assert len(passes) == 2
+
+
 @pytest.mark.slow
 class TestCurveShape:
     def test_u_shape_on_peaked_ar2(self):
         # sharp-spectrum AR(2): the averaged criterion curve rises at both
         # ends of the search range with an interior minimum
         spec = ModelSpec("ar", {"coeffs": (1.5, -0.75), "innovation": "normal"})
-        feas = feasible_search_set(200, range(2, 61), 4)
+        feas = _feasible(200, range(2, 61), 4)[0]
         curves = []
         for r in range(100):
             grid = dft(generate(spec, 200, seed=[33, r]).series)

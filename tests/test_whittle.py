@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import whittle_objective
 from orthosample.models import MODEL_REGISTRY, ModelSpec, generate
 from orthosample.spectral import InvalidInputError, dft, grid_frequencies
 from orthosample.variance import CovMatrixEstimate, VarianceEstimate
@@ -13,7 +14,6 @@ from orthosample.whittle import (
     ar_model,
     score_weight,
     whittle_fit,
-    whittle_objective,
     whittle_score_variance,
 )
 
@@ -34,14 +34,13 @@ class TestModels:
         "model,theta",
         [
             (ar_model(1), np.array([0.5, 1.2])),
-            (ar_model(1, sigma=1.0), np.array([-0.4])),
             (ar_model(2), np.array([0.9, -0.5, 0.8])),
-            (ar_model(2, sigma=2.0), np.array([1.2, -0.6])),
             (ar_model(3), np.array([0.4, -0.3, 0.2, 1.1])),
-            (ar_model(3, sigma=1.5), np.array([0.4, -0.3, 0.2])),
+            (ar_model(1), np.array([-0.4, 0.7])),
+            (ar_model(2), np.array([-0.6, 0.3, 1.5])),
+            (ar_model(4), np.array([0.3, -0.2, 0.1, -0.05, 0.9])),
         ],
-        ids=["ar1", "ar1-fixed-sigma", "ar2", "ar2-fixed-sigma", "ar3",
-             "ar3-fixed-sigma"],
+        ids=["ar1", "ar2", "ar3", "ar1-negative", "ar2-negative", "ar4"],
     )
     def test_gradient_matches_finite_difference(self, model, theta):
         w = np.linspace(0.2, 6.0, 9)
@@ -56,8 +55,9 @@ class TestModels:
 
     def test_box_is_binomial(self):
         assert ar_model(1).bounds == ((-0.95, 0.95), (0.0, np.inf))
-        assert ar_model(2, sigma=1.0).bounds == ((-1.9, 1.9), (-0.95, 0.95))
-        assert ar_model(3, sigma=1.0).bounds[1] == pytest.approx((-2.85, 2.85))
+        assert ar_model(2).bounds == ((-1.9, 1.9), (-0.95, 0.95), (0.0, np.inf))
+        assert ar_model(3).bounds[1] == pytest.approx((-2.85, 2.85))
+        assert ar_model(3).bounds[3] == (0.0, np.inf)
 
     def test_density_positivity_enforced(self):
         bad = SpectralModel(density=lambda w, th: np.cos(w),
@@ -79,8 +79,8 @@ class TestObjective:
     def test_formula(self, rng):
         x = rng.standard_normal(64)
         grid = dft(x)
-        model = ar_model(1, sigma=1.0)
-        theta = np.array([0.4])
+        model = ar_model(1)
+        theta = np.array([0.4, 1.3])
         f = model.density(grid_frequencies(64), theta)
         want = np.mean(np.abs(grid.coeffs) ** 2 / f + np.log(f))
         assert whittle_objective(grid, model, theta) == pytest.approx(want, rel=1e-12)
@@ -97,11 +97,13 @@ class TestFit:
 
     def test_objective_at_min_beats_seeds(self, rng):
         x = rng.standard_normal(256)
-        model = ar_model(1, sigma=1.0)
+        model = ar_model(1)
         grid = dft(x)
         fit = whittle_fit(grid, model)
         for phi in np.linspace(-0.9, 0.9, 7):
-            assert fit.objective_at_min <= whittle_objective(grid, model, [phi]) + 1e-12
+            for sigma in (0.5, 1.0, 2.0):
+                assert fit.objective_at_min <= whittle_objective(grid, model,
+                                                                 [phi, sigma]) + 1e-12
 
     def test_score_small_at_interior_minimum(self):
         x = generate(MODEL_REGISTRY["ar_g_0.6"], 1024, seed=7).series
@@ -171,8 +173,8 @@ class TestFittedDensity:
         (AR2, 512), (AR2, 100),
         (ModelSpec("ar", {"coeffs": (-0.4,), "innovation": "normal"}), 1000),
     ])
-    @pytest.mark.parametrize("model", [ar_model(1), ar_model(2), ar_model(1, sigma=1.3),
-                                       ar_model(2, sigma=0.7)], ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", [ar_model(1), ar_model(2), ar_model(3), ar_model(4)],
+                             ids=lambda m: m.name)
     @pytest.mark.parametrize("demean", [True, False])
     def test_bits_match_the_model(self, spec, T, model, demean):
         grid = dft(generate(spec, T, seed=T).series, demean=demean)
@@ -182,8 +184,7 @@ class TestFittedDensity:
         assert np.array_equal(fit.density.view(np.int64), want.view(np.int64))
         assert fit.objective_at_min == whittle_objective(grid, model, fit.theta_hat)
 
-    @pytest.mark.parametrize("model", [ar_model(1), ar_model(1, sigma=2.0)],
-                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", [ar_model(1)], ids=lambda m: m.name)
     def test_bits_match_on_the_box_edge(self, model):
         x = np.cumsum(generate(MODEL_REGISTRY["normal"], 300, seed=4).series)
         grid = dft(x)
@@ -203,19 +204,24 @@ class TestScoreVariance:
     def test_scalar_and_matrix_dispatch(self, rng):
         x = rng.standard_normal(512)
         grid = dft(x)
-        v = whittle_score_variance(grid, ar_model(1, sigma=1.0), [0.2], M=10)
+        ar1 = ar_model(1)
+        # the AR(1) density at sigma = 1 as a one-parameter model of phi
+        fixed = SpectralModel(density=lambda w, th: ar1.density(w, [th[0], 1.0]),
+                              gradient=lambda w, th: ar1.gradient(w, [th[0], 1.0])[:1],
+                              param_dim=1, bounds=ar1.bounds[:1], name="ar1_unit_sigma")
+        v = whittle_score_variance(grid, fixed, [0.2], M=10)
         assert isinstance(v, VarianceEstimate)
         cov = whittle_score_variance(grid, ar_model(1), [0.2, 1.0], M=10)
         assert isinstance(cov, CovMatrixEstimate)
         assert cov.matrix.shape == (2, 2)
 
     def test_score_weight_is_neg_grad_of_reciprocal(self):
-        model = ar_model(1, sigma=1.0)
-        theta = [0.5]
+        model = ar_model(1)
+        theta = [0.5, 1.0]
         w = np.linspace(0.3, 5.9, 7)
         got = score_weight(model, theta, 0)(w)
         h = 1e-6
-        fd = (1.0 / np.asarray(model.density(w, [0.5 + h]))
-              - 1.0 / np.asarray(model.density(w, [0.5 - h]))) / (2 * h)
+        fd = (1.0 / np.asarray(model.density(w, [0.5 + h, 1.0]))
+              - 1.0 / np.asarray(model.density(w, [0.5 - h, 1.0]))) / (2 * h)
         np.testing.assert_allclose(got.real, fd, atol=1e-5)
         np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
