@@ -133,7 +133,7 @@ class ExperimentConfig:
     models: tuple = _key(("normal",), _listed(str))
     T: tuple = _key((100,), _listed(_number(_integer, "T")))
     nrep: int = _key(100, _number(_integer, "nrep"))
-    # None means data-driven selection
+    # None means data-driven selection; qq_t10 needs a fixed M
     M: int | None = _key(None, _optional(_number(_integer, "M"), ("select", "none")))
     search_set: tuple = _key(tuple(DEFAULT_SEARCH_SET), _search_members)
     p: int = _key(DEFAULT_P, _number(_integer, "p"))
@@ -202,6 +202,8 @@ class ExperimentConfig:
             missing = [k for k in ("gof_phi", "gof_sigma") if getattr(self, k) is None]
             if missing:
                 raise ConfigError(f"{self.experiment} needs {' and '.join(missing)}")
+        if self.experiment == "qq_t10" and self.M is None:
+            raise ConfigError("qq_t10 needs a fixed M; M is unset or 'select'")
 
 
 @dataclass(frozen=True)
@@ -262,13 +264,12 @@ def parse_config(text: str) -> ExperimentConfig:
 def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray) -> list:
     """The lag-one statistic Re A(e^{i.}; 0) studentized against zero by its
     V-hat_M(0), for every row of an (R, T) block."""
-    M = cfg.M if cfg.M is not None else 5
     # raw transform: centering the series shifts the statistic's location
     # noticeably at moderate T, while the zero-frequency term is harmless
     # for the zero-mean pivot models
     coeffs = dft_block(series, demean=False)
     T = coeffs.shape[1]
-    runs = shift_runs(coeffs, _lag_rows(T, 1), M)[:, 0]
+    runs = shift_runs(coeffs, _lag_rows(T, 1), cfg.M)[:, 0]
     stats, _ = studentize_block(runs[:, 0].real, 0.0, variance_block(runs[:, 1:], T), T)
     return stats.tolist()
 

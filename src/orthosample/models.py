@@ -55,7 +55,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .spectral import _real
+from .spectral import _integer, _real
 
 __all__ = [
     "ModelSpec",
@@ -394,6 +394,14 @@ def _noncausal_filter(eps: np.ndarray, a: float, T: int, J: int) -> np.ndarray:
     return causal - a / (1.0 - a * a) * future
 
 
+def _length(T) -> int:
+    """The generators' length rule: the integer rule, then T >= 2."""
+    T = _integer(T, "T")
+    if T < 2:
+        raise ValueError("T must be >= 2")
+    return T
+
+
 def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
     """Draw one length-T realisation per seed as the rows of an (R, T) block.
 
@@ -405,8 +413,7 @@ def generate_batch(spec: ModelSpec, T: int, seeds) -> SimOutput:
     whose generator states are built for the whole block at once and equal
     ``default_rng(row)``'s.
     """
-    if T < 2:
-        raise ValueError("T must be >= 2")
+    T = _length(T)
     tag, p = spec.tag, spec.params
     n = T + BURN_IN
     burn, trunc = 0, 0
@@ -496,7 +503,7 @@ def generate_bivariate_batch(delta: float, rho: float, T: int, seeds
     are alive at once: X's series is copied out of its bracket, and its
     innovations dropped, before Y's recursion runs."""
     _check_bivariate(delta, rho)
-    n = T + BURN_IN
+    n = _length(T) + BURN_IN
     e, w = _draw(seeds, (_normal, n), (_normal, n))
     # eta = rho e + sqrt(1 - rho^2) w, built in w's storage a row at a time
     w *= math.sqrt(max(0.0, 1.0 - rho * rho))

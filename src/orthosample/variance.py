@@ -1,11 +1,16 @@
 """Variance estimation from orthogonal samples, studentized statistics with
 fixed-M t calibration, and the multivariate Hotelling extension.
 
-``variance_block`` and ``studentize_block`` hold the only V-hat_M and
-t-statistic arithmetic, for every row of a block at once; the single-series
-``variance_estimate`` and ``studentize`` are their blocks of one.  A zero
-variance estimate and a rank-deficient covariance estimate raise
-``spectral.DegenerateDataError``."""
+``studentize_block`` holds the only t-statistic arithmetic.  V-hat_M is
+formed in three places, one per shape of the answer: ``variance_block``, one
+window of M shifts per row of a block (the single-series
+``variance_estimate`` and ``studentize`` are its blocks of one);
+``selection._criteria``, the windows at every start r = 1..T/p for every M
+of a search set at once, as differences of one cumsum, O(1) per window where
+``variance_block`` would take O(M); and ``covariance_matrix_estimate``,
+Sigma-hat_M, the cross products of p functionals, whose diagonal is V-hat_M
+of each.  A zero variance estimate and a rank-deficient covariance estimate
+raise ``spectral.DegenerateDataError``."""
 
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
-from .spectral import DegenerateDataError, OrthogonalSample
+from .spectral import DegenerateDataError, InvalidInputError, OrthogonalSample, _real
 
 __all__ = [
     "VarianceEstimate",
@@ -102,7 +107,7 @@ def studentize(point: float, target: float, variance: VarianceEstimate,
     """T_M = sqrt(T) (A_T - A) / sqrt(V-hat_M(0)), calibrated against t_{2M}.
 
     Two-sided p-values by default; intervals for the target at the requested
-    confidence levels are returned alongside.
+    confidence levels, each a real number in (0, 1), are returned alongside.
     """
     stat, scale = studentize_block(point, target, variance.value, T)
     df = 2 * variance.M
@@ -113,6 +118,8 @@ def studentize(point: float, target: float, variance: VarianceEstimate,
         p = 2.0 * law.sf(abs(stat))
     cis = {}
     for level in ci_levels:
+        if not 0.0 < (level := _real(level, "confidence level")) < 1.0:
+            raise InvalidInputError(f"confidence level={level} outside (0, 1)")
         q = law.quantile(0.5 + level / 2.0)
         cis[level] = (point - q * scale, point + q * scale)
     return StudentizedReport(statistic=float(stat), df=df, p_value=float(min(p, 1.0)),

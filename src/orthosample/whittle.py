@@ -1,95 +1,77 @@
-"""Whittle fitting of AR(p) spectral models, with sigma^2 profiled out, and
-the score-variance orthogonal-sample estimator."""
+"""The AR(p) spectral model, its Whittle fit with sigma^2 profiled out, and
+the orthogonal-sample covariance of its Whittle score.  ``ARModel`` is the
+one model type: its order p fixes everything else about it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
-from .spectral import (
-    DftGrid,
-    InvalidInputError,
-    WeightFunction,
-    _ar_density,
-    _density_values,
-    _integer,
-    ar_spectral_density,
-    ar_transfer,
-    grid_frequencies,
-    orthogonal_sample,
-)
-from .variance import (
-    CovMatrixEstimate,
-    VarianceEstimate,
-    covariance_matrix_estimate,
-    variance_estimate,
-)
+from .spectral import (DftGrid, InvalidInputError, OrthogonalSample, _ar_density, _check_shift,
+                       _density_values, _integer, ar_spectral_density, ar_transfer,
+                       grid_frequencies, shift_runs)
+from .variance import CovMatrixEstimate, covariance_matrix_estimate
 
-__all__ = [
-    "SpectralModel",
-    "ARModel",
-    "WhittleFit",
-    "ar_model",
-    "whittle_fit",
-    "score_weight",
-    "whittle_score_variance",
-]
+__all__ = ["ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance"]
 
 
 @dataclass(frozen=True)
-class SpectralModel:
-    """A parametric spectral density f(omega; theta) with its theta-gradient.
+class ARModel:
+    """The AR(p) density f(omega; theta) = sigma^2 / (2 pi) *
+    |1 - sum_m phi_m e^{i m omega}|^{-2} of theta = (phi_1..phi_p, sigma).
 
-    ``density(omega, theta)`` returns positive values; ``gradient`` returns an
-    array of shape (param_dim, len(omega)).  ``bounds`` holds one (lo, hi)
-    pair per coordinate.
+    The order ``p`` is the model's one value; its parameter count, box, name,
+    density and gradient follow from it.  phi_m lies in the box
+    |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.
     """
 
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    param_dim: int
-    bounds: tuple
-    name: str = "model"
+    p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "AR order p"))
+        if self.p < 1:
+            raise ValueError("AR order must be >= 1")
+
+    @property
+    def param_dim(self) -> int:
+        return self.p + 1
+
+    @property
+    def name(self) -> str:
+        return f"ar{self.p}"
+
+    @property
+    def bounds(self) -> tuple:
+        """One (lo, hi) pair per coordinate of theta."""
+        p = self.p
+        return tuple((-0.95 * comb(p, m), 0.95 * comb(p, m)) for m in range(1, p + 1)) + (
+            (0.0, np.inf),)
+
+    def density(self, omega, theta) -> np.ndarray:
+        th = np.asarray(theta, dtype=float)
+        return ar_spectral_density(omega, th[:self.p], th[self.p])
+
+    def gradient(self, omega, theta) -> np.ndarray:
+        """The theta-gradient of the density, as a (p + 1, len(omega)) array."""
+        th = np.asarray(theta, dtype=float)
+        A = ar_transfer(omega, th[:self.p])
+        f = _ar_density(A, th[self.p])
+        rows = [2 * f * np.real(np.conj(A) * np.exp(1j * m * omega)) / np.abs(A) ** 2
+                for m in range(1, self.p + 1)]
+        return np.stack(rows + [2 * f / th[self.p]])
 
     def density_on_grid(self, T: int, theta) -> np.ndarray:
-        return _density_values(self.density(grid_frequencies(T), np.asarray(theta, float)),
+        """The density on the size-T grid, checked positive and finite."""
+        return _density_values(self.density(grid_frequencies(T), theta),
                                f"{self.name} spectral density", theta)
 
 
-@dataclass(frozen=True)
-class ARModel(SpectralModel):
-    """An AR(p) spectral model built by :func:`ar_model`."""
-
-    p: int = 1
-
-
 def ar_model(p: int) -> ARModel:
-    """AR(p) density sigma^2 / (2 pi) * |1 - sum_m phi_m e^{i m omega}|^{-2}
-    with theta = (phi_1..phi_p, sigma).
-
-    phi_m lies in the box |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.
-    """
-    p = _integer(p, "AR order p")
-    if p < 1:
-        raise ValueError("AR order must be >= 1")
-
-    def density(w, th):
-        th = np.asarray(th, dtype=float)
-        return ar_spectral_density(w, th[:p], th[p])
-
-    def gradient(w, th):
-        th = np.asarray(th, dtype=float)
-        A = ar_transfer(w, th[:p])
-        f = _ar_density(A, th[p])
-        rows = [2 * f * np.real(np.conj(A) * np.exp(1j * m * w)) / np.abs(A) ** 2
-                for m in range(1, p + 1)]
-        return np.stack(rows + [2 * f / th[p]])
-
-    bounds = tuple((-0.95 * comb(p, m), 0.95 * comb(p, m)) for m in range(1, p + 1))
-    return ARModel(density, gradient, p + 1, bounds + ((0.0, np.inf),), f"ar{p}", p)
+    """The AR(p) model of theta = (phi_1..phi_p, sigma); ``p`` obeys the
+    integer rule and must be >= 1."""
+    return ARModel(p)
 
 
 @dataclass(frozen=True)
@@ -110,7 +92,8 @@ class WhittleFit:
 
 def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     """Minimise the Whittle objective (1/T) sum_k (I_k / f_k + log f_k) of
-    an AR(p) model over theta = (phi, sigma), phi on its box.
+    the AR(p) ``model`` over theta = (phi, sigma), phi on its box; any other
+    object than an :class:`ARModel` is a TypeError naming its type.
 
     With I_k = |J_k|^2, A = A_phi(omega_k) and Q(phi) = mean(I |A|^2), the
     objective is 2 pi Q / sigma^2 + log sigma^2 - mean(log |A|^2) - log 2 pi.
@@ -126,12 +109,12 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     Every trial builds A from the rows E_m = e^{i m omega_k} formed once per
     fit, in the order of :func:`ar_transfer`, so no trial evaluates an
     exponential.  The fitted density f = sigma^2 / (2 pi) / |A(phi_hat)|^2 is
-    formed once at the optimum, with :meth:`SpectralModel.density_on_grid`'s
+    formed once at the optimum, with :meth:`ARModel.density_on_grid`'s
     check, and returned as ``density``, bit for bit that method's values;
     ``objective_at_min`` is the Whittle objective computed from it.
     """
     if not isinstance(model, ARModel):
-        raise TypeError(f"whittle_fit fits ar_model models, not {model.name!r}")
+        raise TypeError(f"whittle_fit fits an ARModel, not {type(model).__name__}")
     p = model.p
     omega = grid.frequencies
     pgram = np.abs(grid.coeffs) ** 2
@@ -185,29 +168,23 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
                       iterations=iterations, on_boundary=on_boundary, density=f)
 
 
-def score_weight(model: SpectralModel, theta, coord: int) -> WeightFunction:
-    """phi(omega) = d/d theta_coord [ f(omega; theta)^{-1} ] = -grad_c f / f^2."""
-    th = np.asarray(theta, dtype=float)
+def whittle_score_variance(grid: DftGrid, model: ARModel, theta_hat,
+                           M: int) -> CovMatrixEstimate:
+    """Orthogonal-sample covariance Sigma-hat_M of the Whittle score at the
+    fitted parameter.
 
-    def ev(w, model=model, th=th, coord=coord):
-        f = _density_values(model.density(w, th), f"{model.name} spectral density", th)
-        g = np.asarray(model.gradient(w, th))[coord]
-        return (-g / f**2).astype(complex)
-
-    return WeightFunction(ev, descriptor=f"score[{model.name},coord={coord}]")
-
-
-def whittle_score_variance(grid: DftGrid, model: SpectralModel, theta_hat,
-                           M: int) -> VarianceEstimate | CovMatrixEstimate:
-    """Orthogonal-sample variance of the Whittle score at the fitted parameter.
-
-    Scalar models return a VarianceEstimate; multi-parameter models return the
-    full covariance matrix estimate over the coordinate score weights.
+    The density and its gradient are evaluated once on the grid; coordinate c
+    of the score has the weight d/d theta_c [f^{-1}] = -grad_c f / f^2, and
+    the p + 1 weights go through one :func:`shift_runs` pass.
     """
-    samples = [
-        orthogonal_sample(grid, score_weight(model, theta_hat, c), M)
-        for c in range(model.param_dim)
-    ]
-    if model.param_dim == 1:
-        return variance_estimate(samples[0])
-    return covariance_matrix_estimate(samples)
+    T = grid.T
+    M = _check_shift(T, M, "M", 1)
+    th = np.asarray(theta_hat, dtype=float)
+    f = model.density_on_grid(T, th)
+    weights = (-model.gradient(grid_frequencies(T), th) / f**2).astype(complex)
+    if not np.all(np.isfinite(weights)):
+        raise InvalidInputError(f"weight 'score[{model.name}]' is non-finite on the "
+                                f"size-{T} grid")
+    runs = shift_runs(grid.coeffs[None], weights, M)[0]
+    return covariance_matrix_estimate(
+        [OrthogonalSample(base=complex(run[0]), shifted=run[1:], T=T) for run in runs])

@@ -4,8 +4,9 @@ own kernels.  Each holds only its arithmetic; none checks its input."""
 
 import numpy as np
 
-from orthosample.spectral import WeightFunction, grid_frequencies, weighted_average_run
-from orthosample.variance import variance_block
+from orthosample.spectral import (WeightFunction, grid_frequencies, orthogonal_sample,
+                                  weighted_average_run)
+from orthosample.variance import covariance_matrix_estimate, variance_block
 
 
 def quadratic_form_oracle(series, phi: WeightFunction, r: int) -> complex:
@@ -98,3 +99,18 @@ def l2_distance_stat(fx, fy, T: int, r: int = 0) -> tuple[float, float]:
     if r == 0:
         return float(2.0 / T * np.sum(np.abs(d[:T // 2]) ** 2)), 0.0
     return float(2.0 / T * np.sum(d.real**2)), float(2.0 / T * np.sum(d.imag**2))
+
+
+def score_covariance(grid, model, theta, M: int):
+    """Sigma-hat_M of the Whittle score composed coordinate by coordinate: the
+    covariance estimate of one orthogonal sample per score weight
+    -grad_c f / f^2, each evaluated with its own density and gradient."""
+    th = np.asarray(theta, dtype=float)
+
+    def weight(c):
+        return WeightFunction(
+            lambda w: (-np.asarray(model.gradient(w, th))[c]
+                       / np.asarray(model.density(w, th), dtype=float) ** 2).astype(complex))
+
+    return covariance_matrix_estimate([orthogonal_sample(grid, weight(c), M)
+                                       for c in range(model.param_dim)])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,7 +353,7 @@ class TestRunVerb:
         printed = capsys.readouterr().out.splitlines()
         assert f"{out_prefix}.csv" in printed
         assert f"{out_prefix}.json" in printed
-        header = open(f"{out_prefix}.csv").readline().strip()
+        header = Path(f"{out_prefix}.csv").read_text().splitlines()[0].strip()
         assert header == "model,T,method,alpha,rate,se,time_ms"
 
     def test_nrep_override(self, tmp_path):
@@ -363,7 +364,7 @@ class TestRunVerb:
         )
         out_prefix = str(tmp_path / "res2")
         assert main(["run", str(cfg), "--out", out_prefix, "--nrep", "3"]) == EXIT_OK
-        lines = open(f"{out_prefix}.csv").read().splitlines()
+        lines = Path(f"{out_prefix}.csv").read_text().splitlines()
         # rates with nrep = 3 are multiples of 100/3
         rate = float(lines[1].split(",")[4])
         assert min(abs(rate - v) for v in (0.0, 100 / 3, 200 / 3, 100.0)) < 1e-3
@@ -442,7 +443,7 @@ class TestRunVerb:
         paths = sorted(glob.glob(os.path.join(cfg_dir, "*.cfg")))
         assert len(paths) >= 10
         for path in paths:
-            parse_config(open(path).read())
+            parse_config(Path(path).read_text())
 
 
 def _main_output(argv, capsys):

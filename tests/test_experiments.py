@@ -152,6 +152,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(head + text)
 
+    @pytest.mark.parametrize("M", ["", "M = select\n", "M = none\n"],
+                             ids=["unset", "select", "none"])
+    def test_qq_t10_needs_a_fixed_M(self, M):
+        # the t10 statistic has no M search: an unset M is refused, not run at a hidden M
+        text = f"experiment = qq_t10\nmodels = pivot_i\nT = 100\n{M}nrep = 3"
+        with pytest.raises(ConfigError, match="^qq_t10 needs a fixed M; M is unset or 'select'$"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match="^qq_t10 needs a fixed M"):
+            tiny_config(experiment="qq_t10", models=("pivot_i",), M=None)
+
     @pytest.mark.parametrize("text", [
         "T = 8, 64\nL = 5\nM = 3",  # the T = 8 cells give NaN rows
         "T = 8\nL = 5\nmethods = box_pierce, robust",  # the baselines take L < T
@@ -731,7 +741,7 @@ class TestEmit:
         assert str(tmp_path / "pairs.json") in paths
         qq_files = [p for p in paths if "_qq_" in p.rsplit("/", 1)[-1]]
         assert len(qq_files) == 1
-        lines = open(qq_files[0]).read().splitlines()
+        lines = Path(qq_files[0]).read_text().splitlines()
         assert lines[0] == "empirical,reference"
         assert len(lines) == 11  # header + nrep rows
         emp = [float(l.split(",")[0]) for l in lines[1:]]

@@ -28,9 +28,7 @@ FROZEN_EXPORTS = (
     "VarianceEstimate", "CovMatrixEstimate", "StudentizedReport",
     "HotellingReport", "variance_estimate", "studentize", "covariance_matrix_estimate",
     "hotelling_test",
-    "SpectralModel", "ARModel", "WhittleFit", "ar_model",
-    "whittle_fit", "score_weight",
-    "whittle_score_variance",
+    "ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance",
     "__version__",
 )
 

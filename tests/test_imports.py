@@ -52,10 +52,11 @@ def test_scan_finds_what_it_should(source, unused):
 # (importing module, "module._name") for every ``from .module import _name``
 PRIVATE_IMPORTS = sorted([
     # the input rules, checked where the input arrives
-    *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests",
+    *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests", "models",
                                           "selection", "whittle")],
-    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests")],
-    *[(m, "spectral._real") for m in ("distributions", "equality", "experiments", "models")],
+    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests", "whittle")],
+    *[(m, "spectral._real") for m in ("distributions", "equality", "experiments", "models",
+                                       "variance")],
     *[(m, "spectral._density_values") for m in ("htests", "whittle")],
     ("experiments", "equality._check_beta"),
     ("experiments", "models._check_bivariate"),

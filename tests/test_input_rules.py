@@ -26,12 +26,14 @@ from orthosample.htests import (
     robust_portmanteau,
     robust_portmanteau_block,
 )
-from orthosample.models import ModelSpec
+from orthosample.models import (MODEL_REGISTRY, ModelSpec, generate_batch,
+                                generate_bivariate_batch)
 from orthosample.selection import _feasible, select_M
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
                                   WeightFunction, dft, lag_weight)
-from orthosample.variance import CovMatrixEstimate, hotelling_test, studentize_block
-from orthosample.whittle import ar_model, score_weight
+from orthosample.variance import (CovMatrixEstimate, VarianceEstimate, hotelling_test, studentize,
+                                  studentize_block)
+from orthosample.whittle import ar_model
 
 T = 64
 
@@ -104,14 +106,6 @@ def test_numpy_integer_shift_accepted(rng, test):
 def test_density_rule(rng, density):
     with pytest.raises(InvalidInputError, match="density"):
         goodness_of_fit_test(rng.standard_normal(256), density, L=5, M=10)
-    model = ar_model(1)
-    bad = type(model)(lambda w, th: density(w), model.gradient, model.param_dim,
-                      model.bounds, "bad_model", model.p)
-    theta = [0.5, 1.0]
-    with pytest.raises(InvalidInputError, match="bad_model spectral density"):
-        score_weight(bad, theta, 0).on_grid(T)
-    with pytest.raises(InvalidInputError, match="bad_model spectral density"):
-        bad.density_on_grid(T, theta)
 
 
 # The integer rule: every count and order (a shift, L, M, p, a search-set
@@ -171,6 +165,27 @@ def test_shift_and_order_obey_integer_rule(rng):
     with pytest.raises(ShiftRangeError, match=r"AR order p=1\.5 is not an integer"):
         ar_model(1.5)
     assert ar_model(1.0).p == 1 and type(ar_model(np.int64(2)).p) is int
+
+
+_GENERATORS = {
+    "generate_batch": lambda T: (generate_batch(MODEL_REGISTRY["ar_g_0.6"], T, [3, 4]),),
+    "generate_bivariate_batch": lambda T: generate_bivariate_batch(0.1, 0.5, T, [3, 4]),
+}
+
+
+@pytest.mark.parametrize("generator", list(_GENERATORS))
+def test_generator_length_obeys_integer_rule(generator):
+    draw = _GENERATORS[generator]
+    want = [out.series for out in draw(100)]
+    for T in (100.0, np.int64(100)):
+        got = [out.series for out in draw(T)]
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(got, want))
+    for T in (100.5, True, "100"):
+        with pytest.raises(ShiftRangeError, match=f"^T={re.escape(str(T))} is not an integer$"):
+            draw(T)
+    for T in (1, 0, -5):
+        with pytest.raises(ValueError, match="^T must be >= 2$"):
+            draw(T)
 
 
 @pytest.mark.parametrize("p, error, message", [
@@ -256,6 +271,24 @@ def test_non_numeric_count_obeys_integer_rule(rng, name, value):
         call = lambda: select_M(dft(x), lag_weight(1), (value,))
     with pytest.raises(ShiftRangeError, match=rf"^{name}={value} is not an integer"):
         call()
+
+
+@pytest.mark.parametrize("level, message", [
+    (-0.5, "confidence level=-0.5 outside (0, 1)"),
+    (0.0, "confidence level=0.0 outside (0, 1)"),
+    (1.0, "confidence level=1.0 outside (0, 1)"),
+    (1.5, "confidence level=1.5 outside (0, 1)"),
+    (np.nan, "confidence level=nan is not finite"),
+    (True, "confidence level=True is not a real number"),
+    ("0.95", "confidence level='0.95' is not a real number"),
+], ids=["negative", "zero", "one", "above_one", "nan", "bool", "string"])
+def test_confidence_level_in_open_unit_interval(level, message):
+    variance = VarianceEstimate(value=2.0, M=10, T=T)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        studentize(0.1, 0.0, variance, T, ci_levels=(0.95, level))
+    got, want = (studentize(0.1, 0.0, variance, T, ci_levels=(v,)).confidence_intervals
+                 for v in (np.float64(0.9), 0.9))
+    assert got == want
 
 
 # One rule per number: every numeric argument of the tests obeys its rule, the

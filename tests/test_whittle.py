@@ -1,21 +1,18 @@
 """Whittle objective, fitting, and the score-variance estimator."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import whittle_objective
+from oracles import score_covariance, whittle_objective
 from orthosample.models import MODEL_REGISTRY, ModelSpec, generate
-from orthosample.spectral import InvalidInputError, dft, grid_frequencies
-from orthosample.variance import CovMatrixEstimate, VarianceEstimate
-from orthosample.whittle import (
-    SpectralModel,
-    ar_model,
-    score_weight,
-    whittle_fit,
-    whittle_score_variance,
-)
+from orthosample.spectral import (InvalidInputError, ShiftRangeError, WeightFunction, dft,
+                                  grid_frequencies, orthogonal_sample)
+from orthosample.variance import CovMatrixEstimate, covariance_matrix_estimate
+from orthosample.whittle import ARModel, ar_model, whittle_fit, whittle_score_variance
 
 
 SCALE_SERIES = generate(MODEL_REGISTRY["ar_g_0.6"], 256, seed=3).series
@@ -59,12 +56,22 @@ class TestModels:
         assert ar_model(3).bounds[1] == pytest.approx((-2.85, 2.85))
         assert ar_model(3).bounds[3] == (0.0, np.inf)
 
-    def test_density_positivity_enforced(self):
-        bad = SpectralModel(density=lambda w, th: np.cos(w),
-                            gradient=lambda w, th: np.zeros((1, w.size)),
-                            param_dim=1, bounds=((0.0, 1.0),), name="bad")
-        with pytest.raises(InvalidInputError):
-            bad.density_on_grid(16, np.array([0.5]))
+    @pytest.mark.parametrize("theta", [[0.5, 0.0], [0.5, np.inf], [np.nan, 1.0]],
+                             ids=["zero", "inf", "nan"])
+    def test_density_positivity_enforced(self, theta):
+        with pytest.raises(InvalidInputError, match="^ar1 spectral density is not positive"):
+            ar_model(1).density_on_grid(16, theta)
+
+    def test_order_is_the_only_value(self):
+        # the box, name, parameter count, density and gradient follow from p
+        assert [f.name for f in fields(ARModel)] == ["p"]
+        model = ARModel(np.int64(3))
+        assert model == ar_model(3) and type(model.p) is int
+        assert (model.name, model.param_dim, len(model.bounds)) == ("ar3", 4, 4)
+        with pytest.raises(FrozenInstanceError):
+            model.p = 2
+        with pytest.raises(ValueError, match="^AR order must be >= 1$"):
+            ARModel(0)
 
 
 class TestObjective:
@@ -120,11 +127,9 @@ class TestFit:
                      - whittle_objective(grid, model, dn)) / (2 * h)
             assert abs(deriv) <= 1e-4
 
-    def test_rejects_models_not_from_ar_model(self, rng):
-        other = SpectralModel(density=lambda w, th: np.ones_like(w),
-                              gradient=lambda w, th: np.zeros((1, w.size)),
-                              param_dim=1, bounds=((0.0, 1.0),), name="flat")
-        with pytest.raises(TypeError):
+    @pytest.mark.parametrize("other, name", [("ar1", "str"), (1, "int"), (None, "NoneType")])
+    def test_rejects_models_not_from_ar_model(self, rng, other, name):
+        with pytest.raises(TypeError, match=f"^whittle_fit fits an ARModel, not {name}$"):
             whittle_fit(dft(rng.standard_normal(64)), other)
 
     def test_constant_series_is_invalid_input(self):
@@ -201,27 +206,45 @@ class TestFittedDensity:
 
 
 class TestScoreVariance:
-    def test_scalar_and_matrix_dispatch(self, rng):
-        x = rng.standard_normal(512)
-        grid = dft(x)
-        ar1 = ar_model(1)
-        # the AR(1) density at sigma = 1 as a one-parameter model of phi
-        fixed = SpectralModel(density=lambda w, th: ar1.density(w, [th[0], 1.0]),
-                              gradient=lambda w, th: ar1.gradient(w, [th[0], 1.0])[:1],
-                              param_dim=1, bounds=ar1.bounds[:1], name="ar1_unit_sigma")
-        v = whittle_score_variance(grid, fixed, [0.2], M=10)
-        assert isinstance(v, VarianceEstimate)
-        cov = whittle_score_variance(grid, ar_model(1), [0.2, 1.0], M=10)
-        assert isinstance(cov, CovMatrixEstimate)
-        assert cov.matrix.shape == (2, 2)
+    @pytest.mark.parametrize("T", [256, 512, 2**14])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_bits_match_the_per_coordinate_composition(self, T, p):
+        grid = dft(generate(AR2, T, seed=T + p).series)
+        model = ar_model(p)
+        theta = whittle_fit(grid, model).theta_hat
+        got = whittle_score_variance(grid, model, theta, M=10)
+        want = score_covariance(grid, model, theta, M=10)
+        assert isinstance(got, CovMatrixEstimate) and (got.M, got.T) == (10, T)
+        assert got.matrix.shape == (p + 1, p + 1)
+        assert np.array_equal(got.matrix.view(np.int64), want.matrix.view(np.int64))
 
-    def test_score_weight_is_neg_grad_of_reciprocal(self):
-        model = ar_model(1)
-        theta = [0.5, 1.0]
-        w = np.linspace(0.3, 5.9, 7)
-        got = score_weight(model, theta, 0)(w)
-        h = 1e-6
-        fd = (1.0 / np.asarray(model.density(w, [0.5 + h, 1.0]))
-              - 1.0 / np.asarray(model.density(w, [0.5 - h, 1.0]))) / (2 * h)
-        np.testing.assert_allclose(got.real, fd, atol=1e-5)
-        np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
+    def test_score_weights_are_neg_grad_of_reciprocal(self, rng):
+        grid = dft(rng.standard_normal(512))
+        model, theta, h = ar_model(2), np.array([0.5, -0.2, 1.3]), 1e-6
+
+        def fd_weight(c):
+            up, dn = theta.copy(), theta.copy()
+            up[c] += h
+            dn[c] -= h
+            return WeightFunction(lambda w: ((1 / model.density(w, up) - 1 / model.density(w, dn))
+                                             / (2 * h)).astype(complex))
+
+        want = covariance_matrix_estimate([orthogonal_sample(grid, fd_weight(c), 10)
+                                           for c in range(model.param_dim)])
+        got = whittle_score_variance(grid, model, theta, M=10)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-6)
+
+    @pytest.mark.parametrize("M", [0, 32, 40])
+    def test_M_out_of_range(self, rng, M):
+        with pytest.raises(ShiftRangeError, match=f"^M={M} out of range"):
+            whittle_score_variance(dft(rng.standard_normal(64)), ar_model(1), [0.2, 1.0], M)
+
+    def test_zero_sigma_names_the_density(self, rng):
+        with pytest.raises(InvalidInputError, match="^ar1 spectral density is not positive"):
+            whittle_score_variance(dft(rng.standard_normal(64)), ar_model(1), [0.2, 0.0], 5)
+
+    def test_non_finite_weight_is_refused(self, rng):
+        # f ~ 1e-321 is positive and finite, but f^2 underflows to zero
+        with np.errstate(divide="ignore"), pytest.raises(
+                InvalidInputError, match=r"^weight 'score\[ar1\]' is non-finite on the size-64"):
+            whittle_score_variance(dft(rng.standard_normal(64)), ar_model(1), [0.2, 1e-160], 5)
