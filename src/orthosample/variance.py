@@ -1,5 +1,6 @@
 """Variance estimation from orthogonal samples, studentized statistics with
-fixed-M t calibration, and the multivariate Hotelling extension.
+fixed-M t calibration, and the multivariate Hotelling extension, each
+statistic an ``htests.TestReport`` with t(2M) or T^2(p, 2M) as ``null_ref``.
 
 ``studentize_block`` holds the only t-statistic arithmetic.  V-hat_M is
 formed in three places, one per shape of the answer: ``variance_block``, one
@@ -7,30 +8,29 @@ window of M shifts per row of a block (the single-series
 ``variance_estimate`` and ``studentize`` are its blocks of one);
 ``selection._criteria``, the windows at every start r = 1..T/p for every M
 of a search set at once, as differences of one cumsum, O(1) per window where
-``variance_block`` would take O(M); and ``covariance_matrix_estimate``,
-Sigma-hat_M, the cross products of p functionals, whose diagonal is V-hat_M
-of each.  A zero variance estimate and a rank-deficient covariance estimate
-raise ``spectral.DegenerateDataError``."""
+``variance_block`` would take O(M); and ``_covariance_block``, Sigma-hat_M,
+the cross products of p functionals, whose diagonal is V-hat_M of each.  A
+zero variance estimate and a rank-deficient covariance estimate raise
+``spectral.DegenerateDataError``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
+from .htests import TestReport
 from .spectral import DegenerateDataError, InvalidInputError, OrthogonalSample, _real
 
 __all__ = [
     "VarianceEstimate",
-    "StudentizedReport",
     "CovMatrixEstimate",
     "variance_block",
     "studentize_block",
     "variance_estimate",
     "studentize",
     "covariance_matrix_estimate",
-    "HotellingReport",
     "hotelling_test",
 ]
 
@@ -50,15 +50,6 @@ class VarianceEstimate:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("variance estimate cannot be negative")
-
-
-@dataclass(frozen=True)
-class StudentizedReport:
-    statistic: float
-    df: int
-    p_value: float
-    one_sided: bool = False
-    confidence_intervals: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -103,36 +94,42 @@ def variance_estimate(sample: OrthogonalSample) -> VarianceEstimate:
 
 def studentize(point: float, target: float, variance: VarianceEstimate,
                T: int, one_sided: bool = False,
-               ci_levels: tuple = (0.95,)) -> StudentizedReport:
+               ci_levels: tuple = (0.95,)) -> TestReport:
     """T_M = sqrt(T) (A_T - A) / sqrt(V-hat_M(0)), calibrated against t_{2M}.
 
-    Two-sided p-values by default; intervals for the target at the requested
-    confidence levels, each a real number in (0, 1), are returned alongside.
+    Two-sided p-values by default.  ``tuning`` holds M, ``one_sided`` and the
+    intervals for the target at the requested confidence levels, each a real
+    number in (0, 1).  The point, the target and the estimate's value obey
+    the real-number rule, and ``T`` must be the estimate's own T.
     """
-    stat, scale = studentize_block(point, target, variance.value, T)
-    df = 2 * variance.M
-    law = dist.student_t(df)
-    if one_sided:
-        p = law.sf(stat)
-    else:
-        p = 2.0 * law.sf(abs(stat))
+    if T != variance.T:
+        raise InvalidInputError(f"T={T} differs from the variance estimate's T={variance.T}")
+    point, target = _real(point, "point"), _real(target, "target")
+    stat, scale = studentize_block(point, target, _real(variance.value, "variance estimate"), T)
+    law = dist.student_t(2 * variance.M)
+    p = law.sf(stat) if one_sided else 2.0 * law.sf(abs(stat))
     cis = {}
     for level in ci_levels:
         if not 0.0 < (level := _real(level, "confidence level")) < 1.0:
             raise InvalidInputError(f"confidence level={level} outside (0, 1)")
         q = law.quantile(0.5 + level / 2.0)
         cis[level] = (point - q * scale, point + q * scale)
-    return StudentizedReport(statistic=float(stat), df=df, p_value=float(min(p, 1.0)),
-                             one_sided=one_sided, confidence_intervals=cis)
+    return TestReport(statistic=float(stat), p_value=float(min(p, 1.0)), null_ref=law,
+                      method="studentized_t", tuning={"M": variance.M, "one_sided": one_sided,
+                                                      "confidence_intervals": cis})
+
+
+def _covariance_block(shifted: np.ndarray, T: int) -> np.ndarray:
+    """Sigma-hat_M = (T/M) * sum_r [Re A(r) Re A(r)' + Im A(r) Im A(r)'] from
+    the (p, M) block of p functionals' shifted values; symmetric PSD."""
+    re, im = shifted.real, shifted.imag
+    sigma = T / shifted.shape[1] * (re @ re.T + im @ im.T)
+    return 0.5 * (sigma + sigma.T)
 
 
 def covariance_matrix_estimate(samples: list[OrthogonalSample]) -> CovMatrixEstimate:
-    """Sigma-hat_M from the orthogonal-sample vectors of p functionals.
-
-    With A(r) the p-vector of shifted functionals,
-    Sigma-hat = (T/M) * sum_r [Re A(r) Re A(r)' + Im A(r) Im A(r)'],
-    which is symmetric PSD by construction and reduces to the scalar
-    variance estimate when p = 1.
+    """Sigma-hat_M from the orthogonal-sample vectors of p functionals, which
+    must share M and T; it reduces to the scalar variance estimate when p = 1.
     """
     if not samples:
         raise ValueError("need at least one orthogonal sample")
@@ -141,31 +138,21 @@ def covariance_matrix_estimate(samples: list[OrthogonalSample]) -> CovMatrixEsti
     for s in samples:
         if s.M != M or s.T != T:
             raise ValueError("all orthogonal samples must share M and T")
-    A = np.stack([s.shifted for s in samples])  # p x M
-    re, im = A.real, A.imag
-    sigma = T / M * (re @ re.T + im @ im.T)
-    sigma = 0.5 * (sigma + sigma.T)
-    return CovMatrixEstimate(matrix=sigma, M=M, T=T)
+    return CovMatrixEstimate(matrix=_covariance_block(np.stack([s.shifted for s in samples]), T),
+                             M=M, T=T)
 
 
-@dataclass(frozen=True)
-class HotellingReport:
-    statistic: float
-    p: int
-    df: int
-    p_value: float
-
-
-def hotelling_test(points, targets, cov: CovMatrixEstimate) -> HotellingReport:
-    """T (A_T - A)' Sigma-hat^{-1} (A_T - A) against Hotelling T^2(p, 2M).
+def hotelling_test(points, targets, cov: CovMatrixEstimate) -> TestReport:
+    """T (A_T - A)' Sigma-hat^{-1} (A_T - A) against Hotelling T^2(p, 2M),
+    with M in ``tuning``.  Each point and target obeys the real-number rule.
 
     A covariance estimate whose condition number exceeds 1e12 counts as rank
     deficient."""
     p = cov.p
-    points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
-    if points.shape != (p,) or targets.shape != (p,):  # before numpy broadcasts them
+    if np.shape(points) != (p,) or np.shape(targets) != (p,):  # before numpy broadcasts them
         raise ValueError(f"points/targets must be length-{p} vectors")
-    a = points - targets
+    a = (np.array([_real(v, f"points[{i}]") for i, v in enumerate(points)])
+         - np.array([_real(v, f"targets[{i}]") for i, v in enumerate(targets)]))
     eigvals = np.linalg.eigvalsh(cov.matrix)
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > 1e12:
         raise DegenerateDataError(
@@ -174,5 +161,5 @@ def hotelling_test(points, targets, cov: CovMatrixEstimate) -> HotellingReport:
         )
     stat = float(cov.T * a @ np.linalg.solve(cov.matrix, a))
     law = dist.hotelling_t2(p, 2 * cov.M)
-    return HotellingReport(statistic=stat, p=p, df=2 * cov.M,
-                           p_value=float(law.sf(stat)))
+    return TestReport(statistic=stat, p_value=float(law.sf(stat)), null_ref=law,
+                      method="hotelling_t2", tuning={"M": cov.M})

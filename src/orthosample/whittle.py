@@ -9,10 +9,9 @@ from math import comb
 
 import numpy as np
 
-from .spectral import (DftGrid, InvalidInputError, OrthogonalSample, _ar_density, _check_shift,
-                       _density_values, _integer, ar_spectral_density, ar_transfer,
-                       grid_frequencies, shift_runs)
-from .variance import CovMatrixEstimate, covariance_matrix_estimate
+from .spectral import (DftGrid, InvalidInputError, _ar_density, _check_shift, _density_values,
+                       _integer, ar_spectral_density, ar_transfer, grid_frequencies, shift_runs)
+from .variance import CovMatrixEstimate, _covariance_block
 
 __all__ = ["ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance"]
 
@@ -24,7 +23,8 @@ class ARModel:
 
     The order ``p`` is the model's one value; its parameter count, box, name,
     density and gradient follow from it.  phi_m lies in the box
-    |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.
+    |phi_m| <= 0.95 * C(p, m); sigma > 0 is unbounded.  A theta of any other
+    length than p + 1 is an InvalidInputError naming the model.
     """
 
     p: int
@@ -49,13 +49,20 @@ class ARModel:
         return tuple((-0.95 * comb(p, m), 0.95 * comb(p, m)) for m in range(1, p + 1)) + (
             (0.0, np.inf),)
 
-    def density(self, omega, theta) -> np.ndarray:
+    def _theta(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
+        if th.shape != (self.p + 1,):
+            raise InvalidInputError(f"{self.name} takes theta of {self.p + 1} coordinates "
+                                    f"(phi_1..phi_p, sigma), not shape {th.shape}")
+        return th
+
+    def density(self, omega, theta) -> np.ndarray:
+        th = self._theta(theta)
         return ar_spectral_density(omega, th[:self.p], th[self.p])
 
     def gradient(self, omega, theta) -> np.ndarray:
         """The theta-gradient of the density, as a (p + 1, len(omega)) array."""
-        th = np.asarray(theta, dtype=float)
+        th = self._theta(theta)
         A = ar_transfer(omega, th[:self.p])
         f = _ar_density(A, th[self.p])
         rows = [2 * f * np.real(np.conj(A) * np.exp(1j * m * omega)) / np.abs(A) ** 2
@@ -175,8 +182,11 @@ def whittle_score_variance(grid: DftGrid, model: ARModel, theta_hat,
 
     The density and its gradient are evaluated once on the grid; coordinate c
     of the score has the weight d/d theta_c [f^{-1}] = -grad_c f / f^2, and
-    the p + 1 weights go through one :func:`shift_runs` pass.
+    the p + 1 weights go through one :func:`shift_runs` pass.  Any other
+    ``model`` than an :class:`ARModel` is a TypeError naming its type.
     """
+    if not isinstance(model, ARModel):
+        raise TypeError(f"whittle_score_variance takes an ARModel, not {type(model).__name__}")
     T = grid.T
     M = _check_shift(T, M, "M", 1)
     th = np.asarray(theta_hat, dtype=float)
@@ -185,6 +195,5 @@ def whittle_score_variance(grid: DftGrid, model: ARModel, theta_hat,
     if not np.all(np.isfinite(weights)):
         raise InvalidInputError(f"weight 'score[{model.name}]' is non-finite on the "
                                 f"size-{T} grid")
-    runs = shift_runs(grid.coeffs[None], weights, M)[0]
-    return covariance_matrix_estimate(
-        [OrthogonalSample(base=complex(run[0]), shifted=run[1:], T=T) for run in runs])
+    shifted = shift_runs(grid.coeffs[None], weights, M)[0, :, 1:]
+    return CovMatrixEstimate(matrix=_covariance_block(shifted, T), M=M, T=T)

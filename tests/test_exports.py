@@ -1,8 +1,12 @@
 """The public API is declared once: each module's ``__all__`` lists every
 public function and class it defines, and the package re-exports the lists
-of the eight numerical modules and nothing else."""
+of the eight numerical modules and nothing else.  A result has one report
+type per shape: ``TestReport`` for one statistic, ``BlockReport`` for a
+block."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +29,8 @@ FROZEN_EXPORTS = (
     "OrthogonalSample", "dft", "grid_frequencies", "ar_transfer",
     "ar_spectral_density", "weighted_average",
     "weighted_average_run", "orthogonal_sample", "lag_weight",
-    "VarianceEstimate", "CovMatrixEstimate", "StudentizedReport",
-    "HotellingReport", "variance_estimate", "studentize", "covariance_matrix_estimate",
-    "hotelling_test",
+    "VarianceEstimate", "CovMatrixEstimate", "variance_estimate", "studentize",
+    "covariance_matrix_estimate", "hotelling_test",
     "ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance",
     "__version__",
 )
@@ -68,3 +71,28 @@ def test_star_import_binds_every_name():
     assert not set(orthosample.__all__) - set(namespace)
     for name in orthosample.__all__:
         assert namespace[name] is getattr(orthosample, name)
+
+
+REPORT_TYPES = {"TestReport", "BlockReport"}
+
+
+def report_classes(source: str) -> list[str]:
+    """The names of the classes ``source`` defines, at any depth, that end in
+    ``Report``."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Report")]
+
+
+@pytest.mark.parametrize("module", NUMERICAL, ids=lambda m: m.__name__)
+def test_no_report_type_beyond_the_two(module):
+    found = report_classes(Path(module.__file__).read_text(encoding="utf-8"))
+    assert not set(found) - REPORT_TYPES, f"{module.__name__} defines {found}"
+
+
+@pytest.mark.parametrize("source, names", [
+    ("class TestReport:\n    pass\n", ["TestReport"]),
+    ("class Reporter:\n    pass\nclass R:\n    pass\n", []),
+    ("def f():\n    class LocalReport:\n        pass\n", ["LocalReport"]),
+])
+def test_report_scan_finds_what_it_should(source, names):
+    assert report_classes(source) == names

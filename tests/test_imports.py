@@ -69,6 +69,7 @@ PRIVATE_IMPORTS = sorted([
     ("equality", "spectral._shift_chunks"),
     ("experiments", "htests._lag_rows"),
     ("whittle", "spectral._ar_density"),
+    ("whittle", "variance._covariance_block"),
     # the pieces the CLI composes
     ("cli", "experiments._apply"),
     ("cli", "htests._goodness_of_fit_coeffs"),

@@ -286,9 +286,33 @@ def test_confidence_level_in_open_unit_interval(level, message):
     variance = VarianceEstimate(value=2.0, M=10, T=T)
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         studentize(0.1, 0.0, variance, T, ci_levels=(0.95, level))
-    got, want = (studentize(0.1, 0.0, variance, T, ci_levels=(v,)).confidence_intervals
+    got, want = (studentize(0.1, 0.0, variance, T, ci_levels=(v,)).tuning["confidence_intervals"]
                  for v in (np.float64(0.9), 0.9))
     assert got == want
+
+
+VARIANCE = VarianceEstimate(value=2.0, M=10, T=T)
+COV = CovMatrixEstimate(np.eye(2), 10, T)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: studentize(np.nan, 0.0, VARIANCE, T), "point=nan is not finite"),
+    (lambda: studentize(True, 0.0, VARIANCE, T), "point=True is not a real number"),
+    (lambda: studentize(0.1, -np.inf, VARIANCE, T), "target=-inf is not finite"),
+    (lambda: studentize(0.1, 0.0, VarianceEstimate(np.inf, 10, T), T),
+     "variance estimate=inf is not finite"),
+    (lambda: studentize(0.1, 0.0, VARIANCE, 4 * T),
+     f"T={4 * T} differs from the variance estimate's T={T}"),
+    (lambda: hotelling_test([np.nan, 0.1], [0.0, 0.0], COV), "points[0]=nan is not finite"),
+    (lambda: hotelling_test([0.1, 0.1], [0.0, np.inf], COV), "targets[1]=inf is not finite"),
+    (lambda: hotelling_test([0.1, "0.1"], [0.0, 0.0], COV),
+     "points[1]='0.1' is not a real number"),
+], ids=["nan_point", "bool_point", "inf_target", "inf_variance", "other_T",
+        "nan_points", "inf_targets", "string_points"])
+def test_calibrated_statistic_input_is_refused(call, message):
+    # each would give a NaN, a zero or a silently rescaled statistic
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # One rule per number: every numeric argument of the tests obeys its rule, the

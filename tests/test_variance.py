@@ -6,6 +6,7 @@ from scipy import stats
 
 from oracles import variance_estimate_at
 from orthosample import distributions as dist
+from orthosample import htests
 from orthosample.spectral import (
     DegenerateDataError,
     ShiftRangeError,
@@ -87,11 +88,13 @@ class TestStudentize:
         sample = make_sample(rng, M=12)
         v = variance_estimate(sample)
         rep = studentize(sample.base.real, 0.0, v, sample.T, ci_levels=(0.9, 0.95))
-        assert rep.df == 24
+        assert isinstance(rep, htests.TestReport) and rep.method == "studentized_t"
+        assert rep.null_ref == dist.student_t(24)
+        assert rep.tuning["M"] == 12 and rep.tuning["one_sided"] is False
         assert 0.0 <= rep.p_value <= 1.0
-        lo, hi = rep.confidence_intervals[0.95]
+        lo, hi = rep.tuning["confidence_intervals"][0.95]
         assert lo < sample.base.real < hi
-        lo90, hi90 = rep.confidence_intervals[0.9]
+        lo90, hi90 = rep.tuning["confidence_intervals"][0.9]
         assert lo < lo90 < hi90 < hi
 
     def test_one_sided_halves_central_pvalue(self, rng):
@@ -136,8 +139,8 @@ class TestBlockKernels:
             sample = orthogonal_sample(dft(x), lag_weight(1), M)
             rep = studentize(sample.base.real, 0.1, variance_estimate(sample), T)
             assert stats[i] == rep.statistic
-            assert rep.confidence_intervals[0.95] == (sample.base.real - q * scales[i],
-                                                      sample.base.real + q * scales[i])
+            assert rep.tuning["confidence_intervals"][0.95] == (
+                sample.base.real - q * scales[i], sample.base.real + q * scales[i])
 
     def test_one_zero_variance_row_fails_the_block(self):
         with pytest.raises(DegenerateDataError):
@@ -185,7 +188,8 @@ class TestHotelling:
         cov = covariance_matrix_estimate(samples)
         points = [weighted_average(grid, lag_weight(j), 0).real for j in (1, 2)]
         rep = hotelling_test(points, [0.0, 0.0], cov)
-        assert rep.p == 2 and rep.df == 40
+        assert isinstance(rep, htests.TestReport) and rep.method == "hotelling_t2"
+        assert rep.null_ref == dist.hotelling_t2(2, 40) and rep.tuning == {"M": 20}
         assert 0.0 <= rep.p_value <= 1.0
 
     @pytest.mark.parametrize("points, targets", [
@@ -206,6 +210,22 @@ class TestHotelling:
         cov = covariance_matrix_estimate(samples)
         with pytest.raises(DegenerateDataError):
             hotelling_test([0.1, 0.1, 0.1], [0.0, 0.0, 0.0], cov)
+
+
+def test_seeded_reports_keep_their_bits():
+    # statistics, p-values and the interval of one seeded case, bit for bit
+    grid = dft(np.random.default_rng(2016).standard_normal(256))
+    samples = [orthogonal_sample(grid, lag_weight(j), 12) for j in (1, 2)]
+    t_rep = studentize(samples[0].base.real, 0.01, variance_estimate(samples[0]), 256)
+    h_rep = hotelling_test([s.base.real for s in samples], [0.01, 0.0],
+                           covariance_matrix_estimate(samples))
+    got = [t_rep.statistic, t_rep.p_value, *t_rep.tuning["confidence_intervals"][0.95],
+           h_rep.statistic, h_rep.p_value]
+    assert [v.hex() for v in got] == [
+        "-0x1.bcf5b13b996fdp-1", "0x1.92dd1a4399556p-2",
+        "-0x1.228b69ab86df2p-6", "0x1.5cf2c3497ce9ap-6",
+        "0x1.f789f852061e2p+1", "0x1.6579c55725503p-3",
+    ]
 
 
 @pytest.mark.slow

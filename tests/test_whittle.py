@@ -1,5 +1,6 @@
 """Whittle objective, fitting, and the score-variance estimator."""
 
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -61,6 +62,20 @@ class TestModels:
     def test_density_positivity_enforced(self, theta):
         with pytest.raises(InvalidInputError, match="^ar1 spectral density is not positive"):
             ar_model(1).density_on_grid(16, theta)
+
+    @pytest.mark.parametrize("theta", [[0.2], [0.2, 1.0, 3.0], [[0.2, 1.0]]],
+                             ids=["short", "long", "2-d"])
+    @pytest.mark.parametrize("call", [
+        lambda theta: ar_model(1).density(grid_frequencies(16), theta),
+        lambda theta: ar_model(1).gradient(grid_frequencies(16), theta),
+        lambda theta: ar_model(1).density_on_grid(16, theta),
+        lambda theta: whittle_score_variance(dft(SCALE_SERIES), ar_model(1), theta, 5),
+    ], ids=["density", "gradient", "density_on_grid", "whittle_score_variance"])
+    def test_theta_has_p_plus_1_coordinates(self, call, theta):
+        shape = np.shape(theta)
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"ar1 takes theta of 2 coordinates (phi_1..phi_p, sigma), not shape {shape}")):
+            call(theta)
 
     def test_order_is_the_only_value(self):
         # the box, name, parameter count, density and gradient follow from p
@@ -233,6 +248,12 @@ class TestScoreVariance:
                                            for c in range(model.param_dim)])
         got = whittle_score_variance(grid, model, theta, M=10)
         np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-6)
+
+    @pytest.mark.parametrize("other, name", [("ar1", "str"), (1, "int"), (None, "NoneType")])
+    def test_rejects_models_not_from_ar_model(self, rng, other, name):
+        with pytest.raises(TypeError,
+                           match=f"^whittle_score_variance takes an ARModel, not {name}$"):
+            whittle_score_variance(dft(rng.standard_normal(64)), other, [0.2, 1.0], 5)
 
     @pytest.mark.parametrize("M", [0, 32, 40])
     def test_M_out_of_range(self, rng, M):
