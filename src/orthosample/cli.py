@@ -95,14 +95,20 @@ def _first_bad_line(path: str, lines: list[str], ncol: int, header: bool) -> Dat
     raise AssertionError("no bad line")
 
 
+def _json_value(value):
+    """A tuning value in JSON numbers; intervals {level: (lo, hi)} as [[level, lo, hi], ...]."""
+    if isinstance(value, dict):
+        return [[level, *map(float, interval)] for level, interval in value.items()]
+    return value if np.isscalar(value) else np.asarray(value, dtype=float).tolist()
+
+
 def report_to_dict(report: TestReport) -> dict:
     return {
         "method": report.method,
         "statistic": report.statistic,
         "p_value": report.p_value,
         "null_reference": str(report.null_ref),
-        "tuning": {k: (v if np.isscalar(v) else str(v))
-                   for k, v in report.tuning.items()},
+        "tuning": {k: _json_value(v) for k, v in report.tuning.items()},
         "decisions": {str(a): bool(d) for a, d in report.decisions.items()},
     }
 

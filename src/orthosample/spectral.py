@@ -292,7 +292,9 @@ def _integer(value, name: str, T: int | None = None) -> int:
 
 
 def _real(value, name: str) -> float:
-    """The real-number rule of every real setting: a finite number, not a bool or a string."""
+    """The real-number rule of every real setting: a finite number, no bool, complex or string."""
+    if isinstance(value, np.complexfloating):  # refused as a Python complex is, and shown as one
+        value = complex(value)
     try:
         x = None if isinstance(value, (bool, np.bool_, str)) else float(value)
     except (TypeError, ValueError, OverflowError):

@@ -2,6 +2,9 @@
 fixed-M t calibration, and the multivariate Hotelling extension, each
 statistic an ``htests.TestReport`` with t(2M) or T^2(p, 2M) as ``null_ref``.
 
+Every estimate is a ``CovMatrixEstimate``, V-hat_M its 1x1 case, under one
+validity rule: a square 2-D float array, all finite, with a diagonal >= 0.
+
 ``studentize_block`` holds the only t-statistic arithmetic.  V-hat_M is
 formed in three places, one per shape of the answer: ``variance_block``, one
 window of M shifts per row of a block (the single-series
@@ -23,43 +26,33 @@ from . import distributions as dist
 from .htests import TestReport
 from .spectral import DegenerateDataError, InvalidInputError, OrthogonalSample, _real
 
-__all__ = [
-    "VarianceEstimate",
-    "CovMatrixEstimate",
-    "variance_block",
-    "studentize_block",
-    "variance_estimate",
-    "studentize",
-    "covariance_matrix_estimate",
-    "hotelling_test",
-]
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """V-hat_M = (T/M) * sum_{s=1..M} |A(phi; s)|^2.
-
-    The estimand is the long-run variance V of the underlying functional,
-    which involves the fourth order spectrum and is never evaluated directly.
-    """
-
-    value: float
-    M: int
-    T: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("variance estimate cannot be negative")
+__all__ = ["CovMatrixEstimate", "variance_block", "studentize_block", "variance_estimate",
+           "studentize", "covariance_matrix_estimate", "hotelling_test"]
 
 
 @dataclass(frozen=True)
 class CovMatrixEstimate:
+    """Sigma-hat_M of p functionals (``_covariance_block``), V-hat_M its 1x1 case
+    (``variance_block``); the estimand involves the fourth order spectrum."""
+
     matrix: np.ndarray
     M: int
     T: int
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        m = self.matrix
+        if not (isinstance(m, np.ndarray) and m.dtype.kind == "f" and m.ndim == 2
+                and m.shape[0] == m.shape[1] > 0):
+            got = (f"dtype {m.dtype}, shape {m.shape}" if isinstance(m, np.ndarray)
+                   else type(m).__name__)
+            raise InvalidInputError(f"covariance estimate matrix ({got}) is not a square 2-D "
+                                    "float array")
+        for bad, cause in ((~np.isfinite(m), "is not finite"),
+                           (np.diag(np.diag(m) < 0), "is negative")):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise InvalidInputError(f"covariance estimate matrix[{i}, {j}]={m[i, j]} {cause}")
+        m.setflags(write=False)
 
     @property
     def p(self) -> int:
@@ -86,26 +79,26 @@ def studentize_block(points, target, variances, T: int) -> tuple[np.ndarray, np.
     return (points - target) / scales, scales
 
 
-def variance_estimate(sample: OrthogonalSample) -> VarianceEstimate:
-    """V-hat_M(0) = (T/M) * sum_{r=1..M} |A(phi; r)|^2."""
-    value = float(variance_block(sample.shifted, sample.T))
-    return VarianceEstimate(value=value, M=sample.M, T=sample.T)
+def variance_estimate(sample: OrthogonalSample) -> CovMatrixEstimate:
+    """V-hat_M(0) = (T/M) * sum_{r=1..M} |A(phi; r)|^2, the 1x1 estimate."""
+    return CovMatrixEstimate(matrix=variance_block(sample.shifted, sample.T).reshape(1, 1),
+                             M=sample.M, T=sample.T)
 
 
-def studentize(point: float, target: float, variance: VarianceEstimate,
-               T: int, one_sided: bool = False,
-               ci_levels: tuple = (0.95,)) -> TestReport:
+def studentize(point: float, target: float, variance: CovMatrixEstimate, T: int,
+               one_sided: bool = False, ci_levels: tuple = (0.95,)) -> TestReport:
     """T_M = sqrt(T) (A_T - A) / sqrt(V-hat_M(0)), calibrated against t_{2M}.
 
     Two-sided p-values by default.  ``tuning`` holds M, ``one_sided`` and the
     intervals for the target at the requested confidence levels, each a real
-    number in (0, 1).  The point, the target and the estimate's value obey
-    the real-number rule, and ``T`` must be the estimate's own T.
-    """
+    number in (0, 1).  The point and the target obey the real-number rule,
+    ``variance`` must be a 1x1 estimate and ``T`` must be its own T."""
+    if variance.p != 1:
+        raise InvalidInputError(f"studentize needs a 1x1 variance estimate, not p={variance.p}")
     if T != variance.T:
         raise InvalidInputError(f"T={T} differs from the variance estimate's T={variance.T}")
     point, target = _real(point, "point"), _real(target, "target")
-    stat, scale = studentize_block(point, target, _real(variance.value, "variance estimate"), T)
+    stat, scale = studentize_block(point, target, variance.matrix[0, 0], T)
     law = dist.student_t(2 * variance.M)
     p = law.sf(stat) if one_sided else 2.0 * law.sf(abs(stat))
     cis = {}
@@ -129,15 +122,14 @@ def _covariance_block(shifted: np.ndarray, T: int) -> np.ndarray:
 
 def covariance_matrix_estimate(samples: list[OrthogonalSample]) -> CovMatrixEstimate:
     """Sigma-hat_M from the orthogonal-sample vectors of p functionals, which
-    must share M and T; it reduces to the scalar variance estimate when p = 1.
-    """
+    must share M and T; for p = 1 it is V-hat_M up to rounding."""
     if not samples:
-        raise ValueError("need at least one orthogonal sample")
-    M = samples[0].M
-    T = samples[0].T
-    for s in samples:
+        raise InvalidInputError("need at least one orthogonal sample")
+    M, T = samples[0].M, samples[0].T
+    for i, s in enumerate(samples):
         if s.M != M or s.T != T:
-            raise ValueError("all orthogonal samples must share M and T")
+            raise InvalidInputError(f"samples[{i}] has M={s.M}, T={s.T}, but samples[0] has "
+                                    f"M={M}, T={T}; all must share M and T")
     return CovMatrixEstimate(matrix=_covariance_block(np.stack([s.shifted for s in samples]), T),
                              M=M, T=T)
 
@@ -155,10 +147,8 @@ def hotelling_test(points, targets, cov: CovMatrixEstimate) -> TestReport:
          - np.array([_real(v, f"targets[{i}]") for i, v in enumerate(targets)]))
     eigvals = np.linalg.eigvalsh(cov.matrix)
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > 1e12:
-        raise DegenerateDataError(
-            f"covariance estimate is rank deficient (smallest eigenvalue "
-            f"{eigvals[0]:.3e}); increase M relative to p"
-        )
+        raise DegenerateDataError(f"covariance estimate is rank deficient (smallest eigenvalue "
+                                  f"{eigvals[0]:.3e}); increase M relative to p")
     stat = float(cov.T * a @ np.linalg.solve(cov.matrix, a))
     law = dist.hotelling_t2(p, 2 * cov.M)
     return TestReport(statistic=stat, p_value=float(law.sf(stat)), null_ref=law,

@@ -286,7 +286,7 @@ class TestCriterion9:
             grid = dft(generate(MODEL_REGISTRY["ar_g_0.6"], T, seed=[91, r]).series)
             for M in Ms:
                 v = variance_estimate(orthogonal_sample(grid, lag_weight(1), M))
-                errs[M].append((v.value - V0) ** 2)
+                errs[M].append((v.matrix[0, 0] - V0) ** 2)
         mse = {M: float(np.mean(errs[M])) for M in Ms}
         curve = [mse[M] for M in Ms]
         interior = int(np.argmin(curve))

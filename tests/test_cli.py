@@ -26,6 +26,7 @@ from orthosample.cli import (
 from orthosample.experiments import parse_search_set
 from orthosample.htests import goodness_of_fit_test
 from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M
+from orthosample.variance import studentize, variance_estimate
 from orthosample.whittle import ar_model, whittle_fit
 from orthosample.models import MODEL_REGISTRY, generate, generate_bivariate
 
@@ -586,6 +587,24 @@ class TestGofUsesTheFittedDensity:
         assert main(["test", "gof_ar1", str(path)] + extra) == EXIT_OK
         assert calls == []
         assert json.loads(capsys.readouterr().out)["method"] == "orthogonal_gof"
+
+
+def test_report_json_holds_numbers():
+    # the intervals of a studentized report reach JSON as [level, lo, hi]
+    # numbers, and an array or a tuple as a list of floats, not as reprs
+    sample = spectral.orthogonal_sample(
+        spectral.dft(np.random.default_rng(5).standard_normal(256)), spectral.lag_weight(1), 12)
+    report = studentize(sample.base.real, 0.0, variance_estimate(sample), 256,
+                        ci_levels=(0.9, 0.95, 0.99))
+    out = json.loads(json.dumps(report_to_dict(report)))
+    assert (out["statistic"], out["p_value"]) == (report.statistic, report.p_value)
+    assert out["tuning"]["confidence_intervals"] == [
+        [level, lo, hi] for level, (lo, hi) in report.tuning["confidence_intervals"].items()]
+    assert out["tuning"]["M"] == 12 and out["tuning"]["one_sided"] is False
+    other = htests.TestReport(statistic=1.0, p_value=0.5, null_ref="none", method="x",
+                              tuning={"rows": np.array([0.25, 2.0]), "pair": (np.int64(1), 0.5)})
+    assert json.loads(json.dumps(report_to_dict(other)))["tuning"] == {
+        "rows": [0.25, 2.0], "pair": [1.0, 0.5]}
 
 
 def test_python_dash_m_runs_the_cli(series_csv, capsys):

@@ -2,7 +2,8 @@
 public function and class it defines, and the package re-exports the lists
 of the eight numerical modules and nothing else.  A result has one report
 type per shape: ``TestReport`` for one statistic, ``BlockReport`` for a
-block."""
+block.  An estimate has one type, ``CovMatrixEstimate``, whose 1x1 case is
+the scalar variance estimate."""
 
 import ast
 import inspect
@@ -16,7 +17,8 @@ from orthosample import (distributions, equality, experiments, htests, models, s
 
 NUMERICAL = (distributions, equality, htests, models, selection, spectral, variance, whittle)
 
-# the package's exports before they were built from the module lists
+# the package's exports before they were built from the module lists, less
+# VarianceEstimate, folded into CovMatrixEstimate as its 1x1 case
 FROZEN_EXPORTS = (
     "Dist", "normal", "student_t", "chi_square", "f_dist", "hotelling_t2",
     "KernelSpec", "beta_hat", "equality_test",
@@ -29,7 +31,7 @@ FROZEN_EXPORTS = (
     "OrthogonalSample", "dft", "grid_frequencies", "ar_transfer",
     "ar_spectral_density", "weighted_average",
     "weighted_average_run", "orthogonal_sample", "lag_weight",
-    "VarianceEstimate", "CovMatrixEstimate", "variance_estimate", "studentize",
+    "CovMatrixEstimate", "variance_estimate", "studentize",
     "covariance_matrix_estimate", "hotelling_test",
     "ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance",
     "__version__",
@@ -74,19 +76,27 @@ def test_star_import_binds_every_name():
 
 
 REPORT_TYPES = {"TestReport", "BlockReport"}
+ESTIMATE_TYPES = {"CovMatrixEstimate"}
+SOURCES = sorted(Path(orthosample.__file__).parent.glob("*.py"))
 
 
-def report_classes(source: str) -> list[str]:
+def classes_ending(source: str, suffix: str) -> list[str]:
     """The names of the classes ``source`` defines, at any depth, that end in
-    ``Report``."""
+    ``suffix``."""
     return [node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Report")]
+            if isinstance(node, ast.ClassDef) and node.name.endswith(suffix)]
 
 
 @pytest.mark.parametrize("module", NUMERICAL, ids=lambda m: m.__name__)
 def test_no_report_type_beyond_the_two(module):
-    found = report_classes(Path(module.__file__).read_text(encoding="utf-8"))
+    found = classes_ending(Path(module.__file__).read_text(encoding="utf-8"), "Report")
     assert not set(found) - REPORT_TYPES, f"{module.__name__} defines {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_estimate_type_beyond_the_one(path):
+    found = classes_ending(path.read_text(encoding="utf-8"), "Estimate")
+    assert not set(found) - ESTIMATE_TYPES, f"{path.name} defines {found}"
 
 
 @pytest.mark.parametrize("source, names", [
@@ -95,4 +105,13 @@ def test_no_report_type_beyond_the_two(module):
     ("def f():\n    class LocalReport:\n        pass\n", ["LocalReport"]),
 ])
 def test_report_scan_finds_what_it_should(source, names):
-    assert report_classes(source) == names
+    assert classes_ending(source, "Report") == names
+
+
+@pytest.mark.parametrize("source, names", [
+    ("class VarianceEstimate:\n    pass\nclass CovMatrixEstimate:\n    pass\n",
+     ["VarianceEstimate", "CovMatrixEstimate"]),
+    ("class Estimator:\n    pass\n", []),
+])
+def test_estimate_scan_finds_what_it_should(source, names):
+    assert classes_ending(source, "Estimate") == names

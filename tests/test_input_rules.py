@@ -30,9 +30,9 @@ from orthosample.models import (MODEL_REGISTRY, ModelSpec, generate_batch,
                                 generate_bivariate_batch)
 from orthosample.selection import _feasible, select_M
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
-                                  WeightFunction, dft, lag_weight)
-from orthosample.variance import (CovMatrixEstimate, VarianceEstimate, hotelling_test, studentize,
-                                  studentize_block)
+                                  WeightFunction, _real, dft, lag_weight, orthogonal_sample)
+from orthosample.variance import (CovMatrixEstimate, covariance_matrix_estimate, hotelling_test,
+                                  studentize, studentize_block)
 from orthosample.whittle import ar_model
 
 T = 64
@@ -283,7 +283,7 @@ def test_non_numeric_count_obeys_integer_rule(rng, name, value):
     ("0.95", "confidence level='0.95' is not a real number"),
 ], ids=["negative", "zero", "one", "above_one", "nan", "bool", "string"])
 def test_confidence_level_in_open_unit_interval(level, message):
-    variance = VarianceEstimate(value=2.0, M=10, T=T)
+    variance = CovMatrixEstimate(np.array([[2.0]]), M=10, T=T)
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         studentize(0.1, 0.0, variance, T, ci_levels=(0.95, level))
     got, want = (studentize(0.1, 0.0, variance, T, ci_levels=(v,)).tuning["confidence_intervals"]
@@ -291,7 +291,7 @@ def test_confidence_level_in_open_unit_interval(level, message):
     assert got == want
 
 
-VARIANCE = VarianceEstimate(value=2.0, M=10, T=T)
+VARIANCE = CovMatrixEstimate(np.array([[2.0]]), 10, T)
 COV = CovMatrixEstimate(np.eye(2), 10, T)
 
 
@@ -299,20 +299,66 @@ COV = CovMatrixEstimate(np.eye(2), 10, T)
     (lambda: studentize(np.nan, 0.0, VARIANCE, T), "point=nan is not finite"),
     (lambda: studentize(True, 0.0, VARIANCE, T), "point=True is not a real number"),
     (lambda: studentize(0.1, -np.inf, VARIANCE, T), "target=-inf is not finite"),
-    (lambda: studentize(0.1, 0.0, VarianceEstimate(np.inf, 10, T), T),
-     "variance estimate=inf is not finite"),
+    (lambda: studentize(np.complex128(0.1 + 2j), 0.0, VARIANCE, T),
+     "point=(0.1+2j) is not a real number"),
+    (lambda: studentize(0.1, 0.0, CovMatrixEstimate(np.array([[np.inf]]), 10, T), T),
+     "covariance estimate matrix[0, 0]=inf is not finite"),
+    (lambda: studentize(0.1, 0.0, COV, T), "studentize needs a 1x1 variance estimate, not p=2"),
     (lambda: studentize(0.1, 0.0, VARIANCE, 4 * T),
      f"T={4 * T} differs from the variance estimate's T={T}"),
     (lambda: hotelling_test([np.nan, 0.1], [0.0, 0.0], COV), "points[0]=nan is not finite"),
     (lambda: hotelling_test([0.1, 0.1], [0.0, np.inf], COV), "targets[1]=inf is not finite"),
     (lambda: hotelling_test([0.1, "0.1"], [0.0, 0.0], COV),
      "points[1]='0.1' is not a real number"),
-], ids=["nan_point", "bool_point", "inf_target", "inf_variance", "other_T",
-        "nan_points", "inf_targets", "string_points"])
+], ids=["nan_point", "bool_point", "inf_target", "complex_point", "inf_variance", "p_2",
+        "other_T", "nan_points", "inf_targets", "string_points"])
 def test_calibrated_statistic_input_is_refused(call, message):
     # each would give a NaN, a zero or a silently rescaled statistic
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# The validity rule of every estimate, V-hat_M its 1x1 case: a square 2-D
+# float array, all finite, with a non-negative diagonal.  Each refusal names
+# the matrix and the cause, so no test answers on such an estimate.
+@pytest.mark.parametrize("matrix, message", [
+    (np.diag([np.inf, 1.0]), "covariance estimate matrix[0, 0]=inf is not finite"),
+    (np.diag([1.0, np.nan]), "covariance estimate matrix[1, 1]=nan is not finite"),
+    (np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+     "covariance estimate matrix[0, 1]=-inf is not finite"),
+    (np.zeros((2, 3)),
+     "covariance estimate matrix (dtype float64, shape (2, 3)) is not a square 2-D float array"),
+    ([[1.0, 0.0], [0.0, 1.0]],
+     "covariance estimate matrix (list) is not a square 2-D float array"),
+    (np.eye(2, dtype=int),
+     "covariance estimate matrix (dtype int64, shape (2, 2)) is not a square 2-D float array"),
+    (np.ones(2), "covariance estimate matrix (dtype float64, shape (2,)) is not a square 2-D "
+                 "float array"),
+    (np.diag([1.0, -1.0]), "covariance estimate matrix[1, 1]=-1.0 is negative"),
+], ids=["inf", "nan", "inf_off_diagonal", "2x3", "list", "int", "1d", "negative_diagonal"])
+def test_estimate_validity_rule(matrix, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        hotelling_test([0.1, 0.1], [0.0, 0.0], CovMatrixEstimate(matrix, 10, T))
+
+
+def test_valid_estimate_is_read_only():
+    # a negative off-diagonal entry is a covariance, not a fault
+    cov = CovMatrixEstimate(np.array([[2.0, -0.5], [-0.5, 1.0]]), 10, T)
+    assert cov.p == 2 and not cov.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("other_T, other_M, message", [
+    (T, 6, "samples[2] has M=6, T=64, but samples[0] has M=5, T=64; all must share M and T"),
+    (2 * T, 5, "samples[2] has M=5, T=128, but samples[0] has M=5, T=64; all must share M and T"),
+])
+def test_covariance_samples_must_share_M_and_T(rng, other_T, other_M, message):
+    grid = dft(rng.standard_normal(T))
+    samples = [orthogonal_sample(grid, lag_weight(j), 5) for j in (1, 2)]
+    odd = orthogonal_sample(dft(rng.standard_normal(other_T)), lag_weight(3), other_M)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        covariance_matrix_estimate([*samples, odd, odd])
+    with pytest.raises(InvalidInputError, match="^need at least one orthogonal sample$"):
+        covariance_matrix_estimate([])
 
 
 # One rule per number: every numeric argument of the tests obeys its rule, the
@@ -417,7 +463,11 @@ def test_one_rule_per_constructor_real(build, name, valid, key, kind, data):
     (lambda: f_dist(True, 3.0), "d1=True is not a real number"),
     (lambda: ModelSpec("arch1", {"alpha": False}), "alpha=False is not a real number"),
     (lambda: ModelSpec("arch1", {"alpha": "0.5"}), "alpha='0.5' is not a real number"),
-], ids=["t_bool", "t_inf", "chi2_bool", "f_bool", "alpha_bool", "alpha_string"])
+    (lambda: _real(np.complex128(1 + 2j), "x"), "x=(1+2j) is not a real number"),
+    (lambda: _real(np.complex64(1), "x"), "x=(1+0j) is not a real number"),
+    (lambda: student_t(np.complex128(10)), "df=(10+0j) is not a real number"),
+], ids=["t_bool", "t_inf", "chi2_bool", "f_bool", "alpha_bool", "alpha_string", "complex128",
+        "complex64", "t_complex"])
 def test_constructor_real_refused(call, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()

@@ -37,22 +37,31 @@ class TestVarianceEstimate:
         sample = make_sample(rng)
         v = variance_estimate(sample)
         want = sample.T / sample.M * np.sum(np.abs(sample.shifted) ** 2)
-        assert v.value == pytest.approx(want, rel=1e-12)
+        assert v.matrix[0, 0] == pytest.approx(want, rel=1e-12)
         assert v.M == sample.M and v.T == sample.T
+
+    def test_is_the_1x1_covariance_estimate(self, rng):
+        # V-hat_M is the 1x1 case of the one estimate type, bit for bit the
+        # value of the block kernel
+        sample = make_sample(rng)
+        v = variance_estimate(sample)
+        assert isinstance(v, CovMatrixEstimate) and v.p == 1 and v.matrix.shape == (1, 1)
+        assert v.matrix[0, 0].hex() == variance_block(sample.shifted, sample.T).hex()
+        assert not v.matrix.flags.writeable
 
     def test_nonnegative_and_negation_invariant(self, rng):
         x = rng.standard_normal(100)
         v1 = variance_estimate(orthogonal_sample(dft(x), lag_weight(1), 8))
         v2 = variance_estimate(orthogonal_sample(dft(-x), lag_weight(1), 8))
-        assert v1.value >= 0
-        assert v1.value == pytest.approx(v2.value, rel=1e-12)
+        assert v1.matrix[0, 0] >= 0
+        assert v1.matrix[0, 0] == pytest.approx(v2.matrix[0, 0], rel=1e-12)
 
     def test_quartic_scaling(self, rng):
         x = rng.standard_normal(100)
         c = 1.7
         v1 = variance_estimate(orthogonal_sample(dft(x), lag_weight(1), 8))
         v2 = variance_estimate(orthogonal_sample(dft(c * x), lag_weight(1), 8))
-        assert v2.value == pytest.approx(c**4 * v1.value, rel=1e-10)
+        assert v2.matrix[0, 0] == pytest.approx(c**4 * v1.matrix[0, 0], rel=1e-10)
 
     def test_windowed_variant(self, rng):
         x = rng.standard_normal(120)
@@ -126,7 +135,7 @@ class TestBlockKernels:
         for i, x in enumerate(block):
             grid = dft(x)
             assert at_zero[i] == variance_estimate(
-                orthogonal_sample(grid, lag_weight(2), M)).value
+                orthogonal_sample(grid, lag_weight(2), M)).matrix[0, 0]
             assert at_r0[i] == variance_estimate_at(grid, lag_weight(2), r0, M)
 
     def test_statistic_rows_equal_studentize(self, rng):
@@ -153,7 +162,7 @@ class TestCovarianceMatrix:
         cov = covariance_matrix_estimate([sample])
         v = variance_estimate(sample)
         assert cov.matrix.shape == (1, 1)
-        assert cov.matrix[0, 0] == pytest.approx(v.value, rel=1e-12)
+        assert cov.matrix[0, 0] == pytest.approx(v.matrix[0, 0], rel=1e-12)
 
     def test_symmetric_psd(self, rng):
         grid = dft(rng.standard_normal(256))
@@ -241,6 +250,6 @@ class TestCalibration:
         vals = np.empty(nrep)
         for i in range(nrep):
             sample = orthogonal_sample(dft(rng.standard_normal(T)), lag_weight(1), M)
-            vals[i] = 2 * M * variance_estimate(sample).value / V0
+            vals[i] = 2 * M * variance_estimate(sample).matrix[0, 0] / V0
         _, pval = stats.kstest(vals, "chi2", args=(2 * M,))
         assert pval > 0.01
