@@ -2,7 +2,7 @@
 
 Verbs:
   run <config>                  run a Monte Carlo experiment from a config file
-  test <kind> <datafile>        run one test on user data (CSV)
+  test <kind> <datafile>        run one test on user data (CSV), with its kind's options
   selectM <datafile>            data-driven choice of the number of shifts
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data error.
@@ -35,9 +35,6 @@ from .whittle import ar_model, whittle_fit
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-TEST_KINDS = ("portmanteau", "box_pierce", "robust", "gof_ar1", "equality")
-
 
 class DataError(ValueError):
     pass
@@ -113,33 +110,31 @@ def report_to_dict(report: TestReport) -> dict:
     }
 
 
-def run_single_test(kind: str, path: str, M, L: int, b, beta) -> dict:
-    if kind == "equality":
-        x, y = load_series(path, columns=2)
-        report = equality_test(x, y, b=b, M=M, beta=beta)
-        out = report_to_dict(report)
-        out["transformed_statistic"] = report.tuning["z"]
-        return out
-    (x,) = load_series(path, columns=1)
-    if kind == "portmanteau":
-        report = portmanteau_test(x, L=L, M=M)
-    elif kind == "box_pierce":
-        report = box_pierce(x, L=L)
-    elif kind == "robust":
-        report = robust_portmanteau(x, L=L)
-    elif kind == "gof_ar1":
-        grid = dft(x)  # one transform for the fit and the test
-        fit = whittle_fit(grid, ar_model(1))
-        block = _goodness_of_fit_coeffs(grid.coeffs[None], fit.density, L, M,
-                                        DEFAULT_SEARCH_SET, DEFAULT_P)
-        report = _orthogonal_report(block, "orthogonal_gof", L, M is None)
-        out = report_to_dict(report)
-        out["fitted_theta"] = [float(v) for v in np.atleast_1d(fit.theta_hat)]
-        out["on_boundary"] = fit.on_boundary
-        return out
-    else:
-        raise ConfigError(f"unknown test kind {kind!r}; choose from {TEST_KINDS}")
-    return report_to_dict(report)
+def _gof_ar1(x, M, L) -> dict:
+    grid = dft(x)  # one transform for the fit and the test
+    fit = whittle_fit(grid, ar_model(1))
+    block = _goodness_of_fit_coeffs(grid.coeffs[None], fit.density, L, M,
+                                    DEFAULT_SEARCH_SET, DEFAULT_P)
+    return report_to_dict(_orthogonal_report(block, "orthogonal_gof", L, M is None)) | {
+        "fitted_theta": [float(v) for v in np.atleast_1d(fit.theta_hat)],
+        "on_boundary": fit.on_boundary}
+
+
+def _equality(x, y, M, b, beta) -> dict:
+    report = equality_test(x, y, b=b, M=M, beta=beta)
+    return report_to_dict(report) | {"transformed_statistic": report.tuning["z"]}
+
+
+# Each test kind: its CSV columns, its options (config keys, each with the key's
+# default and rule) and its runner, from the columns and options to the JSON report.
+TESTS = {
+    "portmanteau": (1, ("M", "L"), lambda x, M, L: report_to_dict(portmanteau_test(x, L=L, M=M))),
+    "box_pierce": (1, ("L",), lambda x, L: report_to_dict(box_pierce(x, L=L))),
+    "robust": (1, ("L",), lambda x, L: report_to_dict(robust_portmanteau(x, L=L))),
+    "gof_ar1": (1, ("M", "L"), _gof_ar1),
+    "equality": (2, ("M", "b", "beta"), _equality),
+}
+_KEYS = ExperimentConfig.__dataclass_fields__
 
 
 @functools.cache
@@ -149,21 +144,22 @@ def _parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment config")
+    p_run = sub.add_parser("run", help="run an experiment config", allow_abbrev=False)
     p_run.add_argument("config")
     p_run.add_argument("--out", default="results", help="output path prefix")
     p_run.add_argument("--json", action="store_true", help="also write JSON")
     p_run.add_argument("--nrep", help="override replication count (e.g. paper scale)")
 
-    p_test = sub.add_parser("test", help="run one test on a data file")
-    p_test.add_argument("kind", choices=TEST_KINDS)
-    p_test.add_argument("datafile")
-    p_test.add_argument("--M", default=None)
-    p_test.add_argument("--L", default=5)
-    p_test.add_argument("--b", default=None)
-    p_test.add_argument("--beta", default="estimate", help='"estimate" or a number')
+    kinds = sub.add_parser("test", help="run one test on a data file").add_subparsers(
+        dest="kind", required=True)
+    for kind, (_, options, _) in TESTS.items():
+        p_kind = kinds.add_parser(kind, help=f"takes --{', --'.join(options)}", allow_abbrev=False)
+        p_kind.add_argument("datafile")
+        for key in options:
+            p_kind.add_argument(f"--{key}", default=_KEYS[key].default,
+                                help='"estimate" or a number' if key == "beta" else None)
 
-    p_sel = sub.add_parser("selectM", help="choose the number of shifts")
+    p_sel = sub.add_parser("selectM", help="choose the number of shifts", allow_abbrev=False)
     p_sel.add_argument("datafile")
     p_sel.add_argument("--p", default=DEFAULT_P)
     p_sel.add_argument("--set", default=tuple(DEFAULT_SEARCH_SET), dest="search_set",
@@ -178,7 +174,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
 
     try:
-        opts = {k: _apply(f"--{k}", ExperimentConfig.__dataclass_fields__[k].metadata["rule"], v)
+        opts = {k: _apply(f"--{k}", _KEYS[k].metadata["rule"], v)
                 for k, v in vars(args).items() if k in ("M", "L", "b", "beta", "p")}
         if args.verb == "run":
             try:
@@ -199,7 +195,8 @@ def main(argv=None) -> int:
                 print(path)
             return EXIT_OK
         if args.verb == "test":
-            print(json.dumps(run_single_test(args.kind, args.datafile, **opts), indent=1))
+            columns, _, runner = TESTS[args.kind]
+            print(json.dumps(runner(*load_series(args.datafile, columns), **opts), indent=1))
             return EXIT_OK
         if args.verb == "selectM":
             (x,) = load_series(args.datafile, columns=1)

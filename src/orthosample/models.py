@@ -388,8 +388,8 @@ def _noncausal_filter(eps: np.ndarray, a: float, T: int, J: int) -> np.ndarray:
     coeffs = a ** np.arange(J + 1)
     causal = np.empty((T, eps.shape[1]))
     for col in range(eps.shape[1]):
-        # full[i] = sum_j coeffs[j] eps[i-j]; rows J .. J+T-1 are t = 1..T
-        causal[:, col] = np.convolve(eps[:, col], coeffs)[J : J + T]
+        # valid[i] = sum_j coeffs[j] eps[i+J-j], full[i+J]'s bits; rows 0 .. T-1 are t = 1..T
+        causal[:, col] = np.convolve(eps[:, col], coeffs, mode="valid")[:T]
     future = eps[J + 1 : J + 1 + T]  # e_{t+1}
     return causal - a / (1.0 - a * a) * future
 

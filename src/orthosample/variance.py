@@ -2,8 +2,8 @@
 fixed-M t calibration, and the multivariate Hotelling extension, each
 statistic an ``htests.TestReport`` with t(2M) or T^2(p, 2M) as ``null_ref``.
 
-Every estimate is a ``CovMatrixEstimate``, V-hat_M its 1x1 case, under one
-validity rule: a square 2-D float array, all finite, with a diagonal >= 0.
+Every estimate is a ``CovMatrixEstimate``, V-hat_M its 1x1 case, under one validity
+rule: a finite, exactly symmetric square float matrix, diagonal >= 0, 1 <= M < T/2.
 
 ``studentize_block`` holds the only t-statistic arithmetic.  V-hat_M is
 formed in three places, one per shape of the answer: ``variance_block``, one
@@ -24,7 +24,8 @@ import numpy as np
 
 from . import distributions as dist
 from .htests import TestReport
-from .spectral import DegenerateDataError, InvalidInputError, OrthogonalSample, _real
+from .spectral import (DegenerateDataError, InvalidInputError, OrthogonalSample, _check_shift,
+                       _integer, _real)
 
 __all__ = ["CovMatrixEstimate", "variance_block", "studentize_block", "variance_estimate",
            "studentize", "covariance_matrix_estimate", "hotelling_test"]
@@ -48,11 +49,15 @@ class CovMatrixEstimate:
             raise InvalidInputError(f"covariance estimate matrix ({got}) is not a square 2-D "
                                     "float array")
         for bad, cause in ((~np.isfinite(m), "is not finite"),
-                           (np.diag(np.diag(m) < 0), "is negative")):
+                           (np.diag(np.diag(m) < 0), "is negative"),
+                           (m != m.T, "is not symmetric: matrix[{j}, {i}]={mirror}")):
             if bad.any():
                 i, j = np.argwhere(bad)[0]
-                raise InvalidInputError(f"covariance estimate matrix[{i}, {j}]={m[i, j]} {cause}")
+                raise InvalidInputError(f"covariance estimate matrix[{i}, {j}]={m[i, j]} "
+                                        + cause.format(i=i, j=j, mirror=m[j, i]))
         m.setflags(write=False)
+        object.__setattr__(self, "T", _integer(self.T, "T"))
+        object.__setattr__(self, "M", _check_shift(self.T, self.M, "M", 1))
 
     @property
     def p(self) -> int:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from orthosample.cli import (
     main,
     report_to_dict,
 )
+from orthosample.equality import equality_test
 from orthosample.experiments import parse_search_set
 from orthosample.htests import goodness_of_fit_test
 from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M
@@ -275,6 +277,18 @@ class TestTestVerb:
     def test_seed_flag_is_not_accepted(self, series_csv):
         assert main(["test", "portmanteau", series_csv, "--seed", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["test", "equality", "xy.csv", "--bet", "0.5"],
+                                      ["test", "equality", "xy.csv", "--M=8", "--be", "0.5"],
+                                      ["selectM", "x.csv", "--se", "5,10"],
+                                      ["run", "exp.cfg", "--nre", "3"]],
+                             ids=["bet", "be", "se", "nre"])
+    def test_option_prefix_is_usage_error(self, data_dir, argv):
+        # an option is spelled in full: a prefix is not taken for the option
+        argv = [str(data_dir / a) if a.endswith((".csv", ".cfg")) else a for a in argv]
+        code, out, err = _main_quietly(argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
 
 class TestSelectMVerb:
     def test_reports_curve(self, series_csv, capsys):
@@ -511,6 +525,55 @@ def test_one_rule_per_number_option(data_dir, head, option, valid, kind, data):
         code, stdout, err = run(value, "got")
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err.startswith("config error") and f"--{option}" in err
+
+
+# The options each test kind takes; any other is a usage error.
+KIND_OPTIONS = {"portmanteau": ("M", "L"), "box_pierce": ("L",), "robust": ("L",),
+                "gof_ar1": ("M", "L"), "equality": ("M", "b", "beta")}
+OPTION_VALUES = {"M": 8, "L": 3, "b": 0.25, "beta": 0.5}
+
+
+def _library_json(kind, data, key, value) -> str:
+    """The report the library gives ``kind`` on ``data`` with option ``key``
+    at ``value`` and the others at their defaults, as `test` prints it."""
+    o = {"M": None, "L": 5, "b": None, "beta": "estimate", key: value}
+    if kind == "equality":
+        report = equality_test(*data, b=o["b"], M=o["M"], beta=o["beta"])
+        out = report_to_dict(report) | {"transformed_statistic": report.tuning["z"]}
+    elif kind == "gof_ar1":
+        model = ar_model(1)
+        fit = whittle_fit(spectral.dft(data[0]), model)
+        report = goodness_of_fit_test(data[0], lambda om: model.density(om, fit.theta_hat),
+                                      L=o["L"], M=o["M"])
+        out = report_to_dict(report) | {"fitted_theta": [float(v) for v in fit.theta_hat],
+                                        "on_boundary": fit.on_boundary}
+    else:
+        test = {"portmanteau": lambda x: htests.portmanteau_test(x, L=o["L"], M=o["M"]),
+                "box_pierce": lambda x: htests.box_pierce(x, L=o["L"]),
+                "robust": lambda x: htests.robust_portmanteau(x, L=o["L"])}[kind]
+        out = report_to_dict(test(data[0]))
+    return json.dumps(out, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("key", list(OPTION_VALUES))
+@pytest.mark.parametrize("kind", list(KIND_OPTIONS))
+def test_each_kind_takes_only_its_options(data_dir, kind, key):
+    # 9 of the 20 (kind, option) pairs are taken and print the library's
+    # report; the other 11 are usage errors naming the option, as is an
+    # option placed before the kind, and a kind's help lists its options only
+    path = str(data_dir / ("xy.csv" if kind == "equality" else "x.csv"))
+    value = OPTION_VALUES[key]
+    code, out, err = _main_quietly(["test", kind, path, f"--{key}", str(value)])
+    if key in KIND_OPTIONS[kind]:
+        data = load_series(path, columns=2 if kind == "equality" else 1)
+        assert (code, out, err) == (EXIT_OK, _library_json(kind, data, key, value), "")
+    else:
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"unrecognized arguments: --{key} {value}" in err
+    assert _main_quietly(["test", f"--{key}={value}", kind, path])[:2] == (EXIT_CONFIG, "")
+    code, out, _ = _main_quietly(["test", kind, "--help"])
+    assert code == EXIT_OK
+    assert set(re.findall(r"--(\w+)", out)) - {"help"} == set(KIND_OPTIONS[kind])
 
 
 class TestCachedParser:

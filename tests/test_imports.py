@@ -53,8 +53,9 @@ def test_scan_finds_what_it_should(source, unused):
 PRIVATE_IMPORTS = sorted([
     # the input rules, checked where the input arrives
     *[(m, "spectral._integer") for m in ("distributions", "experiments", "htests", "models",
-                                          "selection", "whittle")],
-    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests", "whittle")],
+                                          "selection", "variance", "whittle")],
+    *[(m, "spectral._check_shift") for m in ("equality", "experiments", "htests", "variance",
+                                              "whittle")],
     *[(m, "spectral._real") for m in ("distributions", "equality", "experiments", "models",
                                        "variance")],
     *[(m, "spectral._density_values") for m in ("htests", "whittle")],

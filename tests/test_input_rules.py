@@ -335,10 +335,37 @@ def test_calibrated_statistic_input_is_refused(call, message):
     (np.ones(2), "covariance estimate matrix (dtype float64, shape (2,)) is not a square 2-D "
                  "float array"),
     (np.diag([1.0, -1.0]), "covariance estimate matrix[1, 1]=-1.0 is negative"),
-], ids=["inf", "nan", "inf_off_diagonal", "2x3", "list", "int", "1d", "negative_diagonal"])
+    # without the symmetry rule hotelling_test answered T^2 = -1.92, p = 1.0
+    (np.array([[1.0, 5.0], [0.0, 1.0]]),
+     "covariance estimate matrix[0, 1]=5.0 is not symmetric: matrix[1, 0]=0.0"),
+    (np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]]),
+     "covariance estimate matrix[0, 1]=0.5 is not symmetric: matrix[1, 0]=0.5000000000000001"),
+], ids=["inf", "nan", "inf_off_diagonal", "2x3", "list", "int", "1d", "negative_diagonal",
+        "asymmetric", "one_ulp_asymmetric"])
 def test_estimate_validity_rule(matrix, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         hotelling_test([0.1, 0.1], [0.0, 0.0], CovMatrixEstimate(matrix, 10, T))
+
+
+# An estimate's T obeys the integer rule and its M the range rule of every M,
+# so no t(2M) or T^2(p, 2M) law is built from a fractional, boolean or zero M.
+@pytest.mark.parametrize("M, T_, message", [
+    (2.5, T, f"M=2.5 is not an integer, for T={T}"),
+    (True, T, f"M=True is not an integer, for T={T}"),
+    (0, T, f"M=0 out of range [1, T/2) for T={T}"),
+    (T // 2, T, f"M={T // 2} out of range [1, T/2) for T={T}"),
+    (10, 64.5, "T=64.5 is not an integer"),
+    (10, True, "T=True is not an integer"),
+], ids=["fractional_M", "bool_M", "zero_M", "M_T_half", "fractional_T", "bool_T"])
+def test_estimate_M_and_T_rules(M, T_, message):
+    with pytest.raises(ShiftRangeError, match=f"^{re.escape(message)}$"):
+        CovMatrixEstimate(np.array([[2.0]]), M, T_)
+
+
+def test_estimate_keeps_M_and_T_as_ints():
+    est = CovMatrixEstimate(np.array([[2.0]]), np.int64(10), float(T))
+    assert (est.M, est.T) == (10, T) and type(est.M) is type(est.T) is int
+    assert studentize(0.1, 0.0, est, T).null_ref == studentize(0.1, 0.0, VARIANCE, T).null_ref
 
 
 def test_valid_estimate_is_read_only():

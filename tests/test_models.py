@@ -16,6 +16,7 @@ from orthosample.models import (
     PERIODIC_SCALE,
     _entropy_streams,
 )
+from orthosample import models
 from orthosample.spectral import ar_spectral_density
 
 
@@ -289,3 +290,28 @@ class TestEntropyRows:
         want = [(0, 64)] * (2 if tag == "pair" else 1)
         for seeds in (np.empty((0, 3), np.uint32), []):
             assert [out.series.shape for out in blocks(tag, seeds)] == want
+
+
+NONCAUSAL = sorted(tag for tag, spec in MODEL_REGISTRY.items()
+                   if spec.tag in ("noncausal_linear", "arch_times_noncausal", "pseudo_linear"))
+
+
+def _full_convolution_filter(eps, a, T, J):
+    """The non-causal filter from each column's full convolution, T + 2J + 1
+    outputs of which rows J .. J+T-1 are kept."""
+    coeffs = a ** np.arange(J + 1)
+    causal = np.stack([np.convolve(col, coeffs)[J : J + T] for col in eps.T], axis=1)
+    return causal - a / (1.0 - a * a) * eps[J + 1 : J + 1 + T]
+
+
+@pytest.mark.parametrize("tag", NONCAUSAL)
+@pytest.mark.parametrize("T", [2, 100, 257])
+def test_noncausal_filter_keeps_the_full_convolution_bits(tag, T, monkeypatch):
+    # the filter computes only the T outputs it keeps; each is the full
+    # convolution's, bit for bit, in a block and in a single draw
+    spec, seeds = MODEL_REGISTRY[tag], [3, 11, 12]
+    got = generate_batch(spec, T, seeds).series, generate(spec, T, 7).series
+    monkeypatch.setattr(models, "_noncausal_filter", _full_convolution_filter)
+    want = generate_batch(spec, T, seeds).series, generate(spec, T, 7).series
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
