@@ -26,8 +26,8 @@ import numpy as np
 from .equality import equality_test
 from .experiments import (ConfigError, ExperimentConfig, _apply, emit, parse_config,
                           parse_search_set, run_experiment)
-from .htests import (TestReport, _goodness_of_fit_coeffs, _orthogonal_report, box_pierce,
-                     portmanteau_test, robust_portmanteau)
+from .htests import (TestReport, _goodness_of_fit_coeffs, box_pierce, portmanteau_test,
+                     robust_portmanteau)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, select_M
 from .spectral import dft, lag_weight
 from .whittle import ar_model, whittle_fit
@@ -115,7 +115,7 @@ def _gof_ar1(x, M, L) -> dict:
     fit = whittle_fit(grid, ar_model(1))
     block = _goodness_of_fit_coeffs(grid.coeffs[None], fit.density, L, M,
                                     DEFAULT_SEARCH_SET, DEFAULT_P)
-    return report_to_dict(_orthogonal_report(block, "orthogonal_gof", L, M is None)) | {
+    return report_to_dict(block.report()) | {
         "fitted_theta": [float(v) for v in np.atleast_1d(fit.theta_hat)],
         "on_boundary": fit.on_boundary}
 
@@ -137,6 +137,14 @@ TESTS = {
 _KEYS = ExperimentConfig.__dataclass_fields__
 
 
+class _BeforeKind(argparse.Action):
+    """A kind's option given before the kind: a usage error that names it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the kind: "
+                     f"orthosample test <kind> <datafile> {option_string} {values}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and reused after it."""
@@ -150,8 +158,11 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", action="store_true", help="also write JSON")
     p_run.add_argument("--nrep", help="override replication count (e.g. paper scale)")
 
-    kinds = sub.add_parser("test", help="run one test on a data file").add_subparsers(
-        dest="kind", required=True)
+    p_test = sub.add_parser("test", help="run one test on a data file", allow_abbrev=False)
+    for key in dict.fromkeys(chain.from_iterable(options for _, options, _ in TESTS.values())):
+        p_test.add_argument(f"--{key}", action=_BeforeKind, default=argparse.SUPPRESS,
+                            help=argparse.SUPPRESS)
+    kinds = p_test.add_subparsers(dest="kind", required=True)
     for kind, (_, options, _) in TESTS.items():
         p_kind = kinds.add_parser(kind, help=f"takes --{', --'.join(options)}", allow_abbrev=False)
         p_kind.add_argument("datafile")

@@ -14,6 +14,7 @@ fails the whole block with the single-pair test's exception.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -105,18 +106,30 @@ def moment_estimates(draws: np.ndarray):
 
 def _pow(x, y) -> np.ndarray:
     """x ** y element by element, each a Python float power: numpy's ``**``
-    rounds some powers differently, and every row must keep its bits."""
+    rounds some powers differently, and every row must keep its bits.  A
+    power too large for a float, where Python's raises OverflowError, is NaN:
+    the row's p-value follows, and ``BlockReport`` refuses it."""
     x, y = np.broadcast_arrays(x, y)
-    return np.array(list(map(pow, x.ravel().tolist(), y.ravel().tolist()))).reshape(x.shape)
+    return np.array(list(map(_float_pow, x.ravel().tolist(), y.ravel().tolist()))).reshape(
+        x.shape)
+
+
+def _float_pow(x: float, y: float) -> float:
+    try:
+        return pow(x, y)
+    except OverflowError:
+        return math.nan
 
 
 def beta_hat(mu, var, mu3):
     """Power-transform exponent 1 - mu * mu3 / (3 var^2), clamped to (0, 1]:
     an array over arrays of moments, a float for one set; one warning names
-    the number of exponents clamped."""
+    the number of exponents clamped.  An exponent whose mu * mu3 or 3 var^2
+    overflows a float is NaN, never clamped."""
     if np.any(np.asarray(var) <= 0):
         raise DegenerateDataError("zero variance in null draws; beta undefined")
-    b = np.asarray(1.0 - np.multiply(mu, mu3) / (3.0 * _pow(var, 2.0)))
+    num, den = np.multiply(mu, mu3), 3.0 * _pow(var, 2.0)
+    b = np.where(np.isfinite(num) & np.isfinite(den), 1.0 - num / den, np.nan)
     clamped = (b <= 0.0) | (b > 1.0)
     if np.any(clamped):
         warnings.warn(f"{np.count_nonzero(clamped)} of {b.size} transform exponents outside "
@@ -215,6 +228,7 @@ def equality_block(X, Y, b: float | None = None, M: int | None = None,
     law = dist.student_t(2 * M - 1)
     scale = np.sqrt(1.0 + 1.0 / (2.0 * M))
     return BlockReport(statistics=stat, p_values=np.array([law.sf(v) for v in z / scale]),
+                       method="spectral_equality", null_ref=law,
                        tuning={"M": M, "b": kernel.bandwidth, "beta": beta_used,
                                "z": z, "mu": mu, "var": var, "mu3": mu3})
 
@@ -228,9 +242,4 @@ def equality_test(x, y, b: float | None = None, M: int | None = None,
     the right tail of a scaled t reference with 2M - 1 degrees of freedom.
     The block of one of :func:`equality_block`.
     """
-    out = equality_block(as_series(x)[None], as_series(y)[None], b, M, beta)
-    M = out.tuning["M"]
-    return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
-                      null_ref=dist.student_t(2 * M - 1), method="spectral_equality",
-                      tuning={k: float(v[0]) if np.ndim(v) else v
-                              for k, v in out.tuning.items()})
+    return equality_block(as_series(x)[None], as_series(y)[None], b, M, beta).report()

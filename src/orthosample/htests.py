@@ -5,16 +5,17 @@ Block contract: ``portmanteau_block``, ``goodness_of_fit_block``,
 ``box_pierce_block`` and ``robust_portmanteau_block`` (and
 ``equality.equality_block``) test every row of an (R, T) block of series at
 once (one DFT, one selection pass and one shift table for the orthogonal
-tests) and return a :class:`BlockReport`.  The single-series tests are their
-blocks of one, so row i of a block reports what the single-series test
-reports on series i.  A check that fails on any row fails the whole block
-with the single-series test's exception; a constant series, or a degenerate
-selection window, raises ``spectral.DegenerateDataError``.
+tests) and return a :class:`BlockReport`.  Each single-series test is its
+kernel's ``.report()`` on a block of one, so row i of a block reports what
+the single-series test reports on series i.  A check that fails on any row
+fails the whole block with the single-series test's exception; a constant
+series, a degenerate selection window or a statistic that overflows raises
+``spectral.DegenerateDataError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -105,17 +106,35 @@ def _lag_rows_on_grid(T: int, L: int) -> np.ndarray:
 class BlockReport:
     """One test on every row of a block of R series.
 
-    ``statistics`` and ``p_values`` have one entry per row.  The orthogonal
-    tests also give each row's M and its null draws: row i of ``draws``
-    starts with the 2 M_i draws of series i.  ``tuning`` maps a name to a
-    per-row array or a constant of the block (the equality test's).
+    ``statistics`` and ``p_values`` have one entry per row, each finite: a
+    row that is not, which only data whose scale overflows a float give,
+    raises a ``DegenerateDataError`` naming the method and the row.
+    ``null_ref`` is the law every row is calibrated against, or None when
+    each row has its own null draws: row i of ``draws`` starts with the
+    2 M_i draws of series i.  ``tuning`` maps a name to a per-row array or a
+    constant of the block; M is ``tuning["M"]``.
     """
 
     statistics: np.ndarray
     p_values: np.ndarray
-    M: np.ndarray | None = None
+    method: str
+    null_ref: object = None  # Dist or None
     draws: np.ndarray | None = None
     tuning: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        finite = np.isfinite(self.statistics) & np.isfinite(self.p_values)
+        if not finite.all():
+            raise DegenerateDataError(
+                f"{self.method}: row {np.argmin(finite)} has a non-finite statistic or "
+                f"p-value: the data's scale overflows a float")
+
+    def report(self, i: int = 0) -> TestReport:
+        """Row i as the single-series test reports it."""
+        tuning = {k: v[i].item() if np.ndim(v) else v for k, v in self.tuning.items()}
+        null = self.null_ref or EmpiricalNull(draws=self.draws[i, :2 * tuning["M"]])
+        return TestReport(statistic=float(self.statistics[i]), p_value=float(self.p_values[i]),
+                          null_ref=null, method=self.method, tuning=tuning)
 
 
 def _statistics(tables: np.ndarray, T: int) -> np.ndarray:
@@ -162,23 +181,16 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
         raise ValueError("empirical null contains non-finite draws")
     # #{draws >= stat} / #draws over each row's own draws
     exceed = np.count_nonzero((draws >= stats[:, None]) & own, axis=1)
-    return BlockReport(statistics=stats, p_values=exceed / (2 * Ms), M=Ms, draws=draws)
-
-
-def _orthogonal_report(out: BlockReport, method: str, L: int, M_selected: bool) -> TestReport:
-    """The report of one series tested as a block of one."""
-    M = int(out.M[0])
-    null = EmpiricalNull(draws=out.draws[0, :2 * M])
-    return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
-                      null_ref=null, method=method,
-                      tuning={"L": L, "M_selected": M_selected, "M": M})
+    return BlockReport(stats, exceed / (2 * Ms), "orthogonal_l2", draws=draws,
+                       tuning={"L": weights.shape[0], "M_selected": M is None, "M": Ms})
 
 
 def portmanteau_block(block, L: int = 5, M: int | None = None,
                       search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
     """:func:`portmanteau_test` on every row of an (R, T) block of series."""
     coeffs = dft_block(block, demean=True)
-    return orthogonal_l2_block(coeffs, _lag_rows(coeffs.shape[1], L), M, search_set, p)
+    return replace(orthogonal_l2_block(coeffs, _lag_rows(coeffs.shape[1], L), M, search_set, p),
+                   method="orthogonal_portmanteau")
 
 
 def portmanteau_test(series, L: int = 5, M: int | None = None,
@@ -189,8 +201,7 @@ def portmanteau_test(series, L: int = 5, M: int | None = None,
     When M is not given it is chosen by the average squared criterion on the
     lag-one weight over the (feasibility-clipped) search set.
     """
-    out = portmanteau_block(as_series(series)[None], L, M, search_set, p)
-    return _orthogonal_report(out, "orthogonal_portmanteau", L, M is None)
+    return portmanteau_block(as_series(series)[None], L, M, search_set, p).report()
 
 
 def goodness_of_fit_block(block, null_density: Callable[[np.ndarray], np.ndarray],
@@ -214,7 +225,7 @@ def _goodness_of_fit_coeffs(coeffs: np.ndarray, density, L, M, search_set, p) ->
     if not finite.all():
         raise InvalidInputError(f"weight 'lag_exp[{np.argmin(finite) + 1}]/g' "
                                 f"is non-finite on the size-{T} grid")
-    return orthogonal_l2_block(coeffs, weights, M, search_set, p)
+    return replace(orthogonal_l2_block(coeffs, weights, M, search_set, p), method="orthogonal_gof")
 
 
 def goodness_of_fit_test(series, null_density: Callable[[np.ndarray], np.ndarray],
@@ -225,9 +236,8 @@ def goodness_of_fit_test(series, null_density: Callable[[np.ndarray], np.ndarray
     ``null_density`` is the hypothesised spectral density g, strictly positive
     on the grid.  M selection uses the j = 1 weight.
     """
-    out = goodness_of_fit_block(as_series(series)[None], null_density, L, M,
-                                search_set, p)
-    return _orthogonal_report(out, "orthogonal_gof", L, M is None)
+    return goodness_of_fit_block(as_series(series)[None], null_density, L, M,
+                                 search_set, p).report()
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,16 +262,10 @@ def _centred(block, L: int) -> tuple[np.ndarray, int]:
     return x - x.mean(axis=1, keepdims=True), L
 
 
-def _chi_square_block(stats: np.ndarray, L: int) -> BlockReport:
+def _chi_square_block(stats: np.ndarray, L: int, method: str) -> BlockReport:
     law = dist.chi_square(L)
-    return BlockReport(statistics=stats,
-                       p_values=np.array([law.sf(float(s)) for s in stats]))
-
-
-def _chi_square_report(out: BlockReport, method: str, L: int) -> TestReport:
-    """The report of one series tested as a block of one."""
-    return TestReport(statistic=float(out.statistics[0]), p_value=float(out.p_values[0]),
-                      null_ref=dist.chi_square(L), method=method, tuning={"L": L})
+    return BlockReport(statistics=stats, p_values=np.array([law.sf(float(s)) for s in stats]),
+                       method=method, null_ref=law, tuning={"L": L})
 
 
 def box_pierce_block(block, L: int = 5) -> BlockReport:
@@ -271,13 +275,12 @@ def box_pierce_block(block, L: int = 5) -> BlockReport:
     if np.any(c[:, 0] == 0):
         raise DegenerateDataError("zero sample variance; Box-Pierce undefined")
     stats = xc.shape[1] / c[:, 0] ** 2 * np.sum(c[:, 1:] ** 2, axis=1)
-    return _chi_square_block(stats, L)
+    return _chi_square_block(stats, L, "box_pierce")
 
 
 def box_pierce(series, L: int = 5) -> TestReport:
     """Q~ = (T / c~(0)^2) sum_{j=1..L} c~(j)^2 against chi-square(L)."""
-    return _chi_square_report(box_pierce_block(as_series(series)[None], L),
-                              "box_pierce", L)
+    return box_pierce_block(as_series(series)[None], L).report()
 
 
 def robust_portmanteau_block(block, L: int = 5) -> BlockReport:
@@ -292,12 +295,11 @@ def robust_portmanteau_block(block, L: int = 5) -> BlockReport:
         if np.any(tau == 0):
             raise DegenerateDataError(f"zero normaliser tau at lag {j}")
         stats = stats + c[:, j] ** 2 / tau
-    return _chi_square_block(T * stats, L)
+    return _chi_square_block(T * stats, L, "robust_portmanteau")
 
 
 def robust_portmanteau(series, L: int = 5) -> TestReport:
     """Q* = T sum_j c~(j)^2 / tau_j with the fourth-moment normalisers
     tau_j = (1/(T-j)) sum_{t=j+1..T} (x_t - xbar)^2 (x_{t-j} - xbar)^2,
     against chi-square(L)."""
-    return _chi_square_report(robust_portmanteau_block(as_series(series)[None], L),
-                              "robust_portmanteau", L)
+    return robust_portmanteau_block(as_series(series)[None], L).report()

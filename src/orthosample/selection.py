@@ -8,8 +8,8 @@ row.  Each public function takes a raw search set and p and applies the
 search-set rule and the feasible clip itself, once: every search set is
 clipped to its feasible members, those whose variance windows stay below
 T/2, and only a set with none raises.  ``SelectionResult.search_set`` reports
-the feasible members.  A variance window that is not positive raises
-``spectral.DegenerateDataError``.
+the feasible members.  A variance window that is not positive, or a
+criterion that is not finite, raises ``spectral.DegenerateDataError``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,12 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     score = np.divide(T * sq[:, None, r], windows, out=windows)
     score -= 1.0
     score **= 2
-    return p / T * np.sum(score, axis=-1)
+    curves = p / T * np.sum(score, axis=-1)
+    # an overflowed |A|^2 can leave a curve finite, so both are checked
+    if not (np.isfinite(sq).all() and np.isfinite(curves).all()):
+        raise DegenerateDataError("criterion curve is not finite: "
+                                  "the data's scale overflows a float")
+    return curves
 
 
 def _search_set(search_set, p) -> tuple:

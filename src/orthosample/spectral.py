@@ -68,7 +68,8 @@ class ShiftRangeError(ValueError):
 class DegenerateDataError(ValueError, ZeroDivisionError):
     """Raised when finite data leave a statistic undefined: a zero sample
     variance or normaliser, null draws without spread, a zero variance
-    estimate or variance window, or a rank-deficient covariance estimate.
+    estimate or variance window, a rank-deficient covariance estimate, or a
+    statistic, p-value or criterion that overflows a float.
     It is bad input (a ValueError) and a division by zero."""
 
 

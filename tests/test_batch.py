@@ -21,7 +21,7 @@ from orthosample.equality import (
     equality_test,
     moment_estimates,
 )
-from orthosample.distributions import student_t
+from orthosample.distributions import chi_square, student_t
 from orthosample.experiments import ExperimentConfig, run_experiment
 from orthosample.htests import (
     box_pierce,
@@ -480,7 +480,7 @@ class TestShiftBlockSize:
             single = run()
 
         def bits(report):
-            fields = [report.statistics, report.p_values, report.M, report.draws,
+            fields = [report.statistics, report.p_values, report.draws,
                       *report.tuning.values()]
             return list(report.tuning), [None if f is None else np.asarray(f).tobytes()
                                          for f in fields]
@@ -608,8 +608,51 @@ class TestBlockStatistics:
         for i, one in enumerate(singles):
             assert out.statistics[i] == one.statistic
             assert out.p_values[i] == one.p_value
-            assert out.M[i] == one.tuning["M"]
-            np.testing.assert_array_equal(out.draws[i, :2 * out.M[i]], one.null_ref.draws)
+            assert out.tuning["M"][i] == one.tuning["M"]
+            np.testing.assert_array_equal(out.draws[i, :2 * out.tuning["M"][i]],
+                                          one.null_ref.draws)
+            got = out.report(i)
+            assert (got.statistic, got.p_value, got.tuning) == (one.statistic, one.p_value,
+                                                                one.tuning)
+            np.testing.assert_array_equal(got.null_ref.draws, one.null_ref.draws)
+
+    @pytest.mark.parametrize("test, kw", [
+        (test, kw) for test in ("portmanteau", "gof", "box_pierce", "robust", "equality")
+        for kw in ([{}] if test in ("box_pierce", "robust") else [{}, {"M": 8}])
+    ], ids=lambda v: v if isinstance(v, str) else "M8" if v else "default")
+    def test_single_test_is_row_zero_of_its_kernel(self, test, kw):
+        # the method, the null reference and the tuning keys in order, as the
+        # block states them and its report() converts them
+        x, y = _series_block(256, 2, "ar_g_0.6")
+        L = {} if test == "equality" else {"L": 4}
+        single, kernel, method, keys = {
+            "portmanteau": (portmanteau_test, portmanteau_block, "orthogonal_portmanteau",
+                            ["L", "M_selected", "M"]),
+            "gof": (lambda x, **k: goodness_of_fit_test(x, _ar06_density, **k),
+                    lambda x, **k: goodness_of_fit_block(x, _ar06_density, **k),
+                    "orthogonal_gof", ["L", "M_selected", "M"]),
+            "box_pierce": (box_pierce, box_pierce_block, "box_pierce", ["L"]),
+            "robust": (robust_portmanteau, robust_portmanteau_block, "robust_portmanteau",
+                       ["L"]),
+            "equality": (lambda x, **k: equality_test(x, y, **k),
+                         lambda x, **k: equality_block(x, y[None], **k), "spectral_equality",
+                         ["M", "b", "beta", "z", "mu", "var", "mu3"]),
+        }[test]
+        one, out = single(x, **L, **kw), kernel(x[None], **L, **kw)
+        got = out.report()
+        assert out.method == one.method == got.method == method
+        assert list(one.tuning) == list(got.tuning) == list(out.tuning) == keys
+        for key, value in one.tuning.items():
+            assert type(got.tuning[key]) is type(value) and got.tuning[key] == value
+        assert (got.statistic, got.p_value) == (one.statistic, one.p_value)
+        if test in ("portmanteau", "gof"):
+            assert out.null_ref is None
+            assert one.tuning["M_selected"] is ("M" not in kw)
+            np.testing.assert_array_equal(got.null_ref.draws, one.null_ref.draws)
+        else:
+            law = (student_t(2 * one.tuning["M"] - 1) if test == "equality"
+                   else chi_square(4))
+            assert out.null_ref == got.null_ref == one.null_ref == law
 
     @pytest.mark.parametrize("T", [100, 200, 500])
     @pytest.mark.parametrize("R", [1, 2, 7, 59])
@@ -659,7 +702,7 @@ class TestBlockStatistics:
         out = portmanteau_block(block, L=5, search_set=search_set, p=p)
         for i, x in enumerate(block):
             sel = select_M(dft(x), lag_weight(1), feasible, p)
-            assert chosen[i] == out.M[i] == sel.chosen_M
+            assert chosen[i] == out.tuning["M"][i] == sel.chosen_M
             assert dict(zip(members, curves[i].tolist())) == sel.criterion_curve
 
     def test_constant_series_fails_its_box_pierce_cell(self, monkeypatch):
@@ -679,3 +722,31 @@ class TestBlockStatistics:
         rates = {(r.method, r.alpha): r.rate for r in table.rows}
         assert all(np.isnan(rates["box_pierce", a]) for a in cfg.alphas)
         assert not any(np.isnan(rates["orthogonal", a]) for a in cfg.alphas)
+
+    def test_overflowing_row_fails_its_cells(self, monkeypatch):
+        # the last series overflows the baselines' statistics (a NaN p-value was
+        # counted as a non-rejection) and the equality transform's float powers
+        # (the OverflowError aborted the run): each cell fails naming the cause
+        real, real_pairs = experiments.generate_batch, experiments.generate_bivariate_batch
+
+        def scaled(sim, scale):
+            series = sim.series.copy()
+            series[-1] *= scale
+            return dataclasses.replace(sim, series=series)
+
+        monkeypatch.setattr(experiments, "generate_batch",
+                            lambda *a: scaled(real(*a), 1e80))
+        monkeypatch.setattr(experiments, "generate_bivariate_batch",
+                            lambda *a: [scaled(sim, 1e30) for sim in real_pairs(*a)])
+        messages = []
+        for cfg in (ExperimentConfig(experiment="table_uncorrelated_null", models=("normal",),
+                                     T=(64,), nrep=5, M=8, seed=17,
+                                     methods=("box_pierce", "robust")),
+                    ExperimentConfig(experiment="table_equality", T=(128,), nrep=5, seed=17)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+                table = run_experiment(cfg, progress=messages.append)
+            assert all(np.isnan(row.rate) for row in table.rows)
+        for method in ("box_pierce", "robust_portmanteau", "spectral_equality"):
+            assert sum(f"{method}: row 4 has a non-finite statistic or p-value: the data's "
+                       "scale overflows a float" in m for m in messages) == 1

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +575,38 @@ def test_each_kind_takes_only_its_options(data_dir, kind, key):
     code, out, _ = _main_quietly(["test", kind, "--help"])
     assert code == EXIT_OK
     assert set(re.findall(r"--(\w+)", out)) - {"help"} == set(KIND_OPTIONS[kind])
+
+
+@pytest.mark.parametrize("key", list(OPTION_VALUES))
+def test_option_before_the_kind_is_named(data_dir, key):
+    path = str(data_dir / "x.csv")
+    for before in ([f"--{key}", "8"], [f"--{key}=8"]):
+        code, out, err = _main_quietly(["test", *before, "portmanteau", path])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert (f"error: --{key} goes after the kind: "
+                f"orthosample test <kind> <datafile> --{key} 8") in err
+
+
+@pytest.mark.parametrize("argv, scale, cause", [
+    (["test", "box_pierce"], 1e80, "box_pierce: row 0 has a non-finite statistic or p-value"),
+    (["test", "robust"], 1e80, "robust_portmanteau: row 0 has a non-finite statistic or p-value"),
+    (["test", "equality"], 1e30, "spectral_equality: row 0 has a non-finite statistic or p-value"),
+    (["test", "equality"], 1e40, "spectral_equality: row 0 has a non-finite statistic or p-value"),
+    (["test", "portmanteau"], 1e150, "criterion curve is not finite"),
+    (["selectM"], 1e150, "criterion curve is not finite"),
+], ids=["box_pierce", "robust", "equality_pow", "equality_nan", "portmanteau", "selectM"])
+def test_overflowing_data_is_a_data_error(tmp_path, argv, scale, cause):
+    # finite data whose test overflows: exit 3 naming the cause, never a NaN
+    # report or a traceback
+    columns = 2 if "equality" in argv else 1
+    data = scale * np.random.default_rng(7).standard_normal((128, columns))
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in data) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, out, err = _main_quietly([*argv, str(path)])
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"data error: {cause}: the data's scale overflows a float\n"
 
 
 class TestCachedParser:

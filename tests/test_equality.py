@@ -147,6 +147,18 @@ class TestMoments:
             beta_hat(1.0, 0.0, 1.0)
 
 
+    @pytest.mark.parametrize("mu, var, mu3", [
+        (1e77, 1e154, 1e231),  # var^2 is finite, 3 var^2 overflows: it gave 1.0
+        (1.0, 1e200, 1.0),  # var^2 overflows: Python's power raised OverflowError
+        (1e200, 1.0, 1e200),  # mu * mu3 overflows: it gave -inf, clamped to 1e-3
+    ], ids=["3var2", "var2", "mu_mu3"])
+    def test_beta_hat_is_nan_where_the_moments_overflow(self, mu, var, mu3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            assert np.isnan(beta_hat(mu, var, mu3))
+            b = beta_hat(np.array([2.0, mu]), np.array([1.0, var]), np.array([0.3, mu3]))
+        assert b[0] == beta_hat(2.0, 1.0, 0.3) and np.isnan(b[1])
+
 class TestDefaults:
     def test_table_values(self):
         assert default_M(128) == 6

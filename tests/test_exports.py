@@ -2,7 +2,8 @@
 public function and class it defines, and the package re-exports the lists
 of the eight numerical modules and nothing else.  A result has one report
 type per shape: ``TestReport`` for one statistic, ``BlockReport`` for a
-block.  An estimate has one type, ``CovMatrixEstimate``, whose 1x1 case is
+block, and a block's row becomes a ``TestReport`` only through
+``BlockReport.report``.  An estimate has one type, ``CovMatrixEstimate``, whose 1x1 case is
 the scalar variance estimate."""
 
 import ast
@@ -97,6 +98,47 @@ def test_no_report_type_beyond_the_two(module):
 def test_no_estimate_type_beyond_the_one(path):
     found = classes_ending(path.read_text(encoding="utf-8"), "Estimate")
     assert not set(found) - ESTIMATE_TYPES, f"{path.name} defines {found}"
+
+
+# the places that build a TestReport: a block's row, and the two tests of
+# the variance layer, which have no block kernel
+REPORT_BUILDERS = ["BlockReport.report", "hotelling_test", "studentize"]
+
+
+def report_builders(source: str) -> list[str]:
+    """The dotted name of the function or class around each call of a
+    ``TestReport`` in ``source``, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and "TestReport" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_test_reports_are_built_in_the_named_places():
+    found = sorted(name for path in SOURCES
+                   for name in report_builders(path.read_text(encoding="utf-8")))
+    assert found == REPORT_BUILDERS
+
+
+@pytest.mark.parametrize("source, names", [
+    ("def f():\n    return TestReport(1, 2)\n", ["f"]),
+    ("class B:\n    def report(self):\n        return htests.TestReport(x)\n",
+     ["B.report"]),
+    ("r = TestReport(1)\ndef g(x):\n    return [TestReport(y) for y in x]\n", ["", "g"]),
+    ("def f():\n    return TestReports(1), report(2)\n", []),
+])
+def test_builder_scan_finds_what_it_should(source, names):
+    assert report_builders(source) == names
 
 
 @pytest.mark.parametrize("source, names", [

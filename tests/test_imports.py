@@ -74,7 +74,6 @@ PRIVATE_IMPORTS = sorted([
     # the pieces the CLI composes
     ("cli", "experiments._apply"),
     ("cli", "htests._goodness_of_fit_coeffs"),
-    ("cli", "htests._orthogonal_report"),
 ])
 
 

@@ -28,7 +28,7 @@ from orthosample.htests import (
 )
 from orthosample.models import (MODEL_REGISTRY, ModelSpec, generate_batch,
                                 generate_bivariate_batch)
-from orthosample.selection import _feasible, select_M
+from orthosample.selection import _feasible, select_M, select_M_block
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
                                   WeightFunction, _real, dft, lag_weight, orthogonal_sample)
 from orthosample.variance import (CovMatrixEstimate, covariance_matrix_estimate, hotelling_test,
@@ -510,15 +510,61 @@ def test_baseline_lag_count_obeys_range_rule(rng, test, L):
 
 
 @pytest.mark.parametrize("test", [_portmanteau, _gof])
-@pytest.mark.parametrize("M", [5, None])
-def test_overflowing_draws_are_refused(rng, test, M):
+@pytest.mark.parametrize("M, message", [
+    (5, "empirical null contains non-finite draws"),
+    # the M search meets the overflow first, in its criterion curve
+    (None, "criterion curve is not finite: the data's scale overflows a float"),
+], ids=["5", "None"])
+def test_overflowing_draws_are_refused(rng, test, M, message):
     # finite input whose squared transforms overflow: the null would hold inf
     x = 1e200 * rng.standard_normal((3, T))
     for block in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-            with pytest.raises(ValueError, match="^empirical null contains non-finite draws$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 test(x if block else x[:1], None, block, M=M)
+
+
+@pytest.mark.parametrize("test, scale, method", [
+    (_box_pierce, 1e80, "box_pierce"),
+    (_robust, 1e80, "robust_portmanteau"),
+    # 3 var^2 of the draws overflows, var^2 does not (beta was 1 and p wrong)
+    (_equality, 1e20, "spectral_equality"),
+    # a float power of the equality transform overflows (it raised OverflowError)
+    (_equality, 1e30, "spectral_equality"),
+    # the equality p-value is NaN (it was returned)
+    (_equality, 1e40, "spectral_equality"),
+], ids=["box_pierce", "robust", "equality_3var2", "equality_pow", "equality_nan"])
+def test_overflowing_statistic_is_refused(rng, test, scale, method):
+    # finite input whose statistic or p-value overflows: the test refuses
+    # the row, in a block too, and never answers NaN
+    x, y = rng.standard_normal((2, 3, T))
+    x[-1] *= scale
+    y[-1] *= scale
+    for block, row in ((False, 0), (True, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(DegenerateDataError, match=(
+                    f"^{method}: row {row} has a non-finite statistic or p-value: "
+                    "the data's scale overflows a float$")):
+                test(x if block else x[-1:], y if block else y[-1:], block)
+    assert np.isfinite(test(x[:1], y[:1], False).p_value)
+
+
+def test_overflowing_criterion_curve_is_refused(rng):
+    x = 1e150 * rng.standard_normal(T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.raises(DegenerateDataError, match="^criterion curve is not finite: "
+                                                       "the data's scale overflows a float$"):
+            select_M(dft(x, demean=True), lag_weight(1), range(5, 11))
+    # one overflowed |A(phi; r)|^2 beyond the T/p scores leaves the curve finite
+    runs = rng.standard_normal((2, T // 4 + 6)) + 0j
+    runs[1, -1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.raises(DegenerateDataError, match="^criterion curve is not finite"):
+            select_M_block(runs, T, (5,), 4)
 
 
 def test_scalar_weight_is_broadcast_on_the_grid():

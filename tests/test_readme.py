@@ -1,7 +1,8 @@
 """The README's library quick tour runs as written, its API table lists the
-package's exports, and its error lists name every exception the package
-defines."""
+package's exports, its error lists name every exception the package
+defines, and each dotted name it gives resolves in the package."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -70,3 +71,23 @@ def test_models_table_names_every_registry_spec():
     example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(example, str(README), "exec"), namespace)
     assert namespace["x"].shape == (200,)
+
+
+def test_dotted_names_resolve():
+    # every backticked `module.name` or `Class.field` whose head is a module
+    # or class of the package names something it has
+    owners = {"orthosample": orthosample}
+    for info in pkgutil.iter_modules(orthosample.__path__):
+        if not info.name.startswith("_"):
+            owners[info.name] = importlib.import_module(f"orthosample.{info.name}")
+    owners |= {name: obj for module in list(owners.values()) for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__.startswith("orthosample")}
+    text = README.read_text(encoding="utf-8")
+    checked = [(head, name) for head, name in re.findall(r"`(\w+)\.(\w+)`", text)
+               if head in owners]
+    for head, name in checked:
+        owner = owners[head]
+        fields = {f.name for f in dataclasses.fields(owner)} if (
+            inspect.isclass(owner) and dataclasses.is_dataclass(owner)) else set()
+        assert hasattr(owner, name) or name in fields, f"`{head}.{name}` does not resolve"
+    assert len(checked) >= 10
