@@ -145,12 +145,23 @@ class _BeforeKind(argparse.Action):
                      f"orthosample test <kind> <datafile> {option_string} {values}")
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser.  An unknown option before ``test``'s kind is a usage
+    error that names it, where argparse would read its value as the kind."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        head = args[0].split("=")[0] if args else ""
+        if self._subparsers and head.startswith("-") and head not in self._option_string_actions:
+            self.error(f"unrecognized arguments: {args[0]}")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(prog="orthosample", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     p_run = sub.add_parser("run", help="run an experiment config", allow_abbrev=False)
     p_run.add_argument("config")

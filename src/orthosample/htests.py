@@ -9,13 +9,13 @@ tests) and return a :class:`BlockReport`.  Each single-series test is its
 kernel's ``.report()`` on a block of one, so row i of a block reports what
 the single-series test reports on series i.  A check that fails on any row
 fails the whole block with the single-series test's exception; a constant
-series, a degenerate selection window or a statistic that overflows raises
-``spectral.DegenerateDataError``.
+series, a degenerate selection window, or a statistic or null draw that
+overflows raises ``spectral.DegenerateDataError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -155,14 +155,16 @@ def _draws(tables: np.ndarray, T: int) -> np.ndarray:
 
 
 def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
-                        search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
+                        search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P,
+                        method: str = "orthogonal_l2") -> BlockReport:
     """S = T sum_j |A(phi_j)|^2 for every row of an (R, T) block of DFT
     coefficients, each against the 2M draws of its own orthogonal-sample null.
 
     ``weights`` holds phi_1..phi_L on the size-T grid, one row each.  When M
     is not given, each row's M is chosen by the criterion on the phi_1 run
     over the (feasibility-clipped) search set; one transform of the block
-    gives both the selection runs and the shift tables.
+    gives both the selection runs and the shift tables.  ``method`` labels
+    the report, and names the test when a row's draws overflow a float.
     """
     R, T = coeffs.shape
     if M is None:
@@ -177,11 +179,13 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
     stats = _statistics(runs, T)
     draws = _draws(runs[:, :, :top + 1], T)
     own = np.arange(2 * top) < 2 * Ms[:, None]  # row i: its first 2 M_i draws
-    if not np.all(np.isfinite(draws) | ~own):
-        raise ValueError("empirical null contains non-finite draws")
+    finite = np.all(np.isfinite(draws) | ~own, axis=1)
+    if not finite.all():
+        raise DegenerateDataError(f"{method}: row {np.argmin(finite)} has non-finite null "
+                                  "draws: the data's scale overflows a float")
     # #{draws >= stat} / #draws over each row's own draws
     exceed = np.count_nonzero((draws >= stats[:, None]) & own, axis=1)
-    return BlockReport(stats, exceed / (2 * Ms), "orthogonal_l2", draws=draws,
+    return BlockReport(stats, exceed / (2 * Ms), method, draws=draws,
                        tuning={"L": weights.shape[0], "M_selected": M is None, "M": Ms})
 
 
@@ -189,8 +193,8 @@ def portmanteau_block(block, L: int = 5, M: int | None = None,
                       search_set=DEFAULT_SEARCH_SET, p: int = DEFAULT_P) -> BlockReport:
     """:func:`portmanteau_test` on every row of an (R, T) block of series."""
     coeffs = dft_block(block, demean=True)
-    return replace(orthogonal_l2_block(coeffs, _lag_rows(coeffs.shape[1], L), M, search_set, p),
-                   method="orthogonal_portmanteau")
+    return orthogonal_l2_block(coeffs, _lag_rows(coeffs.shape[1], L), M, search_set, p,
+                               "orthogonal_portmanteau")
 
 
 def portmanteau_test(series, L: int = 5, M: int | None = None,
@@ -225,7 +229,7 @@ def _goodness_of_fit_coeffs(coeffs: np.ndarray, density, L, M, search_set, p) ->
     if not finite.all():
         raise InvalidInputError(f"weight 'lag_exp[{np.argmin(finite) + 1}]/g' "
                                 f"is non-finite on the size-{T} grid")
-    return replace(orthogonal_l2_block(coeffs, weights, M, search_set, p), method="orthogonal_gof")
+    return orthogonal_l2_block(coeffs, weights, M, search_set, p, "orthogonal_gof")
 
 
 def goodness_of_fit_test(series, null_density: Callable[[np.ndarray], np.ndarray],

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import (DegenerateDataError, DftGrid, ShiftRangeError, WeightFunction, _integer,
                        weighted_average_run)
@@ -44,10 +43,12 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     Ms = np.asarray(members)
     sq = np.abs(runs) ** 2  # |A(phi; s)|^2 at index s
     # V-hat_M(omega_r) = (T/M) sum_{s=r+1..r+M} sq[s], r = 1..nr: window
-    # [i, m] holds csum[i, Ms[m] + r]
+    # [i, m] holds csum[i, Ms[m] + r], gathered from the (R, n - nr + 1, nr)
+    # view of csum's length-nr windows, built straight on its buffer
     csum = np.cumsum(sq, axis=-1)
     r = np.arange(1, nr + 1)
-    windows = sliding_window_view(csum, nr, axis=-1)[:, Ms + 1]
+    (R, n), (row, col) = csum.shape, csum.strides
+    windows = np.ndarray((R, n - nr + 1, nr), float, csum, 0, (row, col, col))[:, Ms + 1]
     windows -= csum[:, None, r]
     windows *= (T / Ms)[:, None]
     degenerate = np.any(windows <= 0, axis=(0, 2))
@@ -69,11 +70,12 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
 
 def _search_set(search_set, p) -> tuple:
     """The search-set rule: (members, p) as ints once p >= 2, and the set is
-    non-empty with every M >= 1."""
+    non-empty with every M >= 1.  A range's members are ints already."""
     p = _integer(p, "p")
     if p < 2:
         raise ShiftRangeError("p must be >= 2")
-    members = tuple(_integer(M, "M") for M in search_set)
+    members = (tuple(search_set) if isinstance(search_set, range)
+               else tuple(_integer(M, "M") for M in search_set))
     if not members or min(members) < 1:
         raise ShiftRangeError(f"search set {list(members)} must be non-empty with every M >= 1")
     return members, p

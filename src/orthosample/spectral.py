@@ -69,7 +69,7 @@ class DegenerateDataError(ValueError, ZeroDivisionError):
     """Raised when finite data leave a statistic undefined: a zero sample
     variance or normaliser, null draws without spread, a zero variance
     estimate or variance window, a rank-deficient covariance estimate, or a
-    statistic, p-value or criterion that overflows a float.
+    statistic, p-value, criterion or null draw that overflows a float.
     It is bad input (a ValueError) and a division by zero."""
 
 

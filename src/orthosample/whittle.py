@@ -10,7 +10,8 @@ from math import comb
 import numpy as np
 
 from .spectral import (DftGrid, InvalidInputError, _ar_density, _check_shift, _density_values,
-                       _integer, ar_spectral_density, ar_transfer, grid_frequencies, shift_runs)
+                       _integer, ar_spectral_density, ar_transfer, grid_constant,
+                       grid_frequencies, shift_runs)
 from .variance import CovMatrixEstimate, _covariance_block
 
 __all__ = ["ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance"]
@@ -97,6 +98,17 @@ class WhittleFit:
         self.density.setflags(write=False)
 
 
+@grid_constant
+def _whittle_rows(T: int, p: int) -> np.ndarray:
+    """The rows a size-T AR(p) Whittle fit reads, as one read-only (2p + 1, T)
+    complex grid constant: e^{i m omega_k} for m = 1..p, then cos(j omega_k)
+    for j = 0..p (imaginary part zero)."""
+    omega = grid_frequencies(T)
+    lags = np.arange(1, p + 1)
+    E = np.exp(1j * lags[:, None] * omega)
+    return np.concatenate([E, [np.cos(j * omega) for j in range(p + 1)]])
+
+
 def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     """Minimise the Whittle objective (1/T) sum_k (I_k / f_k + log f_k) of
     the AR(p) ``model`` over theta = (phi, sigma), phi on its box; any other
@@ -111,38 +123,45 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     steps that are clipped into the box and halved until the objective does
     not rise.  Iteration stops once a step moves phi by less than ``tol``
     (Whittle 1953; Brockwell & Davis, Time Series: Theory and Methods,
-    section 10.8).
+    section 10.8).  The fit is invariant to the data's scale; a periodogram
+    whose mean lies outside [2^-400, 2^400] is rescaled by an exact power of
+    four before the steps, so Q^2 in the Hessian stays finite, and sigma is
+    scaled back by the power of two.
 
-    Every trial builds A from the rows E_m = e^{i m omega_k} formed once per
-    fit, in the order of :func:`ar_transfer`, so no trial evaluates an
-    exponential.  The fitted density f = sigma^2 / (2 pi) / |A(phi_hat)|^2 is
-    formed once at the optimum, with :meth:`ARModel.density_on_grid`'s
-    check, and returned as ``density``, bit for bit that method's values;
-    ``objective_at_min`` is the Whittle objective computed from it.
+    Every trial builds A from the rows E_m = e^{i m omega_k}, in the order
+    of :func:`ar_transfer`, so no trial evaluates an exponential; those rows
+    and cos(j omega_k) are a grid constant per (T, p).  The fitted density
+    f = sigma^2 / (2 pi) / |A(phi_hat)|^2 is formed once at the optimum, with
+    :meth:`ARModel.density_on_grid`'s check, and returned as ``density``, bit
+    for bit that method's values; ``objective_at_min`` is the Whittle
+    objective computed from it.
     """
     if not isinstance(model, ARModel):
         raise TypeError(f"whittle_fit fits an ARModel, not {type(model).__name__}")
     p = model.p
-    omega = grid.frequencies
     pgram = np.abs(grid.coeffs) ** 2
-    lags = np.arange(1, p + 1)
-    E = np.exp(1j * lags[:, None] * omega)  # e^{i m omega_k}, m = 1..p
-    acov = np.array([np.mean(pgram * np.cos(j * omega)) for j in range(p + 1)])
+    rows = _whittle_rows(grid.T, p)
+    E = rows[:p]  # e^{i m omega_k}, m = 1..p
+    acov = np.array([np.mean(pgram * c) for c in rows[p:].real])
     if not acov[0] > 0:
         raise InvalidInputError("periodogram is zero on the whole grid; nothing to fit")
+    # Q scales with 4^-shift; the objective and phi do not
+    shift = 0 if 2.0**-400 <= acov[0] <= 2.0**400 else np.frexp(acov[0])[1] // 2
+    scaled, acov = np.ldexp(pgram, -2 * shift), np.ldexp(acov, -2 * shift)
+    lags = np.arange(1, p + 1)
     hess_q = 2 * acov[np.abs(lags[:, None] - lags[None, :])]
     lo, hi = np.array(model.bounds[:p]).T
 
     def profiled(phi):
-        A = np.ones(omega.shape, dtype=complex)
+        A = np.ones(pgram.shape, dtype=complex)
         for c, e in zip(phi, E):
             A = A - c * e
-        q = np.mean(pgram * np.abs(A) ** 2)
-        h = np.mean(np.log(np.abs(A) ** 2))
-        return np.log(q) - h, A, q
+        sq = np.abs(A) ** 2
+        q = np.mean(scaled * sq)
+        return np.log(q) - np.mean(np.log(sq)), A, q
 
     def newton_step(A, q):
-        grad_q = -2 * np.mean(pgram * np.real(np.conj(A) * E), axis=1)
+        grad_q = -2 * np.mean(scaled * np.real(np.conj(A) * E), axis=1)
         grad_h = -2 * np.mean(np.real(E / A), axis=1)
         hess_h = -2 * np.mean(np.real(E[:, None] * E[None, :] / A**2), axis=2)
         grad = grad_q / q - grad_h
@@ -168,7 +187,7 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
         if moved < tol:
             break
 
-    theta = np.append(phi, np.sqrt(2 * np.pi * q))
+    theta = np.append(phi, np.ldexp(np.sqrt(2 * np.pi * q), shift))
     f = _density_values(_ar_density(A, theta[-1]), f"{model.name} spectral density", theta)
     on_boundary = bool(np.any(np.minimum(phi - lo, hi - phi) < 10 * tol))
     return WhittleFit(theta_hat=theta, objective_at_min=float(np.mean(pgram / f + np.log(f))),

@@ -609,6 +609,43 @@ def test_overflowing_data_is_a_data_error(tmp_path, argv, scale, cause):
     assert err == f"data error: {cause}: the data's scale overflows a float\n"
 
 
+@pytest.mark.parametrize("before", [["--bogus", "1"], ["--bogus=1"], ["-q"]])
+def test_unknown_option_before_the_kind_is_named(data_dir, before):
+    code, out, err = _main_quietly(["test", *before, "portmanteau", str(data_dir / "x.csv")])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.endswith(f"orthosample test: error: unrecognized arguments: {before[0]}\n")
+
+
+def test_fixed_M_overflow_is_a_data_error_naming_the_test(tmp_path):
+    x = 1e150 * np.random.default_rng(7).standard_normal(128)
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, out, err = _main_quietly(["test", "portmanteau", str(path), "--M", "10"])
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == ("data error: orthogonal_portmanteau: row 0 has non-finite null draws: "
+                   "the data's scale overflows a float\n")
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_gof_ar1_fits_data_at_extreme_scales(tmp_path, scale):
+    # the fit takes its steps and the test is scale-free: the fitted phi is
+    # the unit-scale one, with no warning
+    x = generate(MODEL_REGISTRY["ar_g_0.6"], 512, seed=9).series
+    paths = [tmp_path / "unit.csv", tmp_path / "scaled.csv"]
+    for path, values in zip(paths, (x, scale * x)):
+        path.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (code, out, err), (scaled_code, scaled_out, _) = (
+            _main_quietly(["test", "gof_ar1", str(path), "--M", "10"]) for path in paths)
+    assert (code, scaled_code, err) == (EXIT_OK, EXIT_OK, "")
+    unit, scaled = json.loads(out), json.loads(scaled_out)
+    assert scaled["fitted_theta"][0] == pytest.approx(unit["fitted_theta"][0], rel=1e-12)
+    assert scaled["fitted_theta"][1] == pytest.approx(scale * unit["fitted_theta"][1], rel=1e-12)
+
+
 class TestCachedParser:
     def test_reused_parser_matches_fresh_parse(self, series_csv, capsys, monkeypatch):
         f = series_csv

@@ -172,6 +172,26 @@ class TestL2Statistic:
         assert si == pytest.approx(wi, rel=1e-10)
 
 
+class TestOneLabel:
+    """An orthogonal test builds its block's report once, under its own
+    method: no relabelled copy runs the report's checks again."""
+
+    @pytest.mark.parametrize("M", [None, 7])
+    def test_one_report_per_test(self, rng, monkeypatch, M):
+        built = []
+        check = htests.BlockReport.__post_init__
+        monkeypatch.setattr(htests.BlockReport, "__post_init__",
+                            lambda report: built.append(report.method) or check(report))
+        x = rng.standard_normal((3, 128))
+        htests.portmanteau_block(x, M=M)
+        portmanteau_test(x[0], M=M)
+        htests.goodness_of_fit_block(x, flat_density, M=M)
+        goodness_of_fit_test(x[0], flat_density, M=M)
+        orthogonal_l2_block(dft(x[0]).coeffs[None], lag_weight(1).on_grid(128)[None], M=M)
+        assert built == ["orthogonal_portmanteau"] * 2 + ["orthogonal_gof"] * 2 + [
+            "orthogonal_l2"]
+
+
 class TestGoodnessOfFit:
     def test_flat_density_matches_portmanteau(self, rng):
         # dividing by a constant density rescales the weights uniformly,

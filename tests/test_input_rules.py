@@ -511,18 +511,37 @@ def test_baseline_lag_count_obeys_range_rule(rng, test, L):
 
 @pytest.mark.parametrize("test", [_portmanteau, _gof])
 @pytest.mark.parametrize("M, message", [
-    (5, "empirical null contains non-finite draws"),
+    (5, "{method}: row 0 has non-finite null draws: the data's scale overflows a float"),
     # the M search meets the overflow first, in its criterion curve
     (None, "criterion curve is not finite: the data's scale overflows a float"),
 ], ids=["5", "None"])
 def test_overflowing_draws_are_refused(rng, test, M, message):
     # finite input whose squared transforms overflow: the null would hold inf
     x = 1e200 * rng.standard_normal((3, T))
+    message = message.format(method={_portmanteau: "orthogonal_portmanteau",
+                                     _gof: "orthogonal_gof"}[test])
     for block in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 test(x if block else x[:1], None, block, M=M)
+
+
+@pytest.mark.parametrize("test, method", [(_portmanteau, "orthogonal_portmanteau"),
+                                          (_gof, "orthogonal_gof")])
+def test_overflowing_fixed_M_draws_name_the_test_and_row(rng, test, method):
+    # with M fixed no search meets the overflow first: the null draws do, and
+    # the refusal names the test, not the kernel's own label, and the row
+    x = rng.standard_normal((3, T))
+    x[-1] *= 1e150
+    for block, row in ((False, 0), (True, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(DegenerateDataError) as refused:
+                test(x if block else x[-1:], None, block, M=10)
+        assert str(refused.value) == (f"{method}: row {row} has non-finite null draws: "
+                                      "the data's scale overflows a float")
+    assert np.isfinite(test(x[:1], None, False, M=10).p_value)
 
 
 @pytest.mark.parametrize("test, scale, method", [

@@ -116,6 +116,37 @@ class TestFeasibleSet:
             portmanteau_test(x, p=p)
 
 
+class TestRangeSearchSets:
+    """A range passes the search-set rule without a per-member integer check:
+    it keeps the members and the refusals of the same set as a tuple."""
+
+    RANGES = [range(10, 31), range(1, 2), range(30, 9, -1), range(5, 40, 7), range(24, 25),
+              range(10, 31, 3)]
+    REFUSED = [range(0), range(5, 5), range(0, 10), range(-3, 4), range(3, -1, -1),
+               range(30, 40)]
+
+    @pytest.mark.parametrize("members", RANGES, ids=str)
+    @pytest.mark.parametrize("T", [100, 512])
+    def test_same_members_as_the_tuple(self, members, T):
+        assert selection._search_set(members, 4.0) == selection._search_set(tuple(members), 4)
+        assert _feasible(T, members, 4) == _feasible(T, tuple(members), 4)
+        assert all(type(M) is int for M in _feasible(T, members, 4)[0])
+
+    @pytest.mark.parametrize("members", REFUSED, ids=str)
+    def test_same_refusals_as_the_tuple(self, members):
+        errors = []
+        for search_set in (members, tuple(members)):
+            with pytest.raises(ShiftRangeError) as refused:
+                _feasible(100, search_set, 4)
+            errors.append(str(refused.value))
+        assert errors[0] == errors[1]
+
+    def test_p_rule_comes_first(self):
+        for search_set in (range(0), ()):
+            with pytest.raises(ShiftRangeError, match="^p must be >= 2$"):
+                _feasible(100, search_set, 1)
+
+
 class TestOneSearchSetPolicy:
     """Every M search keeps the feasible members of its set, as the CLI and
     the test kernels do; only a set with none raises."""

@@ -1,12 +1,17 @@
 """Exact identities and properties of the frequency-grid core."""
 
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthosample
 from oracles import circular_autocov, constant_weight, quadratic_form_oracle
-from orthosample import equality, htests
+from orthosample import equality, htests, spectral
 from orthosample.spectral import (
     GRID_CONSTANT_BYTES,
     InvalidInputError,
@@ -129,6 +134,58 @@ class TestGridConstants:
         small = big(4)
         big(n)  # an oversized build leaves the kept entry in place
         assert big(4) is small
+
+
+def _grid_constants() -> dict:
+    """Every grid constant the package defines, by module and name: each
+    module-level function that :func:`grid_constant` wrapped, found by the
+    wrapper's code object."""
+    wrapper = grid_constant(np.zeros).__code__
+    found = {}
+    for info in pkgutil.iter_modules(orthosample.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"orthosample.{info.name}")
+        found.update({f"{info.name}.{name}": obj for name, obj in vars(module).items()
+                      if getattr(obj, "__code__", None) is wrapper})
+    return found
+
+
+def _criterion_10_gains() -> list:
+    """The grid constants that gain an entry from criterion 10's timed call,
+    run at two sizes each kept below ``GRID_CONSTANT_BYTES``.  A keep-last
+    cache keyed by T gains at the second size, if not at the first."""
+    rng = np.random.default_rng(10_001)
+    gained = set()
+    for T in (2**14, 2**15):
+        x = rng.standard_normal(T)
+        constants = _grid_constants()
+        before = {name: set(c.cache) for name, c in constants.items()}
+        orthogonal_sample(dft(x), lag_weight(1), 30)
+        gained |= {name for name, c in constants.items() if set(c.cache) - before[name]}
+    return sorted(gained)
+
+
+class TestCriterion10HasNoGridConstant:
+    """Criterion 10 times dft, the weight on the grid and the shift run on
+    every call.  A grid constant on that path moves its log-log slope by
+    caching the small sizes only; this guard fails on one at once."""
+
+    def test_timed_call_builds_no_grid_constant(self):
+        assert _criterion_10_gains() == []
+
+    def test_scan_finds_every_grid_constant(self):
+        src = Path(orthosample.__file__).parent
+        decorated = sum(path.read_text().count("\n@grid_constant\n")
+                        for path in src.glob("*.py"))
+        found = _grid_constants()
+        assert len(found) == decorated
+        assert {"whittle._whittle_rows", "htests._lag_rows_on_grid",
+                "equality._window_transform"} <= set(found)
+
+    def test_guard_fails_on_a_cached_grid(self, monkeypatch):
+        monkeypatch.setattr(spectral, "grid_frequencies", grid_constant(grid_frequencies))
+        assert _criterion_10_gains() == ["spectral.grid_frequencies"]
 
 
 class TestWeightedAverage:

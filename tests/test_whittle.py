@@ -1,6 +1,7 @@
 """Whittle objective, fitting, and the score-variance estimator."""
 
 import re
+import warnings
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import score_covariance, whittle_objective
+from orthosample import whittle
 from orthosample.models import MODEL_REGISTRY, ModelSpec, generate
 from orthosample.spectral import (InvalidInputError, ShiftRangeError, WeightFunction, dft,
                                   grid_frequencies, orthogonal_sample)
@@ -269,3 +271,64 @@ class TestScoreVariance:
         with np.errstate(divide="ignore"), pytest.raises(
                 InvalidInputError, match=r"^weight 'score\[ar1\]' is non-finite on the size-64"):
             whittle_score_variance(dft(rng.standard_normal(64)), ar_model(1), [0.2, 1e-160], 5)
+
+
+class TestWhittleRows:
+    """The rows a fit reads are one read-only grid constant per (T, p), and a
+    fit from them is, bit for bit, a fit from rows built fresh."""
+
+    @staticmethod
+    def _fits(p):
+        fits = []
+        for seed in range(24):
+            T = (128, 255, 512)[seed % 3]
+            spec = (MODEL_REGISTRY["ar_g_0.6"], AR2, MODEL_REGISTRY["normal"])[seed % 3]
+            x = generate(spec, T, seed=seed).series
+            fits += [whittle_fit(dft(x), ar_model(p)), whittle_fit(dft(x[::-1]), ar_model(p))]
+        return fits
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_fit_matches_rows_built_fresh(self, monkeypatch, p):
+        cached = self._fits(p)
+        monkeypatch.setattr(whittle, "_whittle_rows", whittle._whittle_rows.__wrapped__)
+        fresh = self._fits(p)
+        assert all(f.iterations > 0 for f in fresh)
+        for got, want in zip(cached, fresh):
+            assert np.array_equal(got.theta_hat.view(np.int64), want.theta_hat.view(np.int64))
+            assert np.array_equal(got.density.view(np.int64), want.density.view(np.int64))
+            assert got.objective_at_min == want.objective_at_min
+            assert got.iterations == want.iterations
+
+    @pytest.mark.parametrize("T, p", [(64, 1), (100, 2), (257, 3)])
+    def test_rows_are_read_only_grid_values(self, T, p):
+        rows = whittle._whittle_rows(T, p)
+        assert rows.shape == (2 * p + 1, T) and not rows.flags.writeable
+        assert whittle._whittle_rows(T, p) is rows
+        omega = grid_frequencies(T)
+        for m in range(1, p + 1):
+            assert np.array_equal(rows[m - 1], np.exp(1j * m * omega))
+        for j in range(p + 1):
+            assert np.array_equal(rows[p + j].real, np.cos(j * omega))
+            assert not rows[p + j].imag.any()
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+
+class TestExtremeScales:
+    """Data far outside unit scale are fitted as at unit scale: the Newton
+    steps run, with no warning, to the same phi."""
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e-150, 2.0**-500, 2.0**500])
+    @pytest.mark.parametrize("model", [ar_model(1), ar_model(2)], ids=lambda m: m.name)
+    def test_fit_matches_unit_scale(self, scale, model):
+        x = generate(MODEL_REGISTRY["ar_g_0.6"], 512, seed=12).series
+        base = whittle_fit(dft(x), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = whittle_fit(dft(scale * x), model)
+        assert fit.iterations > 0
+        p = model.p
+        np.testing.assert_allclose(fit.theta_hat[:p], base.theta_hat[:p], rtol=1e-12)
+        np.testing.assert_allclose(fit.theta_hat[p], scale * base.theta_hat[p], rtol=1e-12)
+        want = model.density_on_grid(512, fit.theta_hat)
+        assert np.array_equal(fit.density.view(np.int64), want.view(np.int64))
