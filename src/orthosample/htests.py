@@ -65,7 +65,7 @@ class EmpiricalNull:
         self.draws.setflags(write=False)
         if self.draws.size == 0:
             raise ValueError("empirical null must contain at least one draw")
-        if not np.all(np.isfinite(self.draws)):
+        if not np.isfinite(self.draws).all():
             raise ValueError("empirical null contains non-finite draws")
 
     def __str__(self):
@@ -131,7 +131,8 @@ class BlockReport:
 
     def report(self, i: int = 0) -> TestReport:
         """Row i as the single-series test reports it."""
-        tuning = {k: v[i].item() if np.ndim(v) else v for k, v in self.tuning.items()}
+        tuning = {k: v[i].item() if isinstance(v, np.ndarray) else v
+                  for k, v in self.tuning.items()}
         null = self.null_ref or EmpiricalNull(draws=self.draws[i, :2 * tuning["M"]])
         return TestReport(statistic=float(self.statistics[i]), p_value=float(self.p_values[i]),
                           null_ref=null, method=self.method, tuning=tuning)
@@ -140,7 +141,7 @@ class BlockReport:
 def _statistics(tables: np.ndarray, T: int) -> np.ndarray:
     """S = T sum_j |A(phi_j; 0)|^2 from the first column of each (L, .)
     shift table of an (R, L, .) block."""
-    return T * np.sum(np.abs(tables[:, :, 0]) ** 2, axis=-1)
+    return T * np.add.reduce(np.abs(tables[:, :, 0]) ** 2, axis=-1)
 
 
 def _draws(tables: np.ndarray, T: int) -> np.ndarray:
@@ -149,8 +150,8 @@ def _draws(tables: np.ndarray, T: int) -> np.ndarray:
     S_I(r) the imaginary analogue."""
     cols = np.ascontiguousarray(tables[:, :, 1:].transpose(0, 2, 1))  # [i, r - 1, j]
     draws = np.empty((cols.shape[0], 2 * cols.shape[1]))
-    draws[:, 0::2] = 2 * T * np.sum(cols.real**2, axis=-1)
-    draws[:, 1::2] = 2 * T * np.sum(cols.imag**2, axis=-1)
+    draws[:, 0::2] = 2 * T * np.add.reduce(cols.real**2, axis=-1)
+    draws[:, 1::2] = 2 * T * np.add.reduce(cols.imag**2, axis=-1)
     return draws
 
 
@@ -179,7 +180,7 @@ def orthogonal_l2_block(coeffs: np.ndarray, weights: np.ndarray, M=None,
     stats = _statistics(runs, T)
     draws = _draws(runs[:, :, :top + 1], T)
     own = np.arange(2 * top) < 2 * Ms[:, None]  # row i: its first 2 M_i draws
-    finite = np.all(np.isfinite(draws) | ~own, axis=1)
+    finite = (np.isfinite(draws) | ~own).all(axis=1)
     if not finite.all():
         raise DegenerateDataError(f"{method}: row {np.argmin(finite)} has non-finite null "
                                   "draws: the data's scale overflows a float")
@@ -223,13 +224,14 @@ def _goodness_of_fit_coeffs(coeffs: np.ndarray, density, L, M, search_set, p) ->
     """:func:`goodness_of_fit_block` given the block's (R, T) demeaned DFT
     coefficients and the null density's values on the size-T grid."""
     T = coeffs.shape[1]
+    g = _density_values(density, "model density g")
+    # numpy divides by g + 0i as a product with 1/g, so the weights are finite
+    # just where 1/g is, and row j = 1 is the first that is not
+    if not 1 / float(g.min()) < np.inf:
+        raise InvalidInputError(f"weight 'lag_exp[1]/g' is non-finite on the size-{T} grid: "
+                                "1/g overflows a float, the density's scale is too small")
     # the quotient is a copy of the shared rows
-    weights = _lag_rows(T, L) / _density_values(density, "model density g")
-    finite = np.all(np.isfinite(weights), axis=1)
-    if not finite.all():
-        raise InvalidInputError(f"weight 'lag_exp[{np.argmin(finite) + 1}]/g' "
-                                f"is non-finite on the size-{T} grid")
-    return orthogonal_l2_block(coeffs, weights, M, search_set, p, "orthogonal_gof")
+    return orthogonal_l2_block(coeffs, _lag_rows(T, L) / g, M, search_set, p, "orthogonal_gof")
 
 
 def goodness_of_fit_test(series, null_density: Callable[[np.ndarray], np.ndarray],

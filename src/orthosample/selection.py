@@ -46,13 +46,13 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     # [i, m] holds csum[i, Ms[m] + r], gathered from the (R, n - nr + 1, nr)
     # view of csum's length-nr windows, built straight on its buffer
     csum = np.cumsum(sq, axis=-1)
-    r = np.arange(1, nr + 1)
+    r = slice(1, nr + 1)
     (R, n), (row, col) = csum.shape, csum.strides
     windows = np.ndarray((R, n - nr + 1, nr), float, csum, 0, (row, col, col))[:, Ms + 1]
     windows -= csum[:, None, r]
     windows *= (T / Ms)[:, None]
-    degenerate = np.any(windows <= 0, axis=(0, 2))
-    if degenerate.any():
+    if np.fmin.reduce(windows, axis=None) <= 0:  # fmin passes NaN over, as <= does
+        degenerate = (windows <= 0).any(axis=(0, 2))
         raise DegenerateDataError(
             f"degenerate variance window encountered for M={Ms[degenerate.argmax()]}"
         )
@@ -60,7 +60,7 @@ def _criteria(runs: np.ndarray, T: int, members, p: int) -> np.ndarray:
     score = np.divide(T * sq[:, None, r], windows, out=windows)
     score -= 1.0
     score **= 2
-    curves = p / T * np.sum(score, axis=-1)
+    curves = p / T * np.add.reduce(score, axis=-1)
     # an overflowed |A|^2 can leave a curve finite, so both are checked
     if not (np.isfinite(sq).all() and np.isfinite(curves).all()):
         raise DegenerateDataError("criterion curve is not finite: "

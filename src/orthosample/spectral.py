@@ -258,7 +258,7 @@ def _density_values(values, name: str, theta=None) -> np.ndarray:
     """A spectral density's values as floats, after checking that every one
     is positive and finite; the error names the density (and its theta)."""
     g = np.asarray(values, dtype=float)
-    if not np.all((g > 0) & (g < np.inf)):  # both comparisons are false at NaN
+    if not ((g > 0) & (g < np.inf)).all():  # both comparisons are false at NaN
         at = "" if theta is None else f" at theta={theta}"
         raise InvalidInputError(f"{name} is not positive and finite on the grid{at}")
     return g

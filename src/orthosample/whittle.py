@@ -9,9 +9,9 @@ from math import comb
 
 import numpy as np
 
-from .spectral import (DftGrid, InvalidInputError, _ar_density, _check_shift, _density_values,
-                       _integer, ar_spectral_density, ar_transfer, grid_constant,
-                       grid_frequencies, shift_runs)
+from .spectral import (DegenerateDataError, DftGrid, InvalidInputError, _ar_density,
+                       _check_shift, _density_values, _integer, ar_spectral_density,
+                       ar_transfer, grid_constant, grid_frequencies, shift_runs)
 from .variance import CovMatrixEstimate, _covariance_block
 
 __all__ = ["ARModel", "WhittleFit", "ar_model", "whittle_fit", "whittle_score_variance"]
@@ -126,7 +126,10 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     section 10.8).  The fit is invariant to the data's scale; a periodogram
     whose mean lies outside [2^-400, 2^400] is rescaled by an exact power of
     four before the steps, so Q^2 in the Hessian stays finite, and sigma is
-    scaled back by the power of two.
+    scaled back by the power of two.  A mean that overflows a float, or that
+    underflows below the normal floats (2^-1022), where the periodogram has
+    lost its precision, is a DegenerateDataError naming the scale; a zero
+    periodogram of constant data is an InvalidInputError.
 
     Every trial builds A from the rows E_m = e^{i m omega_k}, in the order
     of :func:`ar_transfer`, so no trial evaluates an exponential; those rows
@@ -138,50 +141,50 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
     """
     if not isinstance(model, ARModel):
         raise TypeError(f"whittle_fit fits an ARModel, not {type(model).__name__}")
-    p = model.p
-    pgram = np.abs(grid.coeffs) ** 2
-    rows = _whittle_rows(grid.T, p)
+    p, T = model.p, grid.T
+    rows = _whittle_rows(T, p)
     E = rows[:p]  # e^{i m omega_k}, m = 1..p
-    acov = np.array([np.mean(pgram * c) for c in rows[p:].real])
-    if not acov[0] > 0:
-        raise InvalidInputError("periodogram is zero on the whole grid; nothing to fit")
+    with np.errstate(over="ignore", invalid="ignore"):  # _scale_shift refuses an overflow
+        pgram = np.abs(grid.coeffs) ** 2
+        # each mean is a sum over T: np.mean's pairwise sum and division, bit for bit
+        acov = np.array([np.add.reduce(pgram * c) / T for c in rows[p:].real])
     # Q scales with 4^-shift; the objective and phi do not
-    shift = 0 if 2.0**-400 <= acov[0] <= 2.0**400 else np.frexp(acov[0])[1] // 2
+    shift = 0 if 2.0**-400 <= acov[0] <= 2.0**400 else _scale_shift(acov[0], grid)
     scaled, acov = np.ldexp(pgram, -2 * shift), np.ldexp(acov, -2 * shift)
     lags = np.arange(1, p + 1)
     hess_q = 2 * acov[np.abs(lags[:, None] - lags[None, :])]
     lo, hi = np.array(model.bounds[:p]).T
 
     def profiled(phi):
-        A = np.ones(pgram.shape, dtype=complex)
-        for c, e in zip(phi, E):
+        A = 1 - phi[0] * E[0]
+        for c, e in zip(phi[1:], E[1:]):
             A = A - c * e
         sq = np.abs(A) ** 2
-        q = np.mean(scaled * sq)
-        return np.log(q) - np.mean(np.log(sq)), A, q
+        q = np.add.reduce(scaled * sq) / T
+        return np.log(q) - np.add.reduce(np.log(sq)) / T, A, q
 
     def newton_step(A, q):
-        grad_q = -2 * np.mean(scaled * np.real(np.conj(A) * E), axis=1)
-        grad_h = -2 * np.mean(np.real(E / A), axis=1)
-        hess_h = -2 * np.mean(np.real(E[:, None] * E[None, :] / A**2), axis=2)
+        grad_q = -2 * (np.add.reduce(scaled * np.real(np.conj(A) * E), axis=1) / T)
+        grad_h = -2 * (np.add.reduce(np.real(E / A), axis=1) / T)
+        hess_h = -2 * (np.add.reduce(np.real(E[:, None] * E[None, :] / A**2), axis=2) / T)
         grad = grad_q / q - grad_h
-        hess = hess_q / q - np.outer(grad_q, grad_q) / q**2 - hess_h
+        hess = hess_q / q - grad_q[:, None] * grad_q[None, :] / q**2 - hess_h
         return -np.linalg.solve(hess, grad)
 
-    phi = np.clip(np.linalg.solve(hess_q, 2 * acov[1:]), lo, hi)
+    phi = np.minimum(np.maximum(np.linalg.solve(hess_q, 2 * acov[1:]), lo), hi)
     value, A, q = profiled(phi)
     iterations = 0
     for _ in range(50):
         step = newton_step(A, q)
         for _ in range(30):
-            trial = np.clip(phi + step, lo, hi)
+            trial = np.minimum(np.maximum(phi + step, lo), hi)
             trial_value, trial_A, trial_q = profiled(trial)
             if trial_value <= value:
                 break
             step = step / 2
         else:
             break
-        moved = np.max(np.abs(trial - phi))
+        moved = np.abs(trial - phi).max()
         phi, value, A, q = trial, trial_value, trial_A, trial_q
         iterations += 1
         if moved < tol:
@@ -189,9 +192,25 @@ def whittle_fit(grid: DftGrid, model: ARModel, tol: float = 1e-6) -> WhittleFit:
 
     theta = np.append(phi, np.ldexp(np.sqrt(2 * np.pi * q), shift))
     f = _density_values(_ar_density(A, theta[-1]), f"{model.name} spectral density", theta)
-    on_boundary = bool(np.any(np.minimum(phi - lo, hi - phi) < 10 * tol))
-    return WhittleFit(theta_hat=theta, objective_at_min=float(np.mean(pgram / f + np.log(f))),
+    on_boundary = bool((np.minimum(phi - lo, hi - phi) < 10 * tol).any())
+    return WhittleFit(theta_hat=theta,
+                      objective_at_min=float(np.add.reduce(pgram / f + np.log(f)) / T),
                       iterations=iterations, on_boundary=on_boundary, density=f)
+
+
+def _scale_shift(c0: float, grid: DftGrid) -> int:
+    """The power of two whose square brings the periodogram mean ``c0``, out
+    of [2^-400, 2^400], near 1.  A mean that is not a finite normal float is
+    refused, naming the cause."""
+    if 2.0**-1022 <= c0 < np.inf:
+        return np.frexp(c0)[1] // 2
+    if not c0 < np.inf:  # inf, or NaN from inf - inf
+        raise DegenerateDataError("periodogram overflows a float: the data's scale is "
+                                  "too large for a Whittle fit")
+    if c0 > 0 or grid.coeffs.any():
+        raise DegenerateDataError("periodogram underflows a float: the data's scale is "
+                                  "too small for a Whittle fit")
+    raise InvalidInputError("periodogram is zero on the whole grid; nothing to fit")
 
 
 def whittle_score_variance(grid: DftGrid, model: ARModel, theta_hat,

@@ -82,6 +82,77 @@ def whittle_objective(grid, model, theta) -> float:
     return float(np.mean(periodogram / f + np.log(f)))
 
 
+def whittle_fit_reference(grid, model, tol: float = 1e-6) -> tuple:
+    """(theta_hat, density, objective_at_min, iterations) of the profiled
+    Whittle fit of ``whittle.whittle_fit``, in a second copy of its arithmetic
+    written with np.mean, np.ones, np.clip and np.outer: its rows built fresh,
+    its means by np.mean, its Newton steps and halvings in the same order,
+    and the same power-of-four rescale outside [2^-400, 2^400]."""
+    p, T = model.p, grid.T
+    omega = grid_frequencies(T)
+    lags = np.arange(1, p + 1)
+    E = np.exp(1j * lags[:, None] * omega)
+    pgram = np.abs(grid.coeffs) ** 2
+    acov = np.array([np.mean(pgram * np.cos(j * omega)) for j in range(p + 1)])
+    shift = 0 if 2.0**-400 <= acov[0] <= 2.0**400 else np.frexp(acov[0])[1] // 2
+    scaled, acov = np.ldexp(pgram, -2 * shift), np.ldexp(acov, -2 * shift)
+    hess_q = 2 * acov[np.abs(lags[:, None] - lags[None, :])]
+    lo, hi = np.array(model.bounds[:p]).T
+
+    def profiled(phi):
+        A = np.ones(T, dtype=complex)
+        for c, e in zip(phi, E):
+            A = A - c * e
+        sq = np.abs(A) ** 2
+        q = np.mean(scaled * sq)
+        return np.log(q) - np.mean(np.log(sq)), A, q
+
+    def newton_step(A, q):
+        grad_q = -2 * np.mean(scaled * np.real(np.conj(A) * E), axis=1)
+        grad_h = -2 * np.mean(np.real(E / A), axis=1)
+        hess_h = -2 * np.mean(np.real(E[:, None] * E[None, :] / A**2), axis=2)
+        hess = hess_q / q - np.outer(grad_q, grad_q) / q**2 - hess_h
+        return -np.linalg.solve(hess, grad_q / q - grad_h)
+
+    phi = np.clip(np.linalg.solve(hess_q, 2 * acov[1:]), lo, hi)
+    value, A, q = profiled(phi)
+    iterations = 0
+    for _ in range(50):
+        step = newton_step(A, q)
+        for _ in range(30):
+            trial = np.clip(phi + step, lo, hi)
+            trial_value, trial_A, trial_q = profiled(trial)
+            if trial_value <= value:
+                break
+            step = step / 2
+        else:
+            break
+        moved = np.max(np.abs(trial - phi))
+        phi, value, A, q = trial, trial_value, trial_A, trial_q
+        iterations += 1
+        if moved < tol:
+            break
+    theta = np.append(phi, np.ldexp(np.sqrt(2 * np.pi * q), shift))
+    f = theta[-1] ** 2 / (2 * np.pi) / np.abs(A) ** 2
+    return theta, f, float(np.mean(pgram / f + np.log(f))), iterations
+
+
+def criterion_curves_reference(runs, T: int, members, p: int) -> np.ndarray:
+    """The (R, |members|) criterion curves of ``selection._criteria`` for an
+    (R, n) block of shift runs, in a second copy of its arithmetic: each
+    variance window gathered by a fancy index from a sliding-window view of
+    the cumsum, less the cumsum at r = 1..T/p gathered by a fancy index."""
+    nr = T // p
+    Ms = np.asarray(members)
+    sq = np.abs(runs) ** 2
+    csum = np.cumsum(sq, axis=-1)
+    r = np.arange(1, nr + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(csum, nr, axis=-1)[:, Ms + 1]
+    windows = (windows - csum[:, None, r]) * (T / Ms)[:, None]
+    score = (T * sq[:, None, r] / windows - 1.0) ** 2
+    return p / T * np.sum(score, axis=-1)
+
+
 def kernel_spectral_estimate(grid, kernel, r: int = 0) -> np.ndarray:
     """The box-window estimate f_hat(omega_l; r) = sum_k w[(l - k) mod T]
     J_k conj(J_{k+r}) on the full grid, with the weights w of

@@ -646,6 +646,22 @@ def test_gof_ar1_fits_data_at_extreme_scales(tmp_path, scale):
     assert scaled["fitted_theta"][1] == pytest.approx(scale * unit["fitted_theta"][1], rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e156, 1e-160, 1e-170])
+def test_gof_ar1_refuses_data_past_the_float_range(tmp_path, scale):
+    # past the fit's range the periodogram leaves the floats: exit 3 with one
+    # line naming the scale, and no warning
+    cause = ("overflows a float: the data's scale is too large" if scale > 1
+             else "underflows a float: the data's scale is too small")
+    x = generate(MODEL_REGISTRY["ar_g_0.6"], 512, seed=9).series
+    path = tmp_path / "scaled.csv"
+    path.write_text("\n".join(f"{v:.17g}" for v in scale * x) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _main_quietly(["test", "gof_ar1", str(path)])
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"data error: periodogram {cause} for a Whittle fit\n"
+
+
 class TestCachedParser:
     def test_reused_parser_matches_fresh_parse(self, series_csv, capsys, monkeypatch):
         f = series_csv

@@ -237,7 +237,8 @@ class TestGoodnessOfFit:
         (lambda om: np.where(om > 3.0, np.nan, 1.0),
          "model density g is not positive and finite on the grid"),
         (lambda om: np.full_like(om, 1e-320),  # the reciprocal overflows
-         "weight 'lag_exp[1]/g' is non-finite on the size-64 grid"),
+         "weight 'lag_exp[1]/g' is non-finite on the size-64 grid: 1/g overflows a float, "
+         "the density's scale is too small"),
     ], ids=["nonpositive", "zero", "nan", "overflow"])
     def test_bad_density_raises_one_error(self, rng, density, message):
         T = 64

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import criterion_curves_reference
 from orthosample import experiments, selection
 from orthosample.cli import EXIT_OK, main
 from orthosample.htests import (goodness_of_fit_block, goodness_of_fit_test, portmanteau_block,
@@ -59,6 +60,28 @@ class TestCriterion:
         x = np.ones(80)
         with pytest.raises(DegenerateDataError):
             select_M(dft(x), lag_weight(1), (4,), 4)
+
+
+class TestCurveBitsMatchReference:
+    """The criterion curves are, bit for bit, those of a second copy of the
+    criterion's arithmetic that gathers its windows by fancy indexes
+    (``oracles.criterion_curves_reference``)."""
+
+    @pytest.mark.parametrize("p", [3, 4, 8])
+    @pytest.mark.parametrize("T", [128, 511, 512, 1000, 2048])
+    def test_curves_match_reference(self, T, p):
+        specs = [MODEL_REGISTRY["ar_g_0.6"], MODEL_REGISTRY["ar_chi_0.9"], MODEL_REGISTRY["x5"]]
+        block = np.stack([generate(spec, T, seed=[38, T, i]).series
+                          for i, spec in enumerate(specs)])
+        coeffs = np.stack([dft(x).coeffs for x in block])
+        search_set = (30, 3, 17, 10, 3, 25)
+        members, _ = _feasible(T, search_set, p)
+        runs = shift_runs(coeffs, lag_weight(1).on_grid(T)[None], T // p + max(members))[:, 0]
+        _, curves, uniq = select_M_block(runs, T, search_set, p)
+        want = criterion_curves_reference(runs, T, uniq, p)
+        assert np.array_equal(curves.view(np.int64), want.view(np.int64))
+        single = select_M(dft(block[0]), lag_weight(1), search_set, p).criterion_curve
+        assert [single[M] for M in uniq] == want[0].tolist()
 
 
 class TestSelectM:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import score_covariance, whittle_objective
+from oracles import score_covariance, whittle_fit_reference, whittle_objective
 from orthosample import whittle
 from orthosample.models import MODEL_REGISTRY, ModelSpec, generate
-from orthosample.spectral import (InvalidInputError, ShiftRangeError, WeightFunction, dft,
-                                  grid_frequencies, orthogonal_sample)
+from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
+                                  WeightFunction, dft, grid_frequencies, orthogonal_sample)
 from orthosample.variance import CovMatrixEstimate, covariance_matrix_estimate
 from orthosample.whittle import ARModel, ar_model, whittle_fit, whittle_score_variance
 
@@ -314,9 +314,32 @@ class TestWhittleRows:
             rows[0, 0] = 0.0
 
 
+class TestFitBitsMatchReference:
+    """A fit's theta_hat, density, objective and step count are, bit for bit,
+    those of a second copy of its arithmetic written with np.mean, np.ones,
+    np.clip and np.outer (``oracles.whittle_fit_reference``).  The series
+    include a scale outside [2^-400, 2^400], where the fit rescales."""
+
+    SERIES = [(MODEL_REGISTRY["ar_g_0.6"], 1.0), (MODEL_REGISTRY["ar_chi_0.9"], 1.0),
+              (AR2, 1e-3), (MODEL_REGISTRY["normal"], 1e90), (MODEL_REGISTRY["y2"], 1e-90)]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("T", [128, 511, 512, 1000, 2048])
+    def test_fit_matches_reference(self, T, p):
+        for i, (spec, scale) in enumerate(self.SERIES):
+            grid = dft(scale * generate(spec, T, seed=[37, T, i]).series)
+            fit = whittle_fit(grid, ar_model(p))
+            theta, density, objective, iterations = whittle_fit_reference(grid, ar_model(p))
+            assert fit.iterations == iterations > 0
+            assert np.array_equal(fit.theta_hat.view(np.int64), theta.view(np.int64))
+            assert np.array_equal(fit.density.view(np.int64), density.view(np.int64))
+            assert fit.objective_at_min == objective
+
+
 class TestExtremeScales:
     """Data far outside unit scale are fitted as at unit scale: the Newton
-    steps run, with no warning, to the same phi."""
+    steps run, with no warning, to the same phi.  Past about 1e+-150 the fit
+    is refused, naming the scale."""
 
     @pytest.mark.parametrize("scale", [1e100, 1e150, 1e-150, 2.0**-500, 2.0**500])
     @pytest.mark.parametrize("model", [ar_model(1), ar_model(2)], ids=lambda m: m.name)
@@ -332,3 +355,22 @@ class TestExtremeScales:
         np.testing.assert_allclose(fit.theta_hat[p], scale * base.theta_hat[p], rtol=1e-12)
         want = model.density_on_grid(512, fit.theta_hat)
         assert np.array_equal(fit.density.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e156, 1e-160, 1e-170])
+    @pytest.mark.parametrize("model", [ar_model(1), ar_model(2)], ids=lambda m: m.name)
+    def test_fit_past_the_float_range_is_refused(self, scale, model):
+        # the periodogram's mean overflows, or leaves the normal floats; one
+        # error names the scale, and no warning comes before it
+        cause = ("overflows a float: the data's scale is too large" if scale > 1
+                 else "underflows a float: the data's scale is too small")
+        x = generate(MODEL_REGISTRY["ar_g_0.6"], 512, seed=12).series
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = dft(scale * x)
+            with pytest.raises(DegenerateDataError) as err:
+                whittle_fit(grid, model)
+        assert str(err.value) == f"periodogram {cause} for a Whittle fit"
+
+    def test_constant_series_has_nothing_to_fit(self):
+        with pytest.raises(InvalidInputError, match="periodogram is zero on the whole grid"):
+            whittle_fit(dft(np.full(64, 3.0)), ar_model(1))
