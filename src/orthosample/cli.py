@@ -135,24 +135,21 @@ TESTS = {
     "equality": (2, ("M", "b", "beta"), _equality),
 }
 _KEYS = ExperimentConfig.__dataclass_fields__
-
-
-class _BeforeKind(argparse.Action):
-    """A kind's option given before the kind: a usage error that names it."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} goes after the kind: "
-                     f"orthosample test <kind> <datafile> {option_string} {values}")
+_KIND_OPTIONS = {f"--{key}" for _, options, _ in TESTS.values() for key in options}
 
 
 class _VerbParser(argparse.ArgumentParser):
-    """A verb's parser.  An unknown option before ``test``'s kind is a usage
-    error that names it, where argparse would read its value as the kind."""
+    """A verb's parser.  An option before ``test``'s kind is a usage error
+    that names it, where argparse would read its value as the kind."""
 
     def parse_known_args(self, args=None, namespace=None):
-        head = args[0].split("=")[0] if args else ""
+        head, eq, value = args[0].partition("=") if args else ("", "", "")
         if self._subparsers and head.startswith("-") and head not in self._option_string_actions:
-            self.error(f"unrecognized arguments: {args[0]}")
+            if head not in _KIND_OPTIONS:
+                self.error(f"unrecognized arguments: {args[0]}")
+            value = value if eq else (args[1:] or ["<value>"])[0]
+            self.error(f"{head} goes after the kind: "
+                       f"orthosample test <kind> <datafile> {head} {value}")
         return super().parse_known_args(args, namespace)
 
 
@@ -170,9 +167,6 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--nrep", help="override replication count (e.g. paper scale)")
 
     p_test = sub.add_parser("test", help="run one test on a data file", allow_abbrev=False)
-    for key in dict.fromkeys(chain.from_iterable(options for _, options, _ in TESTS.values())):
-        p_test.add_argument(f"--{key}", action=_BeforeKind, default=argparse.SUPPRESS,
-                            help=argparse.SUPPRESS)
     kinds = p_test.add_subparsers(dest="kind", required=True)
     for kind, (_, options, _) in TESTS.items():
         p_kind = kinds.add_parser(kind, help=f"takes --{', --'.join(options)}", allow_abbrev=False)

@@ -1,5 +1,5 @@
-"""Reference distributions for calibration: normal, Student-t, chi-square, F
-and Hotelling T-squared (through its F representation).
+"""Reference distributions for calibration: Student-t, chi-square, F and
+Hotelling T-squared (through its F representation).
 
 Everything is built on the regularized incomplete gamma/beta functions,
 evaluated by series/continued-fraction expansions, so the package has no
@@ -17,7 +17,6 @@ from .spectral import _integer, _real
 
 __all__ = [
     "Dist",
-    "normal",
     "student_t",
     "chi_square",
     "f_dist",
@@ -137,8 +136,6 @@ class Dist:
         """P(X > x) if ``upper`` else P(X <= x), with the smaller of the two
         evaluated directly so that far tails keep their relative precision."""
         x = float(x)
-        if self.family == "normal":
-            return 0.5 * math.erfc((x if upper else -x) / math.sqrt(2.0))
         if self.family == "t":
             (nu,) = self.params
             if x == 0.0:
@@ -198,10 +195,6 @@ class Dist:
     def __str__(self):
         inside = ", ".join(f"{p:g}" for p in self.params)
         return f"{self.family}({inside})" if self.params else self.family
-
-
-def normal() -> Dist:
-    return Dist("normal", ())
 
 
 def student_t(df: float) -> Dist:

@@ -109,8 +109,13 @@ class ModelSpec:
         if set(p) != set(names):
             raise ValueError(f"model tag {self.tag!r} takes the parameters {sorted(names)}, "
                              f"got {sorted(p)}")
-        if "coeffs" in p and _spectral_radius(p["coeffs"]) >= 1.0:
-            raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
+        if "coeffs" in p:
+            if not isinstance(p["coeffs"], (list, tuple)):
+                raise ValueError(f"AR coefficients coeffs={p['coeffs']!r} are not a list or "
+                                 "tuple of real numbers")
+            p["coeffs"] = tuple(_real(c, f"coeffs[{i}]") for i, c in enumerate(p["coeffs"]))
+            if _spectral_radius(p["coeffs"]) >= 1.0:
+                raise ValueError(f"AR coefficients coeffs={p['coeffs']} are not stationary")
         for name in ("alpha", "arch_alpha", "a", "b1", "b2"):
             if name in p:  # the read-only view shows the checked float
                 p[name] = _real(p[name], name)
@@ -125,9 +130,6 @@ class ModelSpec:
         if "innovation" in p and p["innovation"] not in allowed:
             raise ValueError(f"innovation={p['innovation']!r} is not one of {allowed} "
                              f"for {self.tag}")
-
-    def __reduce__(self):  # a mapping proxy does not pickle
-        return ModelSpec, (self.tag, dict(self.params))
 
 
 @dataclass(frozen=True)

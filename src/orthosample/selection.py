@@ -1,15 +1,15 @@
 """Data-driven choice of the orthogonal-sample size M via the average squared
 criterion.
 
-Block contract: :func:`select_M_block` chooses M for every row of an (R, n)
-block of shift runs from one cumsum; :func:`select_M` is its block of one and
-returns, for each series, the M and the criterion curve the block gives its
-row.  Each public function takes a raw search set and p and applies the
-search-set rule and the feasible clip itself, once: every search set is
-clipped to its feasible members, those whose variance windows stay below
-T/2, and only a set with none raises.  ``SelectionResult.search_set`` reports
-the feasible members.  A variance window that is not positive, or a
-criterion that is not finite, raises ``spectral.DegenerateDataError``.
+Block contract: ``_select_block`` chooses M for every row of an (R, n)
+block of shift runs from one cumsum; :func:`select_M` is its block of one,
+and the orthogonal tests of ``htests`` choose each row's M through it.
+Each caller applies the search-set rule and the feasible clip to its raw
+search set and p once (``_feasible``): every search set is clipped to its
+feasible members, those whose variance windows stay below T/2, and only a
+set with none raises.  ``SelectionResult.search_set`` reports the feasible
+members.  A variance window that is not positive, or a criterion that is
+not finite, raises ``spectral.DegenerateDataError``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .spectral import (DegenerateDataError, DftGrid, ShiftRangeError, WeightFunction, _integer,
                        weighted_average_run)
 
-__all__ = ["SelectionResult", "select_M", "select_M_block", "DEFAULT_SEARCH_SET", "DEFAULT_P"]
+__all__ = ["SelectionResult", "select_M", "DEFAULT_SEARCH_SET", "DEFAULT_P"]
 
 DEFAULT_SEARCH_SET = range(10, 31)
 DEFAULT_P = 4
@@ -95,7 +95,7 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
              p: int = DEFAULT_P) -> SelectionResult:
     """argmin of the criterion C(M) = (p/T) sum_{r=1..T/p} (T |A(phi; r)|^2 /
     V-hat_M(omega_r) - 1)^2 over the feasible members of the search set; ties
-    go to the smallest M.  The block of one of :func:`select_M_block`."""
+    go to the smallest M.  The block of one of ``_select_block``."""
     members, p = _feasible(grid.T, search_set, p)
     run = weighted_average_run(grid, phi, grid.T // p + max(members))
     chosen, curves, uniq = _select_block(run[None], grid.T, members, p)
@@ -105,20 +105,15 @@ def select_M(grid: DftGrid, phi: WeightFunction, search_set=DEFAULT_SEARCH_SET,
                            search_set=members, p=p)
 
 
-def select_M_block(runs: np.ndarray, T: int, search_set, p: int = DEFAULT_P):
+def _select_block(runs: np.ndarray, T: int, members: tuple, p: int):
     """The criterion-minimising M for every row of an (R, n) block of shift
-    runs A(phi; 0..n-1), n > T/p + the largest feasible M, over the feasible
-    members of the search set; ties go to the smallest M.
+    runs A(phi; 0..n-1), n > T/p + the largest member, over ``members`` and p
+    that have passed the search-set rule and the feasible clip
+    (:func:`_feasible`); ties go to the smallest M.
 
     Returns the chosen M per row, the (R, |U|) criterion curves and U, the
-    sorted distinct feasible members.
+    sorted distinct members.
     """
-    return _select_block(runs, T, *_feasible(T, search_set, p))
-
-
-def _select_block(runs: np.ndarray, T: int, members: tuple, p: int):
-    """:func:`select_M_block` given feasible ``members`` and p that have
-    passed the search-set rule (:func:`_feasible`)."""
     uniq = tuple(sorted(set(members)))
     curves = _criteria(runs, T, uniq, p)
     # argmin keeps the first, so the smallest, of equal minima

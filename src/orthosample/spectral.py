@@ -82,9 +82,12 @@ def as_series(values) -> np.ndarray:
 
 
 def as_block(values) -> np.ndarray:
-    """Validate and return a block of R records of a common length T as an
-    (R, T) array; each row must pass :func:`as_series`."""
-    return _checked(values, 2, "an (R, T) block of series")
+    """Validate and return a block of R >= 1 records of a common length T as
+    an (R, T) array; each row must pass :func:`as_series`."""
+    x = _checked(values, 2, "an (R, T) block of series")
+    if not len(x):
+        raise InvalidInputError("need at least one series, got an empty block")
+    return x
 
 
 def _checked(values, ndim: int, what: str) -> np.ndarray:
@@ -164,10 +167,6 @@ class DftGrid:
     @property
     def T(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return grid_frequencies(self.T)
 
     def shifted(self, r: int) -> np.ndarray:
         """Coefficients J(omega_{k+r}) for k = 1..T, indices wrapping mod T."""

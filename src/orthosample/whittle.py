@@ -36,10 +36,6 @@ class ARModel:
             raise ValueError("AR order must be >= 1")
 
     @property
-    def param_dim(self) -> int:
-        return self.p + 1
-
-    @property
     def name(self) -> str:
         return f"ar{self.p}"
 

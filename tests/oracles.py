@@ -184,4 +184,4 @@ def score_covariance(grid, model, theta, M: int):
                        / np.asarray(model.density(w, th), dtype=float) ** 2).astype(complex))
 
     return covariance_matrix_estimate([orthogonal_sample(grid, weight(c), M)
-                                       for c in range(model.param_dim)])
+                                       for c in range(model.p + 1)])

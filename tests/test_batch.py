@@ -42,7 +42,7 @@ from orthosample.models import (
     generate_bivariate,
     generate_bivariate_batch,
 )
-from orthosample.selection import _feasible, select_M, select_M_block
+from orthosample.selection import _feasible, _select_block, select_M
 from orthosample.spectral import (
     SHIFT_BLOCK_POINTS,
     InvalidInputError,
@@ -697,7 +697,7 @@ class TestBlockStatistics:
         feasible = _feasible(T, search_set, p)[0]
         runs = shift_runs(dft_block(block), lag_weight(1).on_grid(T)[None],
                           T // p + max(feasible))[:, 0]
-        chosen, curves, members = select_M_block(runs, T, feasible, p)
+        chosen, curves, members = _select_block(runs, T, feasible, p)
         assert members == tuple(sorted(set(feasible)))
         out = portmanteau_block(block, L=5, search_set=search_set, p=p)
         for i, x in enumerate(block):

@@ -577,14 +577,19 @@ def test_each_kind_takes_only_its_options(data_dir, kind, key):
     assert set(re.findall(r"--(\w+)", out)) - {"help"} == set(KIND_OPTIONS[kind])
 
 
-@pytest.mark.parametrize("key", list(OPTION_VALUES))
+@pytest.mark.parametrize("key", [*OPTION_VALUES, "M_alone"])
 def test_option_before_the_kind_is_named(data_dir, key):
-    path = str(data_dir / "x.csv")
-    for before in ([f"--{key}", "8"], [f"--{key}=8"]):
-        code, out, err = _main_quietly(["test", *before, "portmanteau", path])
+    if key == "M_alone":  # `orthosample test --M`, nothing after it: a usage error too
+        cases = [(["--M"], "--M", "<value>")]
+    else:
+        path = str(data_dir / "x.csv")
+        cases = [([f"--{key}", "8", "portmanteau", path], f"--{key}", "8"),
+                 ([f"--{key}=8", "portmanteau", path], f"--{key}", "8")]
+    for argv, option, value in cases:
+        code, out, err = _main_quietly(["test", *argv])
         assert (code, out) == (EXIT_CONFIG, "")
-        assert (f"error: --{key} goes after the kind: "
-                f"orthosample test <kind> <datafile> --{key} 8") in err
+        assert (f"error: {option} goes after the kind: "
+                f"orthosample test <kind> <datafile> {option} {value}") in err
 
 
 @pytest.mark.parametrize("argv, scale, cause", [

@@ -12,11 +12,6 @@ Q_LEVELS = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
 
 
 class TestCdfs:
-    def test_normal(self):
-        law = dist.normal()
-        for x in GRID:
-            assert law.cdf(x) == pytest.approx(stats.norm.cdf(x), abs=1e-10)
-
     @pytest.mark.parametrize("nu", [1, 2, 5, 10, 21, 60])
     def test_student_t(self, nu):
         law = dist.student_t(nu)
@@ -56,7 +51,7 @@ class TestCdfs:
 class TestQuantiles:
     @pytest.mark.parametrize(
         "law",
-        [dist.normal(), dist.student_t(4), dist.chi_square(6), dist.f_dist(3, 11),
+        [dist.student_t(4), dist.chi_square(6), dist.f_dist(3, 11),
          dist.hotelling_t2(2, 10)],
         ids=str,
     )
@@ -67,9 +62,9 @@ class TestQuantiles:
     def test_quantile_domain(self):
         for _ in range(2):
             with pytest.raises(ValueError):
-                dist.normal().quantile(0.0)
+                dist.student_t(4).quantile(0.0)
             with pytest.raises(ValueError):
-                dist.normal().quantile(1.2)
+                dist.student_t(4).quantile(1.2)
 
     def test_cached_quantile_is_the_bisection(self):
         law = dist.student_t(40)
@@ -83,8 +78,7 @@ class TestQuantiles:
 class TestLimitsAndIdentities:
     def test_t_approaches_normal(self):
         t500 = dist.student_t(500)
-        n = dist.normal()
-        sup = max(abs(t500.cdf(x) - n.cdf(x)) for x in GRID)
+        sup = max(abs(t500.cdf(x) - stats.norm.cdf(x)) for x in GRID)
         assert sup < 2e-3
 
     def test_hotelling_is_scaled_f(self):

@@ -28,9 +28,10 @@ from orthosample.htests import (
 )
 from orthosample.models import (MODEL_REGISTRY, ModelSpec, generate_batch,
                                 generate_bivariate_batch)
-from orthosample.selection import _feasible, select_M, select_M_block
+from orthosample.selection import _feasible, _select_block, select_M
 from orthosample.spectral import (DegenerateDataError, InvalidInputError, ShiftRangeError,
-                                  WeightFunction, _real, dft, lag_weight, orthogonal_sample)
+                                  WeightFunction, _real, dft, dft_block, lag_weight,
+                                  orthogonal_sample)
 from orthosample.variance import (CovMatrixEstimate, covariance_matrix_estimate, hotelling_test,
                                   studentize, studentize_block)
 from orthosample.whittle import ar_model
@@ -204,7 +205,7 @@ def test_ar_model_takes_only_the_order():
     # sigma is always fitted: theta = (phi_1..phi_p, sigma)
     with pytest.raises(TypeError):
         ar_model(1, sigma=1.0)
-    assert ar_model(2).param_dim == 3
+    assert ar_model(2).p + 1 == 3
 
 
 def test_hotelling_dimensions_obey_integer_rule():
@@ -583,7 +584,20 @@ def test_overflowing_criterion_curve_is_refused(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
         with pytest.raises(DegenerateDataError, match="^criterion curve is not finite"):
-            select_M_block(runs, T, (5,), 4)
+            _select_block(runs, T, *_feasible(T, (5,), 4))
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(portmanteau_block, id="portmanteau"),
+    pytest.param(lambda b: goodness_of_fit_block(b, flat_density), id="goodness_of_fit"),
+    pytest.param(box_pierce_block, id="box_pierce"),
+    pytest.param(robust_portmanteau_block, id="robust_portmanteau"),
+    pytest.param(lambda b: equality_block(b, b), id="equality"),
+    pytest.param(dft_block, id="dft"),
+])
+def test_empty_block_is_refused(kernel):
+    with pytest.raises(InvalidInputError, match="^need at least one series, got an empty block$"):
+        kernel(np.zeros((0, T)))
 
 
 def test_scalar_weight_is_broadcast_on_the_grid():

@@ -1,7 +1,5 @@
 """Simulation model generators: reproducibility, moments, stationarity."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -78,6 +76,27 @@ class TestStationarityChecks:
         ModelSpec("ar", {"coeffs": (0.9,), "innovation": "normal"})
         ModelSpec("ar", {"coeffs": (1.5, -0.75), "innovation": "normal"})
 
+    @pytest.mark.parametrize("coeffs, match", [
+        (0.5, r"^AR coefficients coeffs=0\.5 are not a list or tuple of real numbers$"),
+        ("ab", r"^AR coefficients coeffs='ab' are not a list or tuple of real numbers$"),
+        ((float("nan"),), r"^coeffs\[0\]=nan is not finite$"),
+        ((0.5, float("inf")), r"^coeffs\[1\]=inf is not finite$"),
+        (((0.5,),), r"^coeffs\[0\]=\(0\.5,\) is not a real number$"),
+        ((True,), r"^coeffs\[0\]=True is not a real number$"),
+    ], ids=["float", "string", "nan", "inf", "nested", "bool"])
+    def test_ar_coeffs_checked_at_construction(self, coeffs, match):
+        # a ValueError naming the coefficient, before the stationarity check
+        for tag, other in (("ar", {"innovation": "normal"}), ("ar_times_arch", {"alpha": 0.8})):
+            with pytest.raises(ValueError, match=match):
+                ModelSpec(tag, {"coeffs": coeffs, **other})
+
+    def test_ar_coeffs_kept_as_checked_floats(self):
+        spec = ModelSpec("ar", {"coeffs": [np.float64(0.5), 0], "innovation": "normal"})
+        assert spec.params["coeffs"] == (0.5, 0.0)
+        assert [type(c) for c in spec.params["coeffs"]] == [float, float]
+        same = ModelSpec("ar", {"coeffs": (0.5, 0.0), "innovation": "normal"})
+        assert np.array_equal(generate(spec, 64, seed=1).series, generate(same, 64, seed=1).series)
+
     def test_arch_and_noncausal_bounds(self):
         with pytest.raises(ValueError, match=r"\balpha="):
             ModelSpec("arch1", {"alpha": 1.0})
@@ -129,12 +148,14 @@ class TestStationarityChecks:
         assert spec == MODEL_REGISTRY["y3"] and dict(spec.params) == {"coeffs": (0.5,), "alpha": 0.8}
 
     @pytest.mark.parametrize("tag", sorted(MODEL_REGISTRY))
-    def test_spec_pickles(self, tag):
+    def test_spec_rebuilds_from_its_params(self, tag):
+        # the checked read-only view passes the checks again unchanged
         spec = MODEL_REGISTRY[tag]
-        copy = pickle.loads(pickle.dumps(spec))
+        copy = ModelSpec(spec.tag, dict(spec.params))
         assert copy == spec and copy.params == spec.params
         with pytest.raises(TypeError):
             copy.params["x"] = 1.0
+        assert np.array_equal(generate(copy, 64, seed=1).series, generate(spec, 64, seed=1).series)
 
     def test_arch_innovation_needs_its_coefficient(self):
         # no fallback: without arch_alpha the innovations would be iid normal

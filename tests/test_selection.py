@@ -11,8 +11,8 @@ from orthosample.cli import EXIT_OK, main
 from orthosample.htests import (goodness_of_fit_block, goodness_of_fit_test, portmanteau_block,
                                 portmanteau_test)
 from orthosample.models import MODEL_REGISTRY, ModelSpec, generate, generate_batch
-from orthosample.selection import (DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M,
-                                   select_M_block)
+from orthosample.selection import (DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, _select_block,
+                                   select_M)
 from orthosample.spectral import (DegenerateDataError, ShiftRangeError, ar_spectral_density, dft,
                                   lag_weight, shift_runs, weighted_average,
                                   weighted_average_run)
@@ -77,7 +77,7 @@ class TestCurveBitsMatchReference:
         search_set = (30, 3, 17, 10, 3, 25)
         members, _ = _feasible(T, search_set, p)
         runs = shift_runs(coeffs, lag_weight(1).on_grid(T)[None], T // p + max(members))[:, 0]
-        _, curves, uniq = select_M_block(runs, T, search_set, p)
+        _, curves, uniq = _select_block(runs, T, members, p)
         want = criterion_curves_reference(runs, T, uniq, p)
         assert np.array_equal(curves.view(np.int64), want.view(np.int64))
         single = select_M(dft(block[0]), lag_weight(1), search_set, p).criterion_curve
@@ -191,16 +191,16 @@ class TestOneSearchSetPolicy:
         assert sel.criterion_curve == cli_curve
         assert {M: select_M(grid, phi, (M,)).criterion_curve[M] for M in feasible} == cli_curve
         run = weighted_average_run(grid, phi, T // 4 + max(feasible))
-        chosen, curves, members = select_M_block(run[None], T, range(10, 31))
+        chosen, curves, members = _select_block(run[None], T, feasible, DEFAULT_P)
         assert chosen[0] == sel.chosen_M
         assert dict(zip(members, curves[0].tolist())) == cli_curve
 
     def test_no_feasible_member_raises(self, rng):
-        grid, phi = dft(rng.standard_normal(100)), lag_weight(1)
-        run = weighted_average_run(grid, phi, 49)[None]
+        x = rng.standard_normal(100)
+        grid, phi = dft(x), lag_weight(1)
         for call in [lambda: select_M(grid, phi, range(30, 40)),
                      lambda: select_M(grid, phi, (30,)),
-                     lambda: select_M_block(run, 100, range(30, 40), 4),
+                     lambda: portmanteau_block(np.stack([x, x]), search_set=range(30, 40), p=4),
                      lambda: select_M(dft(rng.standard_normal(60)), phi, (20,), 4)]:
             with pytest.raises(ShiftRangeError, match="no feasible M"):
                 call()
@@ -219,11 +219,10 @@ class TestSearchSetRuleInBlocks:
         def g(w):
             return ar_spectral_density(w, [0.3], 1.0)
 
-        runs = shift_runs(dft(block[0]).coeffs[None], lag_weight(1).on_grid(100)[None], 49)
         calls = [lambda: portmanteau_block(block, L=3),
+                 lambda: portmanteau_block(block, L=3, search_set=range(10, 25), p=4),
                  lambda: goodness_of_fit_block(block, g, L=3, search_set=(10.0, 12, 20), p=4.0),
-                 lambda: select_M(dft(block[0]), lag_weight(1), range(10, 25), 4),
-                 lambda: select_M_block(runs[:, 0], 100, range(10, 25), 4)]
+                 lambda: select_M(dft(block[0]), lag_weight(1), range(10, 25), 4)]
         for call in calls:
             call()
 
@@ -237,10 +236,10 @@ class TestSearchSetRuleInBlocks:
                 portmanteau_block(block, L=3, search_set=search_set, p=p)
         runs = np.ones((2, 60), dtype=complex)
         # M = 25 is infeasible at T = 100, p = 4: the set is clipped to (10,)
-        chosen, _, members = select_M_block(runs, 100, (10, 25), 4)
+        chosen, _, members = _select_block(runs, 100, *_feasible(100, (10, 25), 4))
         assert members == (10,) and chosen.tolist() == [10, 10]
         with pytest.raises(ShiftRangeError, match="p must be >= 2"):
-            select_M_block(runs, 100, (10,), 1)
+            _feasible(100, (10,), 1)
 
 
 class TestSearchSetRuleRunsOnce:
@@ -268,10 +267,7 @@ class TestSearchSetRuleRunsOnce:
         def g(w):
             return ar_spectral_density(w, [0.6], 1.0)
 
-        runs = shift_runs(dft(block[0]).coeffs[None], lag_weight(1).on_grid(T)[None],
-                          T // DEFAULT_P + max(DEFAULT_SEARCH_SET))[:, 0]
         calls = {"select_M": lambda: select_M(dft(x), lag_weight(1)),
-                 "select_M_block": lambda: select_M_block(runs, T, DEFAULT_SEARCH_SET),
                  "portmanteau_test": lambda: portmanteau_test(x),
                  "portmanteau_block": lambda: portmanteau_block(block),
                  "goodness_of_fit_test": lambda: goodness_of_fit_test(x, g),

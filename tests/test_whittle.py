@@ -46,7 +46,7 @@ class TestModels:
         w = np.linspace(0.2, 6.0, 9)
         grad = np.asarray(model.gradient(w, theta))
         h = 1e-5
-        for c in range(model.param_dim):
+        for c in range(model.p + 1):
             up, dn = theta.copy(), theta.copy()
             up[c] += h
             dn[c] -= h
@@ -84,7 +84,7 @@ class TestModels:
         assert [f.name for f in fields(ARModel)] == ["p"]
         model = ARModel(np.int64(3))
         assert model == ar_model(3) and type(model.p) is int
-        assert (model.name, model.param_dim, len(model.bounds)) == ("ar3", 4, 4)
+        assert (model.name, model.p + 1, len(model.bounds)) == ("ar3", 4, 4)
         with pytest.raises(FrozenInstanceError):
             model.p = 2
         with pytest.raises(ValueError, match="^AR order must be >= 1$"):
@@ -136,7 +136,7 @@ class TestFit:
         fit = whittle_fit(grid, model, tol=1e-8)
         assert not fit.on_boundary
         h = 1e-5
-        for c in range(model.param_dim):
+        for c in range(model.p + 1):
             up, dn = fit.theta_hat.copy(), fit.theta_hat.copy()
             up[c] += h
             dn[c] -= h
@@ -247,7 +247,7 @@ class TestScoreVariance:
                                              / (2 * h)).astype(complex))
 
         want = covariance_matrix_estimate([orthogonal_sample(grid, fd_weight(c), 10)
-                                           for c in range(model.param_dim)])
+                                           for c in range(model.p + 1)])
         got = whittle_score_variance(grid, model, theta, M=10)
         np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-6)
 
