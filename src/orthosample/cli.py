@@ -24,8 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .equality import equality_test
-from .experiments import (ConfigError, ExperimentConfig, _apply, emit, parse_config,
-                          parse_search_set, run_experiment)
+from .experiments import ConfigError, ExperimentConfig, _apply, emit, parse_config, run_experiment
 from .htests import (TestReport, _goodness_of_fit_coeffs, box_pierce, portmanteau_test,
                      robust_portmanteau)
 from .selection import DEFAULT_P, DEFAULT_SEARCH_SET, select_M
@@ -218,8 +217,8 @@ def main(argv=None) -> int:
             (x,) = load_series(args.datafile, columns=1)
             grid = dft(x, demean=True)
             # a bad --set is a config error, found before a bad --p
-            sel = select_M(grid, lag_weight(1), parse_search_set(args.search_set, "--set"),
-                           opts["p"])
+            members = _apply("--set", _KEYS["search_set"].metadata["rule"], args.search_set)
+            sel = select_M(grid, lag_weight(1), members, opts["p"])
             print(json.dumps({
                 "chosen_M": sel.chosen_M,
                 "p": sel.p,

@@ -37,8 +37,8 @@ __all__ = [
     "ResultRow",
     "ResultTable",
     "ConfigError",
+    "Experiment",
     "Method",
-    "parse_search_set",
     "parse_config",
     "run_experiment",
     "emit",
@@ -54,10 +54,20 @@ CSV_HEADER = "model,T,method,alpha,rate,se,time_ms"
 # ceil(nrep (T + 1000) / 2^18) blocks, such as 4 x 125 at T = 1024, nrep 500.
 BLOCK_POINTS = 2**18
 
-# Each experiment and the methods of its cells; () for the configured methods
-EXPERIMENTS = {"qq_t10": ("qq_t10",), "table_equality": ("equality",),
-               "table_uncorrelated_null": (), "table_uncorrelated_power": (),
-               "table_gof_null": (), "table_gof_power": ()}
+
+class Experiment(NamedTuple):
+    """An experiment kind: the methods of its cells (() for the configured ones),
+    the keys a config of it must set, and whether its method orthogonal runs the
+    goodness-of-fit test of the AR(1) null in place of the portmanteau test."""
+    methods: tuple = ()
+    needs: tuple = ()
+    gof: bool = False
+
+
+_GOF = Experiment(needs=("gof_phi", "gof_sigma"), gof=True)
+EXPERIMENTS = {"qq_t10": Experiment(("qq_t10",)), "table_equality": Experiment(("equality",)),
+               "table_uncorrelated_null": Experiment(), "table_uncorrelated_power": Experiment(),
+               "table_gof_null": _GOF, "table_gof_power": _GOF}
 
 
 class ConfigError(ValueError):
@@ -112,11 +122,6 @@ def _apply(key: str, rule: Callable, raw):
         raise ConfigError(f"bad value for {key!r}: {raw!r}; {e}") from None
 
 
-def parse_search_set(spec, name: str) -> tuple:
-    """The M search set ``spec`` after its rule, or a ConfigError naming ``name``."""
-    return _apply(name, _search_members, spec)
-
-
 def _key(default, rule: Callable):
     """A config key's field: its default and its rule (see ExperimentConfig)."""
     return field(default=default, metadata={"rule": rule})
@@ -133,7 +138,7 @@ class ExperimentConfig:
     models: tuple = _key(("normal",), _listed(str))
     T: tuple = _key((100,), _listed(_number(_integer, "T")))
     nrep: int = _key(100, _number(_integer, "nrep"))
-    # None means data-driven selection; qq_t10 needs a fixed M
+    # None means data-driven selection; a method whose row sets fixed_M needs one
     M: int | None = _key(None, _optional(_number(_integer, "M"), ("select", "none")))
     search_set: tuple = _key(tuple(DEFAULT_SEARCH_SET), _search_members)
     p: int = _key(DEFAULT_P, _number(_integer, "p"))
@@ -155,6 +160,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(EXPERIMENTS)}")
+        kind = EXPERIMENTS[self.experiment]
         for f in fields(self)[1:]:  # every key but experiment, in field order
             object.__setattr__(self, f.name, _apply(f.name, f.metadata["rule"],
                                                     getattr(self, f.name)))
@@ -163,19 +169,20 @@ class ExperimentConfig:
         if not self.alphas or not all(0 < a < 1 for a in self.alphas):
             raise ConfigError(f"alphas must be a non-empty list of levels in (0, 1), "
                               f"got {self.alphas!r}")
-        if self.experiment != "table_equality":
+        if not any(METHODS[m].paired for m in kind.methods):  # pairs have no model tags
             if not self.models:
                 raise ConfigError("models must be a non-empty list of model tags")
             for m in self.models:
                 if m not in MODEL_REGISTRY:
                     raise ConfigError(f"unknown model tag {m!r}")
-        if not (methods := EXPERIMENTS[self.experiment] or self.methods):
+        if not (methods := kind.methods or self.methods):
             raise ConfigError("methods must be a non-empty list of method names")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose methods from {tuple(METHODS)}")
-            if METHODS[m].paired and self.experiment != "table_equality":
-                raise ConfigError(f"method {m!r} needs experiment table_equality")
+            if METHODS[m].paired and m not in kind.methods:  # only its own kinds draw pairs
+                homes = [name for name, k in EXPERIMENTS.items() if m in k.methods]
+                raise ConfigError(f"method {m!r} needs experiment {' or '.join(homes)}")
         for key, lo in (("nrep", 1), ("workers", 1), ("seed", 0), ("L", 1), ("M", 1)):
             if getattr(self, key) is not None and getattr(self, key) < lo:
                 raise ConfigError(f"{key} must be >= {lo}")
@@ -186,24 +193,24 @@ class ExperimentConfig:
             raise ConfigError(f"gof_sigma={self.gof_sigma} must be finite and > 0")
         # the owners' rules for the settings whose range does not depend on T, and the
         # range rule 1 <= L, M < T/2 where it fails at every T (at the largest) for the
-        # methods that take it; the Box-Pierce and robust baselines take 1 <= L < T
+        # keys the cells' methods read under it (their rows' ``ranged``)
         try:
             _check_bivariate(self.delta, self.rho)
             _check_beta(self.beta)
             if self.b is not None:
                 KernelSpec(self.b)
             _search_set(self.search_set, self.p)
-            for key, users in (("L", {"orthogonal"}), ("M", {"orthogonal", "qq_t10", "equality"})):
-                if getattr(self, key) is not None and users & set(methods):
+            for key in ("L", "M"):
+                if getattr(self, key) is not None and any(key in METHODS[m].ranged
+                                                          for m in methods):
                     _check_shift(max(self.T), getattr(self, key), key, 1)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if self.experiment.startswith("table_gof"):
-            missing = [k for k in ("gof_phi", "gof_sigma") if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"{self.experiment} needs {' and '.join(missing)}")
-        if self.experiment == "qq_t10" and self.M is None:
-            raise ConfigError("qq_t10 needs a fixed M; M is unset or 'select'")
+        if missing := [key for key in kind.needs if getattr(self, key) is None]:
+            raise ConfigError(f"{self.experiment} needs {' and '.join(missing)}")
+        for m in methods + self.methods:  # the cells' methods, then the configured ones
+            if METHODS[m].fixed_M and self.M is None:
+                raise ConfigError(f"{m} needs a fixed M; M is unset or 'select'")
 
 
 @dataclass(frozen=True)
@@ -228,9 +235,7 @@ class ResultTable:
     quantile_pairs: dict = field(default_factory=dict)  # label -> (emp, ref)
 
     def csv_lines(self, include_time: bool = True):
-        yield CSV_HEADER if include_time else CSV_HEADER.rsplit(",", 1)[0]
-        for row in self.rows:
-            line = row.csv()
+        for line in (CSV_HEADER, *map(ResultRow.csv, self.rows)):
             yield line if include_time else line.rsplit(",", 1)[0]
 
 
@@ -275,7 +280,7 @@ def _t10_statistics(cfg: ExperimentConfig, series: np.ndarray) -> list:
 
 
 def _orthogonal_pvalues(cfg: ExperimentConfig, series: np.ndarray) -> list:
-    if cfg.experiment.startswith("table_gof"):
+    if EXPERIMENTS[cfg.experiment].gof:
         def g(om, phi=cfg.gof_phi, sigma=cfg.gof_sigma):
             return ar_spectral_density(om, [phi], sigma)
 
@@ -348,19 +353,23 @@ class Method(NamedTuple):
     """How the cells of one method run. ``values(cfg, block)`` gives
     one value per replication of a block: an (R, T) array of series, or a
     pair of them if ``paired``. ``rows(cfg, table, cell, values, time_ms)``
-    adds the cell's rows to the table; ``values`` is None if the cell failed."""
+    adds the cell's rows to the table; ``values`` is None if the cell failed.
+    ``ranged``: the keys read under the range rule 1 <= L, M < T/2 (the
+    Box-Pierce and robust baselines take 1 <= L < T); ``fixed_M``: M must be set."""
     values: Callable
     rows: Callable = _rate_rows
     paired: bool = False
+    ranged: tuple = ()
+    fixed_M: bool = False
 
 
 METHODS = {
-    "orthogonal": Method(_orthogonal_pvalues),
+    "orthogonal": Method(_orthogonal_pvalues, ranged=("L", "M")),
     "box_pierce": Method(lambda cfg, series: box_pierce_block(series, cfg.L).p_values.tolist()),
     "robust": Method(lambda cfg, series: robust_portmanteau_block(
         series, cfg.L).p_values.tolist()),
-    "qq_t10": Method(_t10_statistics, _qq_rows),
-    "equality": Method(_equality_values, _equality_rows, paired=True),
+    "qq_t10": Method(_t10_statistics, _qq_rows, ranged=("M",), fixed_M=True),
+    "equality": Method(_equality_values, _equality_rows, paired=True, ranged=("M",)),
 }
 
 
@@ -414,9 +423,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ResultTable:
     table = ResultTable(metadata={"experiment": cfg.experiment, "seed": cfg.seed,
                                   "nrep": cfg.nrep})
 
-    methods = EXPERIMENTS[cfg.experiment] or cfg.methods
+    methods = EXPERIMENTS[cfg.experiment].methods or cfg.methods
     models = ((f"ar_pair_rho{cfg.rho:g}_delta{cfg.delta:g}",)
-              if cfg.experiment == "table_equality" else cfg.models)
+              if METHODS[methods[0]].paired else cfg.models)
     groups = [(m, T) for m in models for T in cfg.T]
     ncells = len(groups) * len(methods)
 
@@ -453,25 +462,17 @@ def emit(table: ResultTable, out_prefix: str, json_too: bool = False) -> list:
     if not table.rows:
         raise ValueError("refusing to emit an empty result table")
     paths = []
-    csv_path = f"{out_prefix}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for line in table.csv_lines():
-            fh.write(line + "\n")
-    paths.append(csv_path)
+
+    def write(path: str, text: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        paths.append(path)
+
+    write(f"{out_prefix}.csv", "".join(line + "\n" for line in table.csv_lines()))
     if json_too:
-        json_path = f"{out_prefix}.json"
-        payload = {
-            "metadata": table.metadata,
-            "rows": [row.__dict__ for row in table.rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, default=str)
-        paths.append(json_path)
+        write(f"{out_prefix}.json", json.dumps({"metadata": table.metadata, "rows": [
+            row.__dict__ for row in table.rows]}, indent=1, default=str))
     for label, (emp, ref) in table.quantile_pairs.items():
-        qq_path = f"{out_prefix}_qq_{label}.csv"
-        with open(qq_path, "w", encoding="utf-8") as fh:
-            fh.write("empirical,reference\n")
-            for e, r in zip(emp, ref):
-                fh.write(f"{e:.10g},{r:.10g}\n")
-        paths.append(qq_path)
+        write(f"{out_prefix}_qq_{label}.csv", "empirical,reference\n" + "".join(
+            f"{e:.10g},{r:.10g}\n" for e, r in zip(emp, ref)))
     return paths

@@ -55,7 +55,7 @@ __all__ = [
 DEFAULT_ALPHAS = (0.05, 0.10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalNull:
     """Null-reference draws: the 2M orthogonal-sample values."""
 
@@ -102,7 +102,7 @@ def _lag_rows_on_grid(T: int, L: int) -> np.ndarray:
     return np.exp(rows, out=rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockReport:
     """One test on every row of a block of R series.
 

@@ -95,7 +95,7 @@ class ModelSpec:
     takes (see the README's models table), checked and kept read-only when built."""
 
     tag: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         p = dict(self.params)
@@ -132,7 +132,7 @@ class ModelSpec:
                              f"for {self.tag}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimOutput:
     """A length-T series and its seed, or from the batch generators an
     (R, T) block, one row per seed, and its list of R seeds."""

@@ -149,7 +149,7 @@ def _ar_density(A: np.ndarray, sigma: float) -> np.ndarray:
     return sigma**2 / (2 * np.pi) / np.abs(A) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DftGrid:
     """DFT coefficients J(omega_k) for k = 1..T, scaled by 1/sqrt(2*pi*T).
 
@@ -263,7 +263,7 @@ def _density_values(values, name: str, theta=None) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalSample:
     """A(phi; 0) together with the shifted functionals A(phi; r), r = 1..M."""
 

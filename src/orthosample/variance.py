@@ -31,7 +31,7 @@ __all__ = ["CovMatrixEstimate", "variance_block", "studentize_block", "variance_
            "studentize", "covariance_matrix_estimate", "hotelling_test"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovMatrixEstimate:
     """Sigma-hat_M of p functionals (``_covariance_block``), V-hat_M its 1x1 case
     (``variance_block``); the estimand involves the fourth order spectrum."""

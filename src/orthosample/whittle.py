@@ -78,7 +78,7 @@ def ar_model(p: int) -> ARModel:
     return ARModel(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhittleFit:
     """A Whittle fit; ``iterations`` counts the Newton steps taken and
     ``density`` holds the fitted density f(omega_k; theta_hat) on the grid."""

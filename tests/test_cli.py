@@ -26,7 +26,7 @@ from orthosample.cli import (
     report_to_dict,
 )
 from orthosample.equality import equality_test
-from orthosample.experiments import parse_search_set
+from orthosample.experiments import _apply
 from orthosample.htests import goodness_of_fit_test
 from orthosample.selection import DEFAULT_P, DEFAULT_SEARCH_SET, _feasible, select_M
 from orthosample.variance import studentize, variance_estimate
@@ -331,7 +331,8 @@ class TestSelectMOutputAndErrors:
         assert main(["selectM", series_csv] + extra) == EXIT_OK
         opts = dict(zip(extra[::2], extra[1::2]))
         p = int(opts.get("--p", DEFAULT_P))
-        members = parse_search_set(opts.get("--set", tuple(DEFAULT_SEARCH_SET)), "--set")
+        members = _apply("--set", cli._KEYS["search_set"].metadata["rule"],
+                         opts.get("--set", tuple(DEFAULT_SEARCH_SET)))
         (x,) = load_series(series_csv)
         grid = spectral.dft(x)
         sel = select_M(grid, spectral.lag_weight(1), _feasible(grid.T, members, p)[0], p)

@@ -1,5 +1,6 @@
 """Config parsing and the Monte Carlo experiment runner."""
 
+import ast
 import concurrent.futures
 import functools
 import hashlib
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthosample import experiments
+from orthosample import cli, experiments
 from orthosample.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -161,6 +162,26 @@ class TestParseConfig:
             parse_config(text)
         with pytest.raises(ConfigError, match="^qq_t10 needs a fixed M"):
             tiny_config(experiment="qq_t10", models=("pivot_i",), M=None)
+
+    @pytest.mark.parametrize("experiment", list(experiments.EXPERIMENTS))
+    def test_qq_t10_method_needs_a_fixed_M_in_any_experiment(self, experiment, tmp_path,
+                                                              capsys):
+        # the fixed-M rule is the method's: a config file, a JSON config and code
+        # refuse an unset M when the config is built, and run writes no CSV
+        entries = {"experiment": experiment, "models": ["pivot_i"], "T": [100],
+                   "methods": ["qq_t10"], "nrep": 3}
+        entries |= dict.fromkeys(experiments.EXPERIMENTS[experiment].needs, 0.5)
+        message = "qq_t10 needs a fixed M; M is unset or 'select'"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(**entries)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(json.dumps(entries))
+        path = tmp_path / "qq.cfg"
+        path.write_text("".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                                for k, v in entries.items()))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("text", [
         "T = 8, 64\nL = 5\nM = 3",  # the T = 8 cells give NaN rows
@@ -793,3 +814,54 @@ def test_pinned_rows_keep_their_bits():
             h.update(label.encode() + emp.tobytes() + ref.tobytes())
         h.update(repr(table.metadata.get("beta_hat_mean")).encode())
     assert h.hexdigest()[:16] == PINNED_DIGEST
+
+
+def name_compares(source: str) -> list[str]:
+    """Each ``==``, ``!=``, ``in``, ``not in``, ``.startswith`` or
+    ``.endswith`` in ``source`` against a string that names an experiment or a
+    method (or for the last two, begins or ends one), outside the literals
+    assigned to ``EXPERIMENTS`` and ``METHODS``, as "line: code"."""
+    names = set(experiments.EXPERIMENTS) | set(experiments.METHODS)
+    tree = ast.parse(source)
+    tables = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) in ("EXPERIMENTS", "METHODS") for t in node.targets)
+              for sub in ast.walk(node.value)}
+
+    def strings(node):  # a string constant, or those of a tuple, list or set literal
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return [i.value for i in items if isinstance(i, ast.Constant) and isinstance(i.value, str)]
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in tables:
+            continue
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            hit = any(s in names for side in (node.left, *node.comparators) for s in strings(side))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("startswith", "endswith")):
+            hit = any(getattr(n, node.func.attr)(s) for a in node.args for s in strings(a)
+                      for n in names)
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {code}" for line, code in sorted(found)]
+
+
+def test_runner_decides_by_table_not_by_name():
+    source = Path(experiments.__file__).read_text(encoding="utf-8")
+    assert not name_compares(source), "\n".join(name_compares(source))
+
+
+@pytest.mark.parametrize("source, found", [
+    ('if cfg.experiment == "table_equality": pass', ["1: cfg.experiment == 'table_equality'"]),
+    ('x = m != "qq_t10"', ["1: m != 'qq_t10'"]),
+    ('x = "qq_t10" in methods', ["1: 'qq_t10' in methods"]),
+    ('x = m not in ("orthogonal", "other")', ["1: m not in ('orthogonal', 'other')"]),
+    ('x = cfg.experiment.startswith("table_gof")', ["1: cfg.experiment.startswith('table_gof')"]),
+    ('EXPERIMENTS = {"a": 1 if e == "qq_t10" else 2}\nMETHODS = {x == "robust": 1}', []),
+    ('x = m == "estimate" or key in ("L", "M") or m.startswith("x")', []),
+])
+def test_name_scan_finds_what_it_should(source, found):
+    assert name_compares(source) == found

@@ -158,3 +158,40 @@ def test_report_scan_finds_what_it_should(source, names):
 ])
 def test_estimate_scan_finds_what_it_should(source, names):
     assert classes_ending(source, "Estimate") == names
+
+
+def _series():
+    return models.generate(models.MODEL_REGISTRY["ar_g_0.6"], 128, seed=3).series
+
+
+def _spec():
+    spec = models.MODEL_REGISTRY["ar_g_0.6"]
+    return models.ModelSpec(spec.tag, spec.params)
+
+
+# each frozen type built twice from the same inputs: a ModelSpec compares by
+# value and hashes by its tag; the types that hold arrays compare by identity,
+# and a TestReport, whose tuning is a dict, compares through them
+@pytest.mark.parametrize("build, by_value", [
+    (_spec, True),
+    (lambda: spectral.dft(_series()), False),
+    (lambda: spectral.orthogonal_sample(spectral.dft(_series()), spectral.lag_weight(1), 10),
+     False),
+    (lambda: whittle.whittle_fit(spectral.dft(_series()), whittle.ar_model(1)), False),
+    (lambda: models.generate(models.MODEL_REGISTRY["normal"], 64, seed=1), False),
+    (lambda: htests.portmanteau_test(_series()).null_ref, False),
+    (lambda: htests.portmanteau_block(_series()[None]), False),
+    (lambda: variance.variance_estimate(spectral.orthogonal_sample(
+        spectral.dft(_series()), spectral.lag_weight(1), 10)), False),
+    (lambda: htests.portmanteau_test(_series()), False),
+], ids=["ModelSpec", "DftGrid", "OrthogonalSample", "WhittleFit", "SimOutput",
+        "EmpiricalNull", "BlockReport", "CovMatrixEstimate", "TestReport"])
+def test_frozen_values_compare_and_hash_without_raising(build, by_value):
+    a, b = build(), build()
+    assert a == a and (a == b) is by_value and (a != b) is not by_value
+    if isinstance(a, htests.TestReport):
+        return
+    assert len({a, b}) == (1 if by_value else 2)
+    if by_value:  # "normal" and "pivot_i" are one spec
+        assert hash(a) == hash(b)
+        assert len(set(models.MODEL_REGISTRY.values())) == 16

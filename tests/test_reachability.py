@@ -3,12 +3,12 @@ or is named in ``REASONS`` with the reason it stays.
 
 One fresh interpreter (``python -W error``, warnings are errors as in the
 rest of the suite) installs a profile hook before ``import orthosample`` and
-drives the surfaces a user has: every config under ``configs/``, every
-``orthosample test`` kind with and without ``--M``, ``selectM``, the
-README's python blocks and a few bad inputs.  It writes the (file, first
-line) of every package code object it entered; an AST walk of ``src/`` maps
-those to qualified names by the ``def`` line or the first decorator's line,
-as ``co_firstlineno`` gives it.
+drives the surfaces a user has: every config under ``configs/``, ``run
+--json``, a config written as JSON, every ``orthosample test`` kind with and
+without ``--M``, ``selectM``, the README's python blocks and a few bad
+inputs.  It writes the (file, first line) of every package code object it
+entered; an AST walk of ``src/`` maps those to qualified names by the ``def``
+line or the first decorator's line, as ``co_firstlineno`` gives it.
 
 Run as a script (``python -W error tests/test_reachability.py OUT.json``)
 it drives the surfaces and writes OUT.json itself.
@@ -74,6 +74,9 @@ def _drive(out_path: str) -> None:
     for name, data in files.items():
         Path(name).write_text("\n".join(",".join(map(repr, row.tolist())) for row in data))
     Path("bad.csv").write_text("0.5\n1.5\nnot-a-number\n2.5\n")
+    Path("json.cfg").write_text(json.dumps({"experiment": "table_uncorrelated_null",
+                                            "models": ["normal"], "T": [100], "nrep": 5}))
+    Path("qq_method.cfg").write_text("experiment = table_uncorrelated_null\nmethods = qq_t10\n")
 
     configs = ROOT / "configs"
     surfaces = [(f"run {cfg.name}", ["run", str(cfg), "--nrep", "20", "--out", f"out/{cfg.stem}"],
@@ -86,6 +89,10 @@ def _drive(out_path: str) -> None:
         ("run with ORTHOSAMPLE_WORKERS=2", ["run", str(configs / "gof_null_ar06_chi.cfg"),
                                             "--nrep", "20", "--out", "out/pool"],
          0, {"ORTHOSAMPLE_WORKERS": "2"}),
+        ("run --json", ["run", str(configs / "qq_t10.cfg"), "--nrep", "5", "--out", "out/json",
+                        "--json"], 0, {}),
+        ("a config written as a JSON object", ["run", "json.cfg", "--out", "out/json_cfg"],
+         0, {}),
     ]
     for kind, (columns, options, _) in cli.TESTS.items():
         data = "one.csv" if columns == 1 else "two.csv"
@@ -97,6 +104,7 @@ def _drive(out_path: str) -> None:
         ("a CSV with an unparsable line", ["test", "portmanteau", "bad.csv"], 3, {}),
         ("gof_ar1 on data scaled by 1e200", ["test", "gof_ar1", "huge.csv"], 3, {}),
         ("an option before the kind", ["test", "--M", "10", "portmanteau", "one.csv"], 2, {}),
+        ("the qq_t10 method with no M", ["run", "qq_method.cfg", "--out", "out/qq"], 2, {}),
     ]
     exits = []
     with contextlib.redirect_stdout(io.StringIO()):

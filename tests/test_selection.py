@@ -244,8 +244,8 @@ class TestSearchSetRuleInBlocks:
 
 class TestSearchSetRuleRunsOnce:
     """Each M search runs the search-set rule once.  The CLI's selectM runs
-    it twice: ``parse_search_set`` refuses a bad --set as a config error, and
-    ``select_M`` runs its own search."""
+    it twice: the ``search_set`` key's rule refuses a bad --set as a config
+    error, and ``select_M`` runs its own search."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
